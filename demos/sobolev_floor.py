@@ -15,7 +15,7 @@ asserted a priori.
 
 import time
 
-from triform.specdecomp import _trace_against_sobolev
+from triform import sobolev_trace
 
 l, N, K = 2, 64, 32
 params = (0.0, 0.0)
@@ -24,8 +24,8 @@ print(f"l = {l}, truncation N = {N}, output-mode window K = {K}, lam = iT")
 print(f"{'T':>4s} {'rho':>14s} {'rho * T^(2l)':>14s} {'N-doubling change':>18s}")
 for T in (2.0, 4.0, 8.0):
     t0 = time.time()
-    rho = _trace_against_sobolev(l, T, 1j * T, params, N, K)
-    rho2 = _trace_against_sobolev(l, T, 1j * T, params, 2 * N, K)
+    rho = sobolev_trace(l, T, 1j * T, params, N, K)
+    rho2 = sobolev_trace(l, T, 1j * T, params, 2 * N, K)
     print(f"{T:4.0f} {rho:14.6g} {rho * T ** (2 * l):14.6g} "
           f"{abs(rho2 - rho) / rho:18.2e}   ({time.time() - t0:.1f}s)")
 

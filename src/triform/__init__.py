@@ -18,9 +18,10 @@ from .errors import (DomainTooSmallError, InsufficientTruncationError,
                      TriformError, TruncationOverflowError)
 from .estimate import Estimate
 from .gaussian import (GaussianSpec, det_moment, gaussian_expect,
-                       homogeneous_reduction_check, kernel_gaussian_check,
-                       linear_moment, minor_map, minor_pullback_check,
-                       minor_pullback_rotated, radial_expect, radius_moment)
+                       homogeneous_reduction_check, identity_battery,
+                       kernel_gaussian_check, linear_moment, minor_map,
+                       minor_pullback_check, minor_pullback_rotated,
+                       radial_expect, radius_moment)
 from .kernel import kernel_on_circle, kernel_value, omega
 from .params import ExponentQuadruple, SeriesParam, exponents
 from .quadrature import QuadratureConfig

@@ -13,7 +13,7 @@ evaluator is required, e.g. for very fine bump vectors.
 """
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -25,6 +25,8 @@ class CircleFunction:
     coeffs: np.ndarray          # shape (2 max_mode + 1,), index p + max_mode
     max_mode: int
     evaluator: Optional[Callable] = None
+    # energy dropped by the truncation that produced this function, if any
+    tail_energy: Optional[float] = None
 
     def __post_init__(self):
         self.coeffs = np.asarray(self.coeffs, dtype=complex)
@@ -76,8 +78,11 @@ class BiCircleFunction:
     coeffs: Optional[np.ndarray]    # shape (2N+1, 2N+1), index (p + N, q + N)
     max_mode: int
     evaluator: Optional[Callable] = None
-    # populated by constructors that know the analytic mass exactly
+    # populated by constructors that know the analytic values exactly
     mass: Optional[float] = None    # integral over [0,2pi)^2, plain measure
+    support_radius: Optional[float] = None
+    center: Optional[Tuple[float, float]] = None
+    norm_sq_plain: Optional[float] = None   # squared norm, plain measure
 
     def __post_init__(self):
         if self.coeffs is not None:

@@ -25,12 +25,10 @@ import numpy as np
 
 from . import __version__
 from .errors import (NonConvergentError, PoleArgumentError, TriformError)
-from .gaussian import (GaussianSpec, det_moment, gaussian_expect,
-                       homogeneous_reduction_check, kernel_gaussian_check,
-                       linear_moment, minor_pullback_check, radius_moment)
 from .circlefn import CircleFunction
+from .gaussian import identity_battery
 from .quadrature import QuadratureConfig
-from .specdecomp import _trace_against_sobolev, sobolev_trace
+from .specdecomp import _trace_against_sobolev
 from .trilinear import (closed_form_log, closed_form_value, decay_constant,
                         decay_envelope_log, normalized_decay,
                         spherical_square, triple_quadrature)
@@ -67,13 +65,6 @@ def _parse_triples(args) -> list:
 
 def _split(text):
     return [t.strip() for t in text.split(",") if t.strip()]
-
-
-def _f(x):
-    if x is None:
-        return None
-    x = float(x)
-    return x
 
 
 # ---------------------------------------------------------------------------
@@ -183,84 +174,20 @@ def cmd_quadrature_check(args) -> int:
 
 
 def cmd_gaussian_check(args) -> int:
-    seed = args.seed
-    n = args.samples
     rows = []
-
-    def add(identity, params, lhs, rhs):
+    for identity, params, lhs, rhs in identity_battery(args.samples, args.seed):
         sigma = max(lhs.error_bound / 3.0, rhs.error_bound, 1e-300)
-        z = abs(lhs.value - rhs.value) / sigma
         rows.append({
             "identity": identity, "params": params,
             "mc_re": lhs.value.real, "mc_im": lhs.value.imag,
             "closed_re": rhs.value.real, "closed_im": rhs.value.imag,
-            "mc_3sigma": lhs.error_bound, "zscore": z, "error": "",
+            "mc_3sigma": lhs.error_bound,
+            "zscore": abs(lhs.value - rhs.value) / sigma, "error": "",
         })
-
-    from .estimate import Estimate
-    svals = [0.0, 1.0, 2.0, 1j, 2j]
-    for nn in (1, 2, 3):
-        for s in svals:
-            spec = GaussianSpec(dim=nn, seed=seed, samples=n)
-            closed = radius_moment(nn, s)
-
-            def radius_integrand(pts, s=s):
-                r = np.sqrt(np.sum(pts * pts, axis=1))
-                return np.exp(complex(s) * np.log(r))
-
-            mc = gaussian_expect(spec, radius_integrand)
-            add("radius-moment", f"n={nn};s={s}", mc,
-                Estimate(closed, 1e-11 * abs(closed)))
-    for s in svals:
-        spec = GaussianSpec(dim=2, seed=seed + 1, samples=n)
-        closed = linear_moment(1.0, s)
-
-        def linear_integrand(pts, s=s):
-            v = np.abs(pts[:, 0])
-            good = v > 0
-            out = np.zeros(len(v), dtype=complex)
-            out[good] = np.exp(complex(s) * np.log(v[good]))
-            if complex(s) == 0:
-                out[:] = 1.0
-            return out
-
-        mc = gaussian_expect(spec, linear_integrand)
-        add("linear-moment", f"s={s}", mc, Estimate(closed, 1e-11 * abs(closed)))
-    for s in svals:
-        spec = GaussianSpec(dim=4, seed=seed + 2, samples=n)
-        closed = det_moment(s)
-
-        def det_integrand(pts, s=s):
-            d = np.abs(pts[:, 0] * pts[:, 3] - pts[:, 1] * pts[:, 2])
-            good = d > 0
-            out = np.zeros(len(d), dtype=complex)
-            out[good] = np.exp(complex(s) * np.log(d[good]))
-            if complex(s) == 0:
-                out[:] = 1.0
-            return out
-
-        mc = gaussian_expect(spec, det_integrand)
-        add("det-moment", f"s={s}", mc, Estimate(closed, 1e-11 * abs(closed)))
-    for lam in (0.0, 2j):
-        f = CircleFunction.from_modes({0: 1.0, 2: 0.25, -2: 0.25}, 1)
-        spec = GaussianSpec(dim=2, seed=seed + 3, samples=n)
-        lhs, rhs = homogeneous_reduction_check(lam, f, method="mc", spec=spec)
-        add("homogeneous-reduction", f"lam={lam}", lhs, rhs)
-    for s in svals:
-        spec = GaussianSpec(dim=6, seed=seed + 4, samples=n)
-        lhs, rhs = minor_pullback_check(s, spec)
-        add("minor-pullback", f"s={s}", lhs, rhs)
-    for trip in ((0j, 0j, 0j), (2j, 0j, 0j), (0j, 1j, 2j)):
-        # stream offset 6: |K|^2 is marginally non-integrable, so this
-        # identity's empirical error bars are approximate; see the module docs
-        spec = GaussianSpec(dim=6, seed=seed + 6, samples=n)
-        lhs, rhs = kernel_gaussian_check(*trip, spec)
-        add("kernel-gaussian", f"l={trip}", lhs, rhs)
-
     worst = max(r["zscore"] for r in rows)
     cols = ["identity", "params", "mc_re", "mc_im", "closed_re", "closed_im",
             "mc_3sigma", "zscore", "error"]
-    _write_table(args, "gaussian-check", {"samples": n}, rows, cols,
+    _write_table(args, "gaussian-check", {"samples": args.samples}, rows, cols,
                  extra_meta={"max_zscore": worst})
     return 1 if worst > 4.0 else 0
 

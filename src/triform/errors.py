@@ -36,7 +36,8 @@ class PreconditionError(TriformError):
 
 
 class NonFiniteError(TriformError):
-    """Sampling produced non-finite values."""
+    """A non-finite value: a NaN or infinite input parameter or Fourier
+    coefficient, or a sample value that overflowed."""
 
 
 class TruncationOverflowError(TriformError):

@@ -16,6 +16,7 @@ plus the two reduction identities that connect the kernel integral to them:
 the homogeneous-function reduction <h, G> = Gamma((1-lam)/2) L(h e_lam) and
 the minor-map pullback <nu*(h), G> = <h, G> Gamma(s/2 + 1), and finally the
 kernel Gaussian  B = A * Gamma((1-l1)/2) Gamma((1-l2)/2) Gamma((1-l3)/2).
+``identity_battery`` runs all of them as one fixed, seeded sweep.
 
 A deterministic radial-quadrature route is provided for rotation-invariant
 integrands as a second, non-statistical oracle.
@@ -30,8 +31,9 @@ import numpy as np
 from .circlefn import CircleFunction
 from .errors import NonFiniteError, PreconditionError
 from .estimate import Estimate
+from .kernel import kernel_value
 from .params import _as_complex, exponents
-from .quadrature import QuadratureConfig, refine_until
+from .quadrature import QuadratureConfig, _exp_sinh, refine_until
 from .specfun import gamma_product_log, log_gamma_complex
 from .trilinear import closed_form_log, invariant_functional
 
@@ -47,6 +49,7 @@ __all__ = [
     "minor_pullback_check",
     "minor_pullback_rotated",
     "kernel_gaussian_check",
+    "identity_battery",
 ]
 
 _CHUNK = 1 << 16
@@ -61,6 +64,18 @@ class GaussianSpec:
     def __post_init__(self):
         if self.dim < 1 or self.samples < 1:
             raise ValueError("dim and samples must be positive")
+
+
+def _abs_power(v: np.ndarray, s) -> np.ndarray:
+    """|v|^s as complex values, 0 where v = 0 (a null set when Re s > -1)."""
+    s = complex(s)
+    if s == 0:
+        return np.ones(len(v), dtype=complex)
+    a = np.abs(v)
+    good = a > 0
+    out = np.zeros(len(a), dtype=complex)
+    out[good] = np.exp(s * np.log(a[good]))
+    return out
 
 
 def _chunk_generator(seed: int, chunk_index: int) -> np.random.Generator:
@@ -154,13 +169,7 @@ def radial_expect(n: int, s, cfg: Optional[QuadratureConfig] = None) -> Estimate
     area = _SPHERE_AREA[n]
 
     def eval_at_level(level):
-        h = 2.0 ** (-level)
-        tmax = 4.5
-        t = h * np.arange(-int(tmax / h), int(tmax / h) + 1)
-        r = np.exp((np.pi / 2.0) * np.sinh(t))
-        w = r * (np.pi / 2.0) * np.cosh(t) * h
-        keep = np.isfinite(r) & (r > 0) & (r < 27.0)   # e^{-r^2} < 1e-316 beyond
-        r, w = r[keep], w[keep]
+        r, w = _exp_sinh(level)
         vals = np.exp((s + n - 1) * np.log(r) - r * r)
         return area / math.pi ** (n / 2.0) * np.sum(vals * w), len(r)
 
@@ -198,13 +207,7 @@ def homogeneous_reduction_check(lam, f: CircleFunction, method: str = "radial",
             theta = np.linspace(0.0, 2.0 * np.pi, ntheta, endpoint=False)
             ang = np.sum(f.evaluate(theta)) * (2.0 * np.pi / ntheta) / math.pi
             # radial factor: int_0^inf r^{-lam} e^{-r^2} dr
-            h = 2.0 ** (-level - 3)
-            tmax = 4.5
-            t = h * np.arange(-int(tmax / h), int(tmax / h) + 1)
-            r = np.exp((np.pi / 2.0) * np.sinh(t))
-            w = r * (np.pi / 2.0) * np.cosh(t) * h
-            keep = np.isfinite(r) & (r > 0) & (r < 27.0)
-            r, w = r[keep], w[keep]
+            r, w = _exp_sinh(level + 3)
             rad = np.sum(np.exp(-z * np.log(r) - r * r) * w)
             return ang * rad, ntheta + len(r)
 
@@ -218,7 +221,7 @@ def homogeneous_reduction_check(lam, f: CircleFunction, method: str = "radial",
         def integrand(pts):
             r = np.hypot(pts[:, 0], pts[:, 1])
             theta = np.arctan2(pts[:, 1], pts[:, 0])
-            return np.exp((-z - 1.0) * np.log(r)) * f.evaluate(theta)
+            return _abs_power(r, -z - 1.0) * f.evaluate(theta)
 
         lhs = gaussian_expect(spec, integrand)
     else:
@@ -246,17 +249,11 @@ def minor_map(mats: np.ndarray) -> np.ndarray:
 def _minor_mc(s, spec: GaussianSpec, direction=None) -> Estimate:
     if spec.dim != 6:
         raise ValueError("minor-map pullback lives on R^6 (2x3 matrices)")
-    s = complex(s)
 
     def integrand(pts):
         w = minor_map(pts.reshape(-1, 2, 3))
         proj = w[:, 2] if direction is None else w @ np.asarray(direction, dtype=float)
-        out = np.zeros(len(proj), dtype=complex)
-        nz = proj != 0.0
-        if s == 0:
-            return np.ones(len(proj), dtype=complex)
-        out[nz] = np.exp(s * np.log(np.abs(proj[nz])))
-        return out
+        return _abs_power(proj, s)
 
     return gaussian_expect(spec, integrand)
 
@@ -302,18 +299,10 @@ def kernel_gaussian_check(l1, l2, l3, spec: GaussianSpec):
     for name, v in (("alpha", e.alpha), ("beta", e.beta), ("gamma", e.gamma)):
         if v.real <= -1.0:
             raise PreconditionError(f"Re {name} <= -1: Gaussian integral diverges")
-    pa, pb, pg = e.kernel_powers()
 
     def integrand(pts):
         x = pts.reshape(-1, 3, 2)
-        w23 = np.abs(x[:, 1, 0] * x[:, 2, 1] - x[:, 1, 1] * x[:, 2, 0])
-        w13 = np.abs(x[:, 0, 0] * x[:, 2, 1] - x[:, 0, 1] * x[:, 2, 0])
-        w12 = np.abs(x[:, 0, 0] * x[:, 1, 1] - x[:, 0, 1] * x[:, 1, 0])
-        good = (w23 > 0) & (w13 > 0) & (w12 > 0)
-        out = np.zeros(len(w23), dtype=complex)
-        out[good] = np.exp(pa * np.log(w23[good]) + pb * np.log(w13[good])
-                           + pg * np.log(w12[good]))
-        return out
+        return kernel_value(x[:, 0], x[:, 1], x[:, 2], e)
 
     lhs = gaussian_expect(spec, integrand)
     z1, z2, z3 = _as_complex(l1), _as_complex(l2), _as_complex(l3)
@@ -323,3 +312,55 @@ def kernel_gaussian_check(l1, l2, l3, spec: GaussianSpec):
     rhs = Estimate(value=complex(rhs_val), error_bound=1e-10 * abs(rhs_val),
                    method="gamma-closed-form", cost=13)
     return lhs, rhs
+
+
+# ---------------------------------------------------------------------------
+# the identity battery
+# ---------------------------------------------------------------------------
+
+_S_VALUES = (0.0, 1.0, 2.0, 1j, 2j)
+
+
+def identity_battery(samples: int, seed: int) -> list:
+    """(identity, params, Monte Carlo lhs, closed-form rhs) for 35 identities.
+
+    In order: radius moments (n = 1, 2, 3), linear, determinant, homogeneous
+    reduction, minor pullback, kernel Gaussian; the families sample Philox
+    streams seed + 0, 1, 2, 3, 4, 6.  |K|^2 is not integrable, so the kernel
+    rows' error bars are empirical only.
+    """
+    rows = []
+
+    def moment(identity, params, spec, integrand, closed):
+        rows.append((identity, params, gaussian_expect(spec, integrand),
+                     Estimate(closed, 1e-11 * abs(closed))))
+
+    for n in (1, 2, 3):
+        for s in _S_VALUES:
+            moment("radius-moment", f"n={n};s={s}",
+                   GaussianSpec(dim=n, seed=seed, samples=samples),
+                   lambda pts, s=s: _abs_power(np.sqrt(np.sum(pts * pts, 1)), s),
+                   radius_moment(n, s))
+    for s in _S_VALUES:
+        moment("linear-moment", f"s={s}",
+               GaussianSpec(dim=2, seed=seed + 1, samples=samples),
+               lambda pts, s=s: _abs_power(pts[:, 0], s), linear_moment(1.0, s))
+    for s in _S_VALUES:
+        moment("det-moment", f"s={s}",
+               GaussianSpec(dim=4, seed=seed + 2, samples=samples),
+               lambda pts, s=s: _abs_power(
+                   pts[:, 0] * pts[:, 3] - pts[:, 1] * pts[:, 2], s),
+               det_moment(s))
+    f = CircleFunction.from_modes({0: 1.0, 2: 0.25, -2: 0.25}, 1)
+    for lam in (0.0, 2j):
+        spec = GaussianSpec(dim=2, seed=seed + 3, samples=samples)
+        rows.append(("homogeneous-reduction", f"lam={lam}",
+                     *homogeneous_reduction_check(lam, f, method="mc", spec=spec)))
+    for s in _S_VALUES:
+        spec = GaussianSpec(dim=6, seed=seed + 4, samples=samples)
+        rows.append(("minor-pullback", f"s={s}", *minor_pullback_check(s, spec)))
+    for trip in ((0j, 0j, 0j), (2j, 0j, 0j), (0j, 1j, 2j)):
+        spec = GaussianSpec(dim=6, seed=seed + 6, samples=samples)
+        rows.append(("kernel-gaussian", f"l={trip}",
+                     *kernel_gaussian_check(*trip, spec)))
+    return rows

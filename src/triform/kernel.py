@@ -9,7 +9,9 @@ with w(xi, eta) = xi_1 eta_2 - xi_2 eta_1.  It is invariant under the diagonal
 SL(2,R) action (w scales by det g) and homogeneous of degree -1 - l_j in slot j.
 
 Complex powers are always computed as exp(s * log |w|): modulus first, so no
-branch choice ever arises.
+branch choice ever arises.  The one core doing so is ``_kernel_from_abs``,
+behind ``kernel_value`` and ``kernel_on_circle``; the only other copy is the
+quadrature hot path ``trilinear._half_triangle`` (see there for why).
 """
 
 import numpy as np
@@ -23,27 +25,31 @@ __all__ = ["omega", "kernel_value", "kernel_on_circle", "SINGULAR_OMEGA"]
 SINGULAR_OMEGA = 1e-300
 
 
-def omega(xi, eta) -> float:
-    """The SL(2,R)-invariant pairing xi_1 eta_2 - xi_2 eta_1 of two plane vectors."""
+def omega(xi, eta):
+    """The SL(2,R)-invariant pairing xi_1 eta_2 - xi_2 eta_1, over leading axes."""
     xi = np.asarray(xi, dtype=float)
     eta = np.asarray(eta, dtype=float)
-    return float(xi[0] * eta[1] - xi[1] * eta[0])
+    out = xi[..., 0] * eta[..., 1] - xi[..., 1] * eta[..., 0]
+    return float(out) if out.ndim == 0 else out
 
 
-def _power_from_abs(absval, s):
-    return np.exp(s * np.log(absval))
-
-
-def kernel_value(s1, s2, s3, exps: ExponentQuadruple) -> complex:
-    """Kernel at three nonzero plane points; raises on singular configurations."""
-    w23 = abs(omega(s2, s3))
-    w13 = abs(omega(s1, s3))
-    w12 = abs(omega(s1, s2))
-    if min(w23, w13, w12) < SINGULAR_OMEGA:
+def _kernel_from_abs(w23, w13, w12, exps: ExponentQuadruple):
+    """Kernel from the moduli |w(s2,s3)|, |w(s1,s3)|, |w(s1,s2)| (broadcast);
+    raises SingularConfigurationError when one is below SINGULAR_OMEGA."""
+    if min(np.min(w23), np.min(w13), np.min(w12)) < SINGULAR_OMEGA:
         raise SingularConfigurationError(
-            f"omega values ({w23:.3g}, {w13:.3g}, {w12:.3g}) contain a zero")
+            f"omega values (min {np.min(w23):.3g}, {np.min(w13):.3g}, "
+            f"{np.min(w12):.3g}) contain a zero")
     pa, pb, pg = exps.kernel_powers()
-    return complex(np.exp(pa * np.log(w23) + pb * np.log(w13) + pg * np.log(w12)))
+    out = np.exp(pa * np.log(w23) + pb * np.log(w13) + pg * np.log(w12))
+    return complex(out) if out.ndim == 0 else out
+
+
+def kernel_value(s1, s2, s3, exps: ExponentQuadruple):
+    """Kernel at nonzero plane points (leading axes broadcast); raises on
+    singular configurations."""
+    return _kernel_from_abs(np.abs(omega(s2, s3)), np.abs(omega(s1, s3)),
+                            np.abs(omega(s1, s2)), exps)
 
 
 def kernel_on_circle(x, y, z, exps: ExponentQuadruple):
@@ -53,21 +59,12 @@ def kernel_on_circle(x, y, z, exps: ExponentQuadruple):
 
         |sin(y-z)|^((alpha-1)/2) |sin(x-z)|^((beta-1)/2) |sin(x-y)|^((gamma-1)/2).
 
-    Vectorized over broadcast-compatible angle arrays.  Raises when any angle
-    pair coincides mod pi (scalar inputs) or marks those entries singular is
-    not attempted -- callers doing quadrature must avoid the diagonals.
+    Vectorized over broadcast-compatible angle arrays.  Raises
+    SingularConfigurationError when any pair of angles coincides mod pi at
+    any entry, so quadrature callers must keep their nodes off the diagonals.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     z = np.asarray(z, dtype=float)
-    syz = np.abs(np.sin(y - z))
-    sxz = np.abs(np.sin(x - z))
-    sxy = np.abs(np.sin(x - y))
-    if np.min(syz) < SINGULAR_OMEGA or np.min(sxz) < SINGULAR_OMEGA \
-            or np.min(sxy) < SINGULAR_OMEGA:
-        raise SingularConfigurationError("angles coincide mod pi")
-    pa, pb, pg = exps.kernel_powers()
-    out = np.exp(pa * np.log(syz) + pb * np.log(sxz) + pg * np.log(sxy))
-    if out.ndim == 0:
-        return complex(out)
-    return out
+    return _kernel_from_abs(np.abs(np.sin(y - z)), np.abs(np.sin(x - z)),
+                            np.abs(np.sin(x - y)), exps)

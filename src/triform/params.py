@@ -13,7 +13,10 @@ Three parameters (l1, l2, l3) determine the four linear combinations
 which drive both the invariant kernel and the Gamma closed form.
 """
 
+import cmath
 from dataclasses import dataclass
+
+from .errors import NonFiniteError
 
 _IM_TOL = 1e-14
 
@@ -77,8 +80,13 @@ class ExponentQuadruple:
 
 
 def exponents(l1, l2, l3) -> ExponentQuadruple:
-    """Exponent quadruple of a parameter triple (accepts SeriesParam or complex)."""
+    """Exponent quadruple of a parameter triple (accepts SeriesParam or complex).
+
+    Raises NonFiniteError when a parameter is NaN or infinite.
+    """
     a, b, c = _as_complex(l1), _as_complex(l2), _as_complex(l3)
+    if not all(cmath.isfinite(z) for z in (a, b, c)):
+        raise NonFiniteError(f"spectral parameters ({a}, {b}, {c}) must be finite")
     return ExponentQuadruple(
         alpha=a - b - c,
         beta=-a + b - c,

@@ -12,6 +12,8 @@ may blow up like x^s, (1-x)^s with Re s > -1 (and may oscillate like x^{i t}):
 Nodes are returned together with 1 - x computed without cancellation, since
 integrands need both x and 1 - x accurately at the clustered ends.
 
+``_exp_sinh`` is the half-line family of the Gaussian radial oracles.
+
 Refinement is by an integer level; successive levels are compared by callers
 (a-posteriori error = |last - previous| with a safety factor).
 """
@@ -65,6 +67,19 @@ def _tanh_sinh(level: int):
     # endpoint than products of two nested nodes can represent
     keep = (x > 1e-130) & (omx > 1e-130) & np.isfinite(w) & (w > 1e-290)
     return x[keep], omx[keep], w[keep]
+
+
+@lru_cache(maxsize=64)
+def _exp_sinh(level: int):
+    """r, w on (0, inf) with r = exp(pi/2 sinh t); step h = 2^-level.  For
+    integrands with a factor e^{-r^2}, which is < 1e-316 past the last node."""
+    h = 2.0 ** (-level)
+    tmax = 4.5
+    t = h * np.arange(-int(tmax / h), int(tmax / h) + 1)
+    r = np.exp((np.pi / 2.0) * np.sinh(t))
+    w = r * (np.pi / 2.0) * np.cosh(t) * h
+    keep = np.isfinite(r) & (r > 0) & (r < 27.0)
+    return r[keep], w[keep]
 
 
 @lru_cache(maxsize=64)

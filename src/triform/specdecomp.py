@@ -30,6 +30,7 @@ import scipy.sparse.linalg as spla
 from .circlefn import BiCircleFunction, CircleFunction
 from .errors import (InsufficientTruncationError, NotPositiveDefiniteError,
                      PreconditionError, TruncationOverflowError)
+from .kernel import kernel_on_circle
 from .params import _as_complex, exponents
 from .trilinear import spectral_mode_values
 
@@ -81,8 +82,8 @@ def group_action(g, lam, f: CircleFunction, oversample: int = 8,
     |v|^{lam-1} f(angle v) |det g|^{(lam-1)/2}.
 
     The result is sampled on an oversampled grid and transformed back; energy
-    beyond the truncation is reported on the output as ``tail_energy`` and
-    must stay within ``tail_budget`` of the total.
+    beyond the truncation is reported in the output's ``tail_energy`` field
+    and must stay within ``tail_budget`` of the total.
     """
     g = np.asarray(g, dtype=float)
     z = _as_complex(lam)
@@ -108,9 +109,7 @@ def group_action(g, lam, f: CircleFunction, oversample: int = 8,
     if total > 0 and tail > tail_budget * total:
         raise TruncationOverflowError(
             f"tail energy fraction {tail / total:.3g} exceeds {tail_budget}")
-    out = CircleFunction(c, n_out)
-    out.tail_energy = tail
-    return out
+    return CircleFunction(c, n_out, tail_energy=tail)
 
 
 def circle_generators(lam, N: int):
@@ -146,6 +145,8 @@ def circle_generators(lam, N: int):
 class HermitianForm:
     matrix: np.ndarray
     truncation: int
+    # share of the Gram weight in the outermost output modes |k| = K_modes
+    k_tail_fraction: Optional[float] = None
 
     def __post_init__(self):
         self.matrix = np.asarray(self.matrix, dtype=complex)
@@ -261,11 +262,9 @@ def induced_form(lam, tau, tau_prime, N: int, K_modes: int) -> HermitianForm:
     for k, row in _mode_rows(lam, tau, tau_prime, N, K_modes):
         H += np.outer(np.conj(row), row)
         k_contrib[k] = float(np.sum(np.abs(row) ** 2))
-    out = HermitianForm(H, N)
     total = sum(k_contrib.values())
     edge = max((v for k, v in k_contrib.items() if abs(k) == K_modes), default=0.0)
-    out.k_tail_fraction = edge / total if total > 0 else 0.0
-    return out
+    return HermitianForm(H, N, k_tail_fraction=edge / total if total > 0 else 0.0)
 
 
 def relative_trace(H, Q, check: bool = True, rtol: float = 1e-10) -> float:
@@ -409,13 +408,10 @@ def bump_vector(T: float, N: int, center: Tuple[float, float] = _DEFAULT_CENTER,
         pp = np.arange(-N, N + 1)
         phase = np.exp(-2j * pp * x0)[:, None] * np.exp(-2j * pp * y0)[None, :]
         coeffs = full * phase / (2.0 * np.pi) ** 2
-    out = BiCircleFunction(coeffs, N, evaluator=evaluator)
-    out.mass = 1.0
-    out.support_radius = r
-    out.center = (x0, y0)
     # exact plain-measure squared norm of the constructed bump (all 4 copies)
-    out.norm_sq_plain = 4.0 * amp ** 2 * r * r * i2
-    return out
+    return BiCircleFunction(coeffs, N, evaluator=evaluator, mass=1.0,
+                            support_radius=r, center=(x0, y0),
+                            norm_sq_plain=4.0 * amp ** 2 * r * r * i2)
 
 
 def transformed_kernel_values(g1, g2, z: float, params: Tuple, x, y):
@@ -430,11 +426,11 @@ def transformed_kernel_values(g1, g2, z: float, params: Tuple, x, y):
 
     with v1 = g1^{-1} (cos x, sin x), v2 = g2^{-1} (cos y, sin y).  Evaluation
     is pointwise on the requested grid only (the kernel's singular lines are
-    never expanded in Fourier modes).
+    never expanded in Fourier modes).  Raises SingularConfigurationError when
+    a grid point lands on a singular line.
     """
     tau, tau_prime, lam = (_as_complex(t) for t in params)
     e = exponents(tau, tau_prime, lam)
-    pa, pb, pg = e.kernel_powers()
     h1 = np.linalg.inv(np.asarray(g1, dtype=float))
     h2 = np.linalg.inv(np.asarray(g2, dtype=float))
     d1 = abs(float(np.linalg.det(g1)))
@@ -449,11 +445,7 @@ def transformed_kernel_values(g1, g2, z: float, params: Tuple, x, y):
     r2 = np.hypot(v2x, v2y)
     p1 = np.arctan2(v1y, v1x)
     p2 = np.arctan2(v2y, v2x)
-    # kernel on circle angles (p1, p2, z)
-    syz = np.abs(np.sin(p2 - z))
-    sxz = np.abs(np.sin(p1 - z))
-    sxy = np.abs(np.sin(p1 - p2))
-    vals = np.exp(pa * np.log(syz) + pb * np.log(sxz) + pg * np.log(sxy))
+    vals = kernel_on_circle(p1, p2, z, e)
     vals = vals * np.exp((-tau - 1.0) * np.log(r1) + (-tau_prime - 1.0) * np.log(r2))
     vals = vals * d1 ** ((-tau - 1.0) / 2.0) * d2 ** ((-tau_prime - 1.0) / 2.0)
     return vals

@@ -71,20 +71,21 @@ class LogGamma:
         return cmath.exp(self.as_complex)
 
 
-def _is_pole(z: complex) -> bool:
-    return (z.real <= 0.5 and abs(z.imag) < _POLE_TOL
-            and abs(z.real - round(z.real)) < _POLE_TOL and round(z.real) <= 0)
+def _is_pole(z):
+    """Whether z lies within _POLE_TOL of a pole; elementwise for arrays."""
+    n = np.rint(z.real)     # a ufunc: np.round costs ~5 us on a scalar
+    return (n <= 0) & (np.abs(z.real - n) < _POLE_TOL) & (np.abs(z.imag) < _POLE_TOL)
 
 
-def _stirling_series(z: complex) -> complex:
-    # valid for Re z >= _SHIFT_RE; remainder < 1e-20 relative there
-    out = (z - 0.5) * cmath.log(z) - z + _HALF_LOG_2PI
+def _stirling_series(z):
+    # scalar or array; valid for Re z >= _SHIFT_RE, remainder < 1e-20 relative
+    out = (z - 0.5) * np.log(z) - z + _HALF_LOG_2PI
     zinv = 1.0 / z
     zpow = zinv
     zinv2 = zinv * zinv
     for c in _STIRLING_COEFFS:
-        out += c * zpow
-        zpow *= zinv2
+        out = out + c * zpow
+        zpow = zpow * zinv2
     return out
 
 
@@ -94,12 +95,12 @@ def log_gamma_complex(z) -> complex:
     if _is_pole(z):
         raise PoleArgumentError(z)
     if z.real >= _SHIFT_RE:
-        return _stirling_series(z)
+        return complex(_stirling_series(z))
     m = int(math.ceil(_SHIFT_RE - z.real))
     shift = 0.0 + 0.0j
     for k in range(m):
         shift += cmath.log(z + k)
-    return _stirling_series(z + m) - shift
+    return complex(_stirling_series(z + m) - shift)
 
 
 def log_gamma(z) -> LogGamma:
@@ -127,8 +128,7 @@ def log_gamma_array(z: np.ndarray) -> np.ndarray:
     strip are shifted up by the recurrence with a masked loop.
     """
     z = np.asarray(z, dtype=complex).copy()
-    bad = ((z.real <= 0.5) & (np.abs(z.imag) < _POLE_TOL)
-           & (np.abs(z.real - np.round(z.real)) < _POLE_TOL) & (np.round(z.real) <= 0))
+    bad = _is_pole(z)
     if np.any(bad):
         raise PoleArgumentError(z[bad].flat[0])
     shift = np.zeros_like(z)
@@ -137,14 +137,7 @@ def log_gamma_array(z: np.ndarray) -> np.ndarray:
         shift[mask] += np.log(z[mask])
         z[mask] += 1.0
         mask = z.real < _SHIFT_RE
-    out = (z - 0.5) * np.log(z) - z + _HALF_LOG_2PI
-    zinv = 1.0 / z
-    zpow = zinv.copy()
-    zinv2 = zinv * zinv
-    for c in _STIRLING_COEFFS:
-        out += c * zpow
-        zpow *= zinv2
-    return out - shift
+    return _stirling_series(z) - shift
 
 
 def stirling_modulus(sigma: float, t: float) -> float:

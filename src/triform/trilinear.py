@@ -40,7 +40,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .circlefn import CircleFunction
-from .errors import (DomainTooSmallError, PoleArgumentError,
+from .errors import (DomainTooSmallError, NonFiniteError, PoleArgumentError,
                      PreconditionError)
 from .estimate import Estimate
 from .params import ExponentQuadruple, _as_complex, exponents
@@ -146,11 +146,9 @@ def _imaginary_modulus(lam) -> float:
         raise PreconditionError(f"decay asymptotics need purely imaginary lam, got {z}")
     return abs(z.imag)
 
+
 def decay_envelope(lam) -> float:
     """exp(-pi |lam| / 2) |lam|^-2 for purely imaginary lam with |lam| >= 1."""
-    t = _imaginary_modulus(lam)
-    if t < 1.0:
-        raise DomainTooSmallError(f"envelope needs |lam| >= 1, got {t}")
     return math.exp(decay_envelope_log(lam))
 
 
@@ -225,7 +223,7 @@ class _ModeProduct:
         return np.sum(tmp * eb, axis=-1)
 
 
-def _half_triangle(sA, sB, sG, level, scheme, ppp, cfun, row_chunk=None):
+def _half_triangle(sA, sB, sG, level, scheme, ppp, cfun):
     """Reflection-folded integral over half of the triangle {0 < b < a < pi}.
 
     Computes  int over T1a = {0<b<a, a+b<pi}  of
@@ -242,10 +240,9 @@ def _half_triangle(sA, sB, sG, level, scheme, ppp, cfun, row_chunk=None):
     xi, omxi, wi = unit_nodes(scheme, level, ppp)
     total = 0.0 + 0.0j
     cost = 0
-    constant_c = getattr(cfun, "is_constant", False) or cfun is None
-    if row_chunk is None:
-        # mode sums multiply memory by the mode count; keep chunks small then
-        row_chunk = 192 if constant_c else 32
+    constant_c = cfun.is_constant
+    # mode sums multiply memory by the mode count; keep chunks small then
+    row_chunk = 192 if constant_c else 32
     for piece in (0, 1):
         d = (np.pi / 2.0) * xo                  # distance to the near corner
         wa = (np.pi / 2.0) * wo
@@ -261,11 +258,13 @@ def _half_triangle(sA, sB, sG, level, scheme, ppp, cfun, row_chunk=None):
             else:
                 Aarr = np.pi - dd               # a in (pi/2, pi)
                 sinG = np.sin(dd * (1.0 + xi[None, :])) # a - b = pi - d (1+x)
+            # kernel powers in log space, not via kernel_on_circle: the two
+            # permuted kernels below share these three log-sines
             lA = np.log(sinA)
             lB = np.log(sinB)
             lG = np.log(sinG)
             if constant_c:
-                c1 = c2 = (1.0 if cfun is None else cfun.c0)
+                c1 = c2 = cfun.c0
             else:
                 c1 = cfun(np.broadcast_to(Aarr, B.shape), B)
                 c2 = cfun(np.pi - B, np.broadcast_to(np.pi - Aarr, B.shape))
@@ -295,8 +294,12 @@ def triple_quadrature(f1: CircleFunction, f2: CircleFunction, f3: CircleFunction
     """Numerical circle-model value of the functional on truncated Fourier data.
 
     Deterministic for a fixed config: the node sets and the summation order
-    are functions of (scheme, level) only.
+    are functions of (scheme, level) only.  Raises NonFiniteError on a
+    non-finite Fourier coefficient or parameter.
     """
+    for j, f in enumerate((f1, f2, f3), start=1):
+        if not np.all(np.isfinite(f.coeffs)):
+            raise NonFiniteError(f"f{j} has a non-finite Fourier coefficient")
     cfg = cfg or QuadratureConfig()
     e = exponents(l1, l2, l3)
     _check_convergent_exponents(e)
@@ -314,6 +317,16 @@ def triple_quadrature(f1: CircleFunction, f2: CircleFunction, f3: CircleFunction
     return refine_until(eval_at_level, cfg, method=f"triple/{cfg.scheme}")
 
 
+def _vanishing_element(m: int, n: int, k: int) -> Optional[Estimate]:
+    """Check that the modes are even; the exact zero when m + n + k != 0."""
+    for name, v in (("m", m), ("n", n), ("k", k)):
+        if v % 2 != 0:
+            raise ValueError(f"mode {name}={v} must be even")
+    if m + n + k != 0:
+        return Estimate(0.0, 0.0, method="translation-invariance", cost=0)
+    return None
+
+
 def mode_element(m: int, n: int, k: int, l1, l2, l3,
                  cfg: Optional[QuadratureConfig] = None) -> Estimate:
     """Matrix element on Fourier modes e^{imx} (x) e^{iny} (x) e^{ikz}.
@@ -321,11 +334,9 @@ def mode_element(m: int, n: int, k: int, l1, l2, l3,
     Exactly zero unless m + n + k = 0 (translation invariance of the kernel
     integral); otherwise evaluated by the quadrature backend.
     """
-    for name, v in (("m", m), ("n", n), ("k", k)):
-        if v % 2 != 0:
-            raise ValueError(f"mode {name}={v} must be even")
-    if m + n + k != 0:
-        return Estimate(0.0, 0.0, method="translation-invariance", cost=0)
+    zero = _vanishing_element(m, n, k)
+    if zero is not None:
+        return zero
     mm = CircleFunction.from_modes({m: 1.0}, abs(m) // 2)
     nn = CircleFunction.from_modes({n: 1.0}, abs(n) // 2)
     kk = CircleFunction.from_modes({k: 1.0}, abs(k) // 2)
@@ -431,11 +442,9 @@ def spectral_mode_values(pairs, l1, l2, l3, jmax: Optional[int] = None) -> np.nd
 def mode_element_spectral(m: int, n: int, k: int, l1, l2, l3,
                           jmax: Optional[int] = None) -> Estimate:
     """Spectral-backend matrix element; agrees with ``mode_element``."""
-    for name, v in (("m", m), ("n", n), ("k", k)):
-        if v % 2 != 0:
-            raise ValueError(f"mode {name}={v} must be even")
-    if m + n + k != 0:
-        return Estimate(0.0, 0.0, method="translation-invariance", cost=0)
+    zero = _vanishing_element(m, n, k)
+    if zero is not None:
+        return zero
     v1 = spectral_mode_values([(m // 2, n // 2)], l1, l2, l3, jmax=jmax)[0]
     return Estimate(complex(v1), error_bound=1e-7 * max(1.0, abs(v1)),
                     method="spectral-convolution", cost=2 * (jmax or 2000))

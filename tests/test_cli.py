@@ -6,6 +6,7 @@ import json
 
 import numpy as np
 
+from triform import identity_battery
 from triform.cli import main
 
 
@@ -102,6 +103,18 @@ def test_gaussian_check_seed_determinism(tmp_path):
     _, a = run_cli(args, tmp_path, "a.txt")
     _, b = run_cli(args, tmp_path, "b.txt")
     assert a == b
+
+
+def test_gaussian_check_formats_the_battery(tmp_path):
+    code, text = run_cli(["gaussian-check", "--samples", "3000", "--seed", "11",
+                          "--format", "json"], tmp_path)
+    rows = json.loads(text)["rows"]
+    battery = identity_battery(3000, 11)
+    assert len(rows) == len(battery) == 35
+    for row, (identity, params, lhs, rhs) in zip(rows, battery):
+        assert (row["identity"], row["params"]) == (identity, params)
+        assert complex(row["mc_re"], row["mc_im"]) == lhs.value
+        assert complex(row["closed_re"], row["closed_im"]) == rhs.value
 
 
 def test_gaussian_check_tiny_samples_well_formed(tmp_path):

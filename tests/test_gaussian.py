@@ -5,9 +5,10 @@ import pytest
 
 from triform import (CircleFunction, GaussianSpec, NonFiniteError,
                      PreconditionError, det_moment, gaussian_expect,
-                     homogeneous_reduction_check, kernel_gaussian_check,
-                     linear_moment, minor_map, minor_pullback_check,
-                     minor_pullback_rotated, radial_expect, radius_moment)
+                     homogeneous_reduction_check, identity_battery,
+                     kernel_gaussian_check, linear_moment, minor_map,
+                     minor_pullback_check, minor_pullback_rotated,
+                     radial_expect, radius_moment)
 
 SQRT_PI = 1.7724538509055160273
 B000 = 31.031265787858834294      # Gamma(1/4)^4 / pi^3 * pi^(3/2)
@@ -216,3 +217,24 @@ def test_kernel_gaussian_permutation_symmetry():
 def test_kernel_gaussian_precondition():
     with pytest.raises(PreconditionError):
         kernel_gaussian_check(0.9, 0.9, -0.9, GaussianSpec(6, 47, 1000))
+
+
+def test_identity_battery_order_and_streams():
+    rows = identity_battery(2000, 5)
+    assert [r[0] for r in rows] == (
+        ["radius-moment"] * 15 + ["linear-moment"] * 5 + ["det-moment"] * 5
+        + ["homogeneous-reduction"] * 2 + ["minor-pullback"] * 5
+        + ["kernel-gaussian"] * 3)
+    assert rows[0][1] == "n=1;s=0.0" and rows[-1][1] == "l=(0j, 1j, 2j)"
+    # |v|^0 is the constant 1, integrated exactly
+    zero_rows = [r for r in rows if r[1].endswith("s=0.0")]
+    assert len(zero_rows) == 6
+    assert all(lhs.value == 1.0 and lhs.error_bound == 0.0
+               for _, _, lhs, _ in zero_rows)
+    # the linear family draws stream seed + 1
+    ref = gaussian_expect(GaussianSpec(dim=2, seed=6, samples=2000),
+                          lambda pts: np.abs(pts[:, 0]))
+    assert abs(rows[16][2].value - ref.value) <= 1e-13
+    assert rows[25][2:] == homogeneous_reduction_check(
+        0.0, CircleFunction.from_modes({0: 1.0, 2: 0.25, -2: 0.25}, 1),
+        method="mc", spec=GaussianSpec(dim=2, seed=8, samples=2000))

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from triform import (SingularConfigurationError, exponents, kernel_on_circle,
-                     kernel_value, omega)
+                     kernel_value, omega, transformed_kernel_values)
 
 finite = st.floats(-10.0, 10.0, allow_nan=False)
 
@@ -144,3 +144,48 @@ def test_circle_restriction_singularity():
     e = exponents(1j, 1j, 1j)
     with pytest.raises(SingularConfigurationError):
         kernel_on_circle(0.3, 0.3, 1.0, e)
+
+
+def test_omega_vectorized_over_leading_axes(rng):
+    xi = rng.standard_normal((4, 5, 2))
+    eta = rng.standard_normal((4, 5, 2))
+    w = omega(xi, eta)
+    assert w.shape == (4, 5)
+    for i in range(4):
+        for j in range(5):
+            assert w[i, j] == omega(xi[i, j], eta[i, j])
+
+
+def test_kernel_value_vectorized_matches_pointwise(rng):
+    e = exponents(0.8j, -1.9j, 2.6j)
+    pts = rng.standard_normal((3, 40, 2))
+    vals = kernel_value(pts[0], pts[1], pts[2], e)
+    assert vals.shape == (40,)
+    for i in range(40):
+        assert vals[i] == kernel_value(pts[0, i], pts[1, i], pts[2, i], e)
+
+
+def test_kernel_routes_agree_on_the_circle(rng):
+    # kernel_value at unit-circle points, kernel_on_circle, and the
+    # transformed kernel at g1 = g2 = I are one kernel
+    params = (1.3j, -0.6j, 2.2j)
+    e = exponents(*params)
+    x = rng.uniform(0.0, 2 * np.pi, 30)
+    y = rng.uniform(0.0, 2 * np.pi, 30)
+    z = 0.4
+    keep = np.minimum.reduce([np.abs(np.sin(x - y)), np.abs(np.sin(x - z)),
+                              np.abs(np.sin(y - z))]) > 1e-3
+    x, y = x[keep], y[keep]
+    on_circle = kernel_on_circle(x, y, z, e)
+    at_points = kernel_value(np.stack([np.cos(x), np.sin(x)], axis=-1),
+                             np.stack([np.cos(y), np.sin(y)], axis=-1),
+                             (np.cos(z), np.sin(z)), e)
+    transformed = transformed_kernel_values(np.eye(2), np.eye(2), z, params, x, y)
+    assert np.all(np.abs(at_points - on_circle) <= 1e-12 * np.abs(on_circle))
+    assert np.all(np.abs(transformed - on_circle) <= 1e-12 * np.abs(on_circle))
+
+
+def test_transformed_kernel_singular_point_raises():
+    with pytest.raises(SingularConfigurationError):
+        transformed_kernel_values(np.eye(2), np.eye(2), 0.0, (1j, 2j, 3j),
+                                  np.array([0.3, 0.7]), np.array([0.5, 0.7]))

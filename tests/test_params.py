@@ -2,7 +2,7 @@
 
 import pytest
 
-from triform import ExponentQuadruple, SeriesParam, exponents
+from triform import ExponentQuadruple, NonFiniteError, SeriesParam, exponents
 
 
 def test_classification_follows_value():
@@ -31,3 +31,10 @@ def test_kernel_powers():
     e = ExponentQuadruple(1j, 3j, -2j, -2j)
     pa, pb, pg = e.kernel_powers()
     assert pa == (1j - 1) / 2 and pb == (3j - 1) / 2 and pg == (-2j - 1) / 2
+
+
+@pytest.mark.parametrize("bad", [float("nan"), complex(0.0, float("inf")),
+                                 complex(float("-inf"), 1.0)])
+def test_exponents_reject_non_finite(bad):
+    with pytest.raises(NonFiniteError):
+        exponents(0.0, bad, 1j)

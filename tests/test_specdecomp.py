@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from triform import (CircleFunction, InsufficientTruncationError,
+from triform import (CircleFunction, HermitianForm, InsufficientTruncationError,
                      NotPositiveDefiniteError, PreconditionError,
                      TruncationOverflowError, bump_vector, circle_generators,
                      group_action, group_norm, induced_form,
                      kernel_bump_pairing, pairing_search, random_sl2,
                      relative_trace, sobolev_form, sobolev_trace,
                      spherical_square, weighted_mean_bound)
-from triform.specdecomp import _trace_against_sobolev, product_generators
+from triform.specdecomp import product_generators
 
 GEN_MATRICES = [np.array([[1.0, 0.0], [0.0, -1.0]]),
                 np.array([[0.0, 1.0], [1.0, 0.0]]),
@@ -61,6 +61,18 @@ def test_action_unitarity_random(rng):
         out = group_action(g, 2.3j, f)
         n0, n1 = f.l2_norm(), out.l2_norm()
         assert abs(n1 ** 2 - n0 ** 2) <= out.tail_energy + 1e-9 * n0 ** 2
+
+
+def test_diagnostics_are_declared_fields():
+    # set through the constructors, never attached to an instance afterwards
+    assert CircleFunction.constant(1.0).tail_energy is None
+    out = group_action(np.diag([2.0, 0.5]), 1j, CircleFunction.constant(1.0, 16))
+    assert "tail_energy" in out.__dataclass_fields__ and out.tail_energy >= 0.0
+    assert "k_tail_fraction" in HermitianForm.__dataclass_fields__
+    assert HermitianForm(np.eye(2), 0).k_tail_fraction is None
+    u = bump_vector(1.0, 400)
+    for name in ("support_radius", "center", "norm_sq_plain", "mass"):
+        assert name in u.__dataclass_fields__ and getattr(u, name) is not None
 
 
 def test_action_truncation_overflow():
@@ -199,8 +211,8 @@ def test_sobolev_trace_l_scaling():
     # rho_{l+1} / rho_l tracks T^-2: compare the ratio at T and 2T
     params, N, K = (0.0, 0.0), 12, 8
     def q(T):
-        r2 = _trace_against_sobolev(2, T, 1j * T, params, N, K)
-        r3 = _trace_against_sobolev(3, T, 1j * T, params, N, K)
+        r2 = sobolev_trace(2, T, 1j * T, params, N, K)
+        r3 = sobolev_trace(3, T, 1j * T, params, N, K)
         return r3 / r2
     drop = q(4.0) / q(2.0)
     assert 0.125 <= drop <= 0.5      # T^-2 drop of 1/4, within a factor 2

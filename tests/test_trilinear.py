@@ -5,12 +5,12 @@ import itertools
 import numpy as np
 import pytest
 
-from triform import (CircleFunction, DomainTooSmallError, PoleArgumentError,
-                     PreconditionError, QuadratureConfig, closed_form_value,
-                     decay_constant, decay_envelope, exponents, group_action,
-                     invariant_functional, mode_element, mode_element_spectral,
-                     normalized_decay, sine_power_coeffs, spherical_square,
-                     triple_quadrature)
+from triform import (CircleFunction, DomainTooSmallError, NonFiniteError,
+                     PoleArgumentError, PreconditionError, QuadratureConfig,
+                     closed_form_value, decay_constant, decay_envelope,
+                     exponents, group_action, invariant_functional,
+                     mode_element, mode_element_spectral, normalized_decay,
+                     sine_power_coeffs, spherical_square, triple_quadrature)
 from triform.specdecomp import random_sl2
 
 # Gamma(1/4)^4 / pi^3, computed independently at 40 digits
@@ -163,6 +163,22 @@ def test_quadrature_scheme_cross_check():
 def test_quadrature_divergent_range_refused():
     with pytest.raises(PreconditionError):
         triple_quadrature(ONES, ONES, ONES, 0.9, 0.9, -0.9)
+
+
+@pytest.mark.parametrize("case", ["nan_mode", "all_nan", "nan_lam", "inf_lam"])
+def test_quadrature_rejects_non_finite_input(case, fast_cfg):
+    # each of these once came back as a finite, "converged" Estimate
+    f1, lams = ONES, (0.0, 1j, 4j)
+    if case == "nan_mode":
+        f1 = CircleFunction.from_modes({0: 1.0, 2: np.nan}, 1)
+    elif case == "all_nan":
+        f1 = CircleFunction(np.full(3, np.nan, dtype=complex), 1)
+    elif case == "nan_lam":
+        lams = (complex(np.nan), 1j, 4j)
+    else:
+        lams = (0.0, complex(0.0, np.inf), 4j)
+    with pytest.raises(NonFiniteError):
+        triple_quadrature(f1, ONES, ONES, *lams, fast_cfg)
 
 
 def test_quadrature_closed_form_extended_grid():

@@ -28,11 +28,12 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .circlefn import BiCircleFunction, CircleFunction
-from .errors import (InsufficientTruncationError, NotPositiveDefiniteError,
-                     PreconditionError, TruncationOverflowError)
+from .errors import (InsufficientTruncationError, NonFiniteError,
+                     NotPositiveDefiniteError, PreconditionError,
+                     TruncationOverflowError)
 from .kernel import kernel_on_circle
 from .params import _as_complex, exponents
-from .trilinear import spectral_mode_values
+from .trilinear import _spectral_batches
 
 __all__ = [
     "group_norm",
@@ -201,9 +202,15 @@ def sobolev_matrix(l: int, T: float, tau, tau_prime, N: int) -> sp.csc_matrix:
 
     The sum runs over multi-indices nu = (n_1..n_6) with |nu| <= l and
     X^nu = X_1^{n_1} ... X_6^{n_6} composed in the fixed generator order.
+    Raises NonFiniteError for a NaN or infinite T, or one whose T^(2l)
+    overflows.
     """
+    if not np.isfinite(T):
+        raise NonFiniteError(f"T must be finite, got {T}")
     if l < 0 or T <= 0:
         raise PreconditionError("need l >= 0 and T > 0")
+    if 2 * l * np.log(T) > np.log(np.finfo(float).max):
+        raise NonFiniteError(f"T^(2l) overflows at T = {T}, l = {l}")
     ops = product_generators(tau, tau_prime, N)
     dim = (2 * N + 1) ** 2
     Q = sp.csc_matrix((dim, dim), dtype=complex)
@@ -225,25 +232,26 @@ def sobolev_form(l: int, T: float, params: Tuple, N: int) -> HermitianForm:
 def _mode_rows(lam, tau, tau_prime, N: int, K_modes: int):
     """Rows of the functional's mode matrix, one per output frequency.
 
-    Yields (k, row) with k the even output frequency, |k| <= K_modes; the row
-    holds the element on e^{2 i m' x} (x) e^{2 i n' y} (x) e^{i k z} at the
-    flattened (m', n') position, nonzero only on the antidiagonal
-    m' + n' = -k/2.
+    Returns a list of (k, idx, vals) with k the even output frequency,
+    |k| <= K_modes; the row holds the element on
+    e^{2 i m' x} (x) e^{2 i n' y} (x) e^{i k z} at the flattened (m', n')
+    position, nonzero only on the antidiagonal m' + n' = -k/2, whose
+    flattened positions are ``idx`` and values ``vals``.  All rows share one
+    set of |sin|^s series; each row keeps its own convolution cutoff.
     """
     if K_modes % 2 != 0:
         raise ValueError("K_modes must be even")
     n1 = 2 * N + 1
     kp_max = K_modes // 2
+    kps, batches = [], []
     for kp in range(-kp_max, kp_max + 1):
         mps = np.arange(max(-N, -kp - N), min(N, -kp + N) + 1)
-        if len(mps) == 0:
-            continue
-        pairs = [(int(mp), int(-kp - mp)) for mp in mps]
-        vals = spectral_mode_values(pairs, tau, tau_prime, lam)
-        row = np.zeros(n1 * n1, dtype=complex)
-        for (mp, np_), v in zip(pairs, vals):
-            row[(mp + N) * n1 + (np_ + N)] = v
-        yield 2 * kp, row
+        if len(mps):
+            kps.append(kp)
+            batches.append(np.stack([mps, -kp - mps], axis=1))
+    values = _spectral_batches(batches, tau, tau_prime, lam)
+    return [(2 * kp, (p[:, 0] + N) * n1 + (p[:, 1] + N), v)
+            for kp, p, v in zip(kps, batches, values)]
 
 
 def induced_form(lam, tau, tau_prime, N: int, K_modes: int) -> HermitianForm:
@@ -259,9 +267,9 @@ def induced_form(lam, tau, tau_prime, N: int, K_modes: int) -> HermitianForm:
     dim = (2 * N + 1) ** 2
     H = np.zeros((dim, dim), dtype=complex)
     k_contrib = {}
-    for k, row in _mode_rows(lam, tau, tau_prime, N, K_modes):
-        H += np.outer(np.conj(row), row)
-        k_contrib[k] = float(np.sum(np.abs(row) ** 2))
+    for k, idx, vals in _mode_rows(lam, tau, tau_prime, N, K_modes):
+        H[np.ix_(idx, idx)] += np.outer(np.conj(vals), vals)
+        k_contrib[k] = float(np.sum(np.abs(vals) ** 2))
     total = sum(k_contrib.values())
     edge = max((v for k, v in k_contrib.items() if abs(k) == K_modes), default=0.0)
     return HermitianForm(H, N, k_tail_fraction=edge / total if total > 0 else 0.0)
@@ -294,15 +302,29 @@ def relative_trace(H, Q, check: bool = True, rtol: float = 1e-10) -> float:
     return tri
 
 
+# right-hand sides per SuperLU solve: wide enough to batch the triangular
+# sweeps, narrow enough to keep the dense block small
+_SOLVE_BLOCK = 8
+
+
 def _trace_against_sobolev(l: int, T: float, lam, params: Tuple, N: int,
                            K_modes: int) -> float:
     tau, tau_prime = params
     Q = sobolev_matrix(l, T, tau, tau_prime, N)
-    lu = spla.splu(Q)
+    # Q is Hermitian with Q >= T^(2l) I, so the diagonal pivots need no
+    # search and a symmetric ordering of Q + Q^T keeps the factor small
+    lu = spla.splu(Q, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                   options={"SymmetricMode": True})
+    rows = _mode_rows(lam, tau, tau_prime, N, K_modes)
     rho = 0.0
-    for _k, row in _mode_rows(lam, tau, tau_prime, N, K_modes):
-        x = lu.solve(np.conj(row))
-        rho += float(np.real(row @ x))
+    for lo in range(0, len(rows), _SOLVE_BLOCK):
+        block = rows[lo:lo + _SOLVE_BLOCK]
+        rhs = np.zeros((Q.shape[0], len(block)), dtype=complex, order="F")
+        for c, (_k, idx, vals) in enumerate(block):
+            rhs[idx, c] = np.conj(vals)
+        x = lu.solve(rhs)
+        for c, (_k, idx, vals) in enumerate(block):
+            rho += float(np.real(vals @ x[idx, c]))
     return rho
 
 
@@ -310,8 +332,10 @@ def sobolev_trace(l: int, T: float, lam, params: Tuple, N: int,
                   K_modes: int) -> float:
     """tr(H_induced | Q_{l,T}) without forming the dense induced form.
 
-    Uses the Gram structure: tr(Q^{-1} H) = sum_k row_k Q^{-1} row_k^*, with
-    one sparse solve per output mode.  Matches
+    Uses the Gram structure: tr(Q^{-1} H) = sum_k row_k Q^{-1} row_k^*.  Q is
+    factored once (sparse LU without pivoting, symmetric minimum-degree
+    ordering; Q is Hermitian and bounded below by T^(2l)) and the rows are
+    solved in blocks of right-hand sides.  Matches
     relative_trace(induced_form(...), sobolev_form(...)) on small truncations.
     The T^{-2l} floor statement is about l >= 2, which is enforced here.
     """

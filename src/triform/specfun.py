@@ -115,10 +115,10 @@ def gamma_value(z) -> complex:
 
 def reciprocal_gamma(z) -> complex:
     """1 / Gamma(z); exactly 0 at the poles (no exception)."""
-    z = complex(z)
-    if _is_pole(z):
+    try:
+        return cmath.exp(-log_gamma_complex(z))
+    except PoleArgumentError:
         return 0.0 + 0.0j
-    return cmath.exp(-log_gamma_complex(z))
 
 
 def log_gamma_array(z: np.ndarray) -> np.ndarray:

@@ -38,6 +38,7 @@ import math
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .circlefn import CircleFunction
 from .errors import (DomainTooSmallError, NonFiniteError, PoleArgumentError,
@@ -389,18 +390,16 @@ def _em_power_tail(w: complex, J: int) -> complex:
     return t
 
 
-def spectral_mode_values(pairs, l1, l2, l3, jmax: Optional[int] = None) -> np.ndarray:
-    """Values of the functional on modes e^{2im'x} (x) e^{2in'y} (x) e^{2ik'z}
-    with k' = -(m'+n'), for an array of integer index pairs (m', n').
+_FIT_N = 60      # tail-fit window: |j| = J+1 .. J+_FIT_N on each side
 
-    The value is the (2m', 2n') Fourier coefficient of
-    |sin a|^sB |sin b|^sA |sin(a-b)|^sG, computed as
 
-        sum_j cG[j] cB[-m'-j] cA[j-n']
+def _spectral_batches(batches, l1, l2, l3, jmax: Optional[int] = None):
+    """Mode values for several (n, 2) integer arrays of (m', n') pairs.
 
-    over the exact |sin|^s series.  The tail beyond |j| = J decays like a
-    smooth power j^-(3 + sA + sB + sG); each side is fitted with A + C/j times
-    that power and summed analytically.
+    Each batch gets its own cutoff J (from its largest index, unless ``jmax``
+    is given); the three |sin|^s series are computed once, at the longest
+    length any batch reads.  Every coefficient depends only on its own index,
+    so a batch reads the same numbers as a call of its own.
     """
     e = exponents(l1, l2, l3)
     _check_convergent_exponents(e)
@@ -410,33 +409,70 @@ def spectral_mode_values(pairs, l1, l2, l3, jmax: Optional[int] = None) -> np.nd
         raise PreconditionError(
             "spectral convolution needs Re(3 + sA + sB + sG) > 1; "
             "use the quadrature backend for this parameter range")
+    maxidx = [int(np.max(np.abs(b))) if b.size else 0 for b in batches]
+    cutoffs = [jmax or (2000 + 10 * m) for m in maxidx]
+    kmax = max(J + _FIT_N + m + 2 for J, m in zip(cutoffs, maxidx))
+    series = [sine_power_coeffs(s, kmax) for s in (sA, sB, sG)]
+    return [_convolve_modes(b, series, w0, J) for b, J in zip(batches, cutoffs)]
+
+
+def _convolve_modes(pairs, series, w0: complex, J: int) -> np.ndarray:
+    """sum_j weight_j cG[|j|] cB[|m'+j|] cA[|j-n'|] for each pair (m', n').
+
+    The weight is 1 on |j| <= J.  On each tail window J < |j| <= J + _FIT_N
+    it is the linear map  terms -> fitted (A + C/j) j^-w0 -> its analytic sum
+    over |j| > J,  folded into one weight vector.  With s = m' + n' fixed,
+    cB[|m'+j|] cA[|j-n'|] = h(m'+j) for h(i) = cB[|i|] cA[|i-s|], so each run
+    of consecutive m' on one antidiagonal is one sliding-window product
+    against the weights.
+    """
+    if len(pairs) == 0:
+        return np.empty(0, dtype=complex)
+    cA, cB, cG = series
+    L = J + _FIT_N
+    jj = np.arange(J + 1, L + 1)
+    fit = np.linalg.pinv(np.stack([np.ones(_FIT_N), 1.0 / jj], axis=1))
+    tails = np.array([_em_power_tail(w0, J), _em_power_tail(w0 + 1.0, J)])
+    tail_w = (tails @ fit) * jj ** w0
+    weight = np.ones(2 * L + 1, dtype=complex)
+    weight[L + J + 1:] = tail_w
+    weight[:_FIT_N] = tail_w[::-1]
+    gw = cG[np.abs(np.arange(-L, L + 1))] * weight
+    # distinct (m'+n', m') sorted, cut into runs of consecutive m'
+    keys, inverse = np.unique(np.stack([pairs.sum(axis=1), pairs[:, 0]], axis=1),
+                              axis=0, return_inverse=True)
+    cuts = np.flatnonzero((np.diff(keys[:, 0]) != 0) | (np.diff(keys[:, 1]) != 1))
+    vals = np.empty(len(keys), dtype=complex)
+    for run in np.split(np.arange(len(keys)), cuts + 1):
+        s, lo = keys[run[0]]
+        i = np.arange(lo - L, lo + len(run) + L)
+        h = cB[np.abs(i)] * cA[np.abs(i - s)]
+        vals[run] = sliding_window_view(h, 2 * L + 1) @ gw
+    return vals[inverse.ravel()]
+
+
+def spectral_mode_values(pairs, l1, l2, l3, jmax: Optional[int] = None) -> np.ndarray:
+    """Values of the functional on modes e^{2im'x} (x) e^{2in'y} (x) e^{2ik'z}
+    with k' = -(m'+n'), for an array of integer index pairs (m', n').
+
+    The value is the (2m', 2n') Fourier coefficient of
+    |sin a|^sB |sin b|^sA |sin(a-b)|^sG, computed as
+
+        sum_j cG[j] cB[-m'-j] cA[j-n']
+
+    over the exact |sin|^s series, cut at |j| = J = jmax, by default
+    2000 + 10 * (largest |index| of the call).  The tail beyond J decays like
+    a smooth power j^-(3 + sA + sB + sG); each side is fitted by least squares
+    with A + C/j times that power on 60 terms and summed analytically.  The
+    fit is linear in the terms, so it is one fixed weight vector, and the
+    pairs with equal m' + n' and consecutive m' are one matrix-vector product.
+    """
     pairs = np.asarray(pairs, dtype=int)
-    if pairs.ndim == 1:
-        pairs = pairs[None, :]
-    maxidx = int(np.max(np.abs(pairs))) if pairs.size else 0
-    J = jmax or (2000 + 10 * maxidx)
-    fitn = 60
-    kmax = J + fitn + maxidx + 2
-    cB = sine_power_coeffs(sB, kmax)     # weight of |sin a|
-    cA = sine_power_coeffs(sA, kmax)     # weight of |sin b|
-    cG = sine_power_coeffs(sG, kmax)     # weight of |sin(a-b)|
-    j = np.arange(-(J + fitn), J + fitn + 1)
-    mid = len(j) // 2
-    jj_fit = np.arange(J + 1, J + fitn + 1)
-    Xfit = np.stack([np.ones(fitn), 1.0 / jj_fit], axis=1)
-    jw = jj_fit ** w0
-    t0 = _em_power_tail(w0, J)
-    t1 = _em_power_tail(w0 + 1.0, J)
-    out = np.empty(len(pairs), dtype=complex)
-    for i, (mp_, np_) in enumerate(pairs):
-        terms = (cG[np.abs(j)] * cB[np.abs(-mp_ - j)] * cA[np.abs(j - np_)])
-        val = np.sum(terms[mid - J:mid + J + 1])
-        for side in (+1, -1):
-            y = terms[mid + side * jj_fit] * jw
-            coef, *_ = np.linalg.lstsq(Xfit, y, rcond=None)
-            val += coef[0] * t0 + coef[1] * t1
-        out[i] = val
-    return out
+    if pairs.ndim == 1 and pairs.size in (0, 2):
+        pairs = pairs.reshape(-1, 2)
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise ValueError(f"pairs must have shape (n, 2), got {pairs.shape}")
+    return _spectral_batches([pairs], l1, l2, l3, jmax)[0]
 
 
 def mode_element_spectral(m: int, n: int, k: int, l1, l2, l3,

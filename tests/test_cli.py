@@ -5,6 +5,7 @@ import io
 import json
 
 import numpy as np
+import pytest
 
 from triform import identity_battery
 from triform.cli import main
@@ -152,6 +153,15 @@ def test_sobolev_trace_l0_is_plain_trace(tmp_path):
     from triform import induced_form
     tr = float(np.real(np.trace(induced_form(2j, 0.0, 0.0, 6, 4).matrix)))
     assert abs(rho - tr) <= 1e-8 * tr
+
+
+@pytest.mark.parametrize("T", ["nan", "inf", "1e100"])
+def test_sobolev_trace_non_finite_t_is_an_error(T, capsys):
+    code = main(["sobolev-trace", "--l", "2", "--t-ladder", T,
+                 "--max-mode", "8", "--k-modes", "4"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_bad_config_exit_code():

@@ -3,14 +3,17 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from triform import (CircleFunction, HermitianForm, InsufficientTruncationError,
-                     NotPositiveDefiniteError, PreconditionError,
-                     TruncationOverflowError, bump_vector, circle_generators,
-                     group_action, group_norm, induced_form,
-                     kernel_bump_pairing, pairing_search, random_sl2,
-                     relative_trace, sobolev_form, sobolev_trace,
-                     spherical_square, weighted_mean_bound)
+                     NonFiniteError, NotPositiveDefiniteError,
+                     PreconditionError, TruncationOverflowError, bump_vector,
+                     circle_generators, group_action, group_norm,
+                     induced_form, kernel_bump_pairing, pairing_search,
+                     random_sl2, relative_trace, sobolev_form, sobolev_matrix,
+                     sobolev_trace, spectral_mode_values, spherical_square,
+                     weighted_mean_bound)
 from triform.specdecomp import product_generators
 
 GEN_MATRICES = [np.array([[1.0, 0.0], [0.0, -1.0]]),
@@ -129,6 +132,29 @@ def test_sobolev_monotone_in_T(rng):
     assert mineig >= -1e-10
 
 
+@settings(max_examples=30, deadline=None)
+@given(l=st.integers(0, 3), N=st.integers(1, 5), T=st.floats(0.5, 8.0),
+       tau=st.floats(-3.0, 3.0), taup=st.floats(-3.0, 3.0))
+def test_sobolev_matrix_keeps_parity_classes(l, N, T, tau, taup):
+    # a word X^nu shifts the modes of each factor by steps of one parity, so
+    # (X^nu)^H X^nu shifts them by even steps: no nonzero couples different
+    # (p mod 2, q mod 2) classes
+    Q = sobolev_matrix(l, T, 1j * tau, 1j * taup, N).tocoo()
+    nz = Q.data != 0
+    p, q = np.divmod(Q.row[nz], 2 * N + 1)
+    pp, qq = np.divmod(Q.col[nz], 2 * N + 1)
+    assert np.all((p - pp) % 2 == 0) and np.all((q - qq) % 2 == 0)
+
+
+@pytest.mark.parametrize("T", [np.nan, np.inf, -np.inf, 1e100])
+def test_sobolev_rejects_non_finite_T(T):
+    # at T = 1e100 the weight T^4 overflows
+    with pytest.raises(NonFiniteError):
+        sobolev_trace(2, T, 2j, (0.0, 0.0), 6, 4)
+    with pytest.raises(NonFiniteError):
+        sobolev_matrix(2, T, 0.0, 0.0, 3)
+
+
 # ---------------------------------------------------------------------------
 # relative traces
 # ---------------------------------------------------------------------------
@@ -196,6 +222,36 @@ def test_sobolev_trace_matches_dense_route():
     H = induced_form(lam, tau, taup, N, K)
     Q = sobolev_form(l, T, (tau, taup), N)
     dense = relative_trace(H, Q)
+    fast = sobolev_trace(l, T, lam, (tau, taup), N, K)
+    assert abs(dense - fast) <= 1e-8 * dense
+
+
+def test_induced_form_is_gram_of_mode_rows():
+    # the Gram matrix of rows built pair by pair through the public
+    # spectral_mode_values equals the induced form's shared-series rows
+    lam, tau, taup = 2j, 0.5j, 0.0
+    for N, K in ((4, 2), (4, 8), (6, 8)):
+        n1 = 2 * N + 1
+        H = np.zeros((n1 * n1, n1 * n1), dtype=complex)
+        for kp in range(-K // 2, K // 2 + 1):
+            mps = range(max(-N, -kp - N), min(N, -kp + N) + 1)
+            pairs = [(mp, -kp - mp) for mp in mps]
+            row = np.zeros(n1 * n1, dtype=complex)
+            for (mp, np_), v in zip(pairs, spectral_mode_values(pairs, tau, taup, lam)):
+                row[(mp + N) * n1 + (np_ + N)] = v
+            H += np.outer(np.conj(row), row)
+        got = induced_form(lam, tau, taup, N, K).matrix
+        assert np.max(np.abs(got - H)) <= 1e-13 * np.max(np.abs(H))
+
+
+@pytest.mark.parametrize("l, tau, taup", [(2, 0.5j, 1j), (3, 2j, -1j)])
+def test_sobolev_trace_complex_hermitian_q(l, tau, taup):
+    # these parameters give Q imaginary entries; the unpivoted sparse factor
+    # must still match the dense Cholesky route
+    lam, N, K, T = 2j, 6, 6, 2.0
+    Q = sobolev_form(l, T, (tau, taup), N)
+    assert np.max(np.abs(Q.matrix.imag)) > 0.0
+    dense = relative_trace(induced_form(lam, tau, taup, N, K), Q)
     fast = sobolev_trace(l, T, lam, (tau, taup), N, K)
     assert abs(dense - fast) <= 1e-8 * dense
 

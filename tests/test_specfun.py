@@ -97,6 +97,12 @@ def test_pole_detection():
     assert reciprocal_gamma(0.0) == 0.0
     assert reciprocal_gamma(-4.0) == 0.0
     assert abs(reciprocal_gamma(2.0) - 1.0) < 1e-13
+    # exactly 0 within the pole tolerance, and bit for bit the exponential
+    # of log_gamma_complex off the poles
+    for z in (1e-300, -4.0 + 1e-15, -6.0 + 1e-15j):
+        assert reciprocal_gamma(z) == 0.0
+    for z in (0.5 + 3j, -2.5 + 0.1j, -7.3, 12.0 + 40j, -4.0 + 1e-13j):
+        assert reciprocal_gamma(z) == cmath.exp(-log_gamma_complex(z))
 
 
 def test_reflection_identity_battery():

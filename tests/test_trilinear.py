@@ -2,6 +2,7 @@
 
 import itertools
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -10,7 +11,8 @@ from triform import (CircleFunction, DomainTooSmallError, NonFiniteError,
                      closed_form_value, decay_constant, decay_envelope,
                      exponents, group_action, invariant_functional,
                      mode_element, mode_element_spectral, normalized_decay,
-                     sine_power_coeffs, spherical_square, triple_quadrature)
+                     sine_power_coeffs, spectral_mode_values,
+                     spherical_square, triple_quadrature)
 from triform.specdecomp import random_sl2
 
 # Gamma(1/4)^4 / pi^3, computed independently at 40 digits
@@ -290,6 +292,47 @@ def _crude_3d(m, n, k, lams, n_grid=200):
                + pg * np.log(np.abs(np.sin(X - Y))))
     F = np.exp(1j * (m * X + n * Y + k * Z)) * K
     return F.sum() * h ** 3 / (2 * np.pi) ** 3
+
+
+def loop_mode_value(mp, np_, lams, J, fitn=60):
+    """One pair by the defining sum: |j| <= J term by term, then a
+    least-squares (A + C/j) j^-w fit on each 60-term tail window, summed
+    with Hurwitz zeta values (mpmath)."""
+    sA, sB, sG = exponents(*lams).kernel_powers()
+    w = 3.0 + sA + sB + sG
+    kmax = J + fitn + max(abs(mp), abs(np_)) + 2
+    cA, cB, cG = (sine_power_coeffs(s, kmax) for s in (sA, sB, sG))
+    j = np.arange(-(J + fitn), J + fitn + 1)
+    terms = cG[np.abs(j)] * cB[np.abs(-mp - j)] * cA[np.abs(j - np_)]
+    val = np.sum(terms[np.abs(j) <= J])
+    jj = np.arange(J + 1, J + fitn + 1)
+    design = np.stack([np.ones(fitn), 1.0 / jj], axis=1)
+    tails = [complex(mpmath.zeta(w + d, J + 1)) for d in (0, 1)]
+    for side in (jj, -jj):
+        coef = np.linalg.lstsq(design, terms[side + J + fitn] * jj ** w,
+                               rcond=None)[0]
+        val += coef[0] * tails[0] + coef[1] * tails[1]
+    return val
+
+
+@pytest.mark.parametrize("lams", [(0.0, 1j, 4j), (0.5j, -1j, 2.5j)])
+def test_spectral_batch_matches_single_pairs(lams):
+    # several antidiagonals m'+n' (2, -9, -3, 0, 9), unsorted pairs, a
+    # duplicate, negative indices and lone pairs; at a fixed cutoff one
+    # batched call gives every pair's value of its own call and of the
+    # defining loop
+    pairs = [(3, -1), (-2, 4), (0, 2), (3, -1), (-5, -4), (1, 1), (4, -2),
+             (-3, 0), (0, 0), (6, 3), (-1, -2)]
+    batch = spectral_mode_values(pairs, *lams, jmax=800)
+    single = np.array([spectral_mode_values([p], *lams, jmax=800)[0]
+                       for p in pairs])
+    loop = np.array([loop_mode_value(mp, np_, lams, 800) for mp, np_ in pairs])
+    assert np.max(np.abs(batch - single) / np.abs(single)) <= 1e-13
+    assert np.max(np.abs(batch - loop) / np.abs(loop)) <= 1e-12
+    assert batch[0] == batch[3]
+    assert spectral_mode_values(np.empty((0, 2), dtype=int), *lams).shape == (0,)
+    with pytest.raises(ValueError):
+        spectral_mode_values([(1, 2, 3)], *lams)
 
 
 def test_mode_elements_against_crude_3d_oracle():

@@ -14,8 +14,11 @@ integrands need both x and 1 - x accurately at the clustered ends.
 
 ``_exp_sinh`` is the half-line family of the Gaussian radial oracles.
 
-Refinement is by an integer level; successive levels are compared by callers
-(a-posteriori error = |last - previous| with a safety factor).
+Refinement is by an integer level; ``refine_until`` compares successive
+levels (a-posteriori error = |last - previous| with a safety factor).
+``reused_positions`` names the nodes a level shares with the level before
+(tanh-sinh: every other one, at half the weight), so a caller can keep the
+previous level's sum and evaluate only the new nodes.
 """
 
 import math
@@ -27,7 +30,8 @@ import numpy as np
 from .errors import NonConvergentError
 from .estimate import Estimate
 
-__all__ = ["QuadratureConfig", "unit_nodes", "refine_until", "ERROR_SAFETY"]
+__all__ = ["QuadratureConfig", "unit_nodes", "reused_positions", "refine_until",
+           "ERROR_SAFETY"]
 
 SCHEMES = ("singularity_split", "graded_mesh")
 
@@ -115,6 +119,20 @@ def unit_nodes(scheme: str, level: int, points_per_panel: int = 12):
         return _tanh_sinh(level)
     if scheme == "graded_mesh":
         return _graded_gauss(level, points_per_panel)
+    raise ValueError(f"unknown scheme {scheme!r}")
+
+
+def reused_positions(scheme: str, level: int) -> np.ndarray:
+    """Positions of the level-``level`` nodes that level - 1 has too.
+
+    ``singularity_split`` halves its step per level, so its even positions
+    hold level - 1's nodes bit for bit, each with exactly half its old
+    weight.  ``graded_mesh`` moves its panels with the level: none.
+    """
+    if scheme == "singularity_split":
+        return np.arange(0, len(_tanh_sinh(level)[0]), 2)
+    if scheme == "graded_mesh":
+        return np.empty(0, dtype=np.intp)
     raise ValueError(f"unknown scheme {scheme!r}")
 
 

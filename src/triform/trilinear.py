@@ -16,11 +16,11 @@
   for truncated even Fourier data f_j.  The z-direction is integrated exactly
   (the restriction to lines x = z + a, y = z + b is a trigonometric
   polynomial), leaving a 2-D integral over (a, b) with |sin|^(Re s) lines
-  a = 0, b = 0, a = b (mod pi).  That square is split along the singular
-  diagonal and each triangle is folded through its reflection symmetry so
-  every singular corner is removed by a linear rescaling; the two remaining
-  1-D directions are handled by the configured endpoint-singular node family.
-  No Gamma function enters this path.
+  a = 0, b = 0, a = b (mod pi).  Transposition and reflection fold the square
+  onto one half-triangle, rescaled so every singular corner becomes an
+  endpoint of the configured node family.  Each refinement level is one pass
+  over it; with nested (tanh-sinh) nodes a level adds only the nodes the
+  previous level lacked to that level's sum.  No Gamma function enters.
 
 * ``mode_element`` / ``mode_element_spectral`` -- matrix elements of the
   functional on Fourier modes e^{imx} (x) e^{iny} (x) e^{ikz}.  Translation
@@ -45,7 +45,8 @@ from .errors import (DomainTooSmallError, NonFiniteError, PoleArgumentError,
                      PreconditionError)
 from .estimate import Estimate
 from .params import ExponentQuadruple, _as_complex, exponents
-from .quadrature import QuadratureConfig, refine_until, unit_nodes
+from .quadrature import (QuadratureConfig, refine_until, reused_positions,
+                         unit_nodes)
 from .specfun import (gamma_product_log, log_gamma_array, log_gamma_complex,
                       reciprocal_gamma)
 
@@ -60,11 +61,18 @@ __all__ = [
     "triple_quadrature",
     "mode_element",
     "mode_element_spectral",
+    "MAX_QUADRATURE_LEVEL",
     "sine_power_coeffs",
     "spectral_mode_values",
 ]
 
 _GAMMA_REL_TOL = 1e-10   # relative accuracy budget of closed-form values
+
+_START_LEVEL = 3         # first level of triple_quadrature
+# top level of triple_quadrature: each level has 4x the nodes of the last;
+# on one Xeon core, constant data run levels 3-8 in 1.2 s and 3-10 in 21 s
+MAX_QUADRATURE_LEVEL = 10
+_BLOCK_NODES = 1 << 13   # nodes per block of rows; bounds the temporaries
 
 
 # ---------------------------------------------------------------------------
@@ -190,95 +198,84 @@ def decay_constant(tau, tau_prime, moduli: Sequence[float]):
 # singular quadrature of the circle-model integral
 # ---------------------------------------------------------------------------
 
-class _ModeProduct:
-    """C(a,b) = sum_{p,q} f1_p f2_q f3_{-(p+q)} e^{2i(pa+qb)} on node grids."""
+class _FoldedModes:
+    """Mode factors of the folded integrand.  c(a, b) = sum_{p,q} f1_p f2_q
+    f3_-(p+q) e^{2i(pa+qb)} has period pi in each angle, so folding leaves
 
-    def __init__(self, f1: CircleFunction, f2: CircleFunction, f3: CircleFunction,
-                 transpose: bool = False):
-        p1, p2, p3 = f1.max_mode, f2.max_mode, f3.max_mode
-        mat = np.zeros((2 * p1 + 1, 2 * p2 + 1), dtype=complex)
-        for p in range(-p1, p1 + 1):
-            for q in range(-p2, p2 + 1):
-                if abs(p + q) <= p3:
-                    mat[p + p1, q + p2] = (f1.coefficient(p) * f2.coefficient(q)
-                                           * f3.coefficient(-(p + q)))
-        if transpose:
-            mat = mat.T
-            p1, p2 = p2, p1
-        self.mat = mat
-        self.p1, self.p2 = p1, p2
-        self.is_constant = (p1 == 0 and p2 == 0)
-        self.c0 = mat[p1, p2]
+        g1(a, b) = c(a, b) + c(-a, -b)   on K1,   g2(a, b) = g1(b, a)   on K2,
 
-    def __call__(self, A, B):
-        """Evaluate on broadcastable angle arrays."""
-        if self.is_constant:
-            return self.c0
-        p = np.arange(-self.p1, self.p1 + 1)
-        q = np.arange(-self.p2, self.p2 + 1)
-        ea = np.exp(2j * np.multiply.outer(np.asarray(A, dtype=float), p))
-        eb = np.exp(2j * np.multiply.outer(np.asarray(B, dtype=float), q))
-        # ea: A.shape x P, eb: B.shape x Q; contract through the matrix
-        tmp = ea @ self.mat                       # A.shape x Q
-        tmp = np.broadcast_to(tmp, eb.shape[:-1] + (len(q),))
-        return np.sum(tmp * eb, axis=-1)
-
-
-def _half_triangle(sA, sB, sG, level, scheme, ppp, cfun):
-    """Reflection-folded integral over half of the triangle {0 < b < a < pi}.
-
-    Computes  int over T1a = {0<b<a, a+b<pi}  of
-        |sin(a-b)|^sG [ c(a,b) |sin a|^sB |sin b|^sA
-                        + c(pi-b, pi-a) |sin a|^sA |sin b|^sB ]
-    which by the substitution (a,b) -> (pi-b, pi-a) equals the integral over
-    the full triangle of c(a,b)|sin a|^sB |sin b|^sA |sin(a-b)|^sG.
-
-    T1a is covered in two pieces split at a = pi/2 and rescaled so the
-    singular triple corners (0,0) and (pi,pi) become clean endpoint
-    singularities of the node family.
+    sums of sym[p, q] e^{2i(pa+qb)} for sym = mat + mat[::-1, ::-1] (mat on
+    modes -P..P, P = max(P1, P2)).  Constant data: g1 = g2 = 2 c0.
     """
-    xo, omxo, wo = unit_nodes(scheme, level, ppp)
-    xi, omxi, wi = unit_nodes(scheme, level, ppp)
+
+    def __init__(self, f1: CircleFunction, f2: CircleFunction, f3: CircleFunction):
+        self.P = max(f1.max_mode, f2.max_mode)
+        p = np.arange(-self.P, self.P + 1)
+        mat = (np.outer([f1.coefficient(k) for k in p], [f2.coefficient(k) for k in p])
+               * np.array([[f3.coefficient(-(a + b)) for b in p] for a in p]))
+        sym = mat + mat[::-1, ::-1]
+        self.both = np.concatenate([sym, sym.T], axis=1)
+
+    def factors(self, d, B):
+        """(g1, g2) at a = d, then at a = pi - d, for rows d and nodes B:
+        shape (R, N, 4), or (R, 1, 4) for constant data.  Per row each is a
+        trigonometric polynomial in B: its coefficients meet one real node
+        factor [cos 2kB, sin 2kB]_{k=1..P}, with e^{2ikB} = (e^{2iB})^k.
+        """
+        P = self.P
+        ex = np.exp(2j * np.multiply.outer(d, np.arange(-P, P + 1)))
+        # e^{2ip(pi - d)} = conj(e^{2ipd}); h is indexed (row, piece and g, q)
+        h = (np.stack([ex, ex.conj()], axis=1) @ self.both).reshape(len(d), 4, -1)
+        g = h[:, None, :, P]
+        if P == 0:
+            return g
+        pos, neg = h[:, :, P + 1:], h[:, :, P - 1::-1]
+        coef = np.empty((len(d), 2 * P, 4), dtype=complex)
+        coef[:, 0::2] = (pos + neg).transpose(0, 2, 1)
+        coef[:, 1::2] = (1j * (pos - neg)).transpose(0, 2, 1)
+        z = np.empty(B.shape + (P,), dtype=complex)
+        z[..., 0] = np.exp(2j * B)
+        for k in range(1, P):
+            np.multiply(z[..., k - 1], z[..., 0], out=z[..., k])
+        return g + (z.view(float) @ coef.view(float)).view(complex)
+
+
+def _folded_sum(powers, modes: _FoldedModes, d, wd, x, omx, w):
+    """sum_r wd_r d_r sum_j w_j F(d_r, x_j) for the folded integrand F.
+
+    The square is the lower triangle {0 < b < a < pi} and its transpose.  Both
+    fold onto T1a = {0 < b < a, a + b < pi}, whose pieces a = d and a = pi - d
+    (b = d x) turn every singular corner into an endpoint of the node family:
+    |sin a| = sin d and |sin(a - b)| = sin(d (1 -+ x)).  F sums over the pieces
+
+        g1 K1 + g2 K2,   K1 = |sin a|^sB |sin b|^sA |sin(a-b)|^sG,
+                         K2 = |sin a|^sA |sin b|^sB |sin(a-b)|^sG,
+
+    in log space rather than through kernel_on_circle, since both kernels and
+    pieces share log-sines.  A node whose value overflows contributes nothing:
+    the true integrand times its weight vanishes at the endpoints (Re s > -1).
+    """
+    sA, sB, sG = powers
     total = 0.0 + 0.0j
-    cost = 0
-    constant_c = cfun.is_constant
-    # mode sums multiply memory by the mode count; keep chunks small then
-    row_chunk = 192 if constant_c else 32
-    for piece in (0, 1):
-        d = (np.pi / 2.0) * xo                  # distance to the near corner
-        wa = (np.pi / 2.0) * wo
-        for lo in range(0, len(d), row_chunk):
-            hi = min(lo + row_chunk, len(d))
-            dd = d[lo:hi][:, None]
-            B = dd * xi[None, :]
-            sinB = np.sin(B)
-            sinA = np.sin(dd)                   # |sin a| = sin d on both pieces
-            if piece == 0:
-                Aarr = dd                       # a in (0, pi/2)
-                sinG = np.sin(dd * omxi[None, :])       # a - b = a (1-x)
-            else:
-                Aarr = np.pi - dd               # a in (pi/2, pi)
-                sinG = np.sin(dd * (1.0 + xi[None, :])) # a - b = pi - d (1+x)
-            # kernel powers in log space, not via kernel_on_circle: the two
-            # permuted kernels below share these three log-sines
-            lA = np.log(sinA)
-            lB = np.log(sinB)
-            lG = np.log(sinG)
-            if constant_c:
-                c1 = c2 = cfun.c0
-            else:
-                c1 = cfun(np.broadcast_to(Aarr, B.shape), B)
-                c2 = cfun(np.pi - B, np.broadcast_to(np.pi - Aarr, B.shape))
-            with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-                f = (c1 * np.exp(sB * lA + sA * lB + sG * lG)
-                     + c2 * np.exp(sA * lA + sB * lB + sG * lG))
-                f *= dd * wi[None, :]
-                # nodes whose weight underflowed contribute nothing: the true
-                # integrand times weight vanishes at the endpoints (Re s > -1)
-                f[~np.isfinite(f)] = 0.0
-            total += np.sum(np.sum(f, axis=1) * wa[lo:hi])
-            cost += 2 * f.size
-    return total, cost
+    rows = max(1, _BLOCK_NODES // len(x))
+    for lo in range(0, len(d), rows):
+        dd = d[lo:lo + rows, None]
+        B = dd * x
+        lA = np.log(np.sin(dd))
+        lB = np.log(np.sin(B))
+        with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+            # K1 = M S and K2 = M / S: three complex exponentials, not four
+            v = (0.5 * (sA + sB)) * (lA + lB)
+            S = np.exp((0.5 * (sB - sA)) * (lA - lB))
+            Sinv = 1.0 / S
+            g = modes.factors(dd[:, 0], B)
+            f = 0.0
+            for piece, G in enumerate((dd * omx, dd * (1.0 + x))):
+                M = np.exp(v + sG * np.log(np.sin(G)))
+                f = f + M * (g[..., 2 * piece] * S + g[..., 2 * piece + 1] * Sinv)
+            f[~np.isfinite(f)] = 0.0
+        total += np.sum((f @ w) * (dd[:, 0] * wd[lo:lo + rows]))
+    return total
 
 
 def _check_convergent_exponents(e: ExponentQuadruple):
@@ -294,28 +291,43 @@ def triple_quadrature(f1: CircleFunction, f2: CircleFunction, f3: CircleFunction
                       l1, l2, l3, cfg: Optional[QuadratureConfig] = None) -> Estimate:
     """Numerical circle-model value of the functional on truncated Fourier data.
 
+    Levels run from 3 to 2 + cfg.refinement_levels; a top level above
+    MAX_QUADRATURE_LEVEL raises PreconditionError before any work.  Each level
+    is one pass over the folded half-triangle that evaluates only the nodes
+    the level before lacked; ``cost`` counts the nodes evaluated.
     Deterministic for a fixed config: the node sets and the summation order
     are functions of (scheme, level) only.  Raises NonFiniteError on a
     non-finite Fourier coefficient or parameter.
     """
+    cfg = cfg or QuadratureConfig()
+    top = _START_LEVEL + cfg.refinement_levels - 1
+    if top > MAX_QUADRATURE_LEVEL:
+        raise PreconditionError(f"quadrature level {top} exceeds "
+                                f"MAX_QUADRATURE_LEVEL = {MAX_QUADRATURE_LEVEL}")
     for j, f in enumerate((f1, f2, f3), start=1):
         if not np.all(np.isfinite(f.coeffs)):
             raise NonFiniteError(f"f{j} has a non-finite Fourier coefficient")
-    cfg = cfg or QuadratureConfig()
     e = exponents(l1, l2, l3)
     _check_convergent_exponents(e)
-    sA, sB, sG = e.kernel_powers()
-    c_lower = _ModeProduct(f1, f2, f3)
-    c_upper = _ModeProduct(f1, f2, f3, transpose=True)
+    powers = e.kernel_powers()
+    modes = _FoldedModes(f1, f2, f3)
+    raw = 0.0 + 0.0j
 
     def eval_at_level(level):
-        il, cost1 = _half_triangle(sA, sB, sG, level, cfg.scheme,
-                                   cfg.points_per_panel, c_lower)
-        iu, cost2 = _half_triangle(sB, sA, sG, level, cfg.scheme,
-                                   cfg.points_per_panel, c_upper)
-        return (il + iu) / np.pi ** 2, cost1 + cost2
+        nonlocal raw
+        x, omx, w = unit_nodes(cfg.scheme, level, cfg.points_per_panel)
+        old = reused_positions(cfg.scheme, level) if level > _START_LEVEL else []
+        new = np.delete(np.arange(len(x)), old)
+        d, wd = (np.pi / 2.0) * x, (np.pi / 2.0) * w
+        # a reused node keeps its value and half its old weight on each axis
+        raw = ((raw / 4.0 if len(old) else 0.0)
+               + _folded_sum(powers, modes, d[new], wd[new], x, omx, w)
+               + _folded_sum(powers, modes, d[old], wd[old],
+                             x[new], omx[new], w[new]))
+        return raw / np.pi ** 2, 2 * len(new) * len(x) + 2 * len(old) * len(new)
 
-    return refine_until(eval_at_level, cfg, method=f"triple/{cfg.scheme}")
+    return refine_until(eval_at_level, cfg, method=f"triple/{cfg.scheme}",
+                        start_level=_START_LEVEL)
 
 
 def _vanishing_element(m: int, n: int, k: int) -> Optional[Estimate]:

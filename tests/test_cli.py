@@ -164,6 +164,15 @@ def test_sobolev_trace_non_finite_t_is_an_error(T, capsys):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+def test_quadrature_levels_above_maximum_are_an_error(capsys):
+    # 30 levels would reach level 32; refused before any quadrature runs
+    code = main(["quadrature-check", "--quad-levels", "30", "--target", "1e-3",
+                 "--triples", "0,0,0"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and "MAX_QUADRATURE_LEVEL" in err
+
+
 def test_bad_config_exit_code():
     assert main(["quadrature-check", "--quad-levels", "0",
                  "--triples", "0,0,0"]) == 2

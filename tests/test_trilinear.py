@@ -5,6 +5,8 @@ import itertools
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from triform import (CircleFunction, DomainTooSmallError, NonFiniteError,
                      PoleArgumentError, PreconditionError, QuadratureConfig,
@@ -13,7 +15,9 @@ from triform import (CircleFunction, DomainTooSmallError, NonFiniteError,
                      mode_element, mode_element_spectral, normalized_decay,
                      sine_power_coeffs, spectral_mode_values,
                      spherical_square, triple_quadrature)
+from triform.quadrature import reused_positions, unit_nodes
 from triform.specdecomp import random_sl2
+from triform.trilinear import MAX_QUADRATURE_LEVEL
 
 # Gamma(1/4)^4 / pi^3, computed independently at 40 digits
 A000 = 5.5728157187427074367
@@ -21,6 +25,10 @@ A000 = 5.5728157187427074367
 A0010 = -6.254263599920590863e-05 - 1.2583705083835460888e-04j
 
 ONES = CircleFunction.constant(1.0)
+
+# principal-series parameters with small real parts: no Gamma pole, and the
+# spectral convolution converges
+lam_strategy = st.builds(complex, st.floats(-0.3, 0.3), st.floats(-8.0, 8.0))
 
 
 # ---------------------------------------------------------------------------
@@ -69,8 +77,9 @@ def test_closed_form_at_0_0_10i():
     assert abs(est.value - A0010) <= 1e-9 * abs(A0010)
 
 
-def test_closed_form_permutation_symmetry():
-    trip = (1.5j, -0.4j, 3.2j)
+@settings(max_examples=25, deadline=None)
+@given(trip=st.tuples(lam_strategy, lam_strategy, lam_strategy))
+def test_closed_form_permutation_symmetry(trip):
     base = closed_form_value(*trip).value
     for perm in itertools.permutations(trip):
         v = closed_form_value(*perm).value
@@ -226,6 +235,94 @@ def test_functional_group_invariance(rng):
         assert abs(val - ref) <= 2e-3 * abs(ref)
 
 
+def _random_data(rng, modes, lift):
+    """Random complex coefficients on the even frequencies -2 modes..2 modes."""
+    return CircleFunction.from_modes(
+        {2 * p: complex(*rng.normal(size=2)) * 0.5 ** abs(p)
+         for p in range(-modes, modes + 1)}, lift)
+
+
+@pytest.mark.parametrize("lams", [(0.0, 1j, 2j), (0.3, 1j, -0.2 + 2j)])
+def test_quadrature_matches_spectral_mode_sum(lams, rng):
+    # lift-8 data: the folded pass against the independent spectral route
+    # sum_{p,q} f1_p f2_q f3_-(p+q) mode(p, q)
+    f1, f2, f3 = (_random_data(rng, k, 8) for k in (3, 2, 3))
+    est = triple_quadrature(f1, f2, f3, *lams,
+                            QuadratureConfig(target_rel_error=1e-5,
+                                             refinement_levels=4))
+    pairs = list(itertools.product(range(-8, 9), repeat=2))
+    weights = [f1.coefficient(p) * f2.coefficient(q) * f3.coefficient(-(p + q))
+               for p, q in pairs]
+    spectral = np.dot(weights, spectral_mode_values(pairs, *lams))
+    assert abs(est.value - spectral) <= 1e-8 * abs(spectral)
+
+
+def test_quadrature_swap_symmetry(rng):
+    # swapping (f1, l1) with (f2, l2) swaps the two folded mode factors and
+    # the two kernels; the data have different truncations on purpose
+    f1, f2, f3 = _random_data(rng, 2, 2), _random_data(rng, 1, 1), _random_data(rng, 2, 3)
+    lams = (0.3, 1j, -0.2 + 2j)
+    cfg = QuadratureConfig(target_rel_error=1e-6)
+    a = triple_quadrature(f1, f2, f3, *lams, cfg)
+    b = triple_quadrature(f2, f1, f3, lams[1], lams[0], lams[2], cfg)
+    assert abs(a.value - b.value) <= 1e-13 * abs(a.value)
+
+
+@pytest.mark.parametrize("cfg, value", [
+    (QuadratureConfig(scheme="singularity_split"),
+     0.013491280820670828 + 0.06529839748992673j),
+    (QuadratureConfig(scheme="graded_mesh", points_per_panel=16,
+                      refinement_levels=4),
+     0.013491280814838172 + 0.06529839748716337j)])
+def test_quadrature_constant_data_regression(cfg, value):
+    # values of the earlier implementation (two half-triangle passes, every
+    # level evaluated from scratch); since then only the rounding changed
+    est = triple_quadrature(ONES, ONES, ONES, 0, 1j, 4j, cfg)
+    assert abs(est.value - value) <= 2e-15 * abs(value)
+
+
+def test_tanh_sinh_levels_are_nested():
+    assert reused_positions("graded_mesh", 5).size == 0
+    for level in range(4, 11):
+        x, omx, w = unit_nodes("singularity_split", level)
+        xp, omxp, wp = unit_nodes("singularity_split", level - 1)
+        old = reused_positions("singularity_split", level)
+        assert np.array_equal(old, np.arange(0, len(x), 2))
+        assert np.array_equal(x[old], xp) and np.array_equal(omx[old], omxp)
+        assert np.array_equal(2.0 * w[old], wp)
+
+
+@pytest.mark.parametrize("cfg", [
+    QuadratureConfig(scheme="singularity_split", target_rel_error=1e-6),
+    QuadratureConfig(scheme="graded_mesh", points_per_panel=8,
+                     target_rel_error=1e-4, refinement_levels=3)])
+def test_quadrature_cost_counts_evaluated_nodes(cfg):
+    # both pieces of the folded half-triangle evaluate n x n nodes per level;
+    # nested tanh-sinh levels only add the nodes their predecessor lacked
+    est = triple_quadrature(ONES, ONES, ONES, 0, 1j, 4j, cfg)
+    top = int(est.method.rsplit("level", 1)[1])
+    n = [len(unit_nodes(cfg.scheme, lv, cfg.points_per_panel)[0])
+         for lv in range(3, top + 1)]
+    assert top > 3
+    if cfg.scheme == "singularity_split":
+        assert est.cost == 2 * n[-1] ** 2
+    else:
+        assert est.cost == 2 * sum(k * k for k in n)
+
+
+def test_quadrature_refuses_levels_above_maximum():
+    # levels 3 .. 2 + refinement_levels; a loose target converges early, so
+    # without the bound the refused call would return quickly, not hang
+    cfg = QuadratureConfig(target_rel_error=1e-3,
+                           refinement_levels=MAX_QUADRATURE_LEVEL - 1)
+    with pytest.raises(PreconditionError, match="MAX_QUADRATURE_LEVEL"):
+        triple_quadrature(ONES, ONES, ONES, 0, 1j, 4j, cfg)
+    cfg = QuadratureConfig(target_rel_error=1e-3,
+                           refinement_levels=MAX_QUADRATURE_LEVEL - 2)
+    assert triple_quadrature(ONES, ONES, ONES, 0, 1j, 4j, cfg).cost > 0
+    assert MAX_QUADRATURE_LEVEL >= 8        # the CLI's default top level
+
+
 # ---------------------------------------------------------------------------
 # mode elements
 # ---------------------------------------------------------------------------
@@ -265,6 +362,18 @@ def test_spectral_matches_quadrature():
                          QuadratureConfig(target_rel_error=1e-8)).value
         b = mode_element_spectral(m, n, k, 0, 1j, 4j).value
         assert abs(a - b) <= 1e-6 * max(abs(a), 1e-6)
+
+
+@settings(max_examples=20, deadline=None)
+@given(lams=st.tuples(lam_strategy, lam_strategy, lam_strategy),
+       m=st.integers(-6, 6), n=st.integers(-6, 6))
+def test_spectral_negation_and_conjugation(lams, m, n):
+    # |sin| is even, so negating both indices leaves the value unchanged;
+    # complex conjugation conjugates the kernel powers, i.e. lam -> conj(lam)
+    v, negated = spectral_mode_values([(m, n), (-m, -n)], *lams)
+    conj = spectral_mode_values([(m, n)], *np.conj(lams))[0]
+    assert abs(negated - v) <= 1e-12 * abs(v)
+    assert abs(conj - np.conj(v)) <= 1e-12 * abs(v)
 
 
 def test_spectral_rejects_divergent_convolution():

@@ -91,23 +91,6 @@ class BiCircleFunction:
             if self.coeffs.shape != (n, n):
                 raise ValueError("coefficient matrix must be (2N+1) x (2N+1)")
 
-    @classmethod
-    def from_samples(cls, values: np.ndarray, max_mode: int,
-                     evaluator=None) -> "BiCircleFunction":
-        """FFT of samples on a uniform grid over [0, 2pi)^2.
-
-        The grid must be fine enough that all odd-frequency content is zero
-        (evenness) and frequencies beyond 2*max_mode have negligible energy.
-        """
-        m = values.shape[0]
-        spec = np.fft.fft2(values) / (m * m)
-        n = max_mode
-        c = np.zeros((2 * n + 1, 2 * n + 1), dtype=complex)
-        for p in range(-n, n + 1):
-            for q in range(-n, n + 1):
-                c[p + n, q + n] = spec[(2 * p) % m, (2 * q) % m]
-        return cls(c, max_mode, evaluator=evaluator)
-
     def coefficient(self, p: int, q: int) -> complex:
         if max(abs(p), abs(q)) > self.max_mode:
             return 0.0 + 0.0j

@@ -44,8 +44,7 @@ def _parse_triples(args) -> list:
     """Triples of purely imaginary parameters from --triples / --cube."""
     out = []
     if args.cube:
-        vals = [complex(v) * 1j if "j" not in v else complex(v)
-                for v in _split(args.cube)]
+        vals = [_parse_param(v) for v in _split(args.cube)]
         for a in vals:
             for b in vals:
                 for c in vals:
@@ -58,9 +57,13 @@ def _parse_triples(args) -> list:
             vs = _split(part)
             if len(vs) != 3:
                 raise ValueError(f"triple {part!r} must have three entries")
-            out.append(tuple(complex(v) * 1j if "j" not in v else complex(v)
-                             for v in vs))
+            out.append(tuple(_parse_param(v) for v in vs))
     return out
+
+
+def _parse_param(text: str) -> complex:
+    """A parameter given as its imaginary part ('2' is 2j), or with a j."""
+    return complex(text) if "j" in text else 1j * float(text)
 
 
 def _split(text):
@@ -194,8 +197,7 @@ def cmd_gaussian_check(args) -> int:
 
 def cmd_decay_scan(args) -> int:
     ladder = [float(v) for v in _split(args.ladder)]
-    tau = complex(args.tau) if "j" in args.tau else 1j * float(args.tau)
-    tp = complex(args.tau_prime) if "j" in args.tau_prime else 1j * float(args.tau_prime)
+    tau, tp = _parse_param(args.tau), _parse_param(args.tau_prime)
     rows = []
     prev = None
     for t in ladder:

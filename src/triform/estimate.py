@@ -25,7 +25,3 @@ class Estimate:
     @property
     def real(self) -> float:
         return self.value.real
-
-    def agrees_with(self, other: "Estimate", slack: float = 0.0) -> bool:
-        """Whether the two estimates overlap within combined error bounds."""
-        return abs(self.value - other.value) <= self.error_bound + other.error_bound + slack

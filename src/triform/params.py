@@ -16,7 +16,7 @@ which drive both the invariant kernel and the Gamma closed form.
 import cmath
 from dataclasses import dataclass
 
-from .errors import NonFiniteError
+from .errors import NonFiniteError, PreconditionError
 
 _IM_TOL = 1e-14
 
@@ -73,6 +73,19 @@ class ExponentQuadruple:
     def is_imaginary(self) -> bool:
         return max(abs(self.alpha.real), abs(self.beta.real),
                    abs(self.gamma.real), abs(self.delta.real)) <= _IM_TOL
+
+    def require_convergent(self):
+        """Raise PreconditionError when Re alpha, beta or gamma <= -1.
+
+        There the kernel integrals (the triple integral, the kernel Gaussian)
+        diverge absolutely; regularization is out of scope.
+        """
+        bad = [name for name, v in (("alpha", self.alpha), ("beta", self.beta),
+                                    ("gamma", self.gamma)) if v.real <= -1.0]
+        if bad:
+            raise PreconditionError(
+                f"exponent(s) {', '.join(bad)} have Re <= -1: the kernel "
+                "integral diverges absolutely and regularization is out of scope")
 
     def kernel_powers(self):
         """The three kernel exponents ((mu - 1)/2 for mu = alpha, beta, gamma)."""

@@ -7,6 +7,7 @@ Contents:
   banded matrices on even-mode coefficients),
 * Sobolev forms  Q_{l,T}(v) = sum_nu T^(2(l-|nu|)) ||X^nu v||^2  over
   generator words of length <= l on the product of two circle factors,
+  assembled from the word Grams of each factor (Kronecker products),
 * the nonnegative Hermitian form induced by the trilinear functional
   (Gram matrix of its mode elements over a window of output modes),
 * relative traces tr(H | Q) computed two independent ways,
@@ -101,9 +102,7 @@ def group_action(g, lam, f: CircleFunction, oversample: int = 8,
     vals = (np.exp((z - 1.0) * np.log(r)) * f.evaluate(psi)
             * abs(det) ** ((z - 1.0) / 2.0))
     spec = np.fft.fft(vals) / m
-    c = np.zeros(2 * n_out + 1, dtype=complex)
-    for p in range(-n_out, n_out + 1):
-        c[p + n_out] = spec[(2 * p) % m]
+    c = spec[(2 * np.arange(-n_out, n_out + 1)) % m]
     total = float(np.sum(np.abs(spec) ** 2))
     kept = float(np.sum(np.abs(c) ** 2))
     tail = max(total - kept, 0.0)
@@ -173,35 +172,41 @@ class HermitianForm:
         return float(np.real(np.conj(vec) @ (self.matrix @ vec)))
 
 
-def _multi_indices(r: int, max_total: int):
-    """All tuples (n_1..n_r) of nonnegative ints with sum <= max_total."""
-    out = []
+def _word_grams(lam, N: int, l: int) -> list:
+    """One-circle word Grams G_a = sum_{|alpha| = a} A_alpha^H A_alpha, a <= l.
 
-    def rec(pos, left, cur):
-        if pos == r:
-            out.append(tuple(cur))
-            return
-        for c in range(left + 1):
-            rec(pos + 1, left - c, cur + [c])
-
-    rec(0, max_total, [])
-    return sorted(out)
-
-
-def product_generators(tau, tau_prime, N: int):
-    """The six generators of sl2 x sl2 on the truncated bi-circle space."""
-    g1 = circle_generators(tau, N)
-    g2 = circle_generators(tau_prime, N)
+    A_alpha = X_a^i X_b^j X_r^k runs over the words of length a in
+    circle_generators(lam, N), composed in the fixed generator order.
+    """
+    Xa, Xb, Xr = circle_generators(lam, N)
     eye = sp.identity(2 * N + 1, format="csr", dtype=complex)
-    return ([sp.kron(x, eye, format="csr") for x in g1]
-            + [sp.kron(eye, x, format="csr") for x in g2])
+    grams = []
+    for a in range(l + 1):
+        words = []
+        for i in range(a + 1):
+            for j in range(a - i + 1):
+                word = eye
+                for X in [Xa] * i + [Xb] * j + [Xr] * (a - i - j):
+                    word = word @ X
+                words.append(word)
+        grams.append(sum(w.getH() @ w for w in words))
+    return grams
 
 
 def sobolev_matrix(l: int, T: float, tau, tau_prime, N: int) -> sp.csc_matrix:
     """Sparse matrix of Q_{l,T}(v) = sum_nu T^(2(l-|nu|)) ||X^nu v||^2.
 
     The sum runs over multi-indices nu = (n_1..n_6) with |nu| <= l and
-    X^nu = X_1^{n_1} ... X_6^{n_6} composed in the fixed generator order.
+    X^nu = X_1^{n_1} ... X_6^{n_6} composed in the fixed generator order,
+    X_1..X_3 acting on the first circle factor and X_4..X_6 on the second.
+    Every such word is a Kronecker product A_alpha (x) B_beta of one word per
+    factor, so with the one-circle word Grams G_a (parameter tau) and H_b
+    (parameter tau_prime), summed over the words of length a and b,
+
+        Q = sum_{a+b <= l} T^(2(l-a-b)) G_a (x) H_b
+          = sum_a G_a (x) (sum_{b <= l-a} T^(2(l-a-b)) H_b),
+
+    l + 1 Kronecker products of banded (2N+1)-dimensional matrices.
     Raises NonFiniteError for a NaN or infinite T, or one whose T^(2l)
     overflows.
     """
@@ -211,15 +216,11 @@ def sobolev_matrix(l: int, T: float, tau, tau_prime, N: int) -> sp.csc_matrix:
         raise PreconditionError("need l >= 0 and T > 0")
     if 2 * l * np.log(T) > np.log(np.finfo(float).max):
         raise NonFiniteError(f"T^(2l) overflows at T = {T}, l = {l}")
-    ops = product_generators(tau, tau_prime, N)
-    dim = (2 * N + 1) ** 2
-    Q = sp.csc_matrix((dim, dim), dtype=complex)
-    for nu in _multi_indices(6, l):
-        word = sp.identity(dim, format="csr", dtype=complex)
-        for gi, cnt in enumerate(nu):
-            for _ in range(cnt):
-                word = word @ ops[gi]
-        Q = Q + T ** (2 * (l - sum(nu))) * (word.getH() @ word)
+    G = _word_grams(tau, N, l)
+    H = _word_grams(tau_prime, N, l)
+    Q = sum(sp.kron(G[a], sum(T ** (2 * (l - a - b)) * H[b]
+                              for b in range(l - a + 1)), format="csr")
+            for a in range(l + 1))
     return Q.tocsc()
 
 
@@ -259,11 +260,11 @@ def induced_form(lam, tau, tau_prime, N: int, K_modes: int) -> HermitianForm:
 
     Gram structure H = sum_k conj(row_k)^T row_k over output modes
     |k| <= K_modes; positive semidefinite by construction and monotone in
-    K_modes.  Dense assembly; guarded to moderate truncations.
+    K_modes.  Dense assembly; N > 40 raises PreconditionError.
     """
     if N > 40:
-        raise MemoryError("dense induced form is limited to N <= 40; "
-                          "use sobolev_trace for large truncations")
+        raise PreconditionError("dense induced form is limited to N <= 40; "
+                                "use sobolev_trace for large truncations")
     dim = (2 * N + 1) ** 2
     H = np.zeros((dim, dim), dtype=complex)
     k_contrib = {}

@@ -44,7 +44,7 @@ from .circlefn import CircleFunction
 from .errors import (DomainTooSmallError, NonFiniteError, PoleArgumentError,
                      PreconditionError)
 from .estimate import Estimate
-from .params import ExponentQuadruple, _as_complex, exponents
+from .params import _as_complex, exponents
 from .quadrature import (QuadratureConfig, refine_until, reused_positions,
                          unit_nodes)
 from .specfun import (gamma_product_log, log_gamma_array, log_gamma_complex,
@@ -278,15 +278,6 @@ def _folded_sum(powers, modes: _FoldedModes, d, wd, x, omx, w):
     return total
 
 
-def _check_convergent_exponents(e: ExponentQuadruple):
-    bad = [name for name, v in (("alpha", e.alpha), ("beta", e.beta),
-                                ("gamma", e.gamma)) if v.real <= -1.0]
-    if bad:
-        raise PreconditionError(
-            f"exponent(s) {', '.join(bad)} have Re <= -1: the triple integral "
-            "diverges absolutely and regularization is out of scope")
-
-
 def triple_quadrature(f1: CircleFunction, f2: CircleFunction, f3: CircleFunction,
                       l1, l2, l3, cfg: Optional[QuadratureConfig] = None) -> Estimate:
     """Numerical circle-model value of the functional on truncated Fourier data.
@@ -308,7 +299,7 @@ def triple_quadrature(f1: CircleFunction, f2: CircleFunction, f3: CircleFunction
         if not np.all(np.isfinite(f.coeffs)):
             raise NonFiniteError(f"f{j} has a non-finite Fourier coefficient")
     e = exponents(l1, l2, l3)
-    _check_convergent_exponents(e)
+    e.require_convergent()
     powers = e.kernel_powers()
     modes = _FoldedModes(f1, f2, f3)
     raw = 0.0 + 0.0j
@@ -414,7 +405,7 @@ def _spectral_batches(batches, l1, l2, l3, jmax: Optional[int] = None):
     so a batch reads the same numbers as a call of its own.
     """
     e = exponents(l1, l2, l3)
-    _check_convergent_exponents(e)
+    e.require_convergent()
     sA, sB, sG = e.kernel_powers()
     w0 = 3.0 + (sA + sB + sG)
     if w0.real <= 1.05:

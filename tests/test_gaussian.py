@@ -25,6 +25,17 @@ def test_normalization():
     assert est.error_bound == 0.0
 
 
+@pytest.mark.parametrize("offset", [0.0, 1e9, 1e12])
+def test_error_bar_survives_an_offset(offset):
+    # f = c + x with x normal of variance 1/2: 3 sqrt(1/2 / n) at any c
+    spec = GaussianSpec(1, 3, 200_000)
+    est = gaussian_expect(spec, lambda pts: offset + pts[:, 0])
+    exact = 3.0 * np.sqrt(0.5 / spec.samples)
+    assert abs(est.error_bound - exact) <= 1e-2 * exact
+    base = gaussian_expect(spec, lambda pts: pts[:, 0])
+    assert abs(est.error_bound - base.error_bound) <= 1e-6 * base.error_bound
+
+
 def test_seed_determinism():
     spec = GaussianSpec(dim=2, seed=42, samples=100_000)
     a = gaussian_expect(spec, r_squared)

@@ -2,7 +2,8 @@
 
 import pytest
 
-from triform import ExponentQuadruple, NonFiniteError, SeriesParam, exponents
+from triform import (ExponentQuadruple, NonFiniteError, PreconditionError,
+                     SeriesParam, exponents)
 
 
 def test_classification_follows_value():
@@ -38,3 +39,10 @@ def test_kernel_powers():
 def test_exponents_reject_non_finite(bad):
     with pytest.raises(NonFiniteError):
         exponents(0.0, bad, 1j)
+
+
+def test_require_convergent_names_the_divergent_exponents():
+    exponents(0.0, 1j, 4j).require_convergent()
+    exponents(-0.45, -0.45, -0.45).require_convergent()   # Re alpha = -0.45
+    with pytest.raises(PreconditionError, match="beta, gamma have Re <= -1"):
+        ExponentQuadruple(0.0, -1.0, -2.5 + 1j, 0.0).require_convergent()

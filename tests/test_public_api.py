@@ -1,19 +1,30 @@
-"""The public API is the only way in: tests and demos import no private names."""
+"""The public API is the only way in: tests and demos import no private names.
+
+The CLI imports exactly one, ``_trace_against_sobolev``, which runs
+``sobolev-trace --l 0`` and ``--l 1`` below the l >= 2 guard of the public
+``sobolev_trace``.
+"""
 
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted([*(ROOT / "tests").glob("*.py"), *(ROOT / "demos").glob("*.py")])
+CLI = ROOT / "src" / "triform" / "cli.py"
+CLI_EXCEPTION = "_trace_against_sobolev"
 
 
 def private_imports(source: str) -> list:
-    """Underscore names (dunders excepted) that ``source`` imports from triform."""
+    """Underscore names (dunders excepted) that ``source`` imports from triform.
+
+    Relative imports count as imports from triform: only modules of the
+    package use them.
+    """
     found = []
     for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.ImportFrom) and node.level == 0 \
-                and (node.module or "").split(".")[0] == "triform":
-            names = node.module.split(".") + [a.name for a in node.names]
+        if isinstance(node, ast.ImportFrom) and (
+                node.level > 0 or (node.module or "").split(".")[0] == "triform"):
+            names = (node.module or "").split(".") + [a.name for a in node.names]
         elif isinstance(node, ast.Import):
             names = [part for a in node.names if a.name.split(".")[0] == "triform"
                      for part in a.name.split(".")]
@@ -31,6 +42,9 @@ def test_detector_flags_private_imports():
     assert not private_imports("from triform import __version__, sobolev_trace")
     assert not private_imports("from triform.specfun import log_gamma_array")
     assert not private_imports("from other import _helper")
+    assert private_imports("from .specdecomp import _mode_rows")
+    assert private_imports("from ._private import x")
+    assert not private_imports("from . import __version__")
 
 
 def test_tests_and_demos_import_no_private_names():
@@ -38,3 +52,8 @@ def test_tests_and_demos_import_no_private_names():
     offenders = {f"{p.parent.name}/{p.name}":
                  private_imports(p.read_text(encoding="utf-8")) for p in SOURCES}
     assert {k: v for k, v in offenders.items() if v} == {}
+
+
+def test_cli_imports_only_the_documented_private_name():
+    found = private_imports(CLI.read_text(encoding="utf-8"))
+    assert [f.split(": ")[1] for f in found] == [CLI_EXCEPTION]

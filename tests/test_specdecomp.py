@@ -1,9 +1,11 @@
 """Group action, Lie generators, Sobolev forms, traces, bumps, pairings."""
 
+import itertools
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from triform import (CircleFunction, HermitianForm, InsufficientTruncationError,
@@ -14,7 +16,6 @@ from triform import (CircleFunction, HermitianForm, InsufficientTruncationError,
                      random_sl2, relative_trace, sobolev_form, sobolev_matrix,
                      sobolev_trace, spectral_mode_values, spherical_square,
                      weighted_mean_bound)
-from triform.specdecomp import product_generators
 
 GEN_MATRICES = [np.array([[1.0, 0.0], [0.0, -1.0]]),
                 np.array([[0.0, 1.0], [1.0, 0.0]]),
@@ -117,9 +118,13 @@ def test_sobolev_l1_on_constant_vector():
     q = sobolev_form(1, T, (tau, taup), N)
     e00 = np.zeros((2 * N + 1) ** 2, dtype=complex)
     e00[(0 + N) * (2 * N + 1) + (0 + N)] = 1.0
+    # each of the six generators acts on one factor of e00 = e0 (x) e0 and
+    # the other factor has unit norm
+    e0 = np.zeros(2 * N + 1, dtype=complex)
+    e0[N] = 1.0
     expected = T ** 2
-    for op in product_generators(tau, taup, N):
-        expected += np.linalg.norm((op @ e00)) ** 2
+    for op in circle_generators(tau, N) + circle_generators(taup, N):
+        expected += np.linalg.norm((op @ e0)) ** 2
     got = float(np.real(np.conj(e00) @ (q.matrix @ e00)))
     assert abs(got - expected) < 1e-10 * expected
 
@@ -144,6 +149,38 @@ def test_sobolev_matrix_keeps_parity_classes(l, N, T, tau, taup):
     p, q = np.divmod(Q.row[nz], 2 * N + 1)
     pp, qq = np.divmod(Q.col[nz], 2 * N + 1)
     assert np.all((p - pp) % 2 == 0) and np.all((q - qq) % 2 == 0)
+
+
+def dense_sobolev(l, T, tau, taup, N):
+    """Q_{l,T} from its definition: every six-generator word, built densely."""
+    eye = np.eye(2 * N + 1)
+    ops = ([np.kron(X.toarray(), eye) for X in circle_generators(tau, N)]
+           + [np.kron(eye, X.toarray()) for X in circle_generators(taup, N)])
+    Q = np.zeros((len(eye) ** 2,) * 2, dtype=complex)
+    for nu in itertools.product(range(l + 1), repeat=6):
+        if sum(nu) <= l:
+            word = np.eye(len(Q))
+            for op, cnt in zip(ops, nu):
+                word = word @ np.linalg.matrix_power(op, cnt)
+            Q += T ** (2 * (l - sum(nu))) * (word.conj().T @ word)
+    return Q
+
+
+@settings(max_examples=25, deadline=None)
+@given(l=st.integers(0, 3), N=st.integers(1, 4), T=st.floats(0.5, 8.0),
+       tau=st.complex_numbers(max_magnitude=3.0),
+       taup=st.complex_numbers(max_magnitude=3.0))
+@example(l=0, N=3, T=2.5, tau=1j, taup=2j)
+@example(l=1, N=3, T=2.5, tau=0.7, taup=-0.2)
+@example(l=2, N=3, T=2.5, tau=0.0, taup=0.0)
+@example(l=2, N=3, T=2.5, tau=0.5j, taup=1j)
+@example(l=3, N=3, T=2.5, tau=0.3 + 2j, taup=-1j)
+def test_sobolev_matrix_matches_word_definition(l, N, T, tau, taup):
+    # the Kronecker factorization over one-circle word Grams gives the same Q
+    # as the sum over the six-generator words
+    ref = dense_sobolev(l, T, tau, taup, N)
+    got = sobolev_matrix(l, T, tau, taup, N).toarray()
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("T", [np.nan, np.inf, -np.inf, 1e100])
@@ -207,6 +244,12 @@ def test_induced_form_structure():
     ref = spherical_square(tau, taup, lam)
     assert abs(diag - ref) <= 1e-5 * ref
     assert H.k_tail_fraction < 0.2
+
+
+def test_induced_form_refuses_large_truncations():
+    # the dense form would hold (2N+1)^4 complex entries: 1.1 GB at N = 41
+    with pytest.raises(PreconditionError, match="sobolev_trace"):
+        induced_form(2j, 0.0, 0.0, 41, 4)
 
 
 def test_induced_form_monotone_in_output_modes():

@@ -31,8 +31,8 @@ from .specdecomp import (HermitianForm, PairingResult, bump_vector,
                          random_sl2, relative_trace, sobolev_form,
                          sobolev_matrix, sobolev_trace,
                          transformed_kernel_values, weighted_mean_bound)
-from .specfun import (LogGamma, gamma_product_log, gamma_value, log_gamma,
-                      log_gamma_complex, reciprocal_gamma, stirling_modulus)
+from .specfun import (gamma_product_log, gamma_value, log_gamma_complex,
+                      reciprocal_gamma, stirling_modulus)
 from .trilinear import (closed_form_log, closed_form_value, decay_constant,
                         decay_envelope, invariant_functional, mode_element,
                         mode_element_spectral, normalized_decay,

@@ -24,7 +24,6 @@ __all__ = ["CircleFunction", "BiCircleFunction"]
 class CircleFunction:
     coeffs: np.ndarray          # shape (2 max_mode + 1,), index p + max_mode
     max_mode: int
-    evaluator: Optional[Callable] = None
     # energy dropped by the truncation that produced this function, if any
     tail_energy: Optional[float] = None
 
@@ -67,10 +66,6 @@ class CircleFunction:
 
     def l2_norm(self) -> float:
         return float(np.linalg.norm(self.coeffs))
-
-    def mean(self) -> complex:
-        """Average over the circle = coefficient of the zero mode."""
-        return self.coefficient(0)
 
 
 @dataclass

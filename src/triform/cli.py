@@ -28,7 +28,7 @@ from .errors import (NonConvergentError, PoleArgumentError, TriformError)
 from .circlefn import CircleFunction
 from .gaussian import identity_battery
 from .quadrature import QuadratureConfig
-from .specdecomp import _trace_against_sobolev
+from .specdecomp import sobolev_trace
 from .trilinear import (closed_form_log, closed_form_value, decay_constant,
                         decay_envelope_log, normalized_decay,
                         spherical_square, triple_quadrature)
@@ -223,13 +223,12 @@ def cmd_sobolev_trace(args) -> int:
     rows = []
     for T in ladder:
         lam = 1j * args.lam_factor * T
-        rho = _trace_against_sobolev(args.l, T, lam, params, args.max_mode,
-                                     args.k_modes)
+        rho = sobolev_trace(args.l, T, lam, params, args.max_mode, args.k_modes)
         row = {"T": T, "lam_im": args.lam_factor * T, "rho": rho,
                "rho_scaled": rho * T ** (2 * args.l)}
         if args.check_doubling:
-            rho2 = _trace_against_sobolev(args.l, T, lam, params,
-                                          2 * args.max_mode, args.k_modes)
+            rho2 = sobolev_trace(args.l, T, lam, params, 2 * args.max_mode,
+                                 args.k_modes)
             row["rho_doubled_N"] = rho2
             row["doubling_rel_change"] = abs(rho2 - rho) / rho if rho else None
         rows.append(row)

@@ -132,7 +132,7 @@ def radius_moment(n: int, s) -> complex:
     s = complex(s)
     if s.real <= -n:
         raise PreconditionError(f"radius moment needs Re s > -{n}")
-    return np.exp(gamma_product_log([(s + n) / 2], [n / 2]).as_complex)
+    return np.exp(gamma_product_log([(s + n) / 2], [n / 2]))
 
 
 def linear_moment(h_norm: float, s) -> complex:
@@ -142,7 +142,7 @@ def linear_moment(h_norm: float, s) -> complex:
         raise PreconditionError("linear moment needs Re s > -1")
     if not h_norm > 0:
         raise PreconditionError("h_norm must be positive")
-    lg = gamma_product_log([(s + 1) / 2], [0.5]).as_complex
+    lg = gamma_product_log([(s + 1) / 2], [0.5])
     return np.exp(s * math.log(h_norm) + lg)
 
 
@@ -151,7 +151,7 @@ def det_moment(s) -> complex:
     s = complex(s)
     if s.real <= -1:
         raise PreconditionError("determinant moment needs Re s > -1")
-    return np.exp(gamma_product_log([(s + 1) / 2, s / 2 + 1], [0.5]).as_complex)
+    return np.exp(gamma_product_log([(s + 1) / 2, s / 2 + 1], [0.5]))
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +161,7 @@ def det_moment(s) -> complex:
 _SPHERE_AREA = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}
 
 
-def radial_expect(n: int, s, cfg: Optional[QuadratureConfig] = None) -> Estimate:
+def radial_expect(n: int, s) -> Estimate:
     """<r^s, G> on R^n (n <= 3) by half-line quadrature in the radius.
 
     Uses only the elementary sphere areas 2, 2pi, 4pi; the radial integral
@@ -172,7 +172,7 @@ def radial_expect(n: int, s, cfg: Optional[QuadratureConfig] = None) -> Estimate
     s = complex(s)
     if s.real <= -n:
         raise PreconditionError(f"needs Re s > -{n}")
-    cfg = cfg or QuadratureConfig(target_rel_error=1e-12, refinement_levels=8)
+    cfg = QuadratureConfig(target_rel_error=1e-12, refinement_levels=8)
     area = _SPHERE_AREA[n]
 
     def eval_at_level(level):

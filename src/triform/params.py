@@ -47,10 +47,6 @@ class SeriesParam:
             return "complementary"
         return "general"
 
-    @property
-    def is_principal(self) -> bool:
-        return self.series_class == "principal"
-
     @classmethod
     def principal(cls, t: float) -> "SeriesParam":
         return cls(1j * t)

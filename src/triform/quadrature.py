@@ -1,24 +1,17 @@
 """Node families for integrands with endpoint algebraic singularities.
 
-Both schemes produce nodes/weights for integrals over (0, 1) whose integrand
+``unit_nodes`` gives nodes/weights for integrals over (0, 1) whose integrand
 may blow up like x^s, (1-x)^s with Re s > -1 (and may oscillate like x^{i t}):
-
-* ``singularity_split`` -- double-exponential (tanh-sinh) transform.  The
-  domain is split along singular lines by the caller; the transform then
-  clusters nodes doubly-exponentially at both endpoints.
-* ``graded_mesh``      -- geometric panels refined toward both endpoints with
-  a fixed-order Gauss-Legendre rule per panel.
-
-Nodes are returned together with 1 - x computed without cancellation, since
-integrands need both x and 1 - x accurately at the clustered ends.
+the double-exponential (tanh-sinh) transform, which clusters nodes
+doubly-exponentially at both endpoints once the caller has split the domain
+along its singular lines.  Nodes are returned together with 1 - x computed
+without cancellation, since integrands need both x and 1 - x accurately at
+the clustered ends.
 
 ``_exp_sinh`` is the half-line family of the Gaussian radial oracles.
 
 Refinement is by an integer level; ``refine_until`` compares successive
 levels (a-posteriori error = |last - previous| with a safety factor).
-``reused_positions`` names the nodes a level shares with the level before
-(tanh-sinh: every other one, at half the weight), so a caller can keep the
-previous level's sum and evaluate only the new nodes.
 """
 
 import math
@@ -30,10 +23,7 @@ import numpy as np
 from .errors import NonConvergentError
 from .estimate import Estimate
 
-__all__ = ["QuadratureConfig", "unit_nodes", "reused_positions", "refine_until",
-           "ERROR_SAFETY"]
-
-SCHEMES = ("singularity_split", "graded_mesh")
+__all__ = ["QuadratureConfig", "unit_nodes", "refine_until", "ERROR_SAFETY"]
 
 # a-posteriori error bounds are |last - previous| times this factor
 ERROR_SAFETY = 4.0
@@ -41,17 +31,13 @@ ERROR_SAFETY = 4.0
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    scheme: str = "singularity_split"
-    points_per_panel: int = 12
     refinement_levels: int = 6
     target_rel_error: float = 1e-6
 
     def __post_init__(self):
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"scheme must be one of {SCHEMES}")
         if not self.target_rel_error > 0:
             raise ValueError("target_rel_error must be > 0")
-        if self.points_per_panel < 2 or self.refinement_levels < 1:
+        if self.refinement_levels < 1:
             raise ValueError("invalid quadrature budget")
 
 
@@ -86,54 +72,16 @@ def _exp_sinh(level: int):
     return r[keep], w[keep]
 
 
-@lru_cache(maxsize=64)
-def _graded_gauss(level: int, points: int):
-    """Geometric panels toward both endpoints, Gauss-Legendre inside."""
-    ratio = 0.15
-    nlev = 10 + 5 * level
-    gx, gw = np.polynomial.legendre.leggauss(points)
-    gx = 0.5 * (gx + 1.0)        # to (0,1)
-    gw = 0.5 * gw
-    # breakpoints on (0, 1/2]: 0, r^nlev/2, ..., r/2, 1/2
-    brk = 0.5 * ratio ** np.arange(nlev, -1, -1)
-    brk = np.concatenate(([0.0], brk))
-    xs, oms, ws = [], [], []
-    for a, b in zip(brk[:-1], brk[1:]):
-        x = a + (b - a) * gx
-        xs.append(x)
-        oms.append(1.0 - x)
-        ws.append((b - a) * gw)
-    x_left = np.concatenate(xs)
-    om_left = np.concatenate(oms)
-    w_left = np.concatenate(ws)
-    # mirror for (1/2, 1): 1 - x computed exactly as the mirrored node
-    x = np.concatenate([x_left, 1.0 - x_left])
-    omx = np.concatenate([om_left, x_left])
-    w = np.concatenate([w_left, w_left])
-    return x, omx, w
+def unit_nodes(scheme: str, level: int):
+    """Nodes (x, 1-x, weights) on (0,1) of the tanh-sinh rule at ``level``.
 
-
-def unit_nodes(scheme: str, level: int, points_per_panel: int = 12):
-    """Nodes (x, 1-x, weights) on (0,1) for the requested scheme and level."""
-    if scheme == "singularity_split":
-        return _tanh_sinh(level)
-    if scheme == "graded_mesh":
-        return _graded_gauss(level, points_per_panel)
-    raise ValueError(f"unknown scheme {scheme!r}")
-
-
-def reused_positions(scheme: str, level: int) -> np.ndarray:
-    """Positions of the level-``level`` nodes that level - 1 has too.
-
-    ``singularity_split`` halves its step per level, so its even positions
-    hold level - 1's nodes bit for bit, each with exactly half its old
-    weight.  ``graded_mesh`` moves its panels with the level: none.
+    ``scheme`` must be "singularity_split".  The levels are nested: the step
+    halves per level, so level - 1's nodes are level's even positions bit for
+    bit, each at twice the weight.
     """
-    if scheme == "singularity_split":
-        return np.arange(0, len(_tanh_sinh(level)[0]), 2)
-    if scheme == "graded_mesh":
-        return np.empty(0, dtype=np.intp)
-    raise ValueError(f"unknown scheme {scheme!r}")
+    if scheme != "singularity_split":
+        raise ValueError(f"unknown scheme {scheme!r}")
+    return _tanh_sinh(level)
 
 
 def refine_until(eval_at_level, cfg: QuadratureConfig, method: str,

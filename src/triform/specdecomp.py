@@ -74,8 +74,7 @@ def random_sl2(rng: np.random.Generator, max_norm: float = 2.0) -> np.ndarray:
     return r1 @ np.diag([sigma, 1.0 / sigma]) @ r2
 
 
-def group_action(g, lam, f: CircleFunction, oversample: int = 8,
-                 tail_budget: float = 0.01) -> CircleFunction:
+def group_action(g, lam, f: CircleFunction) -> CircleFunction:
     """pi_lam(g) f in the circle model, truncated back to f.max_mode.
 
     The action on the homogeneous extension is
@@ -83,9 +82,9 @@ def group_action(g, lam, f: CircleFunction, oversample: int = 8,
     circle with v = g^{-1} (cos t, sin t) this is
     |v|^{lam-1} f(angle v) |det g|^{(lam-1)/2}.
 
-    The result is sampled on an oversampled grid and transformed back; energy
-    beyond the truncation is reported in the output's ``tail_energy`` field
-    and must stay within ``tail_budget`` of the total.
+    The result is sampled on a grid 8x finer than the output modes need and
+    transformed back; energy beyond the truncation is reported in the
+    output's ``tail_energy`` field and must stay within 1% of the total.
     """
     g = np.asarray(g, dtype=float)
     z = _as_complex(lam)
@@ -94,7 +93,7 @@ def group_action(g, lam, f: CircleFunction, oversample: int = 8,
         raise ValueError("group element must be invertible")
     h = np.linalg.inv(g)
     n_out = f.max_mode
-    m = max(256, oversample * (2 * n_out + 2))
+    m = max(256, 8 * (2 * n_out + 2))
     theta = np.linspace(0.0, 2.0 * np.pi, m, endpoint=False)
     v = h @ np.vstack([np.cos(theta), np.sin(theta)])
     r = np.hypot(v[0], v[1])
@@ -106,9 +105,9 @@ def group_action(g, lam, f: CircleFunction, oversample: int = 8,
     total = float(np.sum(np.abs(spec) ** 2))
     kept = float(np.sum(np.abs(c) ** 2))
     tail = max(total - kept, 0.0)
-    if total > 0 and tail > tail_budget * total:
+    if total > 0 and tail > 0.01 * total:
         raise TruncationOverflowError(
-            f"tail energy fraction {tail / total:.3g} exceeds {tail_budget}")
+            f"tail energy fraction {tail / total:.3g} exceeds 0.01")
     return CircleFunction(c, n_out, tail_energy=tail)
 
 
@@ -153,19 +152,15 @@ class HermitianForm:
         if self.matrix.ndim != 2 or self.matrix.shape[0] != self.matrix.shape[1]:
             raise ValueError("form matrix must be square")
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
     def hermiticity_defect(self) -> float:
         return float(np.max(np.abs(self.matrix - self.matrix.conj().T)))
 
     def min_eigenvalue(self) -> float:
         return float(np.min(sla.eigvalsh(self.matrix)))
 
-    def is_psd(self, tol_factor: float = 1e-10) -> bool:
+    def is_psd(self) -> bool:
         tr = float(np.real(np.trace(self.matrix)))
-        return self.min_eigenvalue() >= -tol_factor * max(tr, 1e-300)
+        return self.min_eigenvalue() >= -1e-10 * max(tr, 1e-300)
 
     def __call__(self, vec: np.ndarray) -> float:
         vec = np.asarray(vec, dtype=complex).ravel()
@@ -208,12 +203,14 @@ def sobolev_matrix(l: int, T: float, tau, tau_prime, N: int) -> sp.csc_matrix:
 
     l + 1 Kronecker products of banded (2N+1)-dimensional matrices.
     Raises NonFiniteError for a NaN or infinite T, or one whose T^(2l)
-    overflows.
+    overflows, and PreconditionError for l < 0, T <= 0 or N < 0.
     """
     if not np.isfinite(T):
         raise NonFiniteError(f"T must be finite, got {T}")
     if l < 0 or T <= 0:
         raise PreconditionError("need l >= 0 and T > 0")
+    if N < 0:
+        raise PreconditionError(f"need N >= 0, got N = {N}")
     if 2 * l * np.log(T) > np.log(np.finfo(float).max):
         raise NonFiniteError(f"T^(2l) overflows at T = {T}, l = {l}")
     G = _word_grams(tau, N, l)
@@ -225,7 +222,13 @@ def sobolev_matrix(l: int, T: float, tau, tau_prime, N: int) -> sp.csc_matrix:
 
 
 def sobolev_form(l: int, T: float, params: Tuple, N: int) -> HermitianForm:
-    """Dense Sobolev form on the truncated bi-circle basis."""
+    """Dense Sobolev form on the truncated bi-circle basis.
+
+    N > 40 raises PreconditionError (the dense matrix has (2N+1)^4 entries).
+    """
+    if N > 40:
+        raise PreconditionError("dense Sobolev form is limited to N <= 40; "
+                                "use sobolev_trace for large truncations")
     tau, tau_prime = params
     return HermitianForm(sobolev_matrix(l, T, tau, tau_prime, N).toarray(), N)
 
@@ -240,6 +243,10 @@ def _mode_rows(lam, tau, tau_prime, N: int, K_modes: int):
     flattened positions are ``idx`` and values ``vals``.  All rows share one
     set of |sin|^s series; each row keeps its own convolution cutoff.
     """
+    if K_modes < 0:
+        raise PreconditionError(f"need K_modes >= 0, got K_modes = {K_modes}")
+    if N < 0:
+        raise PreconditionError(f"need N >= 0, got N = {N}")
     if K_modes % 2 != 0:
         raise ValueError("K_modes must be even")
     n1 = 2 * N + 1
@@ -276,12 +283,12 @@ def induced_form(lam, tau, tau_prime, N: int, K_modes: int) -> HermitianForm:
     return HermitianForm(H, N, k_tail_fraction=edge / total if total > 0 else 0.0)
 
 
-def relative_trace(H, Q, check: bool = True, rtol: float = 1e-10) -> float:
+def relative_trace(H, Q) -> float:
     """tr(H | Q): trace of H in any Q-orthonormal basis = tr(Q^{-1} H).
 
-    Computed by a triangular (Cholesky) factorization; when ``check`` is on,
-    an independent Q-eigenbasis evaluation must agree to ``rtol``.
-    Q must be positive definite.
+    Computed by a triangular (Cholesky) factorization; an independent
+    Q-eigenbasis evaluation must agree to a relative 1e-10, or
+    ArithmeticError is raised.  Q must be positive definite.
     """
     Hm = H.matrix if isinstance(H, HermitianForm) else np.asarray(H, dtype=complex)
     Qm = Q.matrix if isinstance(Q, HermitianForm) else np.asarray(Q, dtype=complex)
@@ -292,14 +299,13 @@ def relative_trace(H, Q, check: bool = True, rtol: float = 1e-10) -> float:
     R = sla.solve_triangular(L, Hm, lower=True)
     S = sla.solve_triangular(L, R.conj().T, lower=True)
     tri = float(np.real(np.trace(S)))
-    if check:
-        d, U = sla.eigh(Qm)
-        if d.min() <= 0:
-            raise NotPositiveDefiniteError("Q has a nonpositive eigenvalue")
-        eig = float(np.real(np.sum(np.einsum("ij,jk,ki->i", U.conj().T, Hm, U) / d)))
-        if abs(tri - eig) > rtol * max(abs(tri), abs(eig), 1e-300):
-            raise ArithmeticError(
-                f"relative-trace algorithms disagree: {tri} vs {eig}")
+    d, U = sla.eigh(Qm)
+    if d.min() <= 0:
+        raise NotPositiveDefiniteError("Q has a nonpositive eigenvalue")
+    eig = float(np.real(np.sum(np.einsum("ij,jk,ki->i", U.conj().T, Hm, U) / d)))
+    if abs(tri - eig) > 1e-10 * max(abs(tri), abs(eig), 1e-300):
+        raise ArithmeticError(
+            f"relative-trace algorithms disagree: {tri} vs {eig}")
     return tri
 
 
@@ -308,8 +314,17 @@ def relative_trace(H, Q, check: bool = True, rtol: float = 1e-10) -> float:
 _SOLVE_BLOCK = 8
 
 
-def _trace_against_sobolev(l: int, T: float, lam, params: Tuple, N: int,
-                           K_modes: int) -> float:
+def sobolev_trace(l: int, T: float, lam, params: Tuple, N: int,
+                  K_modes: int) -> float:
+    """tr(H_induced | Q_{l,T}) without forming the dense induced form.
+
+    Uses the Gram structure: tr(Q^{-1} H) = sum_k row_k Q^{-1} row_k^*.  Q is
+    factored once (sparse LU without pivoting, symmetric minimum-degree
+    ordering; Q is Hermitian and bounded below by T^(2l)) and the rows are
+    solved in blocks of right-hand sides.  Matches
+    relative_trace(induced_form(...), sobolev_form(...)) on small truncations.
+    Any l >= 0 is computed; the T^(-2l) floor statement concerns l >= 2.
+    """
     tau, tau_prime = params
     Q = sobolev_matrix(l, T, tau, tau_prime, N)
     # Q is Hermitian with Q >= T^(2l) I, so the diagonal pivots need no
@@ -329,22 +344,6 @@ def _trace_against_sobolev(l: int, T: float, lam, params: Tuple, N: int,
     return rho
 
 
-def sobolev_trace(l: int, T: float, lam, params: Tuple, N: int,
-                  K_modes: int) -> float:
-    """tr(H_induced | Q_{l,T}) without forming the dense induced form.
-
-    Uses the Gram structure: tr(Q^{-1} H) = sum_k row_k Q^{-1} row_k^*.  Q is
-    factored once (sparse LU without pivoting, symmetric minimum-degree
-    ordering; Q is Hermitian and bounded below by T^(2l)) and the rows are
-    solved in blocks of right-hand sides.  Matches
-    relative_trace(induced_form(...), sobolev_form(...)) on small truncations.
-    The T^{-2l} floor statement is about l >= 2, which is enforced here.
-    """
-    if l < 2:
-        raise PreconditionError("the localized trace bound needs l >= 2")
-    return _trace_against_sobolev(l, T, lam, params, N, K_modes)
-
-
 # ---------------------------------------------------------------------------
 # bump vectors and kernel pairings
 # ---------------------------------------------------------------------------
@@ -352,7 +351,7 @@ def sobolev_trace(l: int, T: float, lam, params: Tuple, N: int,
 # profile steepness: balances the spectral core width against the
 # support-edge tail at the resolvable frequency budget (2N) * r = 8
 _BUMP_SHARPNESS = 4.0
-_DEFAULT_CENTER = (np.pi / 3.0, 2.0 * np.pi / 3.0)
+_BUMP_CENTER = (np.pi / 3.0, 2.0 * np.pi / 3.0)
 
 
 def _bump_profile(rho2: np.ndarray, a: float) -> np.ndarray:
@@ -377,14 +376,13 @@ def _profile_moments(a: float):
     return i1, i2
 
 
-def bump_vector(T: float, N: int, center: Tuple[float, float] = _DEFAULT_CENTER,
-                sharpness: float = _BUMP_SHARPNESS) -> BiCircleFunction:
+def bump_vector(T: float, N: int) -> BiCircleFunction:
     """Smooth nonnegative bump on the bi-circle, localized at scale 1/(100 T).
 
     Supported (before truncation) in the disc of radius 1/(100 T) around
-    ``center`` (and its antipodal copies, as the function is even-even), with
-    unit total mass  integral u dx dy = 1  over [0, 2pi)^2 in plain measure
-    and squared norm well below 1e5 T^2.
+    (pi/3, 2pi/3) (and its antipodal copies, as the function is even-even),
+    with unit total mass  integral u dx dy = 1  over [0, 2pi)^2 in plain
+    measure and squared norm well below 1e5 T^2.
 
     Fourier coefficients are computed by FFT when the truncation is moderate;
     for very large N only the analytic evaluator is stored (coeffs = None).
@@ -396,10 +394,10 @@ def bump_vector(T: float, N: int, center: Tuple[float, float] = _DEFAULT_CENTER,
         raise InsufficientTruncationError(
             f"need N >= 400 T = {400 * T:.0f} to resolve scale 1/(100 T), got {N}")
     r = 1.0 / (100.0 * T)
-    a = sharpness
+    a = _BUMP_SHARPNESS
     i1, i2 = _profile_moments(a)
     amp = 0.25 / (r * r * i1)          # per-copy mass 1/4
-    x0, y0 = center
+    x0, y0 = _BUMP_CENTER
 
     def evaluator(x, y):
         dx = np.mod(np.asarray(x, dtype=float) - x0 + np.pi / 2, np.pi) - np.pi / 2
@@ -476,6 +474,10 @@ def transformed_kernel_values(g1, g2, z: float, params: Tuple, x, y):
     return vals
 
 
+# Gauss-Legendre points per axis of the coarse pairing rule
+_PAIRING_GRID = 48
+
+
 @dataclass(frozen=True)
 class PairingResult:
     value: float            # |<Pi(g) f, u>| in plain measure
@@ -485,15 +487,14 @@ class PairingResult:
 
 
 def kernel_bump_pairing(g1, g2, z: float, T: float, params: Tuple, N: int,
-                        bump: Optional[BiCircleFunction] = None,
-                        n_grid: int = 48) -> PairingResult:
+                        bump: Optional[BiCircleFunction] = None) -> PairingResult:
     """|<Pi(g1,g2) f_z, u>| for the localized bump u, plain-measure pairing.
 
     The bump and the transformed kernel are both even-even (pi-periodic in
     each angle), so the full bi-circle pairing equals the integral of the
     transformed kernel against a single unit-mass copy of the bump; that
-    integral is taken with a tensor Gauss-Legendre rule over the support box
-    and refined once for an error estimate.
+    integral is taken with a 48-point tensor Gauss-Legendre rule over the
+    support box and refined once, to 96 points, for an error estimate.
     """
     u = bump if bump is not None else bump_vector(T, N)
     r = u.support_radius
@@ -510,9 +511,9 @@ def kernel_bump_pairing(g1, g2, z: float, T: float, params: Tuple, N: int,
         pair = np.einsum("i,j,ij->", wx, wx, fvals * uvals)
         return pair, fvals
 
-    p1, fvals1 = integrate(n_grid)
-    p2, fvals = integrate(2 * n_grid)
-    dx = 2.0 * r / (2 * n_grid - 1)
+    p1, _ = integrate(_PAIRING_GRID)
+    p2, fvals = integrate(2 * _PAIRING_GRID)
+    dx = 2.0 * r / (2 * _PAIRING_GRID - 1)
     gx_, gy_ = np.gradient(fvals, dx, dx)
     grad_max = float(np.max(np.abs(np.sqrt(np.abs(gx_) ** 2 + np.abs(gy_) ** 2))))
     return PairingResult(value=float(abs(p2)),
@@ -522,9 +523,9 @@ def kernel_bump_pairing(g1, g2, z: float, T: float, params: Tuple, N: int,
 
 
 def pairing_search(T: float, params: Tuple, N: int, n_random: int = 12,
-                   seed: int = 7, z: float = 0.0,
-                   bump: Optional[BiCircleFunction] = None):
-    """Probe the identity plus random elements of the norm <= 2 region.
+                   seed: int = 7, bump: Optional[BiCircleFunction] = None):
+    """Probe the identity plus random elements of the norm <= 2 region, for
+    the kernel at z = 0.
 
     Returns a list of (g1, g2, PairingResult); the identity pair comes first.
     """
@@ -536,22 +537,22 @@ def pairing_search(T: float, params: Tuple, N: int, n_random: int = 12,
         probes.append((random_sl2(rng), random_sl2(rng)))
     out = []
     for g1, g2 in probes:
-        res = kernel_bump_pairing(g1, g2, z, T, params, N, bump=u)
+        res = kernel_bump_pairing(g1, g2, 0.0, T, params, N, bump=u)
         out.append((g1, g2, res))
     return out
 
 
 def weighted_mean_bound(u: np.ndarray, h: np.ndarray,
-                        weights: Optional[np.ndarray] = None,
-                        tol: float = 1e-9) -> float:
+                        weights: Optional[np.ndarray] = None) -> float:
     """|sum h u d(nu)| under the localization hypotheses, verified numerically.
 
     Hypotheses on the sampled data (measure weights d(nu)):
       (i)  u >= 0 with unit mass  sum u d(nu) = 1,
       (ii) sup |h| >= 1 and variation sup |h(s) - h(s')| <= 1/2.
     Under these the weighted mean cannot drop below sup|h| - Var >= 1/2.
-    Raises PreconditionError when a hypothesis fails.
+    Raises PreconditionError when a hypothesis fails by more than 1e-9.
     """
+    tol = 1e-9
     u = np.asarray(u, dtype=float)
     h = np.asarray(h, dtype=complex)
     nu = np.ones_like(u) if weights is None else np.asarray(weights, dtype=float)

@@ -3,30 +3,27 @@
 Everything downstream (closed forms, Fourier coefficients of |sin|^s, Gaussian
 moment identities) is assembled in log space from the two primitives here:
 
-* ``log_gamma`` -- log Gamma on the strip Re z in [-10, 50] (and far beyond on
-  the right), via the asymptotic Stirling series with Bernoulli-number
-  coefficients, pushed into its validity region Re z >= 10 by the recurrence
-  Gamma(z+1) = z Gamma(z).  No external special-function library is used, so
-  results are reproducible bit-for-bit.
+* ``log_gamma_complex`` -- log Gamma on the strip Re z in [-10, 50] (and far
+  beyond on the right), via the asymptotic Stirling series with
+  Bernoulli-number coefficients, pushed into its validity region Re z >= 10
+  by the recurrence Gamma(z+1) = z Gamma(z).  No external special-function
+  library is used, so results are reproducible bit-for-bit.
 * ``stirling_modulus`` -- the classical modulus envelope
   sqrt(2 pi) exp(-pi |t| / 2) |t|^(sigma - 1/2) of Gamma(sigma + i t).
 
-The phase returned by ``log_gamma`` is accumulated along the evaluation path
-(series value plus recurrence logs) and is never reduced mod 2 pi, so it is
-continuous in t along vertical lines away from the poles.
+The phase (imaginary part) returned by ``log_gamma_complex`` is accumulated
+along the evaluation path (series value plus recurrence logs) and is never
+reduced mod 2 pi, so it is continuous in t along vertical lines away from
+the poles.
 """
 
 import cmath
 import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DomainTooSmallError, PoleArgumentError
 
 __all__ = [
-    "LogGamma",
-    "log_gamma",
     "log_gamma_complex",
     "gamma_value",
     "reciprocal_gamma",
@@ -55,22 +52,6 @@ _POLE_TOL = 1e-14
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
-@dataclass(frozen=True)
-class LogGamma:
-    """log Gamma split into real log-modulus and accumulated phase (radians)."""
-
-    log_modulus: float
-    phase: float
-
-    @property
-    def as_complex(self) -> complex:
-        return complex(self.log_modulus, self.phase)
-
-    @property
-    def gamma(self) -> complex:
-        return cmath.exp(self.as_complex)
-
-
 def _is_pole(z):
     """Whether z lies within _POLE_TOL of a pole; elementwise for arrays."""
     n = np.rint(z.real)     # a ufunc: np.round costs ~5 us on a scalar
@@ -90,7 +71,8 @@ def _stirling_series(z):
 
 
 def log_gamma_complex(z) -> complex:
-    """log Gamma(z) as one complex number (Im = accumulated phase)."""
+    """log Gamma(z) as one complex number (Im = accumulated phase); raises
+    PoleArgumentError within 1e-14 of a pole."""
     z = complex(z)
     if _is_pole(z):
         raise PoleArgumentError(z)
@@ -101,12 +83,6 @@ def log_gamma_complex(z) -> complex:
     for k in range(m):
         shift += cmath.log(z + k)
     return complex(_stirling_series(z + m) - shift)
-
-
-def log_gamma(z) -> LogGamma:
-    """log Gamma(z); raises PoleArgumentError within 1e-14 of a pole."""
-    val = log_gamma_complex(z)
-    return LogGamma(log_modulus=val.real, phase=val.imag)
 
 
 def gamma_value(z) -> complex:
@@ -152,8 +128,9 @@ def stirling_modulus(sigma: float, t: float) -> float:
     return math.exp(logv)
 
 
-def gamma_product_log(numerator, denominator) -> LogGamma:
-    """log of prod Gamma(numerator_i) / prod Gamma(denominator_j).
+def gamma_product_log(numerator, denominator) -> complex:
+    """log of prod Gamma(numerator_i) / prod Gamma(denominator_j), as one
+    complex number (log modulus + i accumulated phase).
 
     Pole errors are re-raised with the offending factor identified.
     """
@@ -168,4 +145,4 @@ def gamma_product_log(numerator, denominator) -> LogGamma:
             total -= log_gamma_complex(z)
         except PoleArgumentError:
             raise PoleArgumentError(complex(z), factor=f"denominator[{i}]") from None
-    return LogGamma(log_modulus=total.real, phase=total.imag)
+    return total

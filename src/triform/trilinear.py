@@ -18,8 +18,8 @@
   polynomial), leaving a 2-D integral over (a, b) with |sin|^(Re s) lines
   a = 0, b = 0, a = b (mod pi).  Transposition and reflection fold the square
   onto one half-triangle, rescaled so every singular corner becomes an
-  endpoint of the configured node family.  Each refinement level is one pass
-  over it; with nested (tanh-sinh) nodes a level adds only the nodes the
+  endpoint of the tanh-sinh node family.  Each refinement level is one pass
+  over it; the levels are nested, so a level adds only the nodes the
   previous level lacked to that level's sum.  No Gamma function enters.
 
 * ``mode_element`` / ``mode_element_spectral`` -- matrix elements of the
@@ -45,8 +45,7 @@ from .errors import (DomainTooSmallError, NonFiniteError, PoleArgumentError,
                      PreconditionError)
 from .estimate import Estimate
 from .params import _as_complex, exponents
-from .quadrature import (QuadratureConfig, refine_until, reused_positions,
-                         unit_nodes)
+from .quadrature import QuadratureConfig, refine_until, unit_nodes
 from .specfun import (gamma_product_log, log_gamma_array, log_gamma_complex,
                       reciprocal_gamma)
 
@@ -79,8 +78,7 @@ _BLOCK_NODES = 1 << 13   # nodes per block of rows; bounds the temporaries
 # the rotation-invariant functional on homogeneous degree -2 functions
 # ---------------------------------------------------------------------------
 
-def invariant_functional(f: Callable, contour="unit_circle",
-                         cfg: Optional[QuadratureConfig] = None) -> Estimate:
+def invariant_functional(f: Callable, contour="unit_circle") -> Estimate:
     """Contour integral (1/2pi) oint f (x dy - y dx) of a degree -2 function.
 
     Normalized so that f = 1/(x^2+y^2) gives exactly 1; the value does not
@@ -88,7 +86,7 @@ def invariant_functional(f: Callable, contour="unit_circle",
     either "unit_circle" or ("ellipse", a, b).  The integrand is smooth and
     periodic, so the trapezoid rule converges spectrally under doubling.
     """
-    cfg = cfg or QuadratureConfig(target_rel_error=1e-12, refinement_levels=10)
+    cfg = QuadratureConfig(target_rel_error=1e-12, refinement_levels=10)
     if contour == "unit_circle":
         a = b = 1.0
     elif isinstance(contour, tuple) and len(contour) == 3 and contour[0] == "ellipse":
@@ -123,14 +121,13 @@ def closed_form_log(l1, l2, l3) -> complex:
     dnames = ["Gamma(1/2)"] * 3 + ["Gamma((1-l1)/2)", "Gamma((1-l2)/2)",
                                    "Gamma((1-l3)/2)"]
     try:
-        lg = gamma_product_log(num, den)
+        return gamma_product_log(num, den)
     except PoleArgumentError as exc:
         # re-identify the factor by position
         side, idx = exc.factor.split("[")
         idx = int(idx.rstrip("]"))
         name = names[idx] if side == "numerator" else dnames[idx]
         raise PoleArgumentError(exc.z, factor=name) from None
-    return lg.as_complex
 
 def closed_form_value(l1, l2, l3) -> Estimate:
     """Spherical value of the functional; error bound from Gamma tolerance only."""
@@ -287,7 +284,7 @@ def triple_quadrature(f1: CircleFunction, f2: CircleFunction, f3: CircleFunction
     is one pass over the folded half-triangle that evaluates only the nodes
     the level before lacked; ``cost`` counts the nodes evaluated.
     Deterministic for a fixed config: the node sets and the summation order
-    are functions of (scheme, level) only.  Raises NonFiniteError on a
+    are functions of the level only.  Raises NonFiniteError on a
     non-finite Fourier coefficient or parameter.
     """
     cfg = cfg or QuadratureConfig()
@@ -306,18 +303,19 @@ def triple_quadrature(f1: CircleFunction, f2: CircleFunction, f3: CircleFunction
 
     def eval_at_level(level):
         nonlocal raw
-        x, omx, w = unit_nodes(cfg.scheme, level, cfg.points_per_panel)
-        old = reused_positions(cfg.scheme, level) if level > _START_LEVEL else []
-        new = np.delete(np.arange(len(x)), old)
+        x, omx, w = unit_nodes("singularity_split", level)
+        # level - 1's nodes are the even positions: each keeps its value and
+        # half its old weight on each axis
+        pos = np.arange(len(x))
+        old, new = (pos[0::2], pos[1::2]) if level > _START_LEVEL else (pos[:0], pos)
         d, wd = (np.pi / 2.0) * x, (np.pi / 2.0) * w
-        # a reused node keeps its value and half its old weight on each axis
-        raw = ((raw / 4.0 if len(old) else 0.0)
+        raw = (raw / 4.0
                + _folded_sum(powers, modes, d[new], wd[new], x, omx, w)
                + _folded_sum(powers, modes, d[old], wd[old],
                              x[new], omx[new], w[new]))
         return raw / np.pi ** 2, 2 * len(new) * len(x) + 2 * len(old) * len(new)
 
-    return refine_until(eval_at_level, cfg, method=f"triple/{cfg.scheme}",
+    return refine_until(eval_at_level, cfg, method="triple/singularity_split",
                         start_level=_START_LEVEL)
 
 
@@ -478,12 +476,11 @@ def spectral_mode_values(pairs, l1, l2, l3, jmax: Optional[int] = None) -> np.nd
     return _spectral_batches([pairs], l1, l2, l3, jmax)[0]
 
 
-def mode_element_spectral(m: int, n: int, k: int, l1, l2, l3,
-                          jmax: Optional[int] = None) -> Estimate:
+def mode_element_spectral(m: int, n: int, k: int, l1, l2, l3) -> Estimate:
     """Spectral-backend matrix element; agrees with ``mode_element``."""
     zero = _vanishing_element(m, n, k)
     if zero is not None:
         return zero
-    v1 = spectral_mode_values([(m // 2, n // 2)], l1, l2, l3, jmax=jmax)[0]
+    v1 = spectral_mode_values([(m // 2, n // 2)], l1, l2, l3)[0]
     return Estimate(complex(v1), error_bound=1e-7 * max(1.0, abs(v1)),
-                    method="spectral-convolution", cost=2 * (jmax or 2000))
+                    method="spectral-convolution", cost=4000)

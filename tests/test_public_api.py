@@ -1,9 +1,5 @@
-"""The public API is the only way in: tests and demos import no private names.
-
-The CLI imports exactly one, ``_trace_against_sobolev``, which runs
-``sobolev-trace --l 0`` and ``--l 1`` below the l >= 2 guard of the public
-``sobolev_trace``.
-"""
+"""The public API is the only way in: the CLI, tests and demos import no
+private names."""
 
 import ast
 from pathlib import Path
@@ -11,7 +7,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted([*(ROOT / "tests").glob("*.py"), *(ROOT / "demos").glob("*.py")])
 CLI = ROOT / "src" / "triform" / "cli.py"
-CLI_EXCEPTION = "_trace_against_sobolev"
 
 
 def private_imports(source: str) -> list:
@@ -36,7 +31,7 @@ def private_imports(source: str) -> list:
 
 
 def test_detector_flags_private_imports():
-    assert private_imports("from triform.specdecomp import _trace_against_sobolev")
+    assert private_imports("from triform.specdecomp import _spectral_batches")
     assert private_imports("from triform import _x, y")
     assert private_imports("import triform._private")
     assert not private_imports("from triform import __version__, sobolev_trace")
@@ -54,6 +49,5 @@ def test_tests_and_demos_import_no_private_names():
     assert {k: v for k, v in offenders.items() if v} == {}
 
 
-def test_cli_imports_only_the_documented_private_name():
-    found = private_imports(CLI.read_text(encoding="utf-8"))
-    assert [f.split(": ")[1] for f in found] == [CLI_EXCEPTION]
+def test_cli_imports_no_private_names():
+    assert private_imports(CLI.read_text(encoding="utf-8")) == []

@@ -212,10 +212,11 @@ def test_relative_trace_trivials(rng):
 
 
 def test_relative_trace_two_algorithms_agree(rng):
-    # check=True cross-validates the Cholesky and eigenbasis routes to 1e-10
+    # relative_trace cross-validates the Cholesky and eigenbasis routes to
+    # 1e-10 on every call
     for _ in range(10):
         n = int(rng.integers(3, 24))
-        relative_trace(random_pd(rng, n), random_pd(rng, n), check=True)
+        relative_trace(random_pd(rng, n), random_pd(rng, n))
 
 
 def test_relative_trace_rejects_indefinite(rng):
@@ -317,9 +318,31 @@ def test_sobolev_trace_l_scaling():
     assert 0.125 <= drop <= 0.5      # T^-2 drop of 1/4, within a factor 2
 
 
-def test_sobolev_trace_requires_l2():
+def test_sobolev_trace_allows_l0_refuses_negative_l():
+    # Q_{0,T} is the identity, so the relative trace is the plain trace
+    rho = sobolev_trace(0, 2.0, 2j, (0.0, 0.0), 6, 4)
+    tr = float(np.real(np.trace(induced_form(2j, 0.0, 0.0, 6, 4).matrix)))
+    assert abs(rho - tr) <= 1e-12 * tr
     with pytest.raises(PreconditionError):
-        sobolev_trace(1, 2.0, 2j, (0.0, 0.0), 6, 4)
+        sobolev_trace(-1, 2.0, 2j, (0.0, 0.0), 6, 4)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: sobolev_trace(2, 2.0, 2j, (0.0, 0.0), -1, 4), "N"),
+    (lambda: sobolev_trace(2, 2.0, 2j, (0.0, 0.0), 4, -2), "K_modes"),
+    (lambda: induced_form(2j, 0.0, 0.0, 4, -2), "K_modes"),
+    (lambda: induced_form(2j, 0.0, 0.0, -1, 4), "N"),
+    (lambda: sobolev_form(2, 2.0, (0.0, 0.0), -1), "N")],
+    ids=["trace_N", "trace_K", "induced_K", "induced_N", "sobolev_N"])
+def test_negative_truncations_are_refused(call, name):
+    with pytest.raises(PreconditionError, match=f"need {name} >= 0"):
+        call()
+
+
+def test_sobolev_form_refuses_large_truncations():
+    # (2N+1)^4 complex entries: 26 GB at N = 100, 1.1 GB at N = 41
+    with pytest.raises(PreconditionError, match="sobolev_trace"):
+        sobolev_form(2, 2.0, (0.0, 0.0), 41)
 
 
 # ---------------------------------------------------------------------------

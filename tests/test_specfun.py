@@ -15,8 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from triform import (DomainTooSmallError, PoleArgumentError, gamma_product_log,
-                     gamma_value, log_gamma, log_gamma_complex,
-                     reciprocal_gamma, stirling_modulus)
+                     gamma_value, log_gamma_complex, reciprocal_gamma,
+                     stirling_modulus)
 from triform.specfun import log_gamma_array
 
 mpmath.mp.dps = 50
@@ -31,8 +31,7 @@ def mp_loggamma(z):
 
 
 def test_gamma_at_one():
-    res = log_gamma(1.0)
-    assert abs(res.log_modulus) < 1e-13
+    assert abs(log_gamma_complex(1.0).real) < 1e-13
     assert abs(gamma_value(1.0) - 1.0) < 1e-13
 
 
@@ -93,7 +92,7 @@ def test_pole_detection_both_paths(pole):
 def test_pole_detection():
     for z in (0.0, -1.0, -7.0, -3.0 + 1e-15j):
         with pytest.raises(PoleArgumentError):
-            log_gamma(z)
+            log_gamma_complex(z)
     assert reciprocal_gamma(0.0) == 0.0
     assert reciprocal_gamma(-4.0) == 0.0
     assert abs(reciprocal_gamma(2.0) - 1.0) < 1e-13
@@ -135,7 +134,7 @@ def test_stirling_examples():
                                      * (1 + math.exp(-2 * math.pi * t))))
         ratio = exact / stirling_modulus(0.5, t)
         assert abs(ratio - 1.0) <= tol
-    # sigma = 2 via our log_gamma as the oracle
+    # sigma = 2 via our log_gamma_complex as the oracle
     exact = abs(gamma_value(2.0 + 50j))
     assert abs(exact / stirling_modulus(2.0, 50.0) - 1.0) <= 2e-2
 
@@ -156,18 +155,18 @@ def test_stirling_domain():
 
 def test_gamma_product_trivial():
     res = gamma_product_log([1.0], [1.0])
-    assert abs(res.log_modulus) < 1e-14 and abs(res.phase) < 1e-14
+    assert abs(res.real) < 1e-14 and abs(res.imag) < 1e-14
 
 
 def test_gamma_product_ratio():
     res = gamma_product_log([5.0], [4.0])
-    assert abs(res.log_modulus - math.log(4.0)) < 1e-12
+    assert abs(res.real - math.log(4.0)) < 1e-12
 
 
 def test_gamma_product_quartic():
     # Gamma(1/4)^4 / pi^3 = Gamma(1/4)^4 / Gamma(1/2)^6
     res = gamma_product_log([0.25] * 4, [0.5] * 6)
-    assert abs(res.log_modulus - 1.7179004412441093) < 1e-12
+    assert abs(res.real - 1.7179004412441093) < 1e-12
 
 
 def test_gamma_product_pole_identifies_factor():

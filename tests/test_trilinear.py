@@ -15,7 +15,7 @@ from triform import (CircleFunction, DomainTooSmallError, NonFiniteError,
                      mode_element, mode_element_spectral, normalized_decay,
                      sine_power_coeffs, spectral_mode_values,
                      spherical_square, triple_quadrature)
-from triform.quadrature import reused_positions, unit_nodes
+from triform.quadrature import unit_nodes
 from triform.specdecomp import random_sl2
 from triform.trilinear import MAX_QUADRATURE_LEVEL
 
@@ -160,18 +160,6 @@ def test_quadrature_0_0_10i():
     assert abs(est.value - ref) <= 1e-4 * abs(ref)
 
 
-def test_quadrature_scheme_cross_check():
-    ref = closed_form_value(0, 1j, 4j).value
-    de = triple_quadrature(ONES, ONES, ONES, 0, 1j, 4j,
-                           QuadratureConfig(scheme="singularity_split"))
-    gm = triple_quadrature(ONES, ONES, ONES, 0, 1j, 4j,
-                           QuadratureConfig(scheme="graded_mesh",
-                                            points_per_panel=16,
-                                            refinement_levels=4))
-    assert abs(de.value - ref) <= 1e-5 * abs(ref)
-    assert abs(gm.value - ref) <= 1e-4 * abs(ref)
-
-
 def test_quadrature_divergent_range_refused():
     with pytest.raises(PreconditionError):
         triple_quadrature(ONES, ONES, ONES, 0.9, 0.9, -0.9)
@@ -270,11 +258,7 @@ def test_quadrature_swap_symmetry(rng):
 
 
 @pytest.mark.parametrize("cfg, value", [
-    (QuadratureConfig(scheme="singularity_split"),
-     0.013491280820670828 + 0.06529839748992673j),
-    (QuadratureConfig(scheme="graded_mesh", points_per_panel=16,
-                      refinement_levels=4),
-     0.013491280814838172 + 0.06529839748716337j)])
+    (QuadratureConfig(), 0.013491280820670828 + 0.06529839748992673j)])
 def test_quadrature_constant_data_regression(cfg, value):
     # values of the earlier implementation (two half-triangle passes, every
     # level evaluated from scratch); since then only the rounding changed
@@ -283,32 +267,30 @@ def test_quadrature_constant_data_regression(cfg, value):
 
 
 def test_tanh_sinh_levels_are_nested():
-    assert reused_positions("graded_mesh", 5).size == 0
+    # level - 1's nodes are level's even positions bit for bit, at twice
+    # the weight; triple_quadrature relies on it to carry sums over
     for level in range(4, 11):
         x, omx, w = unit_nodes("singularity_split", level)
         xp, omxp, wp = unit_nodes("singularity_split", level - 1)
-        old = reused_positions("singularity_split", level)
-        assert np.array_equal(old, np.arange(0, len(x), 2))
-        assert np.array_equal(x[old], xp) and np.array_equal(omx[old], omxp)
-        assert np.array_equal(2.0 * w[old], wp)
+        assert len(x) == 2 * len(xp) - 1
+        assert np.array_equal(x[0::2], xp) and np.array_equal(omx[0::2], omxp)
+        assert np.array_equal(2.0 * w[0::2], wp)
 
 
-@pytest.mark.parametrize("cfg", [
-    QuadratureConfig(scheme="singularity_split", target_rel_error=1e-6),
-    QuadratureConfig(scheme="graded_mesh", points_per_panel=8,
-                     target_rel_error=1e-4, refinement_levels=3)])
+def test_unit_nodes_refuses_other_schemes():
+    with pytest.raises(ValueError, match="graded_mesh"):
+        unit_nodes("graded_mesh", 5)
+
+
+@pytest.mark.parametrize("cfg", [QuadratureConfig(target_rel_error=1e-6)])
 def test_quadrature_cost_counts_evaluated_nodes(cfg):
     # both pieces of the folded half-triangle evaluate n x n nodes per level;
-    # nested tanh-sinh levels only add the nodes their predecessor lacked
+    # nested levels only add the nodes their predecessor lacked, so the
+    # total is that of the top level alone
     est = triple_quadrature(ONES, ONES, ONES, 0, 1j, 4j, cfg)
     top = int(est.method.rsplit("level", 1)[1])
-    n = [len(unit_nodes(cfg.scheme, lv, cfg.points_per_panel)[0])
-         for lv in range(3, top + 1)]
     assert top > 3
-    if cfg.scheme == "singularity_split":
-        assert est.cost == 2 * n[-1] ** 2
-    else:
-        assert est.cost == 2 * sum(k * k for k in n)
+    assert est.cost == 2 * len(unit_nodes("singularity_split", top)[0]) ** 2
 
 
 def test_quadrature_refuses_levels_above_maximum():

@@ -231,9 +231,13 @@ def cmd_sobolev_trace(args) -> int:
                                  args.k_modes)
             row["rho_doubled_N"] = rho2
             row["doubling_rel_change"] = abs(rho2 - rho) / rho if rho else None
+            rho_k = sobolev_trace(args.l, T, lam, params, args.max_mode,
+                                  2 * args.k_modes)
+            row["rho_doubled_K"] = rho_k
+            row["k_doubling_rel_change"] = abs(rho_k - rho) / rho if rho else None
         rows.append(row)
     cols = ["T", "lam_im", "rho", "rho_scaled", "rho_doubled_N",
-            "doubling_rel_change"]
+            "doubling_rel_change", "rho_doubled_K", "k_doubling_rel_change"]
     _write_table(args, "sobolev-trace",
                  {"l": args.l, "N": args.max_mode, "K_modes": args.k_modes,
                   "lam_factor": args.lam_factor, "ladder": ladder},

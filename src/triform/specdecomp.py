@@ -188,6 +188,28 @@ def _word_grams(lam, N: int, l: int) -> list:
     return grams
 
 
+def _weighted_grams(l: int, T: float, tau, tau_prime, N: int) -> list:
+    """Pairs (G_a, sum_{b <= l-a} T^(2(l-a-b)) H_b), a = 0..l, whose
+    Kronecker products sum to Q_{l,T}; G_a and H_b are the word Grams of the
+    two circle factors (parameters tau and tau_prime).
+
+    Raises NonFiniteError for a NaN or infinite T, or one whose T^(2l)
+    overflows, and PreconditionError for l < 0, T <= 0 or N < 0.
+    """
+    if not np.isfinite(T):
+        raise NonFiniteError(f"T must be finite, got {T}")
+    if l < 0 or T <= 0:
+        raise PreconditionError("need l >= 0 and T > 0")
+    if N < 0:
+        raise PreconditionError(f"need N >= 0, got N = {N}")
+    if 2 * l * np.log(T) > np.log(np.finfo(float).max):
+        raise NonFiniteError(f"T^(2l) overflows at T = {T}, l = {l}")
+    G = _word_grams(tau, N, l)
+    H = _word_grams(tau_prime, N, l)
+    return [(G[a], sum(T ** (2 * (l - a - b)) * H[b] for b in range(l - a + 1)))
+            for a in range(l + 1)]
+
+
 def sobolev_matrix(l: int, T: float, tau, tau_prime, N: int) -> sp.csc_matrix:
     """Sparse matrix of Q_{l,T}(v) = sum_nu T^(2(l-|nu|)) ||X^nu v||^2.
 
@@ -205,19 +227,8 @@ def sobolev_matrix(l: int, T: float, tau, tau_prime, N: int) -> sp.csc_matrix:
     Raises NonFiniteError for a NaN or infinite T, or one whose T^(2l)
     overflows, and PreconditionError for l < 0, T <= 0 or N < 0.
     """
-    if not np.isfinite(T):
-        raise NonFiniteError(f"T must be finite, got {T}")
-    if l < 0 or T <= 0:
-        raise PreconditionError("need l >= 0 and T > 0")
-    if N < 0:
-        raise PreconditionError(f"need N >= 0, got N = {N}")
-    if 2 * l * np.log(T) > np.log(np.finfo(float).max):
-        raise NonFiniteError(f"T^(2l) overflows at T = {T}, l = {l}")
-    G = _word_grams(tau, N, l)
-    H = _word_grams(tau_prime, N, l)
-    Q = sum(sp.kron(G[a], sum(T ** (2 * (l - a - b)) * H[b]
-                              for b in range(l - a + 1)), format="csr")
-            for a in range(l + 1))
+    Q = sum(sp.kron(G, Ht, format="csr")
+            for G, Ht in _weighted_grams(l, T, tau, tau_prime, N))
     return Q.tocsc()
 
 
@@ -234,14 +245,18 @@ def sobolev_form(l: int, T: float, params: Tuple, N: int) -> HermitianForm:
 
 
 def _mode_rows(lam, tau, tau_prime, N: int, K_modes: int):
-    """Rows of the functional's mode matrix, one per output frequency.
+    """Rows of the functional's mode matrix for the output frequencies k >= 0.
 
     Returns a list of (k, idx, vals) with k the even output frequency,
-    |k| <= K_modes; the row holds the element on
+    0 <= k <= K_modes; the row holds the element on
     e^{2 i m' x} (x) e^{2 i n' y} (x) e^{i k z} at the flattened (m', n')
     position, nonzero only on the antidiagonal m' + n' = -k/2, whose
-    flattened positions are ``idx`` and values ``vals``.  All rows share one
-    set of |sin|^s series; each row keeps its own convolution cutoff.
+    flattened positions are ``idx`` and values ``vals``.  The kernel depends
+    on its angles only through |sin| of their differences, so the element of
+    (-m', -n', -k) equals that of (m', n', k): row -k is row k moved from the
+    flattened position idx to (2N+1)^2 - 1 - idx, and is not built.  All
+    rows share one set of |sin|^s series; each row keeps its own convolution
+    cutoff.
     """
     if K_modes < 0:
         raise PreconditionError(f"need K_modes >= 0, got K_modes = {K_modes}")
@@ -250,9 +265,8 @@ def _mode_rows(lam, tau, tau_prime, N: int, K_modes: int):
     if K_modes % 2 != 0:
         raise ValueError("K_modes must be even")
     n1 = 2 * N + 1
-    kp_max = K_modes // 2
     kps, batches = [], []
-    for kp in range(-kp_max, kp_max + 1):
+    for kp in range(K_modes // 2 + 1):
         mps = np.arange(max(-N, -kp - N), min(N, -kp + N) + 1)
         if len(mps):
             kps.append(kp)
@@ -267,7 +281,8 @@ def induced_form(lam, tau, tau_prime, N: int, K_modes: int) -> HermitianForm:
 
     Gram structure H = sum_k conj(row_k)^T row_k over output modes
     |k| <= K_modes; positive semidefinite by construction and monotone in
-    K_modes.  Dense assembly; N > 40 raises PreconditionError.
+    K_modes.  Each row -k is the mirror of row k (see ``_mode_rows``).
+    Dense assembly; N > 40 raises PreconditionError.
     """
     if N > 40:
         raise PreconditionError("dense induced form is limited to N <= 40; "
@@ -276,10 +291,14 @@ def induced_form(lam, tau, tau_prime, N: int, K_modes: int) -> HermitianForm:
     H = np.zeros((dim, dim), dtype=complex)
     k_contrib = {}
     for k, idx, vals in _mode_rows(lam, tau, tau_prime, N, K_modes):
-        H[np.ix_(idx, idx)] += np.outer(np.conj(vals), vals)
+        gram = np.outer(np.conj(vals), vals)
+        H[np.ix_(idx, idx)] += gram
+        if k > 0:
+            mirror = dim - 1 - idx
+            H[np.ix_(mirror, mirror)] += gram
         k_contrib[k] = float(np.sum(np.abs(vals) ** 2))
-    total = sum(k_contrib.values())
-    edge = max((v for k, v in k_contrib.items() if abs(k) == K_modes), default=0.0)
+    total = sum(v if k == 0 else 2.0 * v for k, v in k_contrib.items())
+    edge = k_contrib.get(K_modes, 0.0)
     return HermitianForm(H, N, k_tail_fraction=edge / total if total > 0 else 0.0)
 
 
@@ -314,33 +333,87 @@ def relative_trace(H, Q) -> float:
 _SOLVE_BLOCK = 8
 
 
+def _reflection_bases(N: int):
+    """Orthonormal bases of the even and odd modes of (Rf)_q = f_{-q}.
+
+    Sparse (2N+1) x (N+1) and (2N+1) x N matrices with the columns
+    e_0, (e_q + e_{-q})/sqrt(2) and (e_q - e_{-q})/sqrt(2), q = 1..N; every
+    row holds at most one nonzero.
+    """
+    q = np.arange(1, N + 1)
+    s = np.sqrt(0.5)
+    even = sp.csr_matrix(
+        (np.concatenate([[1.0], np.full(2 * N, s)]),
+         (np.concatenate([[N], N + q, N - q]), np.concatenate([[0], q, q]))),
+        shape=(2 * N + 1, N + 1))
+    odd = sp.csr_matrix(
+        (np.concatenate([np.full(N, s), np.full(N, -s)]),
+         (np.concatenate([N + q, N - q]), np.concatenate([q - 1, q - 1]))),
+        shape=(2 * N + 1, N))
+    return even, odd
+
+
+def _block_trace(B: sp.csc_matrix, W: sp.csr_matrix, weight: np.ndarray) -> float:
+    """sum_r weight_r W_r B^{-1} W_r^* for one Hermitian block B >= T^(2l).
+
+    The diagonal pivots need no search, and a symmetric ordering of B + B^T
+    keeps the factor small; the factor is freed on return.
+    """
+    lu = spla.splu(B, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                   options={"SymmetricMode": True})
+    total = 0.0
+    for lo in range(0, W.shape[0], _SOLVE_BLOCK):
+        w = W[lo:lo + _SOLVE_BLOCK].toarray()
+        x = lu.solve(np.asfortranarray(w.conj().T))
+        total += float(np.real(np.einsum("r,ri,ir->", weight[lo:lo + _SOLVE_BLOCK],
+                                         w, x)))
+    return total
+
+
 def sobolev_trace(l: int, T: float, lam, params: Tuple, N: int,
                   K_modes: int) -> float:
     """tr(H_induced | Q_{l,T}) without forming the dense induced form.
 
-    Uses the Gram structure: tr(Q^{-1} H) = sum_k row_k Q^{-1} row_k^*.  Q is
-    factored once (sparse LU without pivoting, symmetric minimum-degree
-    ordering; Q is Hermitian and bounded below by T^(2l)) and the rows are
-    solved in blocks of right-hand sides.  Matches
+    Uses the Gram structure: tr(Q^{-1} H) = sum_k row_k Q^{-1} row_k^*, and
+    two exact reflection symmetries.
+
+    * Blocks.  With (Rf)_q = f_{-q} (theta -> -theta), the generators satisfy
+      R X_a R = X_a, R X_b R = -X_b and R X_r R = -X_r for every parameter,
+      so each word A has RAR = +-A and each word Gram commutes with R.  Q
+      therefore commutes with R (x) I and I (x) R and is block-diagonal in
+      the even/odd bases of the two factors: four independent blocks of
+      sizes (N+1)^2, (N+1)N, N(N+1) and N^2 (N = 0 has empty odd blocks).
+      Each block is sum_a (P_i^T G_a P_i) (x) (P_j^T H~_a P_j), and a row
+      enters it as row @ (P_i (x) P_j).
+    * Mirrored rows.  Row -k is row k under R (x) R, which commutes with Q,
+      so rho = term(k = 0) + 2 sum_{k > 0} term(k) and only k >= 0 is built.
+
+    Each block is factored once (sparse LU without pivoting, symmetric
+    minimum-degree ordering; Q is Hermitian and bounded below by T^(2l)),
+    its rows are solved in blocks of right-hand sides, and its factor is
+    freed before the next block.  Matches
     relative_trace(induced_form(...), sobolev_form(...)) on small truncations.
     Any l >= 0 is computed; the T^(-2l) floor statement concerns l >= 2.
     """
     tau, tau_prime = params
-    Q = sobolev_matrix(l, T, tau, tau_prime, N)
-    # Q is Hermitian with Q >= T^(2l) I, so the diagonal pivots need no
-    # search and a symmetric ordering of Q + Q^T keeps the factor small
-    lu = spla.splu(Q, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                   options={"SymmetricMode": True})
+    grams = _weighted_grams(l, T, tau, tau_prime, N)
     rows = _mode_rows(lam, tau, tau_prime, N, K_modes)
+    n1 = 2 * N + 1
+    V = sp.csr_matrix(
+        (np.concatenate([vals for _k, _idx, vals in rows]),
+         (np.repeat(np.arange(len(rows)), [len(idx) for _k, idx, _v in rows]),
+          np.concatenate([idx for _k, idx, _v in rows]))),
+        shape=(len(rows), n1 * n1))
+    weight = np.array([1.0 if k == 0 else 2.0 for k, _idx, _v in rows])
+    bases = _reflection_bases(N)
     rho = 0.0
-    for lo in range(0, len(rows), _SOLVE_BLOCK):
-        block = rows[lo:lo + _SOLVE_BLOCK]
-        rhs = np.zeros((Q.shape[0], len(block)), dtype=complex, order="F")
-        for c, (_k, idx, vals) in enumerate(block):
-            rhs[idx, c] = np.conj(vals)
-        x = lu.solve(rhs)
-        for c, (_k, idx, vals) in enumerate(block):
-            rho += float(np.real(vals @ x[idx, c]))
+    for Pi in bases:
+        for Pj in bases:
+            if Pi.shape[1] * Pj.shape[1] == 0:
+                continue
+            B = sum(sp.kron(Pi.T @ G @ Pi, Pj.T @ Ht @ Pj, format="csr")
+                    for G, Ht in grams).tocsc()
+            rho += _block_trace(B, V @ sp.kron(Pi, Pj, format="csr"), weight)
     return rho
 
 

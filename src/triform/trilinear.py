@@ -394,6 +394,11 @@ def _em_power_tail(w: complex, J: int) -> complex:
 _FIT_N = 60      # tail-fit window: |j| = J+1 .. J+_FIT_N on each side
 
 
+def _cutoff(maxidx: int) -> int:
+    """Default convolution cutoff J for pairs whose largest |index| is maxidx."""
+    return 2000 + 10 * maxidx
+
+
 def _spectral_batches(batches, l1, l2, l3, jmax: Optional[int] = None):
     """Mode values for several (n, 2) integer arrays of (m', n') pairs.
 
@@ -411,7 +416,7 @@ def _spectral_batches(batches, l1, l2, l3, jmax: Optional[int] = None):
             "spectral convolution needs Re(3 + sA + sB + sG) > 1; "
             "use the quadrature backend for this parameter range")
     maxidx = [int(np.max(np.abs(b))) if b.size else 0 for b in batches]
-    cutoffs = [jmax or (2000 + 10 * m) for m in maxidx]
+    cutoffs = [jmax or _cutoff(m) for m in maxidx]
     kmax = max(J + _FIT_N + m + 2 for J, m in zip(cutoffs, maxidx))
     series = [sine_power_coeffs(s, kmax) for s in (sA, sB, sG)]
     return [_convolve_modes(b, series, w0, J) for b, J in zip(batches, cutoffs)]
@@ -477,10 +482,16 @@ def spectral_mode_values(pairs, l1, l2, l3, jmax: Optional[int] = None) -> np.nd
 
 
 def mode_element_spectral(m: int, n: int, k: int, l1, l2, l3) -> Estimate:
-    """Spectral-backend matrix element; agrees with ``mode_element``."""
+    """Spectral-backend matrix element; agrees with ``mode_element``.
+
+    ``cost`` counts the convolution terms summed: 2 (J + 60) + 1 for the
+    cutoff J = 2000 + 10 * max(|m/2|, |n/2|) and the 60-term tail-fit window
+    on each side.
+    """
     zero = _vanishing_element(m, n, k)
     if zero is not None:
         return zero
     v1 = spectral_mode_values([(m // 2, n // 2)], l1, l2, l3)[0]
+    J = _cutoff(max(abs(m // 2), abs(n // 2)))
     return Estimate(complex(v1), error_bound=1e-7 * max(1.0, abs(v1)),
-                    method="spectral-convolution", cost=4000)
+                    method="spectral-convolution", cost=2 * (J + _FIT_N) + 1)

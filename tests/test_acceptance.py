@@ -112,23 +112,27 @@ def test_criterion_4_kernel_invariance_suite():
 
 def test_criterion_5_sobolev_floor():
     """rho * T^4 positive and within a factor 4 over T in {2,4,8}; N-doubling
-    changes each value by < 10%."""
+    and K-doubling each change each value by < 10%."""
     t0 = time.time()
     l, N, K = 2, 64, 32
     params = (0.0, 0.0)
-    scaled, changes = [], []
+    scaled, changes, k_changes = [], [], []
     for T in (2.0, 4.0, 8.0):
         lam = 1j * T
         rho = sobolev_trace(l, T, lam, params, N, K)
         rho2 = sobolev_trace(l, T, lam, params, 2 * N, K)
+        rho_k = sobolev_trace(l, T, lam, params, N, 2 * K)
         scaled.append(rho * T ** (2 * l))
         changes.append(abs(rho2 - rho) / rho)
+        k_changes.append(abs(rho_k - rho) / rho)
     ratio = max(scaled) / min(scaled)
-    ok = min(scaled) > 0 and ratio <= 4.0 and max(changes) < 0.10
+    ok = (min(scaled) > 0 and ratio <= 4.0 and max(changes) < 0.10
+          and max(k_changes) < 0.10)
     dt = time.time() - t0
     report("5 (Sobolev trace floor)", ok,
            f"rho*T^4 = {['%.4g' % v for v in scaled]}, spread x{ratio:.2f}, "
-           f"N-doubling changes {['%.2g' % c for c in changes]}, {dt:.1f}s")
+           f"N-doubling changes {['%.2g' % c for c in changes]}, "
+           f"K-doubling changes {['%.2g' % c for c in k_changes]}, {dt:.1f}s")
 
 
 def test_criterion_6_localized_pairing():

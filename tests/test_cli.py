@@ -155,6 +155,20 @@ def test_sobolev_trace_l0_is_plain_trace(tmp_path):
     assert abs(rho - tr) <= 1e-8 * tr
 
 
+def test_sobolev_trace_check_doubling_doubles_n_and_k(tmp_path):
+    code, text = run_cli(["sobolev-trace", "--t-ladder", "2", "--max-mode", "6",
+                          "--k-modes", "4", "--check-doubling"], tmp_path)
+    assert code == 0
+    _, rows = parse_csv(text)
+    rho = float(rows[0]["rho"])
+    from triform import sobolev_trace
+    for col, change, N, K in (("rho_doubled_N", "doubling_rel_change", 12, 4),
+                              ("rho_doubled_K", "k_doubling_rel_change", 6, 8)):
+        ref = sobolev_trace(2, 2.0, 2j, (0j, 0j), N, K)
+        assert float(rows[0][col]) == ref
+        assert float(rows[0][change]) == abs(ref - rho) / rho
+
+
 @pytest.mark.parametrize("T", ["nan", "inf", "1e100"])
 def test_sobolev_trace_non_finite_t_is_an_error(T, capsys):
     code = main(["sobolev-trace", "--l", "2", "--t-ladder", T,

@@ -151,6 +151,23 @@ def test_sobolev_matrix_keeps_parity_classes(l, N, T, tau, taup):
     assert np.all((p - pp) % 2 == 0) and np.all((q - qq) % 2 == 0)
 
 
+@settings(max_examples=30, deadline=None)
+@given(l=st.integers(0, 3), N=st.integers(1, 5), T=st.floats(0.5, 8.0),
+       tau=st.complex_numbers(max_magnitude=3.0),
+       taup=st.complex_numbers(max_magnitude=3.0))
+@example(l=2, N=3, T=2.5, tau=0.5j, taup=1j)
+@example(l=3, N=4, T=6.0, tau=0.3 + 2j, taup=-1.5 - 1j)
+def test_sobolev_matrix_commutes_with_mode_reflections(l, N, T, tau, taup):
+    # (Rf)_q = f_{-q} gives R X_a R = X_a, R X_b R = -X_b and R X_r R = -X_r
+    # at every parameter, so each word Gram commutes with R and Q with
+    # R (x) I and I (x) R: the structure sobolev_trace splits Q into blocks by
+    Q = sobolev_matrix(l, T, tau, taup, N).toarray()
+    eye = np.eye(2 * N + 1)
+    R = eye[::-1]
+    for S in (np.kron(R, eye), np.kron(eye, R)):
+        assert np.max(np.abs(S @ Q @ S - Q)) <= 1e-12 * np.max(np.abs(Q))
+
+
 def dense_sobolev(l, T, tau, taup, N):
     """Q_{l,T} from its definition: every six-generator word, built densely."""
     eye = np.eye(2 * N + 1)
@@ -270,9 +287,22 @@ def test_sobolev_trace_matches_dense_route():
     assert abs(dense - fast) <= 1e-8 * dense
 
 
+@pytest.mark.parametrize("l", [0, 3])
+@pytest.mark.parametrize("N", [0, 1, 2])
+def test_sobolev_trace_blocks_match_dense_route_at_small_truncations(N, l):
+    # N = 0 leaves both odd blocks empty and N = 1 gives one-mode odd blocks;
+    # complex tau and tau' give Q complex entries
+    lam, tau, taup, K, T = 2j, 0.3 + 0.5j, -0.2 + 1j, 4, 2.0
+    dense = relative_trace(induced_form(lam, tau, taup, N, K),
+                           sobolev_form(l, T, (tau, taup), N))
+    fast = sobolev_trace(l, T, lam, (tau, taup), N, K)
+    assert abs(dense - fast) <= 1e-8 * dense
+
+
 def test_induced_form_is_gram_of_mode_rows():
     # the Gram matrix of rows built pair by pair through the public
-    # spectral_mode_values equals the induced form's shared-series rows
+    # spectral_mode_values, for every k of both signs, equals the induced
+    # form's shared-series rows, whose rows k < 0 are mirrors of rows k > 0
     lam, tau, taup = 2j, 0.5j, 0.0
     for N, K in ((4, 2), (4, 8), (6, 8)):
         n1 = 2 * N + 1

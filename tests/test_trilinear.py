@@ -364,6 +364,13 @@ def test_spectral_rejects_divergent_convolution():
         mode_element_spectral(0, 0, 0, 0.9, 0.95, 0.9)
 
 
+def test_spectral_cost_counts_convolution_terms():
+    # the cutoff grows with the indices, J = 2000 + 10 * max(|m/2|, |n/2|),
+    # and the sum runs over |j| <= J plus a 60-term tail-fit window per side
+    assert mode_element_spectral(400, -400, 0, 0, 1j, 4j).cost == 2 * (4000 + 60) + 1
+    assert mode_element_spectral(0, 0, 0, 0, 1j, 4j).cost == 2 * (2000 + 60) + 1
+
+
 def _crude_3d(m, n, k, lams, n_grid=200):
     """Staggered-midpoint 3-D quadrature: an independent, low-accuracy oracle.
 

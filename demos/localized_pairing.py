@@ -23,14 +23,15 @@ u = bump_vector(T, N)
 print(f"bump: radius {u.support_radius:.4f}, mass {u.mass}, "
       f"plain squared norm {u.norm_sq_plain:.1f} (budget 1e5 T^2 = {1e5 * T * T:.0f})")
 
-res = kernel_bump_pairing(np.eye(2), np.eye(2), 0.0, T, params, N, bump=u)
+res = kernel_bump_pairing(np.eye(2), np.eye(2), params, u)
 print(f"\nidentity element: pairing {res.value:.4f}, sup |Pi(g) f| {res.sup_abs:.4f}, "
       f"max gradient {res.grad_max:.1f} (3T = {3 * T:.0f})")
 
 print("\nprobing random elements of the norm <= 2 region:")
-for g1, g2, r in pairing_search(T, params, N, n_random=6, seed=5, bump=u)[1:]:
+probes = pairing_search(u, params, n_random=6, seed=5)
+for g1, g2, r in probes[1:]:
     ok = "<= sup (Hoelder ok)" if r.value <= r.sup_abs * (1 + 1e-6) + r.error else "!!"
     print(f"  pairing {r.value:8.4f}   sup {r.sup_abs:8.4f}   {ok}")
 
-best = max(r.value for _, _, r in pairing_search(T, params, N, n_random=6, seed=5, bump=u))
+best = max(r.value for _, _, r in probes)
 print(f"\nbest pairing found: {best:.4f}  (>= 1/2 as the localization argument demands)")

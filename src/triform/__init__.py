@@ -23,11 +23,11 @@ from .gaussian import (GaussianSpec, det_moment, gaussian_expect,
                        minor_pullback_check, minor_pullback_rotated,
                        radial_expect, radius_moment)
 from .kernel import kernel_on_circle, kernel_value, omega
-from .params import ExponentQuadruple, SeriesParam, exponents
+from .params import ExponentQuadruple, exponents
 from .quadrature import QuadratureConfig
 from .specdecomp import (HermitianForm, PairingResult, bump_vector,
-                         circle_generators, group_action, group_norm,
-                         induced_form, kernel_bump_pairing, pairing_search,
+                         circle_generators, group_action, induced_form,
+                         kernel_bump_pairing, pairing_search,
                          random_sl2, relative_trace, sobolev_form,
                          sobolev_matrix, sobolev_trace,
                          transformed_kernel_values, weighted_mean_bound)

@@ -8,8 +8,8 @@ on each circle, so the stored modes are orthonormal (Parseval: ||f||^2 =
 sum |c_p|^2).
 
 ``BiCircleFunction`` is the same on S^1 x S^1 (coefficient matrix over even
-mode pairs).  ``coeffs`` may be deferred (None) when only a pointwise
-evaluator is required, e.g. for very fine bump vectors.
+mode pairs) and carries the pointwise evaluator it was built from;
+``coeffs`` may be deferred (None) for very fine bump vectors.
 """
 
 from dataclasses import dataclass
@@ -72,7 +72,7 @@ class CircleFunction:
 class BiCircleFunction:
     coeffs: Optional[np.ndarray]    # shape (2N+1, 2N+1), index (p + N, q + N)
     max_mode: int
-    evaluator: Optional[Callable] = None
+    evaluator: Callable             # pointwise values (x, y) -> f(x, y)
     # populated by constructors that know the analytic values exactly
     mass: Optional[float] = None    # integral over [0,2pi)^2, plain measure
     support_radius: Optional[float] = None
@@ -92,16 +92,8 @@ class BiCircleFunction:
         return self.coeffs[p + self.max_mode, q + self.max_mode]
 
     def evaluate(self, x, y):
-        """Pointwise values; prefers the analytic evaluator when present."""
-        if self.evaluator is not None:
-            return self.evaluator(x, y)
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        y = np.atleast_1d(np.asarray(y, dtype=float))
-        p = np.arange(-self.max_mode, self.max_mode + 1)
-        ex = np.exp(2j * np.outer(x.ravel(), p))
-        ey = np.exp(2j * np.outer(y.ravel(), p))
-        vals = np.einsum("ip,pq,iq->i", ex, self.coeffs, ey)
-        return vals.reshape(np.broadcast(x, y).shape)
+        """Pointwise values from the analytic evaluator."""
+        return self.evaluator(x, y)
 
     def series_mass(self) -> float:
         """Integral over [0,2pi)^2 with plain measure = (2pi)^2 c_{00}."""

@@ -30,7 +30,7 @@ from .gaussian import identity_battery
 from .quadrature import QuadratureConfig
 from .specdecomp import sobolev_trace
 from .trilinear import (closed_form_log, closed_form_value, decay_constant,
-                        decay_envelope_log, normalized_decay,
+                        decay_envelope, normalized_decay,
                         spherical_square, triple_quadrature)
 
 SCHEMA = "triform.table.v1"
@@ -126,9 +126,8 @@ def cmd_closed_form(args) -> int:
             row["arg_value"] = float(np.mod(lg.imag + np.pi, 2 * np.pi) - np.pi)
             row["square"] = spherical_square(a, b, c)
             if abs(c.real) < 1e-12 and abs(c.imag) >= 1.0:
-                env = float(np.exp(decay_envelope_log(c)))
-                row["envelope"] = env
-                row["normalized"] = row["square"] / env
+                row["envelope"] = decay_envelope(c)
+                row["normalized"] = normalized_decay(a, b, c)
             row["error"] = ""
         except PoleArgumentError as exc:
             row["error"] = f"pole:{exc.factor}"

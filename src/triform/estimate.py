@@ -21,7 +21,3 @@ class Estimate:
     def __post_init__(self):
         if not (self.error_bound >= 0.0):
             raise ValueError(f"error_bound must be >= 0, got {self.error_bound}")
-
-    @property
-    def real(self) -> float:
-        return self.value.real

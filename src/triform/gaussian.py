@@ -32,7 +32,7 @@ from .circlefn import CircleFunction
 from .errors import NonFiniteError, PreconditionError
 from .estimate import Estimate
 from .kernel import kernel_value
-from .params import _as_complex, exponents
+from .params import exponents
 from .quadrature import QuadratureConfig, _exp_sinh, refine_until
 from .specfun import gamma_product_log, log_gamma_complex
 from .trilinear import closed_form_log, invariant_functional
@@ -201,7 +201,7 @@ def homogeneous_reduction_check(lam, f: CircleFunction, method: str = "radial",
     is only marginally integrable for principal-series lam, so the error bar
     is the empirical one).  Returns (lhs, rhs) Estimates.
     """
-    z = _as_complex(lam)
+    z = complex(lam)
     if z.real >= 1.0:
         raise PreconditionError("need Re lam < 1 for absolute convergence")
 
@@ -310,7 +310,7 @@ def kernel_gaussian_check(l1, l2, l3, spec: GaussianSpec):
         return kernel_value(x[:, 0], x[:, 1], x[:, 2], e)
 
     lhs = gaussian_expect(spec, integrand)
-    z1, z2, z3 = _as_complex(l1), _as_complex(l2), _as_complex(l3)
+    z1, z2, z3 = complex(l1), complex(l2), complex(l3)
     log_rhs = closed_form_log(z1, z2, z3) + sum(
         log_gamma_complex((1.0 - z) / 2.0) for z in (z1, z2, z3))
     rhs_val = np.exp(log_rhs)

@@ -1,9 +1,10 @@
-"""Spectral parameters and the exponent quadruple they induce.
+"""The exponent quadruple of three spectral parameters.
 
 A generalized principal-series representation of PGL(2,R) is indexed by one
-complex parameter lam; it acts on smooth even functions on R^2 \\ 0 that are
-homogeneous of degree lam - 1.  The representation is pre-unitary when lam is
-purely imaginary (principal series) or real in (-1, 1) (complementary series).
+complex parameter lam, a plain complex number throughout the package; it acts
+on smooth even functions on R^2 \\ 0 that are homogeneous of degree lam - 1.
+The representation is pre-unitary when lam is purely imaginary (principal
+series) or real in (-1, 1) (complementary series).
 
 Three parameters (l1, l2, l3) determine the four linear combinations
 
@@ -18,45 +19,6 @@ from dataclasses import dataclass
 
 from .errors import NonFiniteError, PreconditionError
 
-_IM_TOL = 1e-14
-
-
-def _as_complex(lam) -> complex:
-    if isinstance(lam, SeriesParam):
-        return lam.lam
-    return complex(lam)
-
-
-@dataclass(frozen=True)
-class SeriesParam:
-    """One spectral parameter, with its unitarity class derived from the value."""
-
-    lam: complex
-
-    def __post_init__(self):
-        z = complex(self.lam)
-        if not (abs(z.real) < float("inf") and abs(z.imag) < float("inf")):
-            raise ValueError("spectral parameter must be finite")
-        object.__setattr__(self, "lam", z)
-
-    @property
-    def series_class(self) -> str:
-        if abs(self.lam.real) <= _IM_TOL:
-            return "principal"
-        if abs(self.lam.imag) <= _IM_TOL and abs(self.lam.real) < 1.0:
-            return "complementary"
-        return "general"
-
-    @classmethod
-    def principal(cls, t: float) -> "SeriesParam":
-        return cls(1j * t)
-
-    @classmethod
-    def complementary(cls, x: float) -> "SeriesParam":
-        if not -1.0 < x < 1.0:
-            raise ValueError("complementary parameter must lie in (-1, 1)")
-        return cls(complex(x))
-
 
 @dataclass(frozen=True)
 class ExponentQuadruple:
@@ -64,11 +26,6 @@ class ExponentQuadruple:
     beta: complex
     gamma: complex
     delta: complex
-
-    @property
-    def is_imaginary(self) -> bool:
-        return max(abs(self.alpha.real), abs(self.beta.real),
-                   abs(self.gamma.real), abs(self.delta.real)) <= _IM_TOL
 
     def require_convergent(self):
         """Raise PreconditionError when Re alpha, beta or gamma <= -1.
@@ -89,11 +46,11 @@ class ExponentQuadruple:
 
 
 def exponents(l1, l2, l3) -> ExponentQuadruple:
-    """Exponent quadruple of a parameter triple (accepts SeriesParam or complex).
+    """Exponent quadruple of a complex parameter triple.
 
     Raises NonFiniteError when a parameter is NaN or infinite.
     """
-    a, b, c = _as_complex(l1), _as_complex(l2), _as_complex(l3)
+    a, b, c = complex(l1), complex(l2), complex(l3)
     if not all(cmath.isfinite(z) for z in (a, b, c)):
         raise NonFiniteError(f"spectral parameters ({a}, {b}, {c}) must be finite")
     return ExponentQuadruple(

@@ -33,11 +33,10 @@ from .errors import (InsufficientTruncationError, NonFiniteError,
                      NotPositiveDefiniteError, PreconditionError,
                      TruncationOverflowError)
 from .kernel import kernel_on_circle
-from .params import _as_complex, exponents
+from .params import exponents
 from .trilinear import _spectral_batches
 
 __all__ = [
-    "group_norm",
     "random_sl2",
     "group_action",
     "circle_generators",
@@ -60,11 +59,6 @@ __all__ = [
 # group elements and the circle-model action
 # ---------------------------------------------------------------------------
 
-def group_norm(g) -> float:
-    """Operator 2-norm of a 2x2 matrix."""
-    return float(np.linalg.norm(np.asarray(g, dtype=float), 2))
-
-
 def random_sl2(rng: np.random.Generator, max_norm: float = 2.0) -> np.ndarray:
     """Random SL(2,R) element with operator norm <= max_norm (KAK sampling)."""
     sigma = rng.uniform(1.0, max_norm)
@@ -72,6 +66,26 @@ def random_sl2(rng: np.random.Generator, max_norm: float = 2.0) -> np.ndarray:
     r1 = np.array([[np.cos(p1), -np.sin(p1)], [np.sin(p1), np.cos(p1)]])
     r2 = np.array([[np.cos(p2), -np.sin(p2)], [np.sin(p2), np.cos(p2)]])
     return r1 @ np.diag([sigma, 1.0 / sigma]) @ r2
+
+
+def _pull_back(g, lam, theta):
+    """The circle-model action's reading of the points (cos theta, sin theta).
+
+    With v = g^{-1} (cos theta, sin theta), returns the angle of v and the
+    two factors the action multiplies by, |v|^{lam-1} and
+    |det g|^{(lam-1)/2}; the first two have the shape of theta.
+    """
+    g = np.asarray(g, dtype=float)
+    z = complex(lam)
+    det = float(np.linalg.det(g))
+    if det == 0.0:
+        raise ValueError("group element must be invertible")
+    h = np.linalg.inv(g)
+    theta = np.asarray(theta, dtype=float)
+    v = h @ np.vstack([np.cos(theta.ravel()), np.sin(theta.ravel())])
+    r = np.hypot(v[0], v[1]).reshape(theta.shape)
+    psi = np.arctan2(v[1], v[0]).reshape(theta.shape)
+    return psi, np.exp((z - 1.0) * np.log(r)), abs(det) ** ((z - 1.0) / 2.0)
 
 
 def group_action(g, lam, f: CircleFunction) -> CircleFunction:
@@ -86,20 +100,11 @@ def group_action(g, lam, f: CircleFunction) -> CircleFunction:
     transformed back; energy beyond the truncation is reported in the
     output's ``tail_energy`` field and must stay within 1% of the total.
     """
-    g = np.asarray(g, dtype=float)
-    z = _as_complex(lam)
-    det = float(np.linalg.det(g))
-    if det == 0.0:
-        raise ValueError("group element must be invertible")
-    h = np.linalg.inv(g)
     n_out = f.max_mode
     m = max(256, 8 * (2 * n_out + 2))
     theta = np.linspace(0.0, 2.0 * np.pi, m, endpoint=False)
-    v = h @ np.vstack([np.cos(theta), np.sin(theta)])
-    r = np.hypot(v[0], v[1])
-    psi = np.arctan2(v[1], v[0])
-    vals = (np.exp((z - 1.0) * np.log(r)) * f.evaluate(psi)
-            * abs(det) ** ((z - 1.0) / 2.0))
+    psi, radial, det_factor = _pull_back(g, lam, theta)
+    vals = radial * f.evaluate(psi) * det_factor
     spec = np.fft.fft(vals) / m
     c = spec[(2 * np.arange(-n_out, n_out + 1)) % m]
     total = float(np.sum(np.abs(spec) ** 2))
@@ -123,7 +128,7 @@ def circle_generators(lam, N: int):
                                      - i((q+1)+(lam-1)/2) f_{q+1}
       X_r = rotation:      (X f)_q = 2 i q f_q
     """
-    z = _as_complex(lam)
+    z = complex(lam)
     q = np.arange(-N, N + 1)
     half = (z - 1.0) / 2.0
     lower_a = (q[1:] - 1.0) - half          # entry (q, q-1)
@@ -522,29 +527,15 @@ def transformed_kernel_values(g1, g2, z: float, params: Tuple, x, y):
 
     with v1 = g1^{-1} (cos x, sin x), v2 = g2^{-1} (cos y, sin y).  Evaluation
     is pointwise on the requested grid only (the kernel's singular lines are
-    never expanded in Fourier modes).  Raises SingularConfigurationError when
-    a grid point lands on a singular line.
+    never expanded in Fourier modes).  Each slot is pulled back as in
+    ``group_action``.  Raises SingularConfigurationError when a grid point
+    lands on a singular line.
     """
-    tau, tau_prime, lam = (_as_complex(t) for t in params)
+    tau, tau_prime, lam = (complex(t) for t in params)
     e = exponents(tau, tau_prime, lam)
-    h1 = np.linalg.inv(np.asarray(g1, dtype=float))
-    h2 = np.linalg.inv(np.asarray(g2, dtype=float))
-    d1 = abs(float(np.linalg.det(g1)))
-    d2 = abs(float(np.linalg.det(g2)))
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    v1x = h1[0, 0] * np.cos(x) + h1[0, 1] * np.sin(x)
-    v1y = h1[1, 0] * np.cos(x) + h1[1, 1] * np.sin(x)
-    v2x = h2[0, 0] * np.cos(y) + h2[0, 1] * np.sin(y)
-    v2y = h2[1, 0] * np.cos(y) + h2[1, 1] * np.sin(y)
-    r1 = np.hypot(v1x, v1y)
-    r2 = np.hypot(v2x, v2y)
-    p1 = np.arctan2(v1y, v1x)
-    p2 = np.arctan2(v2y, v2x)
-    vals = kernel_on_circle(p1, p2, z, e)
-    vals = vals * np.exp((-tau - 1.0) * np.log(r1) + (-tau_prime - 1.0) * np.log(r2))
-    vals = vals * d1 ** ((-tau - 1.0) / 2.0) * d2 ** ((-tau_prime - 1.0) / 2.0)
-    return vals
+    p1, radial1, det1 = _pull_back(g1, -tau, x)
+    p2, radial2, det2 = _pull_back(g2, -tau_prime, y)
+    return kernel_on_circle(p1, p2, z, e) * radial1 * radial2 * (det1 * det2)
 
 
 # Gauss-Legendre points per axis of the coarse pairing rule
@@ -559,9 +550,10 @@ class PairingResult:
     error: float            # quadrature refinement difference
 
 
-def kernel_bump_pairing(g1, g2, z: float, T: float, params: Tuple, N: int,
-                        bump: Optional[BiCircleFunction] = None) -> PairingResult:
-    """|<Pi(g1,g2) f_z, u>| for the localized bump u, plain-measure pairing.
+def kernel_bump_pairing(g1, g2, params: Tuple,
+                        bump: BiCircleFunction) -> PairingResult:
+    """|<Pi(g1,g2) f_0, u>| for the localized bump u, plain-measure pairing
+    (the kernel at z = 0).
 
     The bump and the transformed kernel are both even-even (pi-periodic in
     each angle), so the full bi-circle pairing equals the integral of the
@@ -569,9 +561,8 @@ def kernel_bump_pairing(g1, g2, z: float, T: float, params: Tuple, N: int,
     integral is taken with a 48-point tensor Gauss-Legendre rule over the
     support box and refined once, to 96 points, for an error estimate.
     """
-    u = bump if bump is not None else bump_vector(T, N)
-    r = u.support_radius
-    x0, y0 = u.center
+    r = bump.support_radius
+    x0, y0 = bump.center
 
     def integrate(n):
         gx, gw = np.polynomial.legendre.leggauss(n)
@@ -579,8 +570,8 @@ def kernel_bump_pairing(g1, g2, z: float, T: float, params: Tuple, N: int,
         ys = y0 + r * gx
         wx = r * gw
         X, Y = np.meshgrid(xs, ys, indexing="ij")
-        fvals = transformed_kernel_values(g1, g2, z, params, X, Y)
-        uvals = 4.0 * u.evaluate(X, Y)      # 4 antipodal copies, each mass 1/4
+        fvals = transformed_kernel_values(g1, g2, 0.0, params, X, Y)
+        uvals = 4.0 * bump.evaluate(X, Y)   # 4 antipodal copies, each mass 1/4
         pair = np.einsum("i,j,ij->", wx, wx, fvals * uvals)
         return pair, fvals
 
@@ -595,14 +586,13 @@ def kernel_bump_pairing(g1, g2, z: float, T: float, params: Tuple, N: int,
                          error=float(abs(p2 - p1)))
 
 
-def pairing_search(T: float, params: Tuple, N: int, n_random: int = 12,
-                   seed: int = 7, bump: Optional[BiCircleFunction] = None):
-    """Probe the identity plus random elements of the norm <= 2 region, for
-    the kernel at z = 0.
+def pairing_search(bump: BiCircleFunction, params: Tuple, n_random: int,
+                   seed: int):
+    """Pair ``bump`` with the kernel moved by the identity and by n_random
+    random elements of the norm <= 2 region.
 
     Returns a list of (g1, g2, PairingResult); the identity pair comes first.
     """
-    u = bump if bump is not None else bump_vector(T, N)
     rng = np.random.default_rng(seed)
     eye = np.eye(2)
     probes = [(eye, eye)]
@@ -610,8 +600,7 @@ def pairing_search(T: float, params: Tuple, N: int, n_random: int = 12,
         probes.append((random_sl2(rng), random_sl2(rng)))
     out = []
     for g1, g2 in probes:
-        res = kernel_bump_pairing(g1, g2, 0.0, T, params, N, bump=u)
-        out.append((g1, g2, res))
+        out.append((g1, g2, kernel_bump_pairing(g1, g2, params, bump)))
     return out
 
 

@@ -44,7 +44,7 @@ from .circlefn import CircleFunction
 from .errors import (DomainTooSmallError, NonFiniteError, PoleArgumentError,
                      PreconditionError)
 from .estimate import Estimate
-from .params import _as_complex, exponents
+from .params import exponents
 from .quadrature import QuadratureConfig, refine_until, unit_nodes
 from .specfun import (gamma_product_log, log_gamma_array, log_gamma_complex,
                       reciprocal_gamma)
@@ -112,7 +112,7 @@ def invariant_functional(f: Callable, contour="unit_circle") -> Estimate:
 
 def closed_form_log(l1, l2, l3) -> complex:
     """log (modulus + i accumulated phase) of the spherical closed form."""
-    z1, z2, z3 = _as_complex(l1), _as_complex(l2), _as_complex(l3)
+    z1, z2, z3 = complex(l1), complex(l2), complex(l3)
     e = exponents(z1, z2, z3)
     num = [(e.alpha + 1) / 4, (e.beta + 1) / 4, (e.gamma + 1) / 4, (e.delta + 1) / 4]
     den = [0.5, 0.5, 0.5, (1 - z1) / 2, (1 - z2) / 2, (1 - z3) / 2]
@@ -147,7 +147,7 @@ def spherical_square(tau, tau_prime, lam) -> float:
 # ---------------------------------------------------------------------------
 
 def _imaginary_modulus(lam) -> float:
-    z = _as_complex(lam)
+    z = complex(lam)
     if abs(z.real) > 1e-12:
         raise PreconditionError(f"decay asymptotics need purely imaginary lam, got {z}")
     return abs(z.imag)
@@ -168,7 +168,9 @@ def decay_envelope_log(lam) -> float:
 def normalized_decay(tau, tau_prime, lam) -> float:
     """Squared spherical value divided by its exponential envelope.
 
-    Computed fully in log space: the raw square underflows near |lam| ~ 900.
+    Computed fully in log space: at tau = tau' = 0 the raw square leaves the
+    normal double range near |lam| = 445 and is exactly 0 by |lam| = 500
+    (the modulus itself underflows near |lam| = 900).
     """
     logk = 2.0 * closed_form_log(tau, tau_prime, lam).real
     return math.exp(logk - decay_envelope_log(lam))

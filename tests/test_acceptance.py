@@ -10,10 +10,11 @@ import time
 import numpy as np
 import pytest
 
-from triform import (CircleFunction, QuadratureConfig, closed_form_value,
-                     decay_constant, exponents, identity_battery, kernel_value,
-                     normalized_decay, pairing_search, sobolev_trace,
-                     triple_quadrature, weighted_mean_bound)
+from triform import (CircleFunction, QuadratureConfig, bump_vector,
+                     closed_form_value, decay_constant, exponents,
+                     identity_battery, kernel_value, normalized_decay,
+                     pairing_search, sobolev_trace, triple_quadrature,
+                     weighted_mean_bound)
 
 ONES = CircleFunction.constant(1.0)
 
@@ -143,7 +144,8 @@ def test_criterion_6_localized_pairing():
     details = []
     for T in (4.0, 8.0, 16.0):
         params = (0.0, 0.0, 2j * T)
-        probes = pairing_search(T, params, N=int(400 * T), n_random=8, seed=11)
+        probes = pairing_search(bump_vector(T, int(400 * T)), params,
+                                n_random=8, seed=11)
         best = max(r.value for _, _, r in probes)
         holder = all(r.value <= r.sup_abs * (1 + 1e-6) + r.error
                      for _, _, r in probes)

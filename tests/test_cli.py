@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from triform import identity_battery
+from triform import identity_battery, normalized_decay
 from triform.cli import main
 
 
@@ -54,6 +54,16 @@ def test_pole_row_flags_exit_code(tmp_path):
     _, rows = parse_csv(text)
     assert rows[0]["error"] == ""
     assert rows[1]["error"].startswith("pole:")
+
+
+@pytest.mark.parametrize("l3", [460, 466, 500])
+def test_closed_form_normalized_where_the_square_underflows(l3, tmp_path):
+    # the raw square is subnormal at |l3| = 460 and 466 and exactly 0 at 500
+    code, text = run_cli(["closed-form", "--triples", f"0,0,{l3}",
+                          "--format", "json"], tmp_path)
+    assert code == 0
+    row = json.loads(text)["rows"][0]
+    assert abs(row["normalized"] - normalized_decay(0, 0, 1j * l3)) <= 1e-12
 
 
 def test_reproducible_byte_determinism(tmp_path):

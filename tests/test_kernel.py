@@ -55,7 +55,7 @@ def test_exponent_linear_relations(rng):
         assert abs(e.alpha + e.beta + 2 * l3) < 1e-14
         assert abs(e.beta + e.gamma + 2 * l1) < 1e-14
         assert abs(e.alpha + e.gamma + 2 * l2) < 1e-14
-        assert e.is_imaginary
+        assert all(v.real == 0.0 for v in (e.alpha, e.beta, e.gamma, e.delta))
 
 
 def test_kernel_unit_configuration():
@@ -183,6 +183,35 @@ def test_kernel_routes_agree_on_the_circle(rng):
     transformed = transformed_kernel_values(np.eye(2), np.eye(2), z, params, x, y)
     assert np.all(np.abs(at_points - on_circle) <= 1e-12 * np.abs(on_circle))
     assert np.all(np.abs(transformed - on_circle) <= 1e-12 * np.abs(on_circle))
+
+
+def test_transformed_kernel_pulls_back_each_slot(rng):
+    # at non-identity g1, g2 (|det| != 1) the transformed kernel is the plane
+    # kernel at v1 = g1^-1 (cos x, sin x), v2 = g2^-1 (cos y, sin y) and
+    # (cos z, sin z), times |det g1|^((-tau-1)/2) |det g2|^((-tau'-1)/2)
+    params = (0.2 + 1.3j, -0.1 - 0.6j, 2.2j)
+    tau, tau_prime, _ = params
+    e = exponents(*params)
+    z = 0.4
+    for _ in range(5):
+        g1 = rng.uniform(0.5, 2.0) * sl2(rng)
+        g2 = rng.uniform(0.5, 2.0) * sl2(rng)
+        x = rng.uniform(0.0, 2 * np.pi, 40)
+        y = rng.uniform(0.0, 2 * np.pi, 40)
+        v1 = np.stack([np.cos(x), np.sin(x)], axis=-1) @ np.linalg.inv(g1).T
+        v2 = np.stack([np.cos(y), np.sin(y)], axis=-1) @ np.linalg.inv(g2).T
+        s3 = np.array([np.cos(z), np.sin(z)])
+        unit1 = v1 / np.linalg.norm(v1, axis=-1, keepdims=True)
+        unit2 = v2 / np.linalg.norm(v2, axis=-1, keepdims=True)
+        keep = np.minimum.reduce([np.abs(omega(unit1, unit2)),
+                                  np.abs(omega(unit1, s3)),
+                                  np.abs(omega(unit2, s3))]) > 1e-3
+        expected = (kernel_value(v1[keep], v2[keep], s3, e)
+                    * abs(np.linalg.det(g1)) ** ((-tau - 1) / 2)
+                    * abs(np.linalg.det(g2)) ** ((-tau_prime - 1) / 2))
+        got = transformed_kernel_values(g1, g2, z, params, x[keep], y[keep])
+        assert keep.sum() > 20
+        assert np.all(np.abs(got - expected) <= 1e-12 * np.abs(expected))
 
 
 def test_transformed_kernel_singular_point_raises():

@@ -1,31 +1,9 @@
-"""Spectral-parameter classification and the exponent quadruple."""
+"""The exponent quadruple of a parameter triple."""
 
 import pytest
 
 from triform import (ExponentQuadruple, NonFiniteError, PreconditionError,
-                     SeriesParam, exponents)
-
-
-def test_classification_follows_value():
-    assert SeriesParam(2.4j).series_class == "principal"
-    assert SeriesParam(0.0).series_class == "principal"
-    assert SeriesParam(0.5).series_class == "complementary"
-    assert SeriesParam(-0.99).series_class == "complementary"
-    assert SeriesParam(1.5).series_class == "general"
-    assert SeriesParam(0.3 + 1j).series_class == "general"
-
-
-def test_constructors():
-    assert SeriesParam.principal(3.0).lam == 3j
-    assert SeriesParam.complementary(0.25).lam == 0.25
-    with pytest.raises(ValueError):
-        SeriesParam.complementary(1.0)
-
-
-def test_exponents_accept_series_params():
-    e = exponents(SeriesParam(1j), SeriesParam(2j), 3j)
-    assert e.alpha == 1j - 2j - 3j
-    assert e.is_imaginary
+                     exponents)
 
 
 def test_kernel_powers():

@@ -1,12 +1,15 @@
 """The public API is the only way in: the CLI, tests and demos import no
-private names."""
+private names, and every name the demos and the bench import exists."""
 
 import ast
+import importlib
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted([*(ROOT / "tests").glob("*.py"), *(ROOT / "demos").glob("*.py")])
 CLI = ROOT / "src" / "triform" / "cli.py"
+# scripts that the test run never executes
+UNRUN = sorted([*(ROOT / "demos").glob("*.py"), *(ROOT / "bench").glob("*.py")])
 
 
 def private_imports(source: str) -> list:
@@ -51,3 +54,46 @@ def test_tests_and_demos_import_no_private_names():
 
 def test_cli_imports_no_private_names():
     assert private_imports(CLI.read_text(encoding="utf-8")) == []
+
+
+def _resolves(module: str, name: str = None) -> bool:
+    try:
+        mod = importlib.import_module(module)
+    except ImportError:
+        return False
+    if name is None or hasattr(mod, name):
+        return True
+    return _resolves(f"{module}.{name}")
+
+
+def missing_imports(source: str) -> list:
+    """Names that ``source`` imports from triform and the package lacks."""
+    missing = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level == 0 and (
+                node.module or "").split(".")[0] == "triform":
+            missing += [f"line {node.lineno}: {node.module}.{a.name}"
+                        for a in node.names if not _resolves(node.module, a.name)]
+        elif isinstance(node, ast.Import):
+            missing += [f"line {node.lineno}: {a.name}" for a in node.names
+                        if a.name.split(".")[0] == "triform"
+                        and not _resolves(a.name)]
+    return missing
+
+
+def test_detector_flags_missing_names():
+    assert missing_imports("from triform import no_such_name")
+    assert missing_imports("from triform import bump_vector, no_such_name")
+    assert missing_imports("from triform.nowhere import x")
+    assert missing_imports("import triform.nowhere")
+    assert not missing_imports("from triform import bump_vector, cli")
+    assert not missing_imports("from triform.quadrature import unit_nodes")
+    assert not missing_imports("import triform.specfun")
+    assert not missing_imports("from other import no_such_name")
+
+
+def test_demos_and_bench_import_only_existing_names():
+    assert len(UNRUN) > 6
+    offenders = {f"{p.parent.name}/{p.name}":
+                 missing_imports(p.read_text(encoding="utf-8")) for p in UNRUN}
+    assert {k: v for k, v in offenders.items() if v} == {}

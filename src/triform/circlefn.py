@@ -59,8 +59,19 @@ class CircleFunction:
     def evaluate(self, theta):
         """Evaluate the truncated series (vectorized over theta)."""
         theta = np.asarray(theta, dtype=float)
-        p = np.arange(-self.max_mode, self.max_mode + 1)
-        phases = np.exp(2j * np.outer(theta.ravel(), p))
+        t = theta.ravel()
+        N = self.max_mode
+        # exp(2ipt) only for p >= 1; column 0 is 1 (NaN where t is NaN) and
+        # column -p the conjugate of column p.  That is the full table bit
+        # for bit once the -0 imaginary parts that conj() makes at t = 0 are
+        # turned back into the +0 that exp gives.
+        phases = np.empty((len(t), 2 * N + 1), dtype=complex)
+        phases[:, N] = 1.0 + 0.0 * t
+        if N:
+            pos = np.exp(2j * np.outer(t, np.arange(1, N + 1)))
+            phases[:, N + 1:] = pos
+            phases[:, N - 1::-1] = pos.conj()
+            phases.imag[:, :N] += 0.0
         vals = phases @ self.coeffs
         return vals.reshape(theta.shape) if theta.ndim else complex(vals[0])
 

@@ -79,7 +79,7 @@ def _pull_back(g, lam, theta):
     z = complex(lam)
     det = float(np.linalg.det(g))
     if det == 0.0:
-        raise ValueError("group element must be invertible")
+        raise PreconditionError("group element must be invertible")
     h = np.linalg.inv(g)
     theta = np.asarray(theta, dtype=float)
     v = h @ np.vstack([np.cos(theta.ravel()), np.sin(theta.ravel())])
@@ -237,12 +237,16 @@ def sobolev_matrix(l: int, T: float, tau, tau_prime, N: int) -> sp.csc_matrix:
     return Q.tocsc()
 
 
+# largest truncation N of the dense forms and the dense relative trace
+_DENSE_MAX_N = 40
+
+
 def sobolev_form(l: int, T: float, params: Tuple, N: int) -> HermitianForm:
     """Dense Sobolev form on the truncated bi-circle basis.
 
     N > 40 raises PreconditionError (the dense matrix has (2N+1)^4 entries).
     """
-    if N > 40:
+    if N > _DENSE_MAX_N:
         raise PreconditionError("dense Sobolev form is limited to N <= 40; "
                                 "use sobolev_trace for large truncations")
     tau, tau_prime = params
@@ -289,7 +293,7 @@ def induced_form(lam, tau, tau_prime, N: int, K_modes: int) -> HermitianForm:
     K_modes.  Each row -k is the mirror of row k (see ``_mode_rows``).
     Dense assembly; N > 40 raises PreconditionError.
     """
-    if N > 40:
+    if N > _DENSE_MAX_N:
         raise PreconditionError("dense induced form is limited to N <= 40; "
                                 "use sobolev_trace for large truncations")
     dim = (2 * N + 1) ** 2
@@ -312,10 +316,16 @@ def relative_trace(H, Q) -> float:
 
     Computed by a triangular (Cholesky) factorization; an independent
     Q-eigenbasis evaluation must agree to a relative 1e-10, or
-    ArithmeticError is raised.  Q must be positive definite.
+    ArithmeticError is raised.  Q must be positive definite.  Matrices of
+    more than (2*40 + 1)^2 = 6561 rows, the dense forms' limit, raise
+    PreconditionError; use sobolev_trace for large truncations.
     """
     Hm = H.matrix if isinstance(H, HermitianForm) else np.asarray(H, dtype=complex)
     Qm = Q.matrix if isinstance(Q, HermitianForm) else np.asarray(Q, dtype=complex)
+    rows = (2 * _DENSE_MAX_N + 1) ** 2
+    if max(len(Hm), len(Qm)) > rows:
+        raise PreconditionError(f"dense relative trace is limited to {rows} rows; "
+                                "use sobolev_trace for large truncations")
     try:
         L = sla.cholesky(Qm, lower=True)
     except sla.LinAlgError as exc:
@@ -550,6 +560,36 @@ class PairingResult:
     error: float            # quadrature refinement difference
 
 
+def _pairing_grids(bump: BiCircleFunction) -> list:
+    """The 48- and 96-point tensor Gauss-Legendre rules over the bump's
+    support box: (X, Y, 1-D weights, bump values of all 4 copies) each."""
+    r = bump.support_radius
+    x0, y0 = bump.center
+    grids = []
+    for n in (_PAIRING_GRID, 2 * _PAIRING_GRID):
+        gx, gw = np.polynomial.legendre.leggauss(n)
+        X, Y = np.meshgrid(x0 + r * gx, y0 + r * gx, indexing="ij")
+        # 4 antipodal copies, each mass 1/4
+        grids.append((X, Y, r * gw, 4.0 * bump.evaluate(X, Y)))
+    return grids
+
+
+def _pair_on_grids(g1, g2, params: Tuple, grids: list, r: float) -> PairingResult:
+    """``kernel_bump_pairing`` on the rules of ``_pairing_grids``."""
+    pairs = []
+    for X, Y, w, uvals in grids:
+        fvals = transformed_kernel_values(g1, g2, 0.0, params, X, Y)
+        pairs.append(np.einsum("i,j,ij->", w, w, fvals * uvals))
+    p1, p2 = pairs      # fvals are now the 96-point rule's
+    dx = 2.0 * r / (2 * _PAIRING_GRID - 1)
+    gx_, gy_ = np.gradient(fvals, dx, dx)
+    grad_max = float(np.max(np.abs(np.sqrt(np.abs(gx_) ** 2 + np.abs(gy_) ** 2))))
+    return PairingResult(value=float(abs(p2)),
+                         sup_abs=float(np.max(np.abs(fvals))),
+                         grad_max=grad_max,
+                         error=float(abs(p2 - p1)))
+
+
 def kernel_bump_pairing(g1, g2, params: Tuple,
                         bump: BiCircleFunction) -> PairingResult:
     """|<Pi(g1,g2) f_0, u>| for the localized bump u, plain-measure pairing
@@ -561,35 +601,14 @@ def kernel_bump_pairing(g1, g2, params: Tuple,
     integral is taken with a 48-point tensor Gauss-Legendre rule over the
     support box and refined once, to 96 points, for an error estimate.
     """
-    r = bump.support_radius
-    x0, y0 = bump.center
-
-    def integrate(n):
-        gx, gw = np.polynomial.legendre.leggauss(n)
-        xs = x0 + r * gx
-        ys = y0 + r * gx
-        wx = r * gw
-        X, Y = np.meshgrid(xs, ys, indexing="ij")
-        fvals = transformed_kernel_values(g1, g2, 0.0, params, X, Y)
-        uvals = 4.0 * bump.evaluate(X, Y)   # 4 antipodal copies, each mass 1/4
-        pair = np.einsum("i,j,ij->", wx, wx, fvals * uvals)
-        return pair, fvals
-
-    p1, _ = integrate(_PAIRING_GRID)
-    p2, fvals = integrate(2 * _PAIRING_GRID)
-    dx = 2.0 * r / (2 * _PAIRING_GRID - 1)
-    gx_, gy_ = np.gradient(fvals, dx, dx)
-    grad_max = float(np.max(np.abs(np.sqrt(np.abs(gx_) ** 2 + np.abs(gy_) ** 2))))
-    return PairingResult(value=float(abs(p2)),
-                         sup_abs=float(np.max(np.abs(fvals))),
-                         grad_max=grad_max,
-                         error=float(abs(p2 - p1)))
+    return _pair_on_grids(g1, g2, params, _pairing_grids(bump), bump.support_radius)
 
 
 def pairing_search(bump: BiCircleFunction, params: Tuple, n_random: int,
                    seed: int):
     """Pair ``bump`` with the kernel moved by the identity and by n_random
-    random elements of the norm <= 2 region.
+    random elements of the norm <= 2 region; the bump is evaluated on the
+    quadrature grids once for all of them.
 
     Returns a list of (g1, g2, PairingResult); the identity pair comes first.
     """
@@ -598,10 +617,9 @@ def pairing_search(bump: BiCircleFunction, params: Tuple, n_random: int,
     probes = [(eye, eye)]
     for _ in range(n_random):
         probes.append((random_sl2(rng), random_sl2(rng)))
-    out = []
-    for g1, g2 in probes:
-        out.append((g1, g2, kernel_bump_pairing(g1, g2, params, bump)))
-    return out
+    grids = _pairing_grids(bump)
+    return [(g1, g2, _pair_on_grids(g1, g2, params, grids, bump.support_radius))
+            for g1, g2 in probes]
 
 
 def weighted_mean_bound(u: np.ndarray, h: np.ndarray,

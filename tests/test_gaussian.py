@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from triform import (CircleFunction, GaussianSpec, NonFiniteError,
-                     PreconditionError, det_moment, gaussian_expect,
+                     PreconditionError, det_moment, exponents, gaussian_expect,
                      homogeneous_reduction_check, identity_battery,
-                     kernel_gaussian_check, linear_moment, minor_map,
-                     minor_pullback_check, minor_pullback_rotated,
+                     kernel_gaussian_check, kernel_value, linear_moment,
+                     minor_map, minor_pullback_check, minor_pullback_rotated,
                      radial_expect, radius_moment)
 
 SQRT_PI = 1.7724538509055160273
@@ -198,6 +198,14 @@ def test_minor_pullback_identity():
         assert abs(lhs.value - rhs.value) <= lhs.error_bound + rhs.error_bound
 
 
+def test_non_finite_rotation_is_not_dropped():
+    # |w . r|^s at a NaN projection is NaN, not the 0 of a v = 0 null set
+    R = np.eye(3)
+    R[2, 0] = np.nan
+    with pytest.raises(NonFiniteError):
+        minor_pullback_rotated(1.0, R, GaussianSpec(6, 31, 1000))
+
+
 def test_minor_pullback_rotation_invariance(rng):
     base = minor_pullback_check(1.0, GaussianSpec(6, 31, 200_000))[0]
     for _ in range(5):
@@ -249,3 +257,121 @@ def test_identity_battery_order_and_streams():
     assert rows[25][2:] == homogeneous_reduction_check(
         0.0, CircleFunction.from_modes({0: 1.0, 2: 0.25, -2: 0.25}, 1),
         method="mc", spec=GaussianSpec(dim=2, seed=8, samples=2000))
+
+
+# ---------------------------------------------------------------------------
+# one draw per stream
+# ---------------------------------------------------------------------------
+
+def abs_power(v, s):
+    """|v|^s as a separate integrand computes it: 0 where v = 0."""
+    s = complex(s)
+    if s == 0:
+        return np.ones(len(v), dtype=complex)
+    a = np.abs(v)
+    out = np.zeros(len(a), dtype=complex)
+    out[a > 0] = np.exp(s * np.log(a[a > 0]))
+    return out
+
+
+def test_battery_rows_equal_separate_calls():
+    # each family shares one draw among its k = 5, 2 or 3 integrands; 200,003
+    # samples end on a partial chunk.  Every value and bar must equal, bit
+    # for bit, the one-integrand call (k = 1) on the same stream.
+    samples, seed = 200_003, 3
+    rows = identity_battery(samples, seed)
+    s_values = (0.0, 1.0, 2.0, 1j, 2j)
+
+    def expect(dim, offset, integrand):
+        return gaussian_expect(GaussianSpec(dim, seed + offset, samples), integrand)
+
+    want = []
+    for n in (1, 2, 3):
+        want += [expect(n, 0, lambda p, s=s: abs_power(np.sqrt(np.sum(p * p, 1)), s))
+                 for s in s_values]
+    want += [expect(2, 1, lambda p, s=s: abs_power(p[:, 0], s)) for s in s_values]
+    want += [expect(4, 2, lambda p, s=s: abs_power(
+        p[:, 0] * p[:, 3] - p[:, 1] * p[:, 2], s)) for s in s_values]
+    f = CircleFunction.from_modes({0: 1.0, 2: 0.25, -2: 0.25}, 1)
+    want += [expect(2, 3, lambda p, z=z: abs_power(np.hypot(p[:, 0], p[:, 1]), -z - 1.0)
+                    * f.evaluate(np.arctan2(p[:, 1], p[:, 0]))) for z in (0j, 2j)]
+    want += [expect(6, 4, lambda p, s=s: abs_power(
+        minor_map(p.reshape(-1, 2, 3))[:, 2], s)) for s in s_values]
+
+    def kernel(p, t):
+        x = p.reshape(-1, 3, 2)
+        return kernel_value(x[:, 0], x[:, 1], x[:, 2], exponents(*t))
+
+    want += [expect(6, 6, lambda p, t=t: kernel(p, t))
+             for t in ((0j, 0j, 0j), (2j, 0j, 0j), (0j, 1j, 2j))]
+    assert len(rows) == len(want) == 35
+    for (identity, params, lhs, _), ref in zip(rows, want):
+        assert (lhs.value, lhs.error_bound, lhs.cost) == (
+            ref.value, ref.error_bound, ref.cost), (identity, params)
+    # the closed sides are the public checks' own
+    assert [r[3] for r in rows[25:27]] == [
+        homogeneous_reduction_check(lam, f, method="mc",
+                                    spec=GaussianSpec(2, seed + 3, 1000))[1]
+        for lam in (0.0, 2j)]
+    assert [r[3] for r in rows[27:32]] == [
+        minor_pullback_check(s, GaussianSpec(6, seed + 4, 1000))[1] for s in s_values]
+    assert [r[3] for r in rows[32:]] == [
+        kernel_gaussian_check(*t, GaussianSpec(6, seed + 6, 1000))[1]
+        for t in ((0j, 0j, 0j), (2j, 0j, 0j), (0j, 1j, 2j))]
+
+
+def test_battery_draws_each_stream_once(monkeypatch):
+    made = []
+    philox = np.random.Philox
+
+    def counting_philox(seed):
+        made.append(seed)
+        return philox(seed)
+
+    monkeypatch.setattr(np.random, "Philox", counting_philox)
+    identity_battery(2000, 5)   # one chunk per stream
+    # (seed, dim) streams: (5, 1), (5, 2), (5, 3), (6, 2), (7, 4), (8, 2),
+    # (9, 6), (11, 6)
+    assert sorted(made) == [5, 5, 5, 6, 7, 8, 9, 11]
+
+
+def test_third_minor_is_the_minor_map_column(rng):
+    m = rng.standard_normal((10_000, 2, 3))
+    third = m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0]
+    assert third.tobytes() == minor_map(m)[:, 2].tobytes()
+    spec = GaussianSpec(6, 29, 70_001)
+    for s in (1.0, 0.5j):
+        ref = gaussian_expect(
+            spec, lambda p: abs_power(minor_map(p.reshape(-1, 2, 3))[:, 2], s))
+        lhs = minor_pullback_check(s, spec)[0]
+        assert (lhs.value, lhs.error_bound) == (ref.value, ref.error_bound)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan),
+                                 "inf-pair"])
+def test_non_finite_value_in_the_last_chunk(bad):
+    # the last of 200,003 samples sits in a partial last chunk
+    spec = GaussianSpec(dim=1, seed=2, samples=200_003)
+    seen = [0]
+
+    def integrand(pts):
+        out = np.ones(len(pts), dtype=complex)
+        seen[0] += len(pts)
+        if seen[0] == spec.samples:
+            if bad == "inf-pair":       # the chunk sum is inf - inf = nan
+                out[-2:] = (np.inf, -np.inf)
+            else:
+                out[-1] = bad
+        return out
+
+    with pytest.raises(NonFiniteError):
+        gaussian_expect(spec, integrand)
+    assert seen[0] == spec.samples
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_overflowing_sum_of_finite_values_is_typed():
+    # the full scan finds no bad value, and the error names the overflow
+    with pytest.raises(NonFiniteError, match="sum overflowed"):
+        gaussian_expect(GaussianSpec(1, 2, 1000), lambda p: np.full(len(p), 1e308))

@@ -15,7 +15,7 @@ from triform import (CircleFunction, HermitianForm, InsufficientTruncationError,
                      kernel_bump_pairing, pairing_search,
                      random_sl2, relative_trace, sobolev_form, sobolev_matrix,
                      sobolev_trace, spectral_mode_values, spherical_square,
-                     weighted_mean_bound)
+                     transformed_kernel_values, weighted_mean_bound)
 
 GEN_MATRICES = [np.array([[1.0, 0.0], [0.0, -1.0]]),
                 np.array([[0.0, 1.0], [1.0, 0.0]]),
@@ -83,6 +83,16 @@ def test_action_truncation_overflow():
     f = CircleFunction(np.full(17, 1.0, dtype=complex), 8)
     with pytest.raises(TruncationOverflowError):
         group_action(np.diag([4.0, 0.25]), 1j, f)
+
+
+@pytest.mark.parametrize("g", [np.zeros((2, 2)), np.array([[1.0, 2.0], [0.5, 1.0]])])
+def test_singular_group_element_is_a_precondition_error(g):
+    with pytest.raises(PreconditionError, match="invertible"):
+        group_action(g, 1j, CircleFunction.constant(1.0, 4))
+    theta = np.array([0.3, 1.1])
+    for pair in ((g, np.eye(2)), (np.eye(2), g)):
+        with pytest.raises(PreconditionError, match="invertible"):
+            transformed_kernel_values(*pair, 0.0, (0.0, 0.0, 1j), theta, theta + 0.7)
 
 
 def test_generators_match_finite_differences(rng):
@@ -243,6 +253,16 @@ def test_relative_trace_rejects_indefinite(rng):
     bad[0, 0] = -1.0
     with pytest.raises(NotPositiveDefiniteError):
         relative_trace(h, bad)
+
+
+def test_relative_trace_refuses_large_matrices():
+    # 6562 rows would be 689 MB of complex entries; zero-stride views cost
+    # nothing, so the refusal must come before any factorization
+    big = np.broadcast_to(np.zeros((), dtype=complex), (6562, 6562))
+    small = np.eye(3, dtype=complex)
+    for h, q in ((big, big), (big, small), (small, big)):
+        with pytest.raises(PreconditionError, match="6561 rows"):
+            relative_trace(h, q)
 
 
 # ---------------------------------------------------------------------------
@@ -438,6 +458,15 @@ def test_pairing_search_probes(rng):
     assert best >= 0.5
     for g1, g2, r in results:
         assert r.value <= r.sup_abs * (1.0 + 1e-6) + r.error
+
+
+def test_pairing_search_equals_one_pairing_per_probe():
+    # the search evaluates the bump once; each result must equal the
+    # pairing that evaluates it itself, bit for bit
+    bump = bump_vector(4.0, 1600)
+    params = (0.0, 0.0, 8j)
+    for g1, g2, r in pairing_search(bump, params, n_random=3, seed=5):
+        assert r == kernel_bump_pairing(g1, g2, params, bump)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,11 @@ the double-exponential (tanh-sinh) transform, which clusters nodes
 doubly-exponentially at both endpoints once the caller has split the domain
 along its singular lines.  Nodes are returned together with 1 - x computed
 without cancellation, since integrands need both x and 1 - x accurately at
-the clustered ends.
+the clustered ends.  The family reaches x = 1e-130, which only exponents
+near -1 need; a caller that knows its integrand's endpoint exponents may
+skip the nodes whose tail t^p / p (t = x or 1 - x) lies below its rounding,
+as ``triple_quadrature`` does, and the levels stay nested as long as that
+choice depends on the node alone.
 
 ``_exp_sinh`` is the half-line family of the Gaussian radial oracles.
 

@@ -316,16 +316,20 @@ def relative_trace(H, Q) -> float:
 
     Computed by a triangular (Cholesky) factorization; an independent
     Q-eigenbasis evaluation must agree to a relative 1e-10, or
-    ArithmeticError is raised.  Q must be positive definite.  Matrices of
-    more than (2*40 + 1)^2 = 6561 rows, the dense forms' limit, raise
+    ArithmeticError is raised.  Q must be positive definite.  H and Q that
+    are not square matrices of one shape, or have more than
+    (2*40 + 1)^2 = 6561 rows, the dense forms' limit, raise
     PreconditionError; use sobolev_trace for large truncations.
     """
     Hm = H.matrix if isinstance(H, HermitianForm) else np.asarray(H, dtype=complex)
     Qm = Q.matrix if isinstance(Q, HermitianForm) else np.asarray(Q, dtype=complex)
     rows = (2 * _DENSE_MAX_N + 1) ** 2
-    if max(len(Hm), len(Qm)) > rows:
+    if max(Hm.shape + Qm.shape, default=0) > rows:
         raise PreconditionError(f"dense relative trace is limited to {rows} rows; "
                                 "use sobolev_trace for large truncations")
+    if Hm.ndim != 2 or Hm.shape[0] != Hm.shape[1] or Hm.shape != Qm.shape:
+        raise PreconditionError("relative trace needs two square matrices of one "
+                                f"shape, got {Hm.shape} and {Qm.shape}")
     try:
         L = sla.cholesky(Qm, lower=True)
     except sla.LinAlgError as exc:

@@ -3,18 +3,19 @@
 Everything downstream (closed forms, Fourier coefficients of |sin|^s, Gaussian
 moment identities) is assembled in log space from the two primitives here:
 
-* ``log_gamma_complex`` -- log Gamma on the strip Re z in [-10, 50] (and far
-  beyond on the right), via the asymptotic Stirling series with
+* ``log_gamma_complex`` -- log Gamma via the asymptotic Stirling series with
   Bernoulli-number coefficients, pushed into its validity region Re z >= 10
-  by the recurrence Gamma(z+1) = z Gamma(z).  No external special-function
-  library is used, so results are reproducible bit-for-bit.
+  by the recurrence Gamma(z+1) = z Gamma(z) from Re z >= -9, and by the
+  reflection formula Gamma(z) Gamma(1-z) = pi / sin(pi z) from further
+  left, so every argument costs a bounded amount of work.  No external
+  special-function library is used, so results are reproducible bit-for-bit.
 * ``stirling_modulus`` -- the classical modulus envelope
   sqrt(2 pi) exp(-pi |t| / 2) |t|^(sigma - 1/2) of Gamma(sigma + i t).
 
 The phase (imaginary part) returned by ``log_gamma_complex`` is accumulated
 along the evaluation path (series value plus recurrence logs) and is never
 reduced mod 2 pi, so it is continuous in t along vertical lines away from
-the poles.
+the poles; the reflected branch returns the same accumulated phase.
 """
 
 import cmath
@@ -70,6 +71,31 @@ def _stirling_series(z):
     return out
 
 
+def _reflected(z):
+    """log Gamma(z) for Re z < 1 - _SHIFT_RE, scalar or array, by reflection:
+
+        log Gamma(z) = log 2pi + i pi (z - 1/2) - log(1 - e^{2 pi i z})
+                       - log Gamma(1 - z)
+
+    for Im z >= 0 (-0.0 included, as the recurrence reads it), and the
+    conjugate of the value at conj z below.  Here |e^{2 pi i z}| <= 1, so the
+    principal log of 1 - e^{2 pi i z} (real part >= 0) is analytic on the
+    closed upper half plane off the poles, and the value is the accumulated
+    phase that the recurrence would reach after ceil(_SHIFT_RE - Re z) steps.
+    1 - e^{2 pi i z} is formed from Re z minus its nearest integer and
+    expm1, so it keeps its relative accuracy next to a pole.
+    """
+    up = z.imag >= 0
+    w = np.where(up, z, np.conj(z))
+    theta = 2.0 * np.pi * (w.real - np.rint(w.real))
+    phi = 2.0 * np.pi * w.imag
+    one_minus_q = ((2.0 * np.sin(0.5 * theta) ** 2 - np.expm1(-phi) * np.cos(theta))
+                   - 1j * np.exp(-phi) * np.sin(theta))
+    v = (2.0 * _HALF_LOG_2PI + 1j * np.pi * (w - 0.5) - np.log(one_minus_q)
+         - _stirling_series(1.0 - w))
+    return np.where(up, v, np.conj(v))
+
+
 def log_gamma_complex(z) -> complex:
     """log Gamma(z) as one complex number (Im = accumulated phase); raises
     PoleArgumentError within 1e-14 of a pole."""
@@ -78,6 +104,8 @@ def log_gamma_complex(z) -> complex:
         raise PoleArgumentError(z)
     if z.real >= _SHIFT_RE:
         return complex(_stirling_series(z))
+    if z.real < 1.0 - _SHIFT_RE:
+        return complex(_reflected(z))
     m = int(math.ceil(_SHIFT_RE - z.real))
     shift = 0.0 + 0.0j
     for k in range(m):
@@ -100,13 +128,23 @@ def reciprocal_gamma(z) -> complex:
 def log_gamma_array(z: np.ndarray) -> np.ndarray:
     """Vectorized log Gamma for arrays with no element at a pole.
 
-    Same algorithm as ``log_gamma_complex``; elements left of the Stirling
-    strip are shifted up by the recurrence with a masked loop.
+    Same algorithm as ``log_gamma_complex``: elements with Re z < -9 are
+    reflected, the others left of the Stirling strip are shifted up by the
+    recurrence with a masked loop of at most 19 passes.
     """
-    z = np.asarray(z, dtype=complex).copy()
+    z = np.array(z, dtype=complex)
+    # an imaginary -0.0 becomes +0.0, so a negative real argument takes the
+    # upper side in every log, as the scalar path does
+    z += 0.0
     bad = _is_pole(z)
     if np.any(bad):
         raise PoleArgumentError(z[bad].flat[0])
+    far = z.real < 1.0 - _SHIFT_RE
+    if np.any(far):
+        out = np.empty_like(z)
+        out[far] = _reflected(z[far])
+        out[~far] = log_gamma_array(z[~far])
+        return out
     shift = np.zeros_like(z)
     mask = z.real < _SHIFT_RE
     while np.any(mask):

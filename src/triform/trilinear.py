@@ -72,6 +72,7 @@ _START_LEVEL = 3         # first level of triple_quadrature
 # on one Xeon core, constant data run levels 3-8 in 1.2 s and 3-10 in 21 s
 MAX_QUADRATURE_LEVEL = 10
 _BLOCK_NODES = 1 << 13   # nodes per block of rows; bounds the temporaries
+_TAIL_EPS = 2.0 ** -60   # majorant mass a dropped strip of the grid may carry
 
 
 # ---------------------------------------------------------------------------
@@ -277,6 +278,12 @@ def _folded_sum(powers, modes: _FoldedModes, d, wd, x, omx, w):
     return total
 
 
+def _tail_kept(t, p):
+    """Whether the strip from an endpoint to the nodes at distance t from it
+    has majorant mass int_0^t u^(p-1) du = t^p / p of at least _TAIL_EPS."""
+    return t ** p >= _TAIL_EPS * p
+
+
 def triple_quadrature(f1: CircleFunction, f2: CircleFunction, f3: CircleFunction,
                       l1, l2, l3, cfg: Optional[QuadratureConfig] = None) -> Estimate:
     """Numerical circle-model value of the functional on truncated Fourier data.
@@ -285,9 +292,36 @@ def triple_quadrature(f1: CircleFunction, f2: CircleFunction, f3: CircleFunction
     MAX_QUADRATURE_LEVEL raises PreconditionError before any work.  Each level
     is one pass over the folded half-triangle that evaluates only the nodes
     the level before lacked; ``cost`` counts the nodes evaluated.
+
+    The tensor grid is cut where its tail cannot matter.  Let e = min(Re s, 0)
+    for each kernel power s of (sA, sB, sG).  Jordan's inequality
+    sin t >= 2t/pi on [0, pi/2] gives |sin t|^s <= (2t/pi)^e, and in the
+    piece a = pi - d, |sin(a - b)| >= sin(d (1 - x)).  So on row d = pi y/2
+    and column x the four terms g K of the folded integrand have the
+    separable majorant
+
+        |d F(d, x)| <= 2 pi max|g| y^(p_row-1) x^(p_col-1) (1-x)^(p_end-1),
+        p_row = 2 + eA + eB + eG,  p_col = 1 + min(eA, eB),  p_end = 1 + eG,
+
+    of integral B.  Since int_0^t u^(p-1) du = t^p / p, the strip between an
+    endpoint and the node at distance t from it (t = x or 1 - x, p the
+    exponent at that endpoint) carries at most t^p / p times the integral
+    of the other factors.  A row or column is evaluated iff each strip it
+    bounds has t^p / p >= eps = 2^-60: columns toward x = 0 with p_col and
+    toward x = 1 with p_end, rows toward d = 0 with p_row and toward
+    d = pi/2 with p_end (there the majorant is bounded and t <= t^p / p).
+    When p_row <= 0 the majorant is not integrable in y and every row is
+    kept.  The four dropped strips so carry at most 8 eps B, while the sum
+    is rounded at 2^-53 of the sum S of w |g K| over its nodes and terms.
+    On constant data on the principal series (Re s = -1/2), S approximates
+    at least B / (2 (pi/2)^(3/2)), so the dropped mass, below 2^-54 S, lies
+    under the rounding of the sum itself.  Whether a node is kept depends
+    only on its position, so the nested levels still reuse the previous sum
+    exactly, and near the convergence edge (p -> 0) every node is kept.
+
     Deterministic for a fixed config: the node sets and the summation order
-    are functions of the level only.  Raises NonFiniteError on a
-    non-finite Fourier coefficient or parameter.
+    are functions of the level and of Re (sA, sB, sG) only.  Raises
+    NonFiniteError on a non-finite Fourier coefficient or parameter.
     """
     cfg = cfg or QuadratureConfig()
     top = _START_LEVEL + cfg.refinement_levels - 1
@@ -301,21 +335,32 @@ def triple_quadrature(f1: CircleFunction, f2: CircleFunction, f3: CircleFunction
     e.require_convergent()
     powers = e.kernel_powers()
     modes = _FoldedModes(f1, f2, f3)
+    eA, eB, eG = (min(s.real, 0.0) for s in powers)
+    p_row, p_col, p_end = 2.0 + eA + eB + eG, 1.0 + min(eA, eB), 1.0 + eG
     raw = 0.0 + 0.0j
 
     def eval_at_level(level):
         nonlocal raw
         x, omx, w = unit_nodes("singularity_split", level)
+        to_end = _tail_kept(omx, p_end)
+        cols = np.flatnonzero(_tail_kept(x, p_col) & to_end)
+        rows = (np.flatnonzero(_tail_kept(x, p_row) & to_end) if p_row > 0
+                else np.arange(len(x)))
         # level - 1's nodes are the even positions: each keeps its value and
         # half its old weight on each axis
-        pos = np.arange(len(x))
-        old, new = (pos[0::2], pos[1::2]) if level > _START_LEVEL else (pos[:0], pos)
+        if level > _START_LEVEL:
+            old, new = rows[rows % 2 == 0], rows[rows % 2 == 1]
+            new_cols = cols[cols % 2 == 1]
+        else:
+            old, new, new_cols = rows[:0], rows, cols
         d, wd = (np.pi / 2.0) * x, (np.pi / 2.0) * w
         raw = (raw / 4.0
-               + _folded_sum(powers, modes, d[new], wd[new], x, omx, w)
+               + _folded_sum(powers, modes, d[new], wd[new],
+                             x[cols], omx[cols], w[cols])
                + _folded_sum(powers, modes, d[old], wd[old],
-                             x[new], omx[new], w[new]))
-        return raw / np.pi ** 2, 2 * len(new) * len(x) + 2 * len(old) * len(new)
+                             x[new_cols], omx[new_cols], w[new_cols]))
+        return (raw / np.pi ** 2,
+                2 * len(new) * len(cols) + 2 * len(old) * len(new_cols))
 
     return refine_until(eval_at_level, cfg, method="triple/singularity_split",
                         start_level=_START_LEVEL)

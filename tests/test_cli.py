@@ -73,6 +73,17 @@ def test_reproducible_byte_determinism(tmp_path):
     assert a == b
 
 
+def test_quadrature_check_reproducible_bytes(tmp_path):
+    # the quadrature's node sets and summation order depend only on the
+    # level and the parameters, so the whole table repeats bit for bit
+    args = ["quadrature-check", "--cube", "0,1,2,4", "--reproducible",
+            "--format", "json"]
+    _, a = run_cli(args, tmp_path, "a.txt")
+    _, b = run_cli(args, tmp_path, "b.txt")
+    assert len(json.loads(a)["rows"]) == 64
+    assert a == b
+
+
 def test_json_format_meta(tmp_path):
     code, text = run_cli(["closed-form", "--triples", "0,0,0",
                           "--format", "json", "--reproducible"], tmp_path)

@@ -265,6 +265,15 @@ def test_relative_trace_refuses_large_matrices():
             relative_trace(h, q)
 
 
+@pytest.mark.parametrize("h, q", [(np.eye(3), np.eye(4)),
+                                  (np.ones((3, 4)), np.eye(3)),
+                                  (np.eye(3), np.ones((3, 4))),
+                                  (np.ones(3), np.ones(3))])
+def test_relative_trace_refuses_mismatched_shapes(h, q):
+    with pytest.raises(PreconditionError, match="square matrices of one shape"):
+        relative_trace(h, q)
+
+
 # ---------------------------------------------------------------------------
 # the induced Hermitian form
 # ---------------------------------------------------------------------------

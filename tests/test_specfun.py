@@ -71,10 +71,27 @@ def test_vectorized_matches_scalar(rng):
     z = np.concatenate([
         rng.uniform(-9.5, 49.0, 64) + 1j * rng.uniform(-40.0, 40.0, 64),
         rng.uniform(9.0, 11.0, 64) + 1j * rng.uniform(-3.0, 3.0, 64),   # Re z = 10
-        np.arange(-9, 20) + 0.25 + 0.5j])
+        np.arange(-9, 20) + 0.25 + 0.5j,
+        [complex(-3.5, -0.0), complex(-3.5, 0.0)]])   # the upper side, both
     arr = log_gamma_array(z)
     for zi, vi in zip(z, arr):
         assert abs(vi - log_gamma_complex(zi)) <= 64 * EPS * max(1.0, abs(vi)), zi
+
+
+@pytest.mark.parametrize("re", [-1e4, -1e6])
+def test_far_left_against_mpmath(re):
+    # left of Re z = -9 both paths reflect instead of stepping the recurrence
+    # once per unit; the value keeps the recurrence's accumulated phase,
+    # which is mpmath's branch (continuous from the positive axis in each
+    # half plane, and the upper side on the negative axis)
+    z = np.array([re + 0.5j, re - 0.5j, re - 0.25 + 3j, re - 0.25 - 3j,
+                  re + 0.3 + 1e-3j, re + 0.3 - 1e-3j, re - 7.5 + 40j,
+                  complex(re - 0.5, 0.0), complex(re - 0.5, -0.0)])
+    arr = log_gamma_array(z)
+    for zi, vi in zip(z, arr):
+        ref = mp_loggamma(zi)
+        assert abs(log_gamma_complex(zi) - ref) <= 4 * EPS * abs(ref), zi
+        assert abs(vi - ref) <= 4 * EPS * abs(ref), zi
 
 
 @pytest.mark.parametrize("pole", [0.0, -1.0, -7.0, -3.0 + 1e-15j, -9.0 - 1e-15j])

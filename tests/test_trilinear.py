@@ -284,13 +284,57 @@ def test_unit_nodes_refuses_other_schemes():
 
 @pytest.mark.parametrize("cfg", [QuadratureConfig(target_rel_error=1e-6)])
 def test_quadrature_cost_counts_evaluated_nodes(cfg):
-    # both pieces of the folded half-triangle evaluate n x n nodes per level;
-    # nested levels only add the nodes their predecessor lacked, so the
-    # total is that of the top level alone
-    est = triple_quadrature(ONES, ONES, ONES, 0, 1j, 4j, cfg)
+    # both pieces of the folded half-triangle evaluate the kept rows times the
+    # kept columns; nested levels only add the nodes their predecessor
+    # lacked, so the total is that of the top level alone.  At (0.9, 0, 0)
+    # the kernel powers have real parts (-0.05, -0.95, -0.95), so the tail
+    # cut t^0.05 / 0.05 >= 2^-60 keeps every node down to t = 1e-130
+    est = triple_quadrature(ONES, ONES, ONES, 0.9, 0, 0, cfg)
     top = int(est.method.rsplit("level", 1)[1])
     assert top > 3
     assert est.cost == 2 * len(unit_nodes("singularity_split", top)[0]) ** 2
+    # on the principal series every power has real part -1/2: rows and
+    # columns alike keep the nodes with t^(1/2) / (1/2) >= 2^-60 for t = x
+    # and t = 1 - x, which are 255 of level 5's 337
+    est = triple_quadrature(ONES, ONES, ONES, 0, 1j, 4j, cfg)
+    assert est.method.endswith("/level5")
+    x, omx, _ = unit_nodes("singularity_split", 5)
+    kept = np.count_nonzero(np.minimum(x, omx) >= 2.0 ** -122)
+    assert (len(x), kept) == (337, 255)
+    assert est.cost == 2 * kept ** 2 == 130_050
+
+
+# final level of each constant-data triple {0, 1, 2, 4}i at target 1e-6,
+# as the untruncated tensor grid reached it: the tail cut must not cost a
+# level
+_SPHERICAL_LEVELS = {
+    (0, 0, 0): 4, (0, 0, 1): 4, (0, 0, 2): 4, (0, 0, 4): 5, (0, 1, 1): 4,
+    (0, 1, 2): 5, (0, 1, 4): 5, (0, 2, 2): 5, (0, 2, 4): 6, (0, 4, 4): 6,
+    (1, 1, 1): 5, (1, 1, 2): 5, (1, 1, 4): 5, (1, 2, 2): 5, (1, 2, 4): 6,
+    (1, 4, 4): 6, (2, 2, 2): 5, (2, 2, 4): 6, (2, 4, 4): 6, (4, 4, 4): 6,
+}
+
+
+def test_quadrature_truncation_keeps_levels_and_accuracy():
+    cfg = QuadratureConfig(target_rel_error=1e-6, refinement_levels=6)
+    for trip, level in _SPHERICAL_LEVELS.items():
+        lams = [1j * v for v in trip]
+        est = triple_quadrature(ONES, ONES, ONES, *lams, cfg)
+        ref = closed_form_value(*lams).value
+        assert est.method.endswith(f"/level{level}"), (trip, est.method)
+        assert abs(est.value - ref) <= 1e-13 * abs(ref), trip
+
+
+@pytest.mark.parametrize("lam", [-30.0, -60.0])
+def test_quadrature_truncation_with_positive_powers(lam):
+    # real powers 14.5 and 29.5: the tail cut bounds |sin t|^s by 1, not by
+    # t^s, and so keeps the rows that carry the mass; a cut at
+    # y^(2 + sum Re s) / (2 + sum Re s) >= 2^-60 would drop every row below
+    # y = 0.44 and 0.66, and refinement would stall
+    cfg = QuadratureConfig(target_rel_error=1e-10, refinement_levels=7)
+    est = triple_quadrature(ONES, ONES, ONES, lam, lam, lam, cfg)
+    ref = closed_form_value(lam, lam, lam).value
+    assert abs(est.value - ref) <= 1e-13 * abs(ref)
 
 
 def test_quadrature_refuses_levels_above_maximum():

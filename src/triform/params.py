@@ -28,13 +28,14 @@ class ExponentQuadruple:
     delta: complex
 
     def require_convergent(self):
-        """Raise PreconditionError when Re alpha, beta or gamma <= -1.
+        """Raise PreconditionError when Re alpha, beta, gamma or delta <= -1.
 
         There the kernel integrals (the triple integral, the kernel Gaussian)
-        diverge absolutely; regularization is out of scope.
+        diverge absolutely, at a singular line or, for Re delta <= -1, i.e.
+        Re(l1 + l2 + l3) >= 1, where the three points meet; regularization is
+        out of scope.
         """
-        bad = [name for name, v in (("alpha", self.alpha), ("beta", self.beta),
-                                    ("gamma", self.gamma)) if v.real <= -1.0]
+        bad = [name for name, v in vars(self).items() if v.real <= -1.0]
         if bad:
             raise PreconditionError(
                 f"exponent(s) {', '.join(bad)} have Re <= -1: the kernel "

@@ -25,8 +25,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.linalg import lapack
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .circlefn import BiCircleFunction, CircleFunction
 from .errors import (InsufficientTruncationError, NonFiniteError,
@@ -272,7 +272,7 @@ def _mode_rows(lam, tau, tau_prime, N: int, K_modes: int):
     if N < 0:
         raise PreconditionError(f"need N >= 0, got N = {N}")
     if K_modes % 2 != 0:
-        raise ValueError("K_modes must be even")
+        raise PreconditionError(f"K_modes must be even, got K_modes = {K_modes}")
     n1 = 2 * N + 1
     kps, batches = [], []
     for kp in range(K_modes // 2 + 1):
@@ -347,92 +347,105 @@ def relative_trace(H, Q) -> float:
     return tri
 
 
-# right-hand sides per SuperLU solve: wide enough to batch the triangular
-# sweeps, narrow enough to keep the dense block small
-_SOLVE_BLOCK = 8
+def _parity_classes(N: int):
+    """(basis, parity) of the four reflection-parity classes of one circle:
+    the even modes e_0, (e_q + e_{-q})/sqrt(2) and the odd modes
+    (e_q - e_{-q})/sqrt(2) of (Rf)_q = f_{-q}, q = 1..N, each split by the
+    parity of |q|, as dense orthonormal (2N+1)-row column sets."""
+    eye = np.eye(2 * N + 1)
+    plus, minus = eye[:, N + 1:], eye[:, N - 1::-1]     # e_q and e_{-q}, q >= 1
+    even = np.hstack([eye[:, N:N + 1], np.sqrt(0.5) * (plus + minus)])
+    odd = np.sqrt(0.5) * (plus - minus)
+    # even column c holds |q| = c, odd column c holds |q| = c + 1
+    return ([(even[:, p::2], p) for p in (0, 1)]
+            + [(odd[:, 1 - p::2], p) for p in (0, 1)])
 
 
-def _reflection_bases(N: int):
-    """Orthonormal bases of the even and odd modes of (Rf)_q = f_{-q}.
+def _band_block(grams: list) -> np.ndarray:
+    """Upper band storage ab[kd + r - c, c] = B[r, c] of B = sum_a G_a (x) H_a
+    for dense Hermitian G_a, H_a of sizes n_i, n_j.  In Kronecker order (row
+    i n_j + j) diagonal t of G_a times diagonal s of H_a is B's diagonal
+    t n_j + s, so kd = max_a (b(G_a) n_j + b(H_a)), b a nonzero pattern's
+    half bandwidth."""
+    def half_bandwidth(M):
+        r, c = np.nonzero(M)
+        return int(np.max(np.abs(r - c), initial=0))
 
-    Sparse (2N+1) x (N+1) and (2N+1) x N matrices with the columns
-    e_0, (e_q + e_{-q})/sqrt(2) and (e_q - e_{-q})/sqrt(2), q = 1..N; every
-    row holds at most one nonzero.
-    """
-    q = np.arange(1, N + 1)
-    s = np.sqrt(0.5)
-    even = sp.csr_matrix(
-        (np.concatenate([[1.0], np.full(2 * N, s)]),
-         (np.concatenate([[N], N + q, N - q]), np.concatenate([[0], q, q]))),
-        shape=(2 * N + 1, N + 1))
-    odd = sp.csr_matrix(
-        (np.concatenate([np.full(N, s), np.full(N, -s)]),
-         (np.concatenate([N + q, N - q]), np.concatenate([q - 1, q - 1]))),
-        shape=(2 * N + 1, N))
-    return even, odd
+    nj = len(grams[0][1])
+    bands = [(half_bandwidth(G), half_bandwidth(H)) for G, H in grams]
+    kd = max(bg * nj + bh for bg, bh in bands)
+    ab = np.zeros((kd + 1, len(grams[0][0]) * nj), dtype=complex, order="F")
+    for (G, H), (bg, bh) in zip(grams, bands):
+        for t in range(bg + 1):
+            g = np.pad(np.diagonal(G, t), (t, 0))                  # G[c - t, c]
+            for s in range(max(-bh, -t * nj), bh + 1):
+                h = np.pad(np.diagonal(H, s), (max(s, 0), max(-s, 0)))  # H[c - s, c]
+                ab[kd - t * nj - s] += np.outer(g, h).ravel()
+    return ab
 
 
-def _block_trace(B: sp.csc_matrix, W: sp.csr_matrix, weight: np.ndarray) -> float:
-    """sum_r weight_r W_r B^{-1} W_r^* for one Hermitian block B >= T^(2l).
-
-    The diagonal pivots need no search, and a symmetric ordering of B + B^T
-    keeps the factor small; the factor is freed on return.
-    """
-    lu = spla.splu(B, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                   options={"SymmetricMode": True})
-    total = 0.0
-    for lo in range(0, W.shape[0], _SOLVE_BLOCK):
-        w = W[lo:lo + _SOLVE_BLOCK].toarray()
-        x = lu.solve(np.asfortranarray(w.conj().T))
-        total += float(np.real(np.einsum("r,ri,ir->", weight[lo:lo + _SOLVE_BLOCK],
-                                         w, x)))
-    return total
+def _block_term(grams: list, W: sp.spmatrix, weight: np.ndarray) -> float:
+    """sum_r weight_r w_r B^{-1} w_r^* over the rows w_r of W, for the block
+    B of ``_band_block``: B = U^H U by a Hermitian band Cholesky, and each
+    term is ||U^{-H} w^*||^2, one forward band sweep."""
+    U, info = lapack.zpbtrf(_band_block(grams), overwrite_ab=1)
+    if info > 0:
+        raise NotPositiveDefiniteError(f"Sobolev block of size {U.shape[1]} is "
+                                       f"not positive definite (minor {info})")
+    X, _info = lapack.ztbtrs(U, W.conj().toarray().T, trans="C", overwrite_b=1)
+    return float(np.sum(np.abs(X) ** 2, axis=0) @ weight)
 
 
 def sobolev_trace(l: int, T: float, lam, params: Tuple, N: int,
                   K_modes: int) -> float:
-    """tr(H_induced | Q_{l,T}) without forming the dense induced form.
+    """tr(H_induced | Q_{l,T}) = sum_k row_k Q^{-1} row_k^*, without forming
+    the dense induced form, by three exact symmetries.
 
-    Uses the Gram structure: tr(Q^{-1} H) = sum_k row_k Q^{-1} row_k^*, and
-    two exact reflection symmetries.
-
-    * Blocks.  With (Rf)_q = f_{-q} (theta -> -theta), the generators satisfy
-      R X_a R = X_a, R X_b R = -X_b and R X_r R = -X_r for every parameter,
-      so each word A has RAR = +-A and each word Gram commutes with R.  Q
-      therefore commutes with R (x) I and I (x) R and is block-diagonal in
-      the even/odd bases of the two factors: four independent blocks of
-      sizes (N+1)^2, (N+1)N, N(N+1) and N^2 (N = 0 has empty odd blocks).
-      Each block is sum_a (P_i^T G_a P_i) (x) (P_j^T H~_a P_j), and a row
-      enters it as row @ (P_i (x) P_j).
+    * Reflection.  With (Rf)_q = f_{-q}, R X_a R = X_a, R X_b R = -X_b and
+      R X_r R = -X_r at every parameter, so each word Gram commutes with R,
+      and Q is block-diagonal in the even/odd bases of the two factors.
+    * Parity.  X_a, X_b move a mode by one step and X_r keeps it, so a word
+      Gram couples q, q' only when q - q' is even: Q splits into sixteen
+      blocks sum_a (P_i^T G_a P_i) (x) (P_j^T H~_a P_j), one per pair of
+      (reflection, |q| parity) classes.  The Grams couple modes within 2l,
+      l columns of a class, so in Kronecker order a block is a band of half
+      bandwidth <= l n_j + l, factored by a Hermitian band Cholesky
+      (Q >= T^(2l); NotPositiveDefiniteError if it fails).
     * Mirrored rows.  Row -k is row k under R (x) R, which commutes with Q,
       so rho = term(k = 0) + 2 sum_{k > 0} term(k) and only k >= 0 is built.
+      Row k = 2k' lies on m' + n' = -k' and meets only the blocks whose
+      class parities add up to k' mod 2; a block no row meets is skipped.
 
-    Each block is factored once (sparse LU without pivoting, symmetric
-    minimum-degree ordering; Q is Hermitian and bounded below by T^(2l)),
-    its rows are solved in blocks of right-hand sides, and its factor is
-    freed before the next block.  Matches
-    relative_trace(induced_form(...), sobolev_form(...)) on small truncations.
-    Any l >= 0 is computed; the T^(-2l) floor statement concerns l >= 2.
+    Matches relative_trace(induced_form(...), sobolev_form(...)) on small
+    truncations.  Any l >= 0 is computed; the T^(-2l) floor concerns l >= 2.
     """
     tau, tau_prime = params
     grams = _weighted_grams(l, T, tau, tau_prime, N)
     rows = _mode_rows(lam, tau, tau_prime, N, K_modes)
     n1 = 2 * N + 1
+    kps = np.array([k // 2 for k, _idx, _v in rows])
+    weight = np.where(kps == 0, 1.0, 2.0)
+    bases = _parity_classes(N)
+    # all classes side by side: an orthogonal P, and row @ (P (x) P) holds every block
+    P = sp.csc_matrix(np.hstack([B for B, _p in bases]))
     V = sp.csr_matrix(
         (np.concatenate([vals for _k, _idx, vals in rows]),
          (np.repeat(np.arange(len(rows)), [len(idx) for _k, idx, _v in rows]),
           np.concatenate([idx for _k, idx, _v in rows]))),
         shape=(len(rows), n1 * n1))
-    weight = np.array([1.0 if k == 0 else 2.0 for k, _idx, _v in rows])
-    bases = _reflection_bases(N)
+    VP = (V @ sp.kron(P, P, format="csc")).tocsc()
+    ends = np.cumsum([B.shape[1] for B, _p in bases])
+    classes = [(np.arange(e - B.shape[1], e), p,
+                [B.T @ G.toarray() @ B for G, _H in grams],
+                [B.T @ H.toarray() @ B for _G, H in grams])
+               for (B, p), e in zip(bases, ends) if B.shape[1]]
     rho = 0.0
-    for Pi in bases:
-        for Pj in bases:
-            if Pi.shape[1] * Pj.shape[1] == 0:
-                continue
-            B = sum(sp.kron(Pi.T @ G @ Pi, Pj.T @ Ht @ Pj, format="csr")
-                    for G, Ht in grams).tocsc()
-            rho += _block_trace(B, V @ sp.kron(Pi, Pj, format="csr"), weight)
+    for ci, pi, Gi, _Hi in classes:
+        for cj, pj, _Gj, Hj in classes:
+            sel = np.flatnonzero((kps + pi + pj) % 2 == 0)
+            if len(sel):
+                W = VP[:, (ci[:, None] * n1 + cj).ravel()][sel]
+                rho += _block_term(list(zip(Gi, Hj)), W, weight[sel])
     return rho
 
 

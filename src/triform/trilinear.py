@@ -131,7 +131,9 @@ def closed_form_log(l1, l2, l3) -> complex:
         raise PoleArgumentError(exc.z, factor=name) from None
 
 def closed_form_value(l1, l2, l3) -> Estimate:
-    """Spherical value of the functional; error bound from Gamma tolerance only."""
+    """Spherical value of the functional; error bound from Gamma tolerance only.
+    It is the analytic continuation, also where ``require_convergent`` refuses
+    the integral (-14.05 at (0.5, 0.5, 0.5), where Re delta = -1.5)."""
     lg = closed_form_log(l1, l2, l3)
     val = np.exp(lg)
     return Estimate(value=complex(val), error_bound=_GAMMA_REL_TOL * abs(val),
@@ -450,9 +452,9 @@ def _spectral_batches(batches, l1, l2, l3, jmax: Optional[int] = None):
     """Mode values for several (n, 2) integer arrays of (m', n') pairs.
 
     Each batch gets its own cutoff J (from its largest index, unless ``jmax``
-    is given); the three |sin|^s series are computed once, at the longest
-    length any batch reads.  Every coefficient depends only on its own index,
-    so a batch reads the same numbers as a call of its own.
+    is given); the |sin|^s series are computed once, at the longest length
+    any batch reads, and the tail weights once per J.  Every coefficient
+    depends only on its own index: a batch reads the numbers of its own call.
     """
     e = exponents(l1, l2, l3)
     e.require_convergent()
@@ -465,23 +467,15 @@ def _spectral_batches(batches, l1, l2, l3, jmax: Optional[int] = None):
     maxidx = [int(np.max(np.abs(b))) if b.size else 0 for b in batches]
     cutoffs = [jmax or _cutoff(m) for m in maxidx]
     kmax = max(J + _FIT_N + m + 2 for J, m in zip(cutoffs, maxidx))
-    series = [sine_power_coeffs(s, kmax) for s in (sA, sB, sG)]
-    return [_convolve_modes(b, series, w0, J) for b, J in zip(batches, cutoffs)]
+    cA, cB, cG = (sine_power_coeffs(s, kmax) for s in (sA, sB, sG))
+    weights = {J: _tail_weights(cG, w0, J) for J in set(cutoffs)}
+    return [_convolve_modes(b, cA, cB, weights[J]) for b, J in zip(batches, cutoffs)]
 
 
-def _convolve_modes(pairs, series, w0: complex, J: int) -> np.ndarray:
-    """sum_j weight_j cG[|j|] cB[|m'+j|] cA[|j-n'|] for each pair (m', n').
-
-    The weight is 1 on |j| <= J.  On each tail window J < |j| <= J + _FIT_N
-    it is the linear map  terms -> fitted (A + C/j) j^-w0 -> its analytic sum
-    over |j| > J,  folded into one weight vector.  With s = m' + n' fixed,
-    cB[|m'+j|] cA[|j-n'|] = h(m'+j) for h(i) = cB[|i|] cA[|i-s|], so each run
-    of consecutive m' on one antidiagonal is one sliding-window product
-    against the weights.
-    """
-    if len(pairs) == 0:
-        return np.empty(0, dtype=complex)
-    cA, cB, cG = series
+def _tail_weights(cG, w0: complex, J: int) -> np.ndarray:
+    """cG[|j|] times the convolution weight of j, |j| <= J + _FIT_N: 1 up to J,
+    and on each tail window the linear map  terms -> fitted (A + C/j) j^-w0
+    -> its analytic sum over |j| > J,  folded into one vector."""
     L = J + _FIT_N
     jj = np.arange(J + 1, L + 1)
     fit = np.linalg.pinv(np.stack([np.ones(_FIT_N), 1.0 / jj], axis=1))
@@ -490,7 +484,19 @@ def _convolve_modes(pairs, series, w0: complex, J: int) -> np.ndarray:
     weight = np.ones(2 * L + 1, dtype=complex)
     weight[L + J + 1:] = tail_w
     weight[:_FIT_N] = tail_w[::-1]
-    gw = cG[np.abs(np.arange(-L, L + 1))] * weight
+    return cG[np.abs(np.arange(-L, L + 1))] * weight
+
+
+def _convolve_modes(pairs, cA, cB, gw: np.ndarray) -> np.ndarray:
+    """sum_j gw[j] cB[|m'+j|] cA[|j-n'|], |j| <= L, for each pair (m', n').
+
+    With s = m' + n' fixed, cB[|m'+j|] cA[|j-n'|] = h(m'+j) for
+    h(i) = cB[|i|] cA[|i-s|], so each run of consecutive m' on one
+    antidiagonal is one sliding-window product against the weights.
+    """
+    if len(pairs) == 0:
+        return np.empty(0, dtype=complex)
+    L = len(gw) // 2
     # distinct (m'+n', m') sorted, cut into runs of consecutive m'
     keys, inverse = np.unique(np.stack([pairs.sum(axis=1), pairs[:, 0]], axis=1),
                               axis=0, return_inverse=True)

@@ -238,6 +238,15 @@ def test_kernel_gaussian_precondition():
         kernel_gaussian_check(0.9, 0.9, -0.9, GaussianSpec(6, 47, 1000))
 
 
+def test_kernel_gaussian_refuses_the_divergent_corner(monkeypatch):
+    # Re(l1 + l2 + l3) = 1.5 >= 1: refused before any Philox stream is drawn
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a Philox stream was drawn")
+    monkeypatch.setattr(np.random, "Philox", no_draw)
+    with pytest.raises(PreconditionError, match="delta"):
+        kernel_gaussian_check(0.5, 0.5, 0.5, GaussianSpec(6, 47, 1000))
+
+
 def test_identity_battery_order_and_streams():
     rows = identity_battery(2000, 5)
     assert [r[0] for r in rows] == (

@@ -24,3 +24,12 @@ def test_require_convergent_names_the_divergent_exponents():
     exponents(-0.45, -0.45, -0.45).require_convergent()   # Re alpha = -0.45
     with pytest.raises(PreconditionError, match="beta, gamma have Re <= -1"):
         ExponentQuadruple(0.0, -1.0, -2.5 + 1j, 0.0).require_convergent()
+
+
+def test_require_convergent_refuses_the_divergent_corner():
+    # Re delta <= -1, i.e. Re(l1 + l2 + l3) >= 1: the kernel is not
+    # integrable where the three points meet, although alpha, beta, gamma pass
+    exponents(0.3, 0.3, 0.3 + 2j).require_convergent()      # Re delta = -0.9
+    for triple in ((0.5, 0.5, 0.5), (1.0, 0.0, 2j), (0.4, 0.3, 0.3)):
+        with pytest.raises(PreconditionError, match="delta have Re <= -1"):
+            exponents(*triple).require_convergent()

@@ -178,6 +178,44 @@ def test_sobolev_matrix_commutes_with_mode_reflections(l, N, T, tau, taup):
         assert np.max(np.abs(S @ Q @ S - Q)) <= 1e-12 * np.max(np.abs(Q))
 
 
+def reflection_parity_classes(N):
+    """Orthonormal bases of one circle's four classes: the even modes
+    e_0, (e_q + e_{-q})/sqrt2 and the odd modes (e_q - e_{-q})/sqrt2 of the
+    reflection q -> -q, each split by the parity of q >= 0."""
+    e = np.eye(2 * N + 1)
+    return [np.array([e[N] if q == 0 else (e[N + q] + sign * e[N - q]) / np.sqrt(2)
+                      for q in range(parity, N + 1, 2) if q or sign == 1]
+                     ).reshape(-1, 2 * N + 1).T
+            for sign in (1, -1) for parity in (0, 1)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(l=st.integers(0, 3), N=st.integers(0, 6), T=st.floats(0.5, 8.0),
+       tau=st.complex_numbers(max_magnitude=3.0),
+       taup=st.complex_numbers(max_magnitude=3.0))
+@example(l=2, N=6, T=2.0, tau=0.3 + 0.5j, taup=-0.2 + 1j)
+@example(l=3, N=5, T=1.0, tau=0.0, taup=0.0)
+def test_sobolev_matrix_splits_into_sixteen_band_blocks(l, N, T, tau, taup):
+    # in the (reflection, parity) classes of the two factors Q is
+    # block-diagonal, and a block is a band of half bandwidth <= l n_j + l in
+    # its Kronecker order (row i n_j + j): the band storage of sobolev_trace
+    Q = sobolev_matrix(l, T, tau, taup, N).toarray()
+    pairs = list(itertools.product(
+        [P for P in reflection_parity_classes(N) if P.shape[1]], repeat=2))
+    S = np.hstack([np.kron(Pi, Pj) for Pi, Pj in pairs])
+    assert np.allclose(S.T @ S, np.eye(len(Q)), rtol=0.0, atol=1e-14)
+    B = S.T @ Q @ S
+    off = np.ones(B.shape, dtype=bool)
+    lo = 0
+    for Pi, Pj in pairs:
+        hi = lo + Pi.shape[1] * Pj.shape[1]
+        off[lo:hi, lo:hi] = False
+        r, c = np.nonzero(B[lo:hi, lo:hi])
+        assert np.max(np.abs(r - c), initial=0) <= l * Pj.shape[1] + l
+        lo = hi
+    assert np.max(np.abs(B[off]), initial=0.0) <= 1e-13 * np.max(np.abs(Q))
+
+
 def dense_sobolev(l, T, tau, taup, N):
     """Q_{l,T} from its definition: every six-generator word, built densely."""
     eye = np.eye(2 * N + 1)
@@ -316,16 +354,19 @@ def test_sobolev_trace_matches_dense_route():
     assert abs(dense - fast) <= 1e-8 * dense
 
 
-@pytest.mark.parametrize("l", [0, 3])
-@pytest.mark.parametrize("N", [0, 1, 2])
+@pytest.mark.parametrize("l", [0, 1, 2, 3])
+@pytest.mark.parametrize("N", [0, 1, 2, 3])
 def test_sobolev_trace_blocks_match_dense_route_at_small_truncations(N, l):
-    # N = 0 leaves both odd blocks empty and N = 1 gives one-mode odd blocks;
-    # complex tau and tau' give Q complex entries
-    lam, tau, taup, K, T = 2j, 0.3 + 0.5j, -0.2 + 1j, 4, 2.0
-    dense = relative_trace(induced_form(lam, tau, taup, N, K),
-                           sobolev_form(l, T, (tau, taup), N))
-    fast = sobolev_trace(l, T, lam, (tau, taup), N, K)
-    assert abs(dense - fast) <= 1e-8 * dense
+    # N = 0 leaves three classes per factor empty and N = 1, 2 give classes
+    # of one mode; at K = 0 only row k = 0 exists, so the blocks of unequal
+    # class parities meet no row and are skipped; complex tau and tau' give
+    # Q complex entries
+    lam, tau, taup, T = 2j, 0.3 + 0.5j, -0.2 + 1j, 2.0
+    Q = sobolev_form(l, T, (tau, taup), N)
+    for K in (0, 4):
+        dense = relative_trace(induced_form(lam, tau, taup, N, K), Q)
+        fast = sobolev_trace(l, T, lam, (tau, taup), N, K)
+        assert abs(dense - fast) <= 1e-8 * dense
 
 
 def test_induced_form_is_gram_of_mode_rows():
@@ -349,14 +390,24 @@ def test_induced_form_is_gram_of_mode_rows():
 
 @pytest.mark.parametrize("l, tau, taup", [(2, 0.5j, 1j), (3, 2j, -1j)])
 def test_sobolev_trace_complex_hermitian_q(l, tau, taup):
-    # these parameters give Q imaginary entries; the unpivoted sparse factor
-    # must still match the dense Cholesky route
+    # these parameters give Q imaginary entries; the band Cholesky of the
+    # complex Hermitian blocks must still match the dense Cholesky route
     lam, N, K, T = 2j, 6, 6, 2.0
     Q = sobolev_form(l, T, (tau, taup), N)
     assert np.max(np.abs(Q.matrix.imag)) > 0.0
     dense = relative_trace(induced_form(lam, tau, taup, N, K), Q)
     fast = sobolev_trace(l, T, lam, (tau, taup), N, K)
     assert abs(dense - fast) <= 1e-8 * dense
+
+
+@pytest.mark.slow
+def test_sobolev_trace_at_the_largest_joint_doubling():
+    # the (N, K) = (256, 512) rung of the T = 32 joint doubling ladder (about
+    # 25 s and 260 MiB peak with one BLAS thread); the reference value is the
+    # one a sparse LU of the four reflection blocks gave
+    T = 32.0
+    rho = sobolev_trace(2, T, 32j, (0.0, 0.0), 256, 512)
+    assert abs(rho * T ** 4 / 0.2179467678624868 - 1.0) <= 1e-12
 
 
 def test_sobolev_trace_monotone_in_T():
@@ -395,6 +446,15 @@ def test_sobolev_trace_allows_l0_refuses_negative_l():
     ids=["trace_N", "trace_K", "induced_K", "induced_N", "sobolev_N"])
 def test_negative_truncations_are_refused(call, name):
     with pytest.raises(PreconditionError, match=f"need {name} >= 0"):
+        call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: sobolev_trace(2, 2.0, 2j, (0.0, 0.0), 4, 3),
+    lambda: induced_form(2j, 0.0, 0.0, 4, 3)], ids=["trace", "induced"])
+def test_odd_output_modes_are_refused(call):
+    # output frequencies are even, so an odd K_modes names no mode row
+    with pytest.raises(PreconditionError, match="K_modes must be even"):
         call()
 
 

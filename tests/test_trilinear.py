@@ -87,6 +87,18 @@ def test_closed_form_permutation_symmetry(trip):
         assert abs(v - base) <= 1e-12 * abs(base)
 
 
+def test_divergent_corner_is_refused_before_any_level(monkeypatch):
+    # Re(l1 + l2 + l3) = 1.5: the integral diverges at the corner a = b = 0,
+    # so no level may run (unchecked, all six run and none converges)
+    def no_level(*args):
+        raise AssertionError("a quadrature level ran")
+    monkeypatch.setattr("triform.trilinear.unit_nodes", no_level)
+    with pytest.raises(PreconditionError, match="delta"):
+        triple_quadrature(ONES, ONES, ONES, 0.5, 0.5, 0.5)
+    # the closed form keeps its analytic continuation there
+    assert abs(closed_form_value(0.5, 0.5, 0.5).value + 14.0468) < 1e-4
+
+
 def test_closed_form_pole_identifies_factor():
     with pytest.raises(PoleArgumentError) as exc:
         closed_form_value(0.0, 0.5, 0.5)   # alpha = -1 puts (alpha+1)/4 at 0

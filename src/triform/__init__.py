@@ -25,10 +25,9 @@ from .gaussian import (GaussianSpec, det_moment, gaussian_expect,
 from .kernel import kernel_on_circle, kernel_value, omega
 from .params import ExponentQuadruple, exponents
 from .quadrature import QuadratureConfig
-from .specdecomp import (HermitianForm, PairingResult, bump_vector,
-                         circle_generators, group_action, induced_form,
-                         kernel_bump_pairing, pairing_search,
-                         random_sl2, relative_trace, sobolev_form,
+from .specdecomp import (PairingResult, bump_vector, circle_generators,
+                         group_action, induced_form, kernel_bump_pairing,
+                         pairing_search, random_sl2, relative_trace,
                          sobolev_matrix, sobolev_trace,
                          transformed_kernel_values, weighted_mean_bound)
 from .specfun import (gamma_product_log, gamma_value, log_gamma_complex,

@@ -84,11 +84,11 @@ class BiCircleFunction:
     coeffs: Optional[np.ndarray]    # shape (2N+1, 2N+1), index (p + N, q + N)
     max_mode: int
     evaluator: Callable             # pointwise values (x, y) -> f(x, y)
-    # populated by constructors that know the analytic values exactly
-    mass: Optional[float] = None    # integral over [0,2pi)^2, plain measure
-    support_radius: Optional[float] = None
-    center: Optional[Tuple[float, float]] = None
-    norm_sq_plain: Optional[float] = None   # squared norm, plain measure
+    # the analytic values the constructor (bump_vector) knows exactly
+    mass: float                     # integral over [0,2pi)^2, plain measure
+    support_radius: float
+    center: Tuple[float, float]
+    norm_sq_plain: float            # squared norm, plain measure
 
     def __post_init__(self):
         if self.coeffs is not None:

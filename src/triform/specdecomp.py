@@ -40,8 +40,6 @@ __all__ = [
     "random_sl2",
     "group_action",
     "circle_generators",
-    "HermitianForm",
-    "sobolev_form",
     "sobolev_matrix",
     "induced_form",
     "relative_trace",
@@ -73,10 +71,15 @@ def _pull_back(g, lam, theta):
 
     With v = g^{-1} (cos theta, sin theta), returns the angle of v and the
     two factors the action multiplies by, |v|^{lam-1} and
-    |det g|^{(lam-1)/2}; the first two have the shape of theta.
+    |det g|^{(lam-1)/2}; the first two have the shape of theta.  A
+    non-finite entry of g or lam raises NonFiniteError, a singular g
+    PreconditionError.
     """
     g = np.asarray(g, dtype=float)
     z = complex(lam)
+    if not (np.all(np.isfinite(g)) and np.isfinite(z)):
+        raise NonFiniteError(f"group element and parameter must be finite, "
+                             f"got {g.tolist()} and {z}")
     det = float(np.linalg.det(g))
     if det == 0.0:
         raise PreconditionError("group element must be invertible")
@@ -142,35 +145,8 @@ def circle_generators(lam, N: int):
 
 
 # ---------------------------------------------------------------------------
-# Hermitian forms
+# Sobolev and induced forms
 # ---------------------------------------------------------------------------
-
-@dataclass
-class HermitianForm:
-    matrix: np.ndarray
-    truncation: int
-    # share of the Gram weight in the outermost output modes |k| = K_modes
-    k_tail_fraction: Optional[float] = None
-
-    def __post_init__(self):
-        self.matrix = np.asarray(self.matrix, dtype=complex)
-        if self.matrix.ndim != 2 or self.matrix.shape[0] != self.matrix.shape[1]:
-            raise ValueError("form matrix must be square")
-
-    def hermiticity_defect(self) -> float:
-        return float(np.max(np.abs(self.matrix - self.matrix.conj().T)))
-
-    def min_eigenvalue(self) -> float:
-        return float(np.min(sla.eigvalsh(self.matrix)))
-
-    def is_psd(self) -> bool:
-        tr = float(np.real(np.trace(self.matrix)))
-        return self.min_eigenvalue() >= -1e-10 * max(tr, 1e-300)
-
-    def __call__(self, vec: np.ndarray) -> float:
-        vec = np.asarray(vec, dtype=complex).ravel()
-        return float(np.real(np.conj(vec) @ (self.matrix @ vec)))
-
 
 def _word_grams(lam, N: int, l: int) -> list:
     """One-circle word Grams G_a = sum_{|alpha| = a} A_alpha^H A_alpha, a <= l.
@@ -237,20 +213,8 @@ def sobolev_matrix(l: int, T: float, tau, tau_prime, N: int) -> sp.csc_matrix:
     return Q.tocsc()
 
 
-# largest truncation N of the dense forms and the dense relative trace
+# largest truncation N of the dense induced form and the dense relative trace
 _DENSE_MAX_N = 40
-
-
-def sobolev_form(l: int, T: float, params: Tuple, N: int) -> HermitianForm:
-    """Dense Sobolev form on the truncated bi-circle basis.
-
-    N > 40 raises PreconditionError (the dense matrix has (2N+1)^4 entries).
-    """
-    if N > _DENSE_MAX_N:
-        raise PreconditionError("dense Sobolev form is limited to N <= 40; "
-                                "use sobolev_trace for large truncations")
-    tau, tau_prime = params
-    return HermitianForm(sobolev_matrix(l, T, tau, tau_prime, N).toarray(), N)
 
 
 def _mode_rows(lam, tau, tau_prime, N: int, K_modes: int):
@@ -285,8 +249,9 @@ def _mode_rows(lam, tau, tau_prime, N: int, K_modes: int):
             for kp, p, v in zip(kps, batches, values)]
 
 
-def induced_form(lam, tau, tau_prime, N: int, K_modes: int) -> HermitianForm:
-    """Nonnegative Hermitian form induced by the trilinear functional.
+def induced_form(lam, tau, tau_prime, N: int, K_modes: int) -> np.ndarray:
+    """Dense matrix of the nonnegative Hermitian form induced by the
+    trilinear functional.
 
     Gram structure H = sum_k conj(row_k)^T row_k over output modes
     |k| <= K_modes; positive semidefinite by construction and monotone in
@@ -298,17 +263,13 @@ def induced_form(lam, tau, tau_prime, N: int, K_modes: int) -> HermitianForm:
                                 "use sobolev_trace for large truncations")
     dim = (2 * N + 1) ** 2
     H = np.zeros((dim, dim), dtype=complex)
-    k_contrib = {}
     for k, idx, vals in _mode_rows(lam, tau, tau_prime, N, K_modes):
         gram = np.outer(np.conj(vals), vals)
         H[np.ix_(idx, idx)] += gram
         if k > 0:
             mirror = dim - 1 - idx
             H[np.ix_(mirror, mirror)] += gram
-        k_contrib[k] = float(np.sum(np.abs(vals) ** 2))
-    total = sum(v if k == 0 else 2.0 * v for k, v in k_contrib.items())
-    edge = k_contrib.get(K_modes, 0.0)
-    return HermitianForm(H, N, k_tail_fraction=edge / total if total > 0 else 0.0)
+    return H
 
 
 def relative_trace(H, Q) -> float:
@@ -318,11 +279,10 @@ def relative_trace(H, Q) -> float:
     Q-eigenbasis evaluation must agree to a relative 1e-10, or
     ArithmeticError is raised.  Q must be positive definite.  H and Q that
     are not square matrices of one shape, or have more than
-    (2*40 + 1)^2 = 6561 rows, the dense forms' limit, raise
+    (2*40 + 1)^2 = 6561 rows, the dense induced form's limit, raise
     PreconditionError; use sobolev_trace for large truncations.
     """
-    Hm = H.matrix if isinstance(H, HermitianForm) else np.asarray(H, dtype=complex)
-    Qm = Q.matrix if isinstance(Q, HermitianForm) else np.asarray(Q, dtype=complex)
+    Hm, Qm = np.asarray(H, dtype=complex), np.asarray(Q, dtype=complex)
     rows = (2 * _DENSE_MAX_N + 1) ** 2
     if max(Hm.shape + Qm.shape, default=0) > rows:
         raise PreconditionError(f"dense relative trace is limited to {rows} rows; "
@@ -416,8 +376,9 @@ def sobolev_trace(l: int, T: float, lam, params: Tuple, N: int,
       Row k = 2k' lies on m' + n' = -k' and meets only the blocks whose
       class parities add up to k' mod 2; a block no row meets is skipped.
 
-    Matches relative_trace(induced_form(...), sobolev_form(...)) on small
-    truncations.  Any l >= 0 is computed; the T^(-2l) floor concerns l >= 2.
+    Matches relative_trace(induced_form(...), sobolev_matrix(...).toarray())
+    on small truncations.  Any l >= 0 is computed; the T^(-2l) floor
+    concerns l >= 2.
     """
     tau, tau_prime = params
     grams = _weighted_grams(l, T, tau, tau_prime, N)
@@ -489,10 +450,14 @@ def bump_vector(T: float, N: int) -> BiCircleFunction:
     with unit total mass  integral u dx dy = 1  over [0, 2pi)^2 in plain
     measure and squared norm well below 1e5 T^2.
 
-    Fourier coefficients are computed by FFT when the truncation is moderate;
-    for very large N only the analytic evaluator is stored (coeffs = None).
-    Requires T >= 1 and N >= 400 T to resolve the localization scale.
+    Fourier coefficients come from a 96-point Gauss-Legendre quadrature of
+    the profile's Hankel transform when N <= 1024; for larger N only the
+    analytic evaluator is stored (coeffs = None).  Requires a finite T >= 1
+    (NonFiniteError, PreconditionError) and N >= 400 T to resolve the
+    localization scale.
     """
+    if not np.isfinite(T):
+        raise NonFiniteError(f"T must be finite, got {T}")
     if T < 1.0:
         raise PreconditionError("bump vectors are defined for T >= 1")
     if N < 400 * T:
@@ -647,12 +612,18 @@ def weighted_mean_bound(u: np.ndarray, h: np.ndarray,
       (i)  u >= 0 with unit mass  sum u d(nu) = 1,
       (ii) sup |h| >= 1 and variation sup |h(s) - h(s')| <= 1/2.
     Under these the weighted mean cannot drop below sup|h| - Var >= 1/2.
-    Raises PreconditionError when a hypothesis fails by more than 1e-9.
+    Raises NonFiniteError for a NaN or infinite entry of u, h or weights,
+    and PreconditionError when a hypothesis fails by more than 1e-9.  The
+    variation is scanned in row blocks of about 2^18 pairs, so memory stays
+    bounded for long samples.
     """
     tol = 1e-9
     u = np.asarray(u, dtype=float)
     h = np.asarray(h, dtype=complex)
     nu = np.ones_like(u) if weights is None else np.asarray(weights, dtype=float)
+    for name, a in (("u", u), ("h", h), ("weights", nu)):
+        if not np.all(np.isfinite(a)):
+            raise NonFiniteError(f"{name} has a non-finite entry")
     if np.any(u < -tol) or np.any(nu <= 0):
         raise PreconditionError("u must be nonnegative on a positive measure")
     mass = float(np.sum(u * nu))
@@ -661,7 +632,9 @@ def weighted_mean_bound(u: np.ndarray, h: np.ndarray,
     sup = float(np.max(np.abs(h)))
     if sup < 1.0 - tol:
         raise PreconditionError(f"sup |h| = {sup} < 1")
-    var = float(np.max(np.abs(h[:, None] - h[None, :])))
+    step = max(1, 2 ** 18 // len(h))
+    var = max(float(np.max(np.abs(h[i:i + step, None] - h[None, :])))
+              for i in range(0, len(h), step))
     if var > 0.5 + tol:
         raise PreconditionError(f"variation {var} exceeds 1/2")
     return float(abs(np.sum(h * u * nu)))

@@ -184,9 +184,11 @@ def decay_constant(tau, tau_prime, moduli: Sequence[float]):
 
     The normalized sequence behaves like c (1 + O(1/|lam|)); Richardson
     extrapolation on a doubling ladder removes the 1/|lam| term.  Returns
-    (c_estimate, error_estimate); with fewer than two rungs the last value is
-    returned with an infinite error bar.
+    (c_estimate, error_estimate); with one rung its value is returned with
+    an infinite error bar, and an empty ladder raises PreconditionError.
     """
+    if not len(moduli):
+        raise PreconditionError("decay_constant needs at least one rung")
     r = [normalized_decay(tau, tau_prime, 1j * t) for t in moduli]
     if len(r) < 2:
         return r[-1], math.inf

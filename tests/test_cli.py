@@ -92,6 +92,9 @@ def test_json_format_meta(tmp_path):
     meta = payload["meta"]
     for key in ("schema", "command", "config", "seed", "version"):
         assert key in meta
+    # only gaussian-check draws samples, so only it takes and echoes a seed
+    assert meta["seed"] is None
+    assert main(["closed-form", "--triples", "0,0,0", "--seed", "1"]) == 2
     assert len(payload["rows"]) == 1
 
 
@@ -131,6 +134,7 @@ def test_gaussian_check_formats_the_battery(tmp_path):
     code, text = run_cli(["gaussian-check", "--samples", "3000", "--seed", "11",
                           "--format", "json"], tmp_path)
     rows = json.loads(text)["rows"]
+    assert json.loads(text)["meta"]["seed"] == 11
     battery = identity_battery(3000, 11)
     assert len(rows) == len(battery) == 35
     for row, (identity, params, lhs, rhs) in zip(rows, battery):
@@ -172,7 +176,7 @@ def test_sobolev_trace_l0_is_plain_trace(tmp_path):
     _, rows = parse_csv(text)
     rho = float(rows[0]["rho"])
     from triform import induced_form
-    tr = float(np.real(np.trace(induced_form(2j, 0.0, 0.0, 6, 4).matrix)))
+    tr = float(np.real(np.trace(induced_form(2j, 0.0, 0.0, 6, 4))))
     assert abs(rho - tr) <= 1e-8 * tr
 
 

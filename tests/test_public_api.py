@@ -1,9 +1,13 @@
 """The public API is the only way in: the CLI, tests and demos import no
-private names, and every name the demos and the bench import exists."""
+private names, and every name the demos and the bench import exists.  Every
+CLI flag is read by the command that accepts it."""
 
+import argparse
 import ast
 import importlib
 from pathlib import Path
+
+from triform import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted([*(ROOT / "tests").glob("*.py"), *(ROOT / "demos").glob("*.py")])
@@ -96,4 +100,62 @@ def test_demos_and_bench_import_only_existing_names():
     assert len(UNRUN) > 6
     offenders = {f"{p.parent.name}/{p.name}":
                  missing_imports(p.read_text(encoding="utf-8")) for p in UNRUN}
+    assert {k: v for k, v in offenders.items() if v} == {}
+
+
+def unread_flags(parser: argparse.ArgumentParser, argv: list) -> list:
+    """Flags of the command ``argv`` names that the command never reads.
+
+    The command runs once per flag with that flag's attribute deleted from
+    the parsed namespace: a command that reads the flag fails, so one that
+    still finishes never needed it.  A value that is only echoed through
+    ``getattr(args, name, default)`` counts as unread.
+    """
+    unread = []
+    for name in sorted(vars(parser.parse_args(argv))):
+        if name in ("command", "func"):
+            continue
+        args = parser.parse_args(argv)
+        delattr(args, name)
+        try:
+            args.func(args)
+        except AttributeError:
+            continue
+        unread.append(name)
+    return unread
+
+
+def _toy_parser():
+    ap = argparse.ArgumentParser()
+    sub = ap.add_subparsers(dest="command", required=True)
+    p = sub.add_parser("run")
+    p.add_argument("--used", type=int, default=1)
+    p.add_argument("--echoed", type=int, default=2)
+    p.add_argument("--ignored", type=int, default=3)
+    p.set_defaults(func=lambda args: (args.used, getattr(args, "echoed", None)))
+    return ap
+
+
+def test_detector_flags_unread_cli_flags():
+    assert unread_flags(_toy_parser(), ["run"]) == ["echoed", "ignored"]
+
+
+# one cheap configuration per subcommand, every flag's branch exercised
+CHEAP_RUNS = [
+    ["closed-form", "--triples", "0,0,0", "--cube", "0"],
+    ["quadrature-check", "--triples", "0,0,0", "--cube", "0",
+     "--quad-levels", "3", "--target", "1e-2"],
+    ["gaussian-check", "--samples", "200"],
+    ["decay-scan", "--ladder", "25,50"],
+    ["sobolev-trace", "--t-ladder", "2", "--max-mode", "2", "--k-modes", "2",
+     "--check-doubling"],
+]
+
+
+def test_cli_commands_read_every_flag(tmp_path):
+    common = ["--reproducible", "--format", "json", "--out", str(tmp_path / "t")]
+    commands = {f for name, f in vars(cli).items() if name.startswith("cmd_")}
+    assert {cli.build_parser().parse_args(r).func for r in CHEAP_RUNS} == commands
+    offenders = {argv[0]: unread_flags(cli.build_parser(), argv + common)
+                 for argv in CHEAP_RUNS}
     assert {k: v for k, v in offenders.items() if v} == {}

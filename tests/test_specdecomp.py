@@ -1,6 +1,7 @@
 """Group action, Lie generators, Sobolev forms, traces, bumps, pairings."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,12 +9,12 @@ import scipy.linalg as sla
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from triform import (CircleFunction, HermitianForm, InsufficientTruncationError,
+from triform import (CircleFunction, InsufficientTruncationError,
                      NonFiniteError, NotPositiveDefiniteError,
                      PreconditionError, TruncationOverflowError, bump_vector,
                      circle_generators, group_action, induced_form,
                      kernel_bump_pairing, pairing_search,
-                     random_sl2, relative_trace, sobolev_form, sobolev_matrix,
+                     random_sl2, relative_trace, sobolev_matrix,
                      sobolev_trace, spectral_mode_values, spherical_square,
                      transformed_kernel_values, weighted_mean_bound)
 
@@ -72,11 +73,21 @@ def test_diagnostics_are_declared_fields():
     assert CircleFunction.constant(1.0).tail_energy is None
     out = group_action(np.diag([2.0, 0.5]), 1j, CircleFunction.constant(1.0, 16))
     assert "tail_energy" in out.__dataclass_fields__ and out.tail_energy >= 0.0
-    assert "k_tail_fraction" in HermitianForm.__dataclass_fields__
-    assert HermitianForm(np.eye(2), 0).k_tail_fraction is None
     u = bump_vector(1.0, 400)
     for name in ("support_radius", "center", "norm_sq_plain", "mass"):
         assert name in u.__dataclass_fields__ and getattr(u, name) is not None
+
+
+def test_non_finite_group_element_is_refused():
+    # a NaN entry gave NaN coefficients and a NaN tail energy, which the 1%
+    # tail gate let through
+    g = np.array([[1.0, np.nan], [0.0, 1.0]])
+    with pytest.raises(NonFiniteError):
+        group_action(g, 1j, CircleFunction.constant(1.0, 4))
+    theta = np.array([0.3, 1.1])
+    with pytest.raises(NonFiniteError):
+        transformed_kernel_values(np.eye(2), g, 0.0, (0.0, 0.0, 1j), theta,
+                                  theta + 0.7)
 
 
 def test_action_truncation_overflow():
@@ -118,14 +129,14 @@ def test_generators_match_finite_differences(rng):
 # ---------------------------------------------------------------------------
 
 def test_sobolev_l0_is_identity():
-    q = sobolev_form(0, 3.0, (0.0, 0.0), 4)
-    assert np.max(np.abs(q.matrix - np.eye(81))) < 1e-14
+    q = sobolev_matrix(0, 3.0, 0.0, 0.0, 4).toarray()
+    assert np.max(np.abs(q - np.eye(81))) < 1e-14
 
 
 def test_sobolev_l1_on_constant_vector():
     N, T = 4, 2.5
     tau, taup = 1j, 2j
-    q = sobolev_form(1, T, (tau, taup), N)
+    q = sobolev_matrix(1, T, tau, taup, N).toarray()
     e00 = np.zeros((2 * N + 1) ** 2, dtype=complex)
     e00[(0 + N) * (2 * N + 1) + (0 + N)] = 1.0
     # each of the six generators acts on one factor of e00 = e0 (x) e0 and
@@ -135,14 +146,14 @@ def test_sobolev_l1_on_constant_vector():
     expected = T ** 2
     for op in circle_generators(tau, N) + circle_generators(taup, N):
         expected += np.linalg.norm((op @ e0)) ** 2
-    got = float(np.real(np.conj(e00) @ (q.matrix @ e00)))
+    got = float(np.real(np.conj(e00) @ (q @ e00)))
     assert abs(got - expected) < 1e-10 * expected
 
 
 def test_sobolev_monotone_in_T(rng):
     N = 3
-    qa = sobolev_form(2, 1.5, (0.0, 1j), N).matrix
-    qb = sobolev_form(2, 3.0, (0.0, 1j), N).matrix
+    qa = sobolev_matrix(2, 1.5, 0.0, 1j, N).toarray()
+    qb = sobolev_matrix(2, 3.0, 0.0, 1j, N).toarray()
     mineig = np.min(sla.eigvalsh(qb - qa))
     assert mineig >= -1e-10
 
@@ -320,15 +331,19 @@ def test_induced_form_structure():
     lam, tau, taup = 2j, 0.0, 1j
     N, K = 6, 8
     H = induced_form(lam, tau, taup, N, K)
-    assert H.hermiticity_defect() < 1e-12
-    assert H.is_psd()
+    assert np.max(np.abs(H - H.conj().T)) < 1e-12
+    tr = float(np.real(np.trace(H)))
+    assert np.min(sla.eigvalsh(H)) >= -1e-10 * max(tr, 1e-300)
     # the (0,0) diagonal entry is |closed form|^2: only the k = 0 output
     # mode pairs with the constant vector
     idx = (0 + N) * (2 * N + 1) + (0 + N)
-    diag = float(np.real(H.matrix[idx, idx]))
+    diag = float(np.real(H[idx, idx]))
     ref = spherical_square(tau, taup, lam)
     assert abs(diag - ref) <= 1e-5 * ref
-    assert H.k_tail_fraction < 0.2
+    # share of the trace in the edge rows |k| = K: rows +-K add their
+    # weight twice to tr H_K and nothing to tr H_{K-2}
+    edge = tr - float(np.real(np.trace(induced_form(lam, tau, taup, N, K - 2))))
+    assert edge / (2.0 * tr) < 0.2
 
 
 def test_induced_form_refuses_large_truncations():
@@ -339,7 +354,7 @@ def test_induced_form_refuses_large_truncations():
 
 def test_induced_form_monotone_in_output_modes():
     lam, tau, taup = 1j, 0.0, 0.0
-    traces = [float(np.real(np.trace(induced_form(lam, tau, taup, 4, K).matrix)))
+    traces = [float(np.real(np.trace(induced_form(lam, tau, taup, 4, K))))
               for K in (2, 4, 8)]
     assert traces[0] <= traces[1] <= traces[2]
 
@@ -348,7 +363,7 @@ def test_sobolev_trace_matches_dense_route():
     lam, tau, taup = 2j, 0.0, 0.0
     N, K, l, T = 6, 6, 2, 2.0
     H = induced_form(lam, tau, taup, N, K)
-    Q = sobolev_form(l, T, (tau, taup), N)
+    Q = sobolev_matrix(l, T, tau, taup, N).toarray()
     dense = relative_trace(H, Q)
     fast = sobolev_trace(l, T, lam, (tau, taup), N, K)
     assert abs(dense - fast) <= 1e-8 * dense
@@ -362,7 +377,7 @@ def test_sobolev_trace_blocks_match_dense_route_at_small_truncations(N, l):
     # class parities meet no row and are skipped; complex tau and tau' give
     # Q complex entries
     lam, tau, taup, T = 2j, 0.3 + 0.5j, -0.2 + 1j, 2.0
-    Q = sobolev_form(l, T, (tau, taup), N)
+    Q = sobolev_matrix(l, T, tau, taup, N).toarray()
     for K in (0, 4):
         dense = relative_trace(induced_form(lam, tau, taup, N, K), Q)
         fast = sobolev_trace(l, T, lam, (tau, taup), N, K)
@@ -384,7 +399,7 @@ def test_induced_form_is_gram_of_mode_rows():
             for (mp, np_), v in zip(pairs, spectral_mode_values(pairs, tau, taup, lam)):
                 row[(mp + N) * n1 + (np_ + N)] = v
             H += np.outer(np.conj(row), row)
-        got = induced_form(lam, tau, taup, N, K).matrix
+        got = induced_form(lam, tau, taup, N, K)
         assert np.max(np.abs(got - H)) <= 1e-13 * np.max(np.abs(H))
 
 
@@ -393,8 +408,8 @@ def test_sobolev_trace_complex_hermitian_q(l, tau, taup):
     # these parameters give Q imaginary entries; the band Cholesky of the
     # complex Hermitian blocks must still match the dense Cholesky route
     lam, N, K, T = 2j, 6, 6, 2.0
-    Q = sobolev_form(l, T, (tau, taup), N)
-    assert np.max(np.abs(Q.matrix.imag)) > 0.0
+    Q = sobolev_matrix(l, T, tau, taup, N).toarray()
+    assert np.max(np.abs(Q.imag)) > 0.0
     dense = relative_trace(induced_form(lam, tau, taup, N, K), Q)
     fast = sobolev_trace(l, T, lam, (tau, taup), N, K)
     assert abs(dense - fast) <= 1e-8 * dense
@@ -431,7 +446,7 @@ def test_sobolev_trace_l_scaling():
 def test_sobolev_trace_allows_l0_refuses_negative_l():
     # Q_{0,T} is the identity, so the relative trace is the plain trace
     rho = sobolev_trace(0, 2.0, 2j, (0.0, 0.0), 6, 4)
-    tr = float(np.real(np.trace(induced_form(2j, 0.0, 0.0, 6, 4).matrix)))
+    tr = float(np.real(np.trace(induced_form(2j, 0.0, 0.0, 6, 4))))
     assert abs(rho - tr) <= 1e-12 * tr
     with pytest.raises(PreconditionError):
         sobolev_trace(-1, 2.0, 2j, (0.0, 0.0), 6, 4)
@@ -442,7 +457,7 @@ def test_sobolev_trace_allows_l0_refuses_negative_l():
     (lambda: sobolev_trace(2, 2.0, 2j, (0.0, 0.0), 4, -2), "K_modes"),
     (lambda: induced_form(2j, 0.0, 0.0, 4, -2), "K_modes"),
     (lambda: induced_form(2j, 0.0, 0.0, -1, 4), "N"),
-    (lambda: sobolev_form(2, 2.0, (0.0, 0.0), -1), "N")],
+    (lambda: sobolev_matrix(2, 2.0, 0.0, 0.0, -1), "N")],
     ids=["trace_N", "trace_K", "induced_K", "induced_N", "sobolev_N"])
 def test_negative_truncations_are_refused(call, name):
     with pytest.raises(PreconditionError, match=f"need {name} >= 0"):
@@ -456,12 +471,6 @@ def test_odd_output_modes_are_refused(call):
     # output frequencies are even, so an odd K_modes names no mode row
     with pytest.raises(PreconditionError, match="K_modes must be even"):
         call()
-
-
-def test_sobolev_form_refuses_large_truncations():
-    # (2N+1)^4 complex entries: 26 GB at N = 100, 1.1 GB at N = 41
-    with pytest.raises(PreconditionError, match="sobolev_trace"):
-        sobolev_form(2, 2.0, (0.0, 0.0), 41)
 
 
 # ---------------------------------------------------------------------------
@@ -501,6 +510,13 @@ def test_bump_preconditions():
         bump_vector(2.0, 512)
     with pytest.raises(PreconditionError):
         bump_vector(0.5, 512)
+
+
+def test_bump_refuses_nan_scale():
+    # every comparison with NaN is False, so T = nan passed both guards and
+    # gave a NaN radius and norm under a mass of 1
+    with pytest.raises(NonFiniteError):
+        bump_vector(float("nan"), 512)
 
 
 # ---------------------------------------------------------------------------
@@ -576,3 +592,29 @@ def test_weighted_mean_bound_rejects_bad_hypotheses():
         weighted_mean_bound(u, np.linspace(1.0, 2.0, 10))  # variation > 1/2
     with pytest.raises(PreconditionError):
         weighted_mean_bound(2 * u, np.ones(10))            # mass != 1
+
+
+@pytest.mark.parametrize("arg", ["u", "h", "weights"])
+def test_weighted_mean_bound_refuses_nan(arg):
+    # NaN fails no hypothesis comparison, so a NaN entry came back as nan
+    data = {"u": np.full(8, 0.125), "h": np.ones(8, dtype=complex),
+            "weights": np.ones(8)}
+    data[arg][0] = np.nan
+    with pytest.raises(NonFiniteError, match=arg):
+        weighted_mean_bound(**data)
+
+
+def test_weighted_mean_bound_memory_is_bounded():
+    # the variation scan held all n^2 complex differences at once, about
+    # 384 MB of temporaries at n = 4000
+    n = 4000
+    u = np.full(n, 1.0 / n)
+    h = 1.0 + 0.25 * np.exp(2j * np.pi * np.arange(n) / n)
+    tracemalloc.start()
+    try:
+        value = weighted_mean_bound(u, h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert abs(value - 1.0) < 1e-12
+    assert peak < 16 * 2 ** 20

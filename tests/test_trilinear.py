@@ -142,6 +142,11 @@ def test_decay_constant_single_rung():
     assert err == np.inf
 
 
+def test_decay_constant_refuses_an_empty_ladder():
+    with pytest.raises(PreconditionError, match="at least one rung"):
+        decay_constant(0, 0, [])
+
+
 # ---------------------------------------------------------------------------
 # quadrature
 # ---------------------------------------------------------------------------

@@ -172,7 +172,7 @@ def _word_grams(lam, N: int, l: int) -> list:
 def _weighted_grams(l: int, T: float, tau, tau_prime, N: int) -> list:
     """Pairs (G_a, sum_{b <= l-a} T^(2(l-a-b)) H_b), a = 0..l, whose
     Kronecker products sum to Q_{l,T}; G_a and H_b are the word Grams of the
-    two circle factors (parameters tau and tau_prime).
+    two circle factors (parameters tau and tau_prime, one set if equal).
 
     Raises NonFiniteError for a NaN or infinite T, or one whose T^(2l)
     overflows, and PreconditionError for l < 0, T <= 0 or N < 0.
@@ -186,7 +186,7 @@ def _weighted_grams(l: int, T: float, tau, tau_prime, N: int) -> list:
     if 2 * l * np.log(T) > np.log(np.finfo(float).max):
         raise NonFiniteError(f"T^(2l) overflows at T = {T}, l = {l}")
     G = _word_grams(tau, N, l)
-    H = _word_grams(tau_prime, N, l)
+    H = G if complex(tau_prime) == complex(tau) else _word_grams(tau_prime, N, l)
     return [(G[a], sum(T ** (2 * (l - a - b)) * H[b] for b in range(l - a + 1)))
             for a in range(l + 1)]
 
@@ -323,37 +323,47 @@ def _parity_classes(N: int):
 
 def _band_block(grams: list) -> np.ndarray:
     """Upper band storage ab[kd + r - c, c] = B[r, c] of B = sum_a G_a (x) H_a
-    for dense Hermitian G_a, H_a of sizes n_i, n_j.  In Kronecker order (row
-    i n_j + j) diagonal t of G_a times diagonal s of H_a is B's diagonal
-    t n_j + s, so kd = max_a (b(G_a) n_j + b(H_a)), b a nonzero pattern's
-    half bandwidth."""
+    for dense Hermitian G_a, H_a of sizes n_i, n_j, in their common dtype.
+    In Kronecker order (row i n_j + j) diagonal t of G_a times diagonal s of
+    H_a is B's diagonal t n_j + s, so kd = max_a (b(G_a) n_j + b(H_a)), b a
+    nonzero pattern's half bandwidth; band row kd - t n_j - s, read as an
+    (n_i, n_j) view, takes their outer product G[i - t, i] H[j - s, j] at
+    i >= t, s <= j < n_j + s."""
     def half_bandwidth(M):
         r, c = np.nonzero(M)
         return int(np.max(np.abs(r - c), initial=0))
 
-    nj = len(grams[0][1])
+    ni, nj = len(grams[0][0]), len(grams[0][1])
     bands = [(half_bandwidth(G), half_bandwidth(H)) for G, H in grams]
     kd = max(bg * nj + bh for bg, bh in bands)
-    ab = np.zeros((kd + 1, len(grams[0][0]) * nj), dtype=complex, order="F")
+    dtype = np.result_type(*(M.dtype for pair in grams for M in pair))
+    ab = np.zeros((kd + 1, ni * nj), dtype=dtype, order="F")
     for (G, H), (bg, bh) in zip(grams, bands):
         for t in range(bg + 1):
-            g = np.pad(np.diagonal(G, t), (t, 0))                  # G[c - t, c]
+            g = np.diagonal(G, t)
             for s in range(max(-bh, -t * nj), bh + 1):
-                h = np.pad(np.diagonal(H, s), (max(s, 0), max(-s, 0)))  # H[c - s, c]
-                ab[kd - t * nj - s] += np.outer(g, h).ravel()
+                row = ab[kd - t * nj - s].reshape(ni, nj)      # a view
+                row[t:, max(s, 0):nj + min(s, 0)] += np.outer(g, np.diagonal(H, s))
     return ab
 
 
 def _block_term(grams: list, W: sp.spmatrix, weight: np.ndarray) -> float:
     """sum_r weight_r w_r B^{-1} w_r^* over the rows w_r of W, for the block
-    B of ``_band_block``: B = U^H U by a Hermitian band Cholesky, and each
-    term is ||U^{-H} w^*||^2, one forward band sweep."""
-    U, info = lapack.zpbtrf(_band_block(grams), overwrite_ab=1)
+    B of ``_band_block``: B = U^H U by LAPACK's band Cholesky ``pbtrf`` for
+    B's dtype, and each term is ||U^{-H} w^*||^2, one ``tbtrs`` sweep.  A real
+    U (dpbtrf, dtbtrs) takes each row as the real columns a, b of w = a + i b,
+    since ||U^{-T} (a - i b)||^2 = ||U^{-T} a||^2 + ||U^{-T} b||^2."""
+    ab = _band_block(grams)
+    pbtrf, tbtrs = lapack.get_lapack_funcs(("pbtrf", "tbtrs"), (ab,))
+    U, info = pbtrf(ab, overwrite_ab=1)
     if info > 0:
         raise NotPositiveDefiniteError(f"Sobolev block of size {U.shape[1]} is "
                                        f"not positive definite (minor {info})")
-    X, _info = lapack.ztbtrs(U, W.conj().toarray().T, trans="C", overwrite_b=1)
-    return float(np.sum(np.abs(X) ** 2, axis=0) @ weight)
+    rhs = W.conj().toarray()
+    rhs = np.concatenate([rhs.real, rhs.imag]) if U.dtype.kind == "f" else rhs
+    X, _info = tbtrs(U, rhs.T, trans="C", overwrite_b=1)
+    energy = np.sum(np.abs(X) ** 2, axis=0).reshape(-1, len(weight)).sum(axis=0)
+    return float(energy @ weight)
 
 
 def sobolev_trace(l: int, T: float, lam, params: Tuple, N: int,
@@ -370,7 +380,9 @@ def sobolev_trace(l: int, T: float, lam, params: Tuple, N: int,
       (reflection, |q| parity) classes.  The Grams couple modes within 2l,
       l columns of a class, so in Kronecker order a block is a band of half
       bandwidth <= l n_j + l, factored by a Hermitian band Cholesky
-      (Q >= T^(2l); NotPositiveDefiniteError if it fails).
+      (Q >= T^(2l); NotPositiveDefiniteError if it fails): dpbtrf/dtbtrs
+      when its class Grams are real, as at real parameters, where each word
+      is i^k times a real matrix, and zpbtrf/ztbtrs otherwise.
     * Mirrored rows.  Row -k is row k under R (x) R, which commutes with Q,
       so rho = term(k = 0) + 2 sum_{k > 0} term(k) and only k >= 0 is built.
       Row k = 2k' lies on m' + n' = -k' and meets only the blocks whose
@@ -396,9 +408,12 @@ def sobolev_trace(l: int, T: float, lam, params: Tuple, N: int,
         shape=(len(rows), n1 * n1))
     VP = (V @ sp.kron(P, P, format="csc")).tocsc()
     ends = np.cumsum([B.shape[1] for B, _p in bases])
-    classes = [(np.arange(e - B.shape[1], e), p,
-                [B.T @ G.toarray() @ B for G, _H in grams],
-                [B.T @ H.toarray() @ B for _G, H in grams])
+
+    def fold(B, M):     # a class Gram, kept real when its imaginary part is 0
+        C = B.T @ M.toarray() @ B
+        return C if np.any(C.imag) else C.real
+    classes = [(np.arange(e - B.shape[1], e), p, [fold(B, G) for G, _H in grams],
+                [fold(B, H) for _G, H in grams])
                for (B, p), e in zip(bases, ends) if B.shape[1]]
     rho = 0.0
     for ci, pi, Gi, _Hi in classes:
@@ -613,14 +628,17 @@ def weighted_mean_bound(u: np.ndarray, h: np.ndarray,
       (ii) sup |h| >= 1 and variation sup |h(s) - h(s')| <= 1/2.
     Under these the weighted mean cannot drop below sup|h| - Var >= 1/2.
     Raises NonFiniteError for a NaN or infinite entry of u, h or weights,
-    and PreconditionError when a hypothesis fails by more than 1e-9.  The
-    variation is scanned in row blocks of about 2^18 pairs, so memory stays
-    bounded for long samples.
+    and PreconditionError when they are not 1-D arrays of one length or a
+    hypothesis fails by more than 1e-9.  The variation is scanned in row
+    blocks of about 2^18 pairs, so memory stays bounded for long samples.
     """
     tol = 1e-9
     u = np.asarray(u, dtype=float)
     h = np.asarray(h, dtype=complex)
     nu = np.ones_like(u) if weights is None else np.asarray(weights, dtype=float)
+    if not (u.ndim == 1 and u.shape == h.shape == nu.shape):
+        raise PreconditionError("u, h and weights must be 1-D arrays of one length, "
+                                f"got shapes {u.shape}, {h.shape} and {nu.shape}")
     for name, a in (("u", u), ("h", h), ("weights", nu)):
         if not np.all(np.isfinite(a)):
             raise NonFiniteError(f"{name} has a non-finite entry")

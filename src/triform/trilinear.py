@@ -38,7 +38,6 @@ import math
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .circlefn import CircleFunction
 from .errors import (DomainTooSmallError, NonFiniteError, PoleArgumentError,
@@ -84,18 +83,20 @@ def invariant_functional(f: Callable, contour="unit_circle") -> Estimate:
 
     Normalized so that f = 1/(x^2+y^2) gives exactly 1; the value does not
     depend on the contour for homogeneous f of degree -2.  ``contour`` is
-    either "unit_circle" or ("ellipse", a, b).  The integrand is smooth and
-    periodic, so the trapezoid rule converges spectrally under doubling.
+    either "unit_circle" or ("ellipse", a, b) with finite a, b > 0; any other
+    raises PreconditionError.  The integrand is smooth and periodic, so the
+    trapezoid rule converges spectrally under doubling.
     """
     cfg = QuadratureConfig(target_rel_error=1e-12, refinement_levels=10)
     if contour == "unit_circle":
         a = b = 1.0
     elif isinstance(contour, tuple) and len(contour) == 3 and contour[0] == "ellipse":
         _, a, b = contour
-        if a <= 0 or b <= 0:
-            raise ValueError("ellipse semi-axes must be positive")
+        if not (0 < a < math.inf and 0 < b < math.inf):
+            raise PreconditionError("ellipse semi-axes must be positive and finite, "
+                                    f"got {a} and {b}")
     else:
-        raise ValueError(f"unknown contour {contour!r}")
+        raise PreconditionError(f"unknown contour {contour!r}")
 
     def eval_at_level(level):
         n = 64 * 2 ** level
@@ -371,10 +372,10 @@ def triple_quadrature(f1: CircleFunction, f2: CircleFunction, f3: CircleFunction
 
 
 def _vanishing_element(m: int, n: int, k: int) -> Optional[Estimate]:
-    """Check that the modes are even; the exact zero when m + n + k != 0."""
+    """PreconditionError for an odd mode; the exact zero when m + n + k != 0."""
     for name, v in (("m", m), ("n", n), ("k", k)):
         if v % 2 != 0:
-            raise ValueError(f"mode {name}={v} must be even")
+            raise PreconditionError(f"mode {name}={v} must be even")
     if m + n + k != 0:
         return Estimate(0.0, 0.0, method="translation-invariance", cost=0)
     return None
@@ -493,8 +494,8 @@ def _convolve_modes(pairs, cA, cB, gw: np.ndarray) -> np.ndarray:
     """sum_j gw[j] cB[|m'+j|] cA[|j-n'|], |j| <= L, for each pair (m', n').
 
     With s = m' + n' fixed, cB[|m'+j|] cA[|j-n'|] = h(m'+j) for
-    h(i) = cB[|i|] cA[|i-s|], so each run of consecutive m' on one
-    antidiagonal is one sliding-window product against the weights.
+    h(i) = cB[|i|] cA[|i-s|], so each run of consecutive m' on one antidiagonal
+    is one correlation np.correlate(h, conj(gw), "valid"), with no window copy.
     """
     if len(pairs) == 0:
         return np.empty(0, dtype=complex)
@@ -508,7 +509,7 @@ def _convolve_modes(pairs, cA, cB, gw: np.ndarray) -> np.ndarray:
         s, lo = keys[run[0]]
         i = np.arange(lo - L, lo + len(run) + L)
         h = cB[np.abs(i)] * cA[np.abs(i - s)]
-        vals[run] = sliding_window_view(h, 2 * L + 1) @ gw
+        vals[run] = np.correlate(h, np.conj(gw), "valid")
     return vals[inverse.ravel()]
 
 
@@ -526,13 +527,14 @@ def spectral_mode_values(pairs, l1, l2, l3, jmax: Optional[int] = None) -> np.nd
     a smooth power j^-(3 + sA + sB + sG); each side is fitted by least squares
     with A + C/j times that power on 60 terms and summed analytically.  The
     fit is linear in the terms, so it is one fixed weight vector, and the
-    pairs with equal m' + n' and consecutive m' are one matrix-vector product.
+    pairs with equal m' + n' and consecutive m' are one correlation against
+    it.  A pair array not of shape (n, 2) raises PreconditionError.
     """
     pairs = np.asarray(pairs, dtype=int)
     if pairs.ndim == 1 and pairs.size in (0, 2):
         pairs = pairs.reshape(-1, 2)
     if pairs.ndim != 2 or pairs.shape[1] != 2:
-        raise ValueError(f"pairs must have shape (n, 2), got {pairs.shape}")
+        raise PreconditionError(f"pairs must have shape (n, 2), got {pairs.shape}")
     return _spectral_batches([pairs], l1, l2, l3, jmax)[0]
 
 

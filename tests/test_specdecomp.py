@@ -415,6 +415,20 @@ def test_sobolev_trace_complex_hermitian_q(l, tau, taup):
     assert abs(dense - fast) <= 1e-8 * dense
 
 
+@pytest.mark.parametrize("tau, taup, real", [
+    (0.0, 0.0, True), (0.3, -0.2, True), (0.3, 0.5j, False)])
+def test_sobolev_trace_real_and_mixed_blocks_match_dense_route(tau, taup, real):
+    # at real tau and tau' every class Gram is real and the blocks factor in
+    # real arithmetic; at (0.3, 0.5i) the tau' factor's Grams are complex,
+    # so every block is complex
+    lam, l, T, N, K = 2j, 2, 2.0, 6, 6
+    Q = sobolev_matrix(l, T, tau, taup, N).toarray()
+    assert (not np.any(Q.imag)) == real
+    dense = relative_trace(induced_form(lam, tau, taup, N, K), Q)
+    fast = sobolev_trace(l, T, lam, (tau, taup), N, K)
+    assert abs(dense - fast) <= 1e-12 * dense
+
+
 @pytest.mark.slow
 def test_sobolev_trace_at_the_largest_joint_doubling():
     # the (N, K) = (256, 512) rung of the T = 32 joint doubling ladder (about
@@ -592,6 +606,15 @@ def test_weighted_mean_bound_rejects_bad_hypotheses():
         weighted_mean_bound(u, np.linspace(1.0, 2.0, 10))  # variation > 1/2
     with pytest.raises(PreconditionError):
         weighted_mean_bound(2 * u, np.ones(10))            # mass != 1
+
+
+@pytest.mark.parametrize("u, h, weights", [
+    (np.full(4, 0.25), np.ones(3), None), (np.full(4, 0.25), np.ones(4), np.ones(3)),
+    (np.full((2, 2), 0.25), np.ones((2, 2)), None)])
+def test_weighted_mean_bound_refuses_mismatched_shapes(u, h, weights):
+    # a length mismatch raised numpy's broadcast ValueError
+    with pytest.raises(PreconditionError, match="1-D arrays of one length"):
+        weighted_mean_bound(u, h, weights)
 
 
 @pytest.mark.parametrize("arg", ["u", "h", "weights"])

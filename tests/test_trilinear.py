@@ -64,6 +64,18 @@ def test_invariant_functional_contour_independence():
     assert spread <= 1e-8 * max(1.0, abs(vals[0]))
 
 
+@pytest.mark.parametrize("contour, match", [
+    (("ellipse", 0.0, 1.0), "semi-axes"), (("ellipse", 1.0, -2.0), "semi-axes"),
+    (("ellipse", float("nan"), 1.0), "semi-axes"),
+    (("ellipse", 1.0, float("inf")), "semi-axes"),
+    ("square", "unknown contour"), (("ellipse", 1.0), "unknown contour")])
+def test_invariant_functional_refuses_bad_contours(contour, match):
+    # a NaN or infinite axis passed the sign check and met Estimate's
+    # error_bound invariant as a builtin ValueError
+    with pytest.raises(PreconditionError, match=match):
+        invariant_functional(lambda x, y: 1.0 / (x * x + y * y), contour)
+
+
 # ---------------------------------------------------------------------------
 # closed form
 # ---------------------------------------------------------------------------
@@ -395,7 +407,7 @@ def test_mode_element_conjugation_identities():
 
 
 def test_mode_element_requires_even_modes():
-    with pytest.raises(ValueError):
+    with pytest.raises(PreconditionError, match="even"):
         mode_element(1, -1, 0, 0, 0, 0)
 
 
@@ -491,7 +503,7 @@ def test_spectral_batch_matches_single_pairs(lams):
     assert np.max(np.abs(batch - loop) / np.abs(loop)) <= 1e-12
     assert batch[0] == batch[3]
     assert spectral_mode_values(np.empty((0, 2), dtype=int), *lams).shape == (0,)
-    with pytest.raises(ValueError):
+    with pytest.raises(PreconditionError, match="shape"):
         spectral_mode_values([(1, 2, 3)], *lams)
 
 

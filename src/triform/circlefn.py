@@ -17,6 +17,8 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
+from .errors import PreconditionError
+
 __all__ = ["CircleFunction", "BiCircleFunction"]
 
 
@@ -30,7 +32,7 @@ class CircleFunction:
     def __post_init__(self):
         self.coeffs = np.asarray(self.coeffs, dtype=complex)
         if self.coeffs.shape != (2 * self.max_mode + 1,):
-            raise ValueError("coefficient length must be 2*max_mode + 1")
+            raise PreconditionError("coefficient length must be 2*max_mode + 1")
 
     @classmethod
     def constant(cls, value=1.0, max_mode: int = 0) -> "CircleFunction":
@@ -44,10 +46,10 @@ class CircleFunction:
         c = np.zeros(2 * max_mode + 1, dtype=complex)
         for freq, val in modes.items():
             if freq % 2 != 0:
-                raise ValueError(f"only even frequencies allowed, got {freq}")
+                raise PreconditionError(f"only even frequencies allowed, got {freq}")
             p = freq // 2
             if abs(p) > max_mode:
-                raise ValueError(f"frequency {freq} exceeds truncation")
+                raise PreconditionError(f"frequency {freq} exceeds truncation")
             c[p + max_mode] = val
         return cls(c, max_mode)
 
@@ -95,7 +97,7 @@ class BiCircleFunction:
             self.coeffs = np.asarray(self.coeffs, dtype=complex)
             n = 2 * self.max_mode + 1
             if self.coeffs.shape != (n, n):
-                raise ValueError("coefficient matrix must be (2N+1) x (2N+1)")
+                raise PreconditionError("coefficient matrix must be (2N+1) x (2N+1)")
 
     def coefficient(self, p: int, q: int) -> complex:
         if max(abs(p), abs(q)) > self.max_mode:

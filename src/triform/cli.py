@@ -25,7 +25,8 @@ import time
 import numpy as np
 
 from . import __version__
-from .errors import (NonConvergentError, PoleArgumentError, TriformError)
+from .errors import (NonConvergentError, PoleArgumentError, PreconditionError,
+                     TriformError)
 from .circlefn import CircleFunction
 from .gaussian import identity_battery
 from .quadrature import QuadratureConfig
@@ -57,7 +58,7 @@ def _parse_triples(args) -> list:
                 continue
             vs = _split(part)
             if len(vs) != 3:
-                raise ValueError(f"triple {part!r} must have three entries")
+                raise PreconditionError(f"triple {part!r} must have three entries")
             out.append(tuple(_parse_param(v) for v in vs))
     return out
 

@@ -68,7 +68,7 @@ class GaussianSpec:
 
     def __post_init__(self):
         if self.dim < 1 or self.samples < 1:
-            raise ValueError("dim and samples must be positive")
+            raise PreconditionError("dim and samples must be positive")
 
 
 def _abs_powers(v: np.ndarray, svals) -> list:
@@ -222,7 +222,7 @@ def _homogeneous_mc(lams, f: CircleFunction, spec: GaussianSpec) -> list:
     """Monte Carlo <h, G> for each lam on one draw; r, log r, theta and
     f(theta) are shared by all lam."""
     if spec.dim != 2:
-        raise ValueError("reduction lives on R^2")
+        raise PreconditionError("reduction lives on R^2")
     powers = [-complex(lam) - 1.0 for lam in lams]
 
     def integrand(pts):
@@ -282,10 +282,10 @@ def homogeneous_reduction_check(lam, f: CircleFunction, method: str = "radial",
         lhs = refine_until(eval_at_level, cfg, method="radial-product", start_level=1)
     elif method == "mc":
         if spec is None:
-            raise ValueError("mc method needs a GaussianSpec")
+            raise PreconditionError("mc method needs a GaussianSpec")
         lhs = _homogeneous_mc((z,), f, spec)[0]
     else:
-        raise ValueError(f"unknown method {method!r}")
+        raise PreconditionError(f"unknown method {method!r}")
     return lhs, _homogeneous_rhs((z,), f)[0]
 
 
@@ -303,7 +303,7 @@ def _minor_mc(svals, spec: GaussianSpec, direction=None) -> list:
     """Monte Carlo <|w . direction|^s, G> for each s on one draw, with w the
     minors of the 2x3 matrix; direction None is e_3, the third minor."""
     if spec.dim != 6:
-        raise ValueError("minor-map pullback lives on R^6 (2x3 matrices)")
+        raise PreconditionError("minor-map pullback lives on R^6 (2x3 matrices)")
 
     def integrand(pts):
         if direction is None:
@@ -349,7 +349,7 @@ def minor_pullback_rotated(s, rotation: np.ndarray, spec: GaussianSpec) -> Estim
 def _kernel_mc(triples, spec: GaussianSpec) -> list:
     """Monte Carlo <K(l1, l2, l3), G>_{R^6} for each triple on one draw."""
     if spec.dim != 6:
-        raise ValueError("kernel Gaussian lives on R^6 (three plane points)")
+        raise PreconditionError("kernel Gaussian lives on R^6 (three plane points)")
     exps = [exponents(*triple) for triple in triples]
     for e in exps:
         e.require_convergent()

@@ -10,8 +10,10 @@ SL(2,R) action (w scales by det g) and homogeneous of degree -1 - l_j in slot j.
 
 Complex powers are always computed as exp(s * log |w|): modulus first, so no
 branch choice ever arises.  The one core doing so is ``_kernel_from_abs``,
-behind ``kernel_value`` and ``kernel_on_circle``; the only other copy is the
-quadrature hot path ``trilinear._folded_sum`` (see there for why).
+behind ``kernel_value`` and ``kernel_on_circle``, with libm sine, log and
+complex exp.  It is the reference that the quadrature hot path
+``trilinear._folded_sum`` is tested against; that path takes the same powers
+from tangent half-angle identities (see there for why).
 """
 
 import numpy as np

@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import NonConvergentError
+from .errors import NonConvergentError, PreconditionError
 from .estimate import Estimate
 
 __all__ = ["QuadratureConfig", "unit_nodes", "refine_until", "ERROR_SAFETY"]
@@ -40,9 +40,9 @@ class QuadratureConfig:
 
     def __post_init__(self):
         if not self.target_rel_error > 0:
-            raise ValueError("target_rel_error must be > 0")
+            raise PreconditionError("target_rel_error must be > 0")
         if self.refinement_levels < 1:
-            raise ValueError("invalid quadrature budget")
+            raise PreconditionError("invalid quadrature budget")
 
 
 @lru_cache(maxsize=64)
@@ -84,7 +84,7 @@ def unit_nodes(scheme: str, level: int):
     bit, each at twice the weight.
     """
     if scheme != "singularity_split":
-        raise ValueError(f"unknown scheme {scheme!r}")
+        raise PreconditionError(f"unknown scheme {scheme!r}")
     return _tanh_sinh(level)
 
 

@@ -276,9 +276,10 @@ def relative_trace(H, Q) -> float:
     """tr(H | Q): trace of H in any Q-orthonormal basis = tr(Q^{-1} H).
 
     Computed by a triangular (Cholesky) factorization; an independent
-    Q-eigenbasis evaluation must agree to a relative 1e-10, or
-    ArithmeticError is raised.  Q must be positive definite.  H and Q that
-    are not square matrices of one shape, or have more than
+    Q-eigenbasis evaluation must agree to a relative 1e-10, or Q counts as
+    numerically singular and NotPositiveDefiniteError is raised.  Q must be
+    positive definite.  H and Q that are not square matrices of one shape,
+    or have more than
     (2*40 + 1)^2 = 6561 rows, the dense induced form's limit, raise
     PreconditionError; use sobolev_trace for large truncations.
     """
@@ -302,8 +303,9 @@ def relative_trace(H, Q) -> float:
         raise NotPositiveDefiniteError("Q has a nonpositive eigenvalue")
     eig = float(np.real(np.sum(np.einsum("ij,jk,ki->i", U.conj().T, Hm, U) / d)))
     if abs(tri - eig) > 1e-10 * max(abs(tri), abs(eig), 1e-300):
-        raise ArithmeticError(
-            f"relative-trace algorithms disagree: {tri} vs {eig}")
+        raise NotPositiveDefiniteError(
+            f"Q is numerically singular: relative-trace algorithms disagree, "
+            f"{tri} vs {eig}")
     return tri
 
 

@@ -203,6 +203,27 @@ def decay_constant(tau, tau_prime, moduli: Sequence[float]):
 # singular quadrature of the circle-model integral
 # ---------------------------------------------------------------------------
 
+def _log_sin(u):
+    """log sin y from u = tan(y / 2), 0 < y < pi: sin y = 2u / (1 + u^2)."""
+    q = u * u
+    q += 1.0
+    np.divide(u + u, q, out=q)
+    return np.log(q, out=q)
+
+
+def _cis(t, scale):
+    """scale e^{i phi} from t = tan(phi / 2), as (q - scale) + i q t with
+    q = 2 scale / (1 + t^2), since e^{i phi} = (1 - t^2 + 2it) / (1 + t^2)."""
+    q = t * t
+    q += 1.0
+    np.divide(scale, q, out=q)
+    q += q
+    out = np.empty(q.shape, dtype=complex)
+    np.subtract(q, scale, out=out.real)
+    np.multiply(q, t, out=out.imag)
+    return out
+
+
 class _FoldedModes:
     """Mode factors of the folded integrand.  c(a, b) = sum_{p,q} f1_p f2_q
     f3_-(p+q) e^{2i(pa+qb)} has period pi in each angle, so folding leaves
@@ -221,11 +242,13 @@ class _FoldedModes:
         sym = mat + mat[::-1, ::-1]
         self.both = np.concatenate([sym, sym.T], axis=1)
 
-    def factors(self, d, B):
-        """(g1, g2) at a = d, then at a = pi - d, for rows d and nodes B:
-        shape (R, N, 4), or (R, 1, 4) for constant data.  Per row each is a
-        trigonometric polynomial in B: its coefficients meet one real node
-        factor [cos 2kB, sin 2kB]_{k=1..P}, with e^{2ikB} = (e^{2iB})^k.
+    def factors(self, d, u):
+        """(g1, g2) at a = d, then at a = pi - d, for rows d and nodes B with
+        u = tan(B / 2): shape (R, N, 4), or (R, 1, 4) for constant data.  Per
+        row each is a trigonometric polynomial in B: its coefficients meet one
+        real node factor [cos 2kB, sin 2kB]_{k=1..P}, with e^{2ikB} =
+        (e^{2iB})^k and e^{iB} = (1 + iu) / (1 - iu) = (1 - u^2 + 2iu) / (1 + u^2),
+        from the tangent the log-sine of B already took.
         """
         P = self.P
         ex = np.exp(2j * np.multiply.outer(d, np.arange(-P, P + 1)))
@@ -238,8 +261,9 @@ class _FoldedModes:
         coef = np.empty((len(d), 2 * P, 4), dtype=complex)
         coef[:, 0::2] = (pos + neg).transpose(0, 2, 1)
         coef[:, 1::2] = (1j * (pos - neg)).transpose(0, 2, 1)
-        z = np.empty(B.shape + (P,), dtype=complex)
-        z[..., 0] = np.exp(2j * B)
+        z = np.empty(u.shape + (P,), dtype=complex)
+        z[..., 0] = _cis(u, 1.0)
+        z[..., 0] *= z[..., 0]
         for k in range(1, P):
             np.multiply(z[..., k - 1], z[..., 0], out=z[..., k])
         return g + (z.view(float) @ coef.view(float)).view(complex)
@@ -257,27 +281,50 @@ def _folded_sum(powers, modes: _FoldedModes, d, wd, x, omx, w):
                          K2 = |sin a|^sA |sin b|^sB |sin(a-b)|^sG,
 
     in log space rather than through kernel_on_circle, since both kernels and
-    pieces share log-sines.  A node whose value overflows contributes nothing:
-    the true integrand times its weight vanishes at the endpoints (Re s > -1).
+    pieces share log-sines: K1 = M S and K2 = M / S, S the power of
+    sin a / sin b.  Every transcendental is numpy's SIMD tan, exp or log, by
+    the tangent half-angle identities.  With t = tan(y / 2), log sin y =
+    log(2t / (1 + t^2)) on (0, pi): one log, free of the cancellation of
+    log(2t) - log1p(t^2) near y = pi.  With t = tan(im / 2),
+
+        e^{re + i im} = e^re (1 - t^2 + 2it) / (1 + t^2),
+
+    and 1/S = e^-re conj(e^{i im}): no complex exp or division, no sine or
+    cosine.  Where the columns are mirror-symmetric (x == omx[::-1] bit for
+    bit, as on the principal series), log sin(d (1 - x)) is log sin(d x)
+    read in reverse.  Values are deterministic per machine, since the SIMD
+    loops may differ from libm in the last place; kernel_on_circle is the
+    libm reference this is tested against.  A node whose value overflows
+    contributes nothing: the true integrand times its weight vanishes at the
+    endpoints (Re s > -1).
     """
     sA, sB, sG = powers
+    c1, c2 = 0.5 * (sA + sB), 0.5 * (sB - sA)
+    # every angle is halved before its tangent; 0.5 (c y) = (0.5 c) y exactly
+    hc1, hc2, hsG = 0.5 * c1.imag, 0.5 * c2.imag, 0.5 * sG.imag
+    hx, hpx = 0.5 * x, 0.5 * (1.0 + x)
+    homx = None if np.array_equal(x, omx[::-1]) else 0.5 * omx
     total = 0.0 + 0.0j
     rows = max(1, _BLOCK_NODES // len(x))
     for lo in range(0, len(d), rows):
         dd = d[lo:lo + rows, None]
-        B = dd * x
-        lA = np.log(np.sin(dd))
-        lB = np.log(np.sin(B))
+        uB = np.tan(dd * hx)
+        lA = _log_sin(np.tan(0.5 * dd))
+        lB = _log_sin(uB)
+        lG = (np.ascontiguousarray(lB[:, ::-1]) if homx is None
+              else _log_sin(np.tan(dd * homx)), _log_sin(np.tan(dd * hpx)))
         with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-            # K1 = M S and K2 = M / S: three complex exponentials, not four
-            v = (0.5 * (sA + sB)) * (lA + lB)
-            S = np.exp((0.5 * (sB - sA)) * (lA - lB))
-            Sinv = 1.0 / S
-            g = modes.factors(dd[:, 0], B)
-            f = 0.0
-            for piece, G in enumerate((dd * omx, dd * (1.0 + x))):
-                M = np.exp(v + sG * np.log(np.sin(G)))
-                f = f + M * (g[..., 2 * piece] * S + g[..., 2 * piece + 1] * Sinv)
+            vp, vm = lA + lB, lA - lB
+            tS, reS = np.tan(hc2 * vm), c2.real * vm
+            S = _cis(tS, np.exp(reS))
+            Sinv = _cis(-tS, np.exp(-reS))
+            g = modes.factors(dd[:, 0], uB)
+            pI, pR = hc1 * vp, c1.real * vp
+            for piece, lg in enumerate(lG):
+                term = g[..., 2 * piece] * S
+                term += g[..., 2 * piece + 1] * Sinv
+                term *= _cis(np.tan(pI + hsG * lg), np.exp(pR + sG.real * lg))
+                f = term if piece == 0 else f + term
             f[~np.isfinite(f)] = 0.0
         total += np.sum((f @ w) * (dd[:, 0] * wd[lo:lo + rows]))
     return total
@@ -324,9 +371,14 @@ def triple_quadrature(f1: CircleFunction, f2: CircleFunction, f3: CircleFunction
     only on its position, so the nested levels still reuse the previous sum
     exactly, and near the convergence edge (p -> 0) every node is kept.
 
-    Deterministic for a fixed config: the node sets and the summation order
-    are functions of the level and of Re (sA, sB, sG) only.  Raises
-    NonFiniteError on a non-finite Fourier coefficient or parameter.
+    Each node takes its log-sines, kernel powers and mode phases from one
+    SIMD tangent per angle, by sin y = 2t / (1 + t^2) and e^{i phi} =
+    (1 - t^2 + 2it) / (1 + t^2) with t the tangent of the half angle (see
+    _folded_sum).  Deterministic for a fixed config on one machine: the node
+    sets and the summation order are functions of the level and of
+    Re (sA, sB, sG) only, and numpy's SIMD tan, exp and log may differ from
+    libm in the last place.  Raises NonFiniteError on a non-finite Fourier
+    coefficient or parameter.
     """
     cfg = cfg or QuadratureConfig()
     top = _START_LEVEL + cfg.refinement_levels - 1
@@ -458,7 +510,10 @@ def _spectral_batches(batches, l1, l2, l3, jmax: Optional[int] = None):
     is given); the |sin|^s series are computed once, at the longest length
     any batch reads, and the tail weights once per J.  Every coefficient
     depends only on its own index: a batch reads the numbers of its own call.
+    A ``jmax`` below 1 raises PreconditionError.
     """
+    if jmax is not None and jmax < 1:
+        raise PreconditionError(f"convolution cutoff jmax must be >= 1, got {jmax}")
     e = exponents(l1, l2, l3)
     e.require_convergent()
     sA, sB, sG = e.kernel_powers()
@@ -468,7 +523,7 @@ def _spectral_batches(batches, l1, l2, l3, jmax: Optional[int] = None):
             "spectral convolution needs Re(3 + sA + sB + sG) > 1; "
             "use the quadrature backend for this parameter range")
     maxidx = [int(np.max(np.abs(b))) if b.size else 0 for b in batches]
-    cutoffs = [jmax or _cutoff(m) for m in maxidx]
+    cutoffs = [_cutoff(m) if jmax is None else jmax for m in maxidx]
     kmax = max(J + _FIT_N + m + 2 for J, m in zip(cutoffs, maxidx))
     cA, cB, cG = (sine_power_coeffs(s, kmax) for s in (sA, sB, sG))
     weights = {J: _tail_weights(cG, w0, J) for J in set(cutoffs)}
@@ -522,13 +577,14 @@ def spectral_mode_values(pairs, l1, l2, l3, jmax: Optional[int] = None) -> np.nd
 
         sum_j cG[j] cB[-m'-j] cA[j-n']
 
-    over the exact |sin|^s series, cut at |j| = J = jmax, by default
-    2000 + 10 * (largest |index| of the call).  The tail beyond J decays like
-    a smooth power j^-(3 + sA + sB + sG); each side is fitted by least squares
-    with A + C/j times that power on 60 terms and summed analytically.  The
-    fit is linear in the terms, so it is one fixed weight vector, and the
-    pairs with equal m' + n' and consecutive m' are one correlation against
-    it.  A pair array not of shape (n, 2) raises PreconditionError.
+    over the exact |sin|^s series, cut at |j| = J = jmax (an integer >= 1),
+    by default (jmax None) 2000 + 10 * (largest |index| of the call).  The
+    tail beyond J decays like a smooth power j^-(3 + sA + sB + sG); each
+    side is fitted by least squares with A + C/j times that power on 60
+    terms and summed analytically.  The fit is linear in the terms, so it
+    is one fixed weight vector, and the pairs with equal m' + n' and
+    consecutive m' are one correlation against it.  A pair array not of
+    shape (n, 2) raises PreconditionError.
     """
     pairs = np.asarray(pairs, dtype=int)
     if pairs.ndim == 1 and pairs.size in (0, 2):

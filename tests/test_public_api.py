@@ -1,13 +1,21 @@
 """The public API is the only way in: the CLI, tests and demos import no
 private names, and every name the demos and the bench import exists.  Every
-CLI flag is read by the command that accepts it."""
+CLI flag is read by the command that accepts it, and the package refuses
+bad input with its own error types, never a builtin exception."""
 
 import argparse
 import ast
+import builtins
 import importlib
 from pathlib import Path
 
-from triform import cli
+import numpy as np
+import pytest
+
+from triform import (BiCircleFunction, CircleFunction, GaussianSpec,
+                     PreconditionError, QuadratureConfig, cli,
+                     homogeneous_reduction_check, kernel_gaussian_check,
+                     minor_pullback_check)
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted([*(ROOT / "tests").glob("*.py"), *(ROOT / "demos").glob("*.py")])
@@ -159,3 +167,69 @@ def test_cli_commands_read_every_flag(tmp_path):
     offenders = {argv[0]: unread_flags(cli.build_parser(), argv + common)
                  for argv in CHEAP_RUNS}
     assert {k: v for k, v in offenders.items() if v} == {}
+
+
+BUILTIN_EXCEPTIONS = {name for name, value in vars(builtins).items()
+                      if isinstance(value, type) and issubclass(value, BaseException)}
+PACKAGE = sorted((ROOT / "src" / "triform").glob("*.py"))
+
+
+def builtin_raises(source: str) -> list:
+    """``raise`` statements of ``source`` that name a builtin exception type."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name) and exc.id in BUILTIN_EXCEPTIONS:
+                found.append(f"line {node.lineno}: {exc.id}")
+    return found
+
+
+def test_detector_flags_builtin_raises():
+    assert builtin_raises("raise ValueError('bad')")
+    assert builtin_raises("raise ArithmeticError")
+    assert builtin_raises("def f():\n    raise TypeError('x') from None")
+    assert not builtin_raises("raise PreconditionError('bad')")
+    assert not builtin_raises("try:\n    f()\nexcept ValueError:\n    raise")
+    assert not builtin_raises("x = ValueError('not raised')")
+
+
+def test_package_raises_only_its_own_errors():
+    # Estimate's error_bound >= 0 invariant guards against a program bug,
+    # not a bad input, so it keeps its ValueError
+    offenders = {p.name: builtin_raises(p.read_text(encoding="utf-8"))
+                 for p in PACKAGE}
+    assert [r.split(": ")[1] for r in offenders.pop("estimate.py")] == ["ValueError"]
+    assert {k: v for k, v in offenders.items() if v} == {}
+
+
+ONE = CircleFunction.constant(1.0)
+PLANE, SPACE = (GaussianSpec(dim=n, seed=1, samples=10) for n in (2, 3))
+
+
+# one bad input per refusing site outside trilinear.py and specdecomp.py;
+# unit_nodes' scheme check is test_unit_nodes_refuses_other_schemes
+@pytest.mark.parametrize("call", [
+    lambda: QuadratureConfig(target_rel_error=0.0),
+    lambda: QuadratureConfig(refinement_levels=0),
+    lambda: GaussianSpec(dim=0, seed=1, samples=10),
+    lambda: homogeneous_reduction_check(0.5j, ONE, method="mc"),
+    lambda: homogeneous_reduction_check(0.5j, ONE, "nope", PLANE),
+    lambda: homogeneous_reduction_check(0.5j, ONE, "mc", SPACE),
+    lambda: minor_pullback_check(0.5, PLANE),
+    lambda: kernel_gaussian_check(0.0, 1j, 2j, SPACE),
+    lambda: CircleFunction(np.ones(2), 1),
+    lambda: CircleFunction.from_modes({1: 1.0}, 1),
+    lambda: CircleFunction.from_modes({4: 1.0}, 1),
+    lambda: BiCircleFunction(np.ones((3, 2)), 1, evaluator=None, mass=0.0,
+                             support_radius=0.0, center=(0.0, 0.0),
+                             norm_sq_plain=0.0),
+])
+def test_bad_inputs_raise_precondition_error(call):
+    with pytest.raises(PreconditionError):
+        call()
+
+
+def test_cli_refuses_a_short_triple(capsys):
+    assert cli.main(["closed-form", "--triples", "0,1"]) == 2
+    assert "must have three entries" in capsys.readouterr().err

@@ -304,6 +304,15 @@ def test_relative_trace_rejects_indefinite(rng):
         relative_trace(h, bad)
 
 
+def test_relative_trace_refuses_a_numerically_singular_form():
+    # condition number 1e13: both factorizations succeed, but their traces
+    # differ in the fifth digit (a builtin ArithmeticError before)
+    u, _ = np.linalg.qr(np.random.default_rng(1).normal(size=(4, 4)))
+    q = u @ np.diag([1.0, 1e-3, 1e-6, 1e-13]) @ u.T
+    with pytest.raises(NotPositiveDefiniteError, match="numerically singular"):
+        relative_trace(np.eye(4), (q + q.T) / 2)
+
+
 def test_relative_trace_refuses_large_matrices():
     # 6562 rows would be 689 MB of complex entries; zero-stride views cost
     # nothing, so the refusal must come before any factorization

@@ -1,6 +1,7 @@
 """Trilinear functional: contour functional, closed form, quadrature, decay."""
 
 import itertools
+import math
 
 import mpmath
 import numpy as np
@@ -12,8 +13,8 @@ from triform import (CircleFunction, DomainTooSmallError, NonFiniteError,
                      PoleArgumentError, PreconditionError, QuadratureConfig,
                      closed_form_value, decay_constant, decay_envelope,
                      exponents, group_action, invariant_functional,
-                     mode_element, mode_element_spectral, normalized_decay,
-                     sine_power_coeffs, spectral_mode_values,
+                     kernel_on_circle, mode_element, mode_element_spectral,
+                     normalized_decay, sine_power_coeffs, spectral_mode_values,
                      spherical_square, triple_quadrature)
 from triform.quadrature import unit_nodes
 from triform.specdecomp import random_sl2
@@ -306,8 +307,90 @@ def test_tanh_sinh_levels_are_nested():
         assert np.array_equal(2.0 * w[0::2], wp)
 
 
+def test_tanh_sinh_nodes_are_mirror_symmetric():
+    # x == omx[::-1] bit for bit: where the kept columns are symmetric too,
+    # the folded pass reads log sin(d (1 - x)) as log sin(d x) in reverse
+    for level in range(3, MAX_QUADRATURE_LEVEL + 1):
+        x, omx, w = unit_nodes("singularity_split", level)
+        assert np.array_equal(x, omx[::-1]) and np.array_equal(w, w[::-1])
+
+
+def _small_grid(mirrored):
+    """Nested stand-ins for levels 3 and 4 of the node family: 15 interior
+    columns, mirror-symmetric bit for bit or not, with positive weights;
+    level 3 keeps the even positions at twice the weight."""
+    h = np.array([0.03, 0.11, 0.2, 0.27, 0.36, 0.44, 0.49])
+    if mirrored:
+        x = np.concatenate([h, [0.5], (1.0 - h)[::-1]])
+        omx = x[::-1].copy()
+    else:
+        x = np.concatenate([h, [0.5], (1.0 - 0.7 * h)[::-1]])
+        omx = 1.0 - x
+    w = 0.02 + x * omx
+    return {3: (x[0::2], omx[0::2], 2.0 * w[0::2]), 4: (x, omx, w)}
+
+
+def _folded_reference(data, lams, x, w):
+    """The folded level sum (1/pi^2) sum_r (pi/2) w_r d_r sum_c w_c F(d_r, x_c),
+    d = pi x / 2, node by node from kernel_on_circle and CircleFunction.evaluate:
+    F sums g(a, b) K(a, b, 0) + g(b, a) K(b, a, 0) over the pieces a = d and
+    a = pi - d at b = d x, with g(a, b) = c(a, b) + c(-a, -b) and
+    c(a, b) = mean_z f1(a + z) f2(b + z) f3(z) over M equispaced z in [0, pi),
+    exact for the degree-3P trigonometric polynomial once M > 3P."""
+    f1, f2, f3 = data
+    exps = exponents(*lams)
+    m = 4 * max(f.max_mode for f in data) + 4
+    z = np.pi * np.arange(m) / m
+
+    def c(a, b):
+        return np.mean(f1.evaluate(a[..., None] + z) * f2.evaluate(b[..., None] + z)
+                       * f3.evaluate(z), axis=-1)
+
+    d = (np.pi / 2.0) * x[:, None]
+    b = d * x
+    F = 0.0
+    for a in (d + 0.0 * b, np.pi - d + 0.0 * b):
+        F = F + ((c(a, b) + c(-a, -b)) * kernel_on_circle(a, b, 0.0, exps)
+                 + (c(b, a) + c(-b, -a)) * kernel_on_circle(b, a, 0.0, exps))
+    return np.sum((F @ w) * d[:, 0] * (np.pi / 2.0) * w) / np.pi ** 2
+
+
+@pytest.mark.parametrize("mirrored", [True, False])
+@pytest.mark.parametrize("lams", [(0.0, 4j, 4j), (0.3, -0.2, 0.1),
+                                  (0.2 + 1j, -0.4 + 2j, 0.5j), (0.0, 0.0, 16j)])
+def test_folded_kernel_matches_libm_reference(lams, mirrored, monkeypatch):
+    # the tangent half-angle kernel against kernel_on_circle's libm
+    # sin/log/complex exp on a small interior grid, for constant and Fourier
+    # data; the mirrored grid takes the reversed log-sine branch, the other
+    # one evaluates log sin(d (1 - x)) itself
+    grid = _small_grid(mirrored)
+    x, omx, w = grid[4]
+    assert np.array_equal(x, omx[::-1]) == mirrored
+    monkeypatch.setattr("triform.trilinear.unit_nodes",
+                        lambda scheme, level: grid[level])
+    # an infinite target accepts the level-4 sum, which reuses level 3's
+    cfg = QuadratureConfig(refinement_levels=2, target_rel_error=math.inf)
+    rng = np.random.default_rng(7)
+    fourier = (_random_data(rng, 2, 2), _random_data(rng, 1, 2),
+               _random_data(rng, 2, 3))
+    for data in ((ONES, ONES, ONES), fourier):
+        est = triple_quadrature(*data, *lams, cfg)
+        ref = _folded_reference(data, lams, x, w)
+        assert est.method.endswith("/level4") and est.cost == 2 * len(x) ** 2
+        assert abs(est.value - ref) <= 1e-13 * abs(ref), (data[0].max_mode, lams)
+
+
+def test_quadrature_matches_closed_form_at_largest_phases():
+    # at (8i, 8i, 8i) the kernel phases are the largest of the Tier-1 grid
+    ref = closed_form_value(8j, 8j, 8j).value
+    est = triple_quadrature(ONES, ONES, ONES, 8j, 8j, 8j,
+                            QuadratureConfig(target_rel_error=1e-10))
+    assert est.method.endswith("/level8")
+    assert abs(est.value - ref) <= min(1e-13 * abs(ref), est.error_bound)
+
+
 def test_unit_nodes_refuses_other_schemes():
-    with pytest.raises(ValueError, match="graded_mesh"):
+    with pytest.raises(PreconditionError, match="graded_mesh"):
         unit_nodes("graded_mesh", 5)
 
 
@@ -505,6 +588,14 @@ def test_spectral_batch_matches_single_pairs(lams):
     assert spectral_mode_values(np.empty((0, 2), dtype=int), *lams).shape == (0,)
     with pytest.raises(PreconditionError, match="shape"):
         spectral_mode_values([(1, 2, 3)], *lams)
+
+
+@pytest.mark.parametrize("jmax", [0, -5])
+def test_spectral_refuses_cutoffs_below_one(jmax):
+    # jmax=0 once ran the default cutoff J = 2000 instead, and jmax=-5
+    # returned nan+nanj with a divide-by-zero warning from the tail fit
+    with pytest.raises(PreconditionError, match="jmax"):
+        spectral_mode_values([(0, 0)], 0j, 0j, 4j, jmax=jmax)
 
 
 def test_mode_elements_against_crude_3d_oracle():

@@ -14,42 +14,45 @@ asserted a priori.
 
 The output-mode window grows with T (K = 4T): the functional's Gram weight
 spreads over output modes |k| up to a multiple of |lam| = T, and a fixed
-window would cut the larger T short.  Each row also reports how much rho
-moves when K is doubled and when N is doubled, as
-`triform sobolev-trace --check-doubling` does.  The fitted slope of log rho
-against log T is the exponent of the law rho ~ T^(-2l).
+window would cut the larger T short.  Each rho comes from
+`sobolev_trace_estimate`, as `triform sobolev-trace --check-doubling` does:
+the value at (2N, 2K), with an error bar of 4 times the change one joint
+doubling of (N, K) makes.  The slope of log rho against log T, fitted with
+weights rho / bar, is the exponent of the law rho ~ T^(-2l).
 """
 
 import time
 
 import numpy as np
 
-from triform import sobolev_trace
+from triform import sobolev_trace_estimate
 
 N = 64
 ladder = (2.0, 4.0, 8.0, 16.0, 32.0)
 params = (0.0, 0.0)
 
-print(f"truncation N = {N}, output-mode window K = 4T, lam = iT")
+print(f"truncation (N, K) = ({N}, 4T) doubled once to ({2 * N}, 8T), lam = iT")
 for l in (2, 3):
     print(f"\nl = {l}")
     print(f"{'T':>4s} {'K':>4s} {'rho':>14s} {'rho * T^(2l)':>14s} "
-          f"{'K-doubling change':>18s} {'N-doubling change':>18s}")
-    rhos = []
+          f"{'+- bar':>10s} {'bar / rho':>10s}")
+    rhos, bars = [], []
     for T in ladder:
         t0 = time.time()
         K = int(4 * T)
-        rho = sobolev_trace(l, T, 1j * T, params, N, K)
-        rho_k = sobolev_trace(l, T, 1j * T, params, N, 2 * K)
-        rho_n = sobolev_trace(l, T, 1j * T, params, 2 * N, K)
-        rhos.append(rho)
-        print(f"{T:4.0f} {K:4d} {rho:14.6g} {rho * T ** (2 * l):14.6g} "
-              f"{abs(rho_k - rho) / rho:18.2e} {abs(rho_n - rho) / rho:18.2e}"
+        est = sobolev_trace_estimate(l, T, 1j * T, params, N, K)
+        rhos.append(est.value)
+        bars.append(est.error_bound)
+        scale = T ** (2 * l)
+        print(f"{T:4.0f} {K:4d} {est.value:14.6g} {est.value * scale:14.6g} "
+              f"{est.error_bound * scale:10.2e} "
+              f"{est.error_bound / est.value:10.2e}"
               f"   ({time.time() - t0:.1f}s)")
-    slope = np.polyfit(np.log(ladder), np.log(rhos), 1)[0]
-    print(f"fitted log-log slope of rho against T: {slope:.3f} "
+    slope = np.polyfit(np.log(ladder), np.log(rhos), 1,
+                       w=np.array(rhos) / np.array(bars))[0]
+    print(f"log-log slope of rho against T, weighted by rho / bar: {slope:.3f} "
           f"(the floor law predicts {-2 * l})")
 
 print("\nthe scaled trace sits on a positive plateau across the sweep and its")
-print("slope is close to -2l; where the N-doubling change outgrows the")
-print("K-doubling change, the truncation N is what limits rho.")
+print("slope is close to -2l; each bar is 4 times the change one joint (N, K)")
+print("doubling makes, and the fit counts most the rungs it moved least.")

@@ -28,7 +28,7 @@ from .quadrature import QuadratureConfig
 from .specdecomp import (PairingResult, bump_vector, circle_generators,
                          group_action, induced_form, kernel_bump_pairing,
                          pairing_search, random_sl2, relative_trace,
-                         sobolev_matrix, sobolev_trace,
+                         sobolev_matrix, sobolev_trace, sobolev_trace_estimate,
                          transformed_kernel_values, weighted_mean_bound)
 from .specfun import (gamma_product_log, gamma_value, log_gamma_complex,
                       reciprocal_gamma, stirling_modulus)

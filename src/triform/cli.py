@@ -6,7 +6,8 @@ closed-form      closed Gamma form over a grid of parameter triples
 quadrature-check quadrature vs closed form, relative deviations
 gaussian-check   Monte Carlo vs closed form for the Gaussian identities
 decay-scan       normalized exponential-decay sequence with extrapolation
-sobolev-trace    relative traces against Sobolev forms over a T ladder
+sobolev-trace    relative traces over a T ladder (--check-doubling: at
+                 (2N, 2K), with the error_bound of sobolev_trace_estimate)
 
 Every table embeds a meta block (schema, command, config echo, seed (null
 except for gaussian-check, the one command that draws samples), library
@@ -30,7 +31,7 @@ from .errors import (NonConvergentError, PoleArgumentError, PreconditionError,
 from .circlefn import CircleFunction
 from .gaussian import identity_battery
 from .quadrature import QuadratureConfig
-from .specdecomp import sobolev_trace
+from .specdecomp import sobolev_trace, sobolev_trace_estimate
 from .trilinear import (closed_form_log, closed_form_value, decay_constant,
                         decay_envelope, normalized_decay,
                         spherical_square, triple_quadrature)
@@ -112,6 +113,14 @@ def _fmt_lam(z: complex) -> str:
     return f"{z.real:.12g}{z.imag:+.12g}j"
 
 
+def _converged(driver, *args):
+    """driver(*args) and "", or the stalled Estimate and "non-convergent"."""
+    try:
+        return driver(*args), ""
+    except NonConvergentError as exc:
+        return exc.estimate, "non-convergent"
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -147,26 +156,21 @@ def cmd_quadrature_check(args) -> int:
                            target_rel_error=args.target)
     ones = CircleFunction.constant(1.0)
     rows = []
-    flagged = False
     max_dev = 0.0
     for (a, b, c) in triples:
         row = {"l1": _fmt_lam(a), "l2": _fmt_lam(b), "l3": _fmt_lam(c)}
         try:
             cf = closed_form_value(a, b, c)
-            est = triple_quadrature(ones, ones, ones, a, b, c, cfg)
-            dev = abs(est.value - cf.value) / abs(cf.value)
-            max_dev = max(max_dev, dev)
+            est, row["error"] = _converged(triple_quadrature, ones, ones, ones,
+                                           a, b, c, cfg)
+            dev = None if row["error"] else abs(est.value - cf.value) / abs(cf.value)
+            max_dev = max(max_dev, dev or 0.0)
             row.update(closed_re=cf.value.real, closed_im=cf.value.imag,
                        quad_re=est.value.real, quad_im=est.value.imag,
                        rel_deviation=dev, error_bound=est.error_bound,
-                       cost=est.cost, error="")
-        except NonConvergentError as exc:
-            row["error"] = "non-convergent"
-            row["rel_deviation"] = None
-            flagged = True
+                       cost=est.cost)
         except PoleArgumentError as exc:
             row["error"] = f"pole:{exc.factor}"
-            flagged = True
         rows.append(row)
     cols = ["l1", "l2", "l3", "closed_re", "closed_im", "quad_re", "quad_im",
             "rel_deviation", "error_bound", "cost", "error"]
@@ -174,7 +178,7 @@ def cmd_quadrature_check(args) -> int:
                  {"triples": len(rows), "levels": args.quad_levels,
                   "target": args.target},
                  rows, cols, extra_meta={"max_rel_deviation": max_dev})
-    return 1 if flagged else 0
+    return 1 if any(row["error"] for row in rows) else 0
 
 
 def cmd_gaussian_check(args) -> int:
@@ -224,26 +228,21 @@ def cmd_sobolev_trace(args) -> int:
     rows = []
     for T in ladder:
         lam = 1j * args.lam_factor * T
-        rho = sobolev_trace(args.l, T, lam, params, args.max_mode, args.k_modes)
-        row = {"T": T, "lam_im": args.lam_factor * T, "rho": rho,
-               "rho_scaled": rho * T ** (2 * args.l)}
+        trace = (args.l, T, lam, params, args.max_mode, args.k_modes)
+        row = {"T": T, "lam_im": args.lam_factor * T}
         if args.check_doubling:
-            rho2 = sobolev_trace(args.l, T, lam, params, 2 * args.max_mode,
-                                 args.k_modes)
-            row["rho_doubled_N"] = rho2
-            row["doubling_rel_change"] = abs(rho2 - rho) / rho if rho else None
-            rho_k = sobolev_trace(args.l, T, lam, params, args.max_mode,
-                                  2 * args.k_modes)
-            row["rho_doubled_K"] = rho_k
-            row["k_doubling_rel_change"] = abs(rho_k - rho) / rho if rho else None
+            est, row["error"] = _converged(sobolev_trace_estimate, *trace)
+            rho, row["error_bound"] = est.value, est.error_bound
+        else:
+            rho = sobolev_trace(*trace)
+        row.update(rho=rho, rho_scaled=rho * T ** (2 * args.l))
         rows.append(row)
-    cols = ["T", "lam_im", "rho", "rho_scaled", "rho_doubled_N",
-            "doubling_rel_change", "rho_doubled_K", "k_doubling_rel_change"]
+    cols = ["T", "lam_im", "rho", "rho_scaled", "error_bound", "error"]
     _write_table(args, "sobolev-trace",
                  {"l": args.l, "N": args.max_mode, "K_modes": args.k_modes,
                   "lam_factor": args.lam_factor, "ladder": ladder},
                  rows, cols)
-    return 0
+    return 1 if any(row.get("error") for row in rows) else 0
 
 
 # ---------------------------------------------------------------------------

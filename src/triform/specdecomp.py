@@ -32,8 +32,10 @@ from .circlefn import BiCircleFunction, CircleFunction
 from .errors import (InsufficientTruncationError, NonFiniteError,
                      NotPositiveDefiniteError, PreconditionError,
                      TruncationOverflowError)
+from .estimate import Estimate
 from .kernel import kernel_on_circle
 from .params import exponents
+from .quadrature import QuadratureConfig, refine_until, unit_nodes
 from .trilinear import _spectral_batches
 
 __all__ = [
@@ -44,6 +46,7 @@ __all__ = [
     "induced_form",
     "relative_trace",
     "sobolev_trace",
+    "sobolev_trace_estimate",
     "bump_vector",
     "transformed_kernel_values",
     "kernel_bump_pairing",
@@ -427,6 +430,20 @@ def sobolev_trace(l: int, T: float, lam, params: Tuple, N: int,
     return rho
 
 
+_DOUBLING_CHECK = QuadratureConfig(refinement_levels=2, target_rel_error=0.1)
+
+
+def sobolev_trace_estimate(l: int, T: float, lam, params: Tuple, N: int,
+                           K_modes: int) -> Estimate:
+    """sobolev_trace at (2N, 2K_modes), error_bound ERROR_SAFETY times its change
+    from (N, K_modes): refine_until over one joint doubling, cost (2n+1)^2 per
+    level.  A change above 10% raises NonConvergentError with that Estimate."""
+    def at_level(i):
+        n = 2 ** i * N
+        return sobolev_trace(l, T, lam, params, n, 2 ** i * K_modes), (2 * n + 1) ** 2
+    return refine_until(at_level, _DOUBLING_CHECK, "sobolev_trace", start_level=0)
+
+
 # ---------------------------------------------------------------------------
 # bump vectors and kernel pairings
 # ---------------------------------------------------------------------------
@@ -452,7 +469,6 @@ def _profile_moments(a: float):
     c = a, 2a; the integrand is flat but not analytic at v = 1, so a
     double-exponential rule is used (Gauss stalls at ~1e-5 there).
     """
-    from .quadrature import unit_nodes
     v, omv, w = unit_nodes("singularity_split", 8)
     i1 = np.pi * float(np.sum(np.exp(-a * v / omv) * w))
     i2 = np.pi * float(np.sum(np.exp(-2.0 * a * v / omv) * w))

@@ -185,13 +185,46 @@ def test_sobolev_trace_check_doubling_doubles_n_and_k(tmp_path):
                           "--k-modes", "4", "--check-doubling"], tmp_path)
     assert code == 0
     _, rows = parse_csv(text)
-    rho = float(rows[0]["rho"])
-    from triform import sobolev_trace
-    for col, change, N, K in (("rho_doubled_N", "doubling_rel_change", 12, 4),
-                              ("rho_doubled_K", "k_doubling_rel_change", 6, 8)):
-        ref = sobolev_trace(2, 2.0, 2j, (0j, 0j), N, K)
-        assert float(rows[0][col]) == ref
-        assert float(rows[0][change]) == abs(ref - rho) / rho
+    from triform import sobolev_trace, sobolev_trace_estimate
+    est = sobolev_trace_estimate(2, 2.0, 2j, (0j, 0j), 6, 4)
+    assert float(rows[0]["rho"]) == est.value == sobolev_trace(
+        2, 2.0, 2j, (0j, 0j), 12, 8)
+    assert float(rows[0]["rho_scaled"]) == est.value * 2.0 ** 4
+    assert float(rows[0]["error_bound"]) == est.error_bound
+    assert rows[0]["error"] == ""
+    assert "rho_doubled_N" not in rows[0] and "rho_doubled_K" not in rows[0]
+
+
+def test_sobolev_trace_non_convergent_rung_is_a_flagged_row(tmp_path):
+    # at (N, K) = (2, 2) the joint doubling moves rho by 11%
+    code, text = run_cli(["sobolev-trace", "--t-ladder", "2,4", "--max-mode",
+                          "2", "--k-modes", "2", "--check-doubling"], tmp_path)
+    assert code == 1
+    _, rows = parse_csv(text)
+    assert rows[0]["error"] == "non-convergent"
+    assert float(rows[0]["rho"]) > 0 and float(rows[0]["error_bound"]) > 0
+    assert float(rows[0]["rho_scaled"]) == float(rows[0]["rho"]) * 2.0 ** 4
+    assert len(rows) == 2
+
+
+def test_sobolev_trace_json_rows_without_check_doubling(tmp_path):
+    code, text = run_cli(["sobolev-trace", "--t-ladder", "2", "--max-mode", "6",
+                          "--k-modes", "4", "--format", "json"], tmp_path)
+    assert code == 0
+    assert sorted(json.loads(text)["rows"][0]) == ["T", "lam_im", "rho",
+                                                   "rho_scaled"]
+
+
+def test_quadrature_check_non_convergent_row_keeps_its_numbers(tmp_path):
+    code, text = run_cli(["quadrature-check", "--triples", "0,1,4",
+                          "--quad-levels", "2", "--target", "1e-15"], tmp_path)
+    assert code == 1
+    meta, rows = parse_csv(text)
+    row = rows[0]
+    assert row["error"] == "non-convergent" and row["rel_deviation"] == ""
+    assert float(row["quad_re"]) != 0 and float(row["error_bound"]) > 0
+    assert int(row["cost"]) > 0 and row["closed_re"] != ""
+    assert meta["max_rel_deviation"] == 0.0
 
 
 @pytest.mark.parametrize("T", ["nan", "inf", "1e100"])

@@ -171,7 +171,8 @@ def test_cli_commands_read_every_flag(tmp_path):
 
 BUILTIN_EXCEPTIONS = {name for name, value in vars(builtins).items()
                       if isinstance(value, type) and issubclass(value, BaseException)}
-PACKAGE = sorted((ROOT / "src" / "triform").glob("*.py"))
+# every module under src/, subpackages included
+PACKAGE = sorted((ROOT / "src").rglob("*.py"))
 
 
 def builtin_raises(source: str) -> list:
@@ -197,9 +198,11 @@ def test_detector_flags_builtin_raises():
 def test_package_raises_only_its_own_errors():
     # Estimate's error_bound >= 0 invariant guards against a program bug,
     # not a bad input, so it keeps its ValueError
-    offenders = {p.name: builtin_raises(p.read_text(encoding="utf-8"))
-                 for p in PACKAGE}
-    assert [r.split(": ")[1] for r in offenders.pop("estimate.py")] == ["ValueError"]
+    assert PACKAGE
+    offenders = {p.relative_to(ROOT / "src").as_posix():
+                 builtin_raises(p.read_text(encoding="utf-8")) for p in PACKAGE}
+    assert [r.split(": ")[1]
+            for r in offenders.pop("triform/estimate.py")] == ["ValueError"]
     assert {k: v for k, v in offenders.items() if v} == {}
 
 

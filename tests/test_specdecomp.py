@@ -9,14 +9,17 @@ import scipy.linalg as sla
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from triform import (CircleFunction, InsufficientTruncationError,
-                     NonFiniteError, NotPositiveDefiniteError,
+from triform import (CircleFunction, Estimate, InsufficientTruncationError,
+                     NonConvergentError, NonFiniteError,
+                     NotPositiveDefiniteError,
                      PreconditionError, TruncationOverflowError, bump_vector,
                      circle_generators, group_action, induced_form,
                      kernel_bump_pairing, pairing_search,
                      random_sl2, relative_trace, sobolev_matrix,
-                     sobolev_trace, spectral_mode_values, spherical_square,
+                     sobolev_trace, sobolev_trace_estimate,
+                     spectral_mode_values, spherical_square,
                      transformed_kernel_values, weighted_mean_bound)
+from triform.quadrature import ERROR_SAFETY
 
 GEN_MATRICES = [np.array([[1.0, 0.0], [0.0, -1.0]]),
                 np.array([[0.0, 1.0], [1.0, 0.0]]),
@@ -446,6 +449,44 @@ def test_sobolev_trace_at_the_largest_joint_doubling():
     T = 32.0
     rho = sobolev_trace(2, T, 32j, (0.0, 0.0), 256, 512)
     assert abs(rho * T ** 4 / 0.2179467678624868 - 1.0) <= 1e-12
+
+
+def test_sobolev_trace_estimate_is_one_joint_doubling():
+    args = (2, 2.0, 2j, (0.0, 0.0))
+    est = sobolev_trace_estimate(*args, 6, 4)
+    coarse, fine = sobolev_trace(*args, 6, 4), sobolev_trace(*args, 12, 8)
+    assert est.value == fine
+    assert est.error_bound == ERROR_SAFETY * abs(fine - coarse)
+    assert est.cost == 13 ** 2 + 25 ** 2
+    assert est.method == "sobolev_trace/level1"
+
+
+def test_sobolev_trace_estimate_raises_with_the_stalled_estimate():
+    # at (N, K) = (2, 2), T = 2 the joint doubling moves rho by 11%
+    args = (2, 2.0, 2j, (0.0, 0.0))
+    coarse, fine = sobolev_trace(*args, 2, 2), sobolev_trace(*args, 4, 4)
+    assert 0.10 < abs(fine - coarse) / fine < 0.12
+    with pytest.raises(NonConvergentError) as info:
+        sobolev_trace_estimate(*args, 2, 2)
+    assert info.value.estimate == Estimate(
+        value=fine, error_bound=ERROR_SAFETY * abs(fine - coarse),
+        method="sobolev_trace/stalled", cost=5 ** 2 + 9 ** 2)
+
+
+def test_sobolev_trace_estimate_covers_the_largest_joint_doubling():
+    # from (64, 128) at T = 32 the bar covers the (256, 512) value that
+    # test_sobolev_trace_at_the_largest_joint_doubling pins (about 1.4 s)
+    T = 32.0
+    est = sobolev_trace_estimate(2, T, 32j, (0.0, 0.0), 64, 128)
+    assert abs(0.2179467678624868 * T ** -4 - est.value) <= est.error_bound
+    assert est.error_bound <= 0.05 * est.value
+
+
+@pytest.mark.parametrize("params", [(0.0, 0.0), (0.5j, -1j), (0.3 + 0.2j, 0.1)])
+def test_sobolev_trace_nondecreasing_in_output_modes(params):
+    # H only gains positive semidefinite rows as K_modes grows
+    rhos = [sobolev_trace(2, 2.0, 2j, params, 4, K) for K in (0, 2, 4, 8, 16)]
+    assert all(a <= b for a, b in zip(rhos, rhos[1:]))
 
 
 def test_sobolev_trace_monotone_in_T():

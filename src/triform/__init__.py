@@ -20,8 +20,7 @@ from .estimate import Estimate
 from .gaussian import (GaussianSpec, det_moment, gaussian_expect,
                        homogeneous_reduction_check, identity_battery,
                        kernel_gaussian_check, linear_moment, minor_map,
-                       minor_pullback_check, minor_pullback_rotated,
-                       radial_expect, radius_moment)
+                       minor_pullback_check, radial_expect, radius_moment)
 from .kernel import kernel_on_circle, kernel_value, omega
 from .params import ExponentQuadruple, exponents
 from .quadrature import QuadratureConfig
@@ -33,7 +32,6 @@ from .specdecomp import (PairingResult, bump_vector, circle_generators,
 from .specfun import (gamma_product_log, gamma_value, log_gamma_complex,
                       reciprocal_gamma, stirling_modulus)
 from .trilinear import (closed_form_log, closed_form_value, decay_constant,
-                        decay_envelope, invariant_functional, mode_element,
-                        mode_element_spectral, normalized_decay,
+                        decay_envelope, invariant_functional, normalized_decay,
                         sine_power_coeffs, spectral_mode_values,
                         spherical_square, triple_quadrature)

@@ -77,9 +77,6 @@ class CircleFunction:
         vals = phases @ self.coeffs
         return vals.reshape(theta.shape) if theta.ndim else complex(vals[0])
 
-    def l2_norm(self) -> float:
-        return float(np.linalg.norm(self.coeffs))
-
 
 @dataclass
 class BiCircleFunction:
@@ -99,19 +96,6 @@ class BiCircleFunction:
             if self.coeffs.shape != (n, n):
                 raise PreconditionError("coefficient matrix must be (2N+1) x (2N+1)")
 
-    def coefficient(self, p: int, q: int) -> complex:
-        if max(abs(p), abs(q)) > self.max_mode:
-            return 0.0 + 0.0j
-        return self.coeffs[p + self.max_mode, q + self.max_mode]
-
     def evaluate(self, x, y):
         """Pointwise values from the analytic evaluator."""
         return self.evaluator(x, y)
-
-    def series_mass(self) -> float:
-        """Integral over [0,2pi)^2 with plain measure = (2pi)^2 c_{00}."""
-        return float((2.0 * np.pi) ** 2 * self.coefficient(0, 0).real)
-
-    def l2_norm(self) -> float:
-        """Norm in L^2 of the normalized product measure (d/2pi)^2."""
-        return float(np.linalg.norm(self.coeffs))

@@ -38,7 +38,7 @@ from .errors import NonFiniteError, PreconditionError
 from .estimate import Estimate
 from .kernel import kernel_value
 from .params import exponents
-from .quadrature import QuadratureConfig, _exp_sinh, refine_until
+from .quadrature import QuadratureConfig, half_line_nodes, refine_until
 from .specfun import gamma_product_log, log_gamma_complex
 from .trilinear import closed_form_log, invariant_functional
 
@@ -52,7 +52,6 @@ __all__ = [
     "minor_map",
     "homogeneous_reduction_check",
     "minor_pullback_check",
-    "minor_pullback_rotated",
     "kernel_gaussian_check",
     "identity_battery",
 ]
@@ -207,7 +206,7 @@ def radial_expect(n: int, s) -> Estimate:
     area = _SPHERE_AREA[n]
 
     def eval_at_level(level):
-        r, w = _exp_sinh(level)
+        r, w = half_line_nodes(level)
         vals = np.exp((s + n - 1) * np.log(r) - r * r)
         return area / math.pi ** (n / 2.0) * np.sum(vals * w), len(r)
 
@@ -275,7 +274,7 @@ def homogeneous_reduction_check(lam, f: CircleFunction, method: str = "radial",
             theta = np.linspace(0.0, 2.0 * np.pi, ntheta, endpoint=False)
             ang = np.sum(f.evaluate(theta)) * (2.0 * np.pi / ntheta) / math.pi
             # radial factor: int_0^inf r^{-lam} e^{-r^2} dr
-            r, w = _exp_sinh(level + 3)
+            r, w = half_line_nodes(level + 3)
             rad = np.sum(np.exp(-z * np.log(r) - r * r) * w)
             return ang * rad, ntheta + len(r)
 
@@ -299,19 +298,15 @@ def minor_map(mats: np.ndarray) -> np.ndarray:
     return np.cross(mats[..., 0, :], mats[..., 1, :])
 
 
-def _minor_mc(svals, spec: GaussianSpec, direction=None) -> list:
-    """Monte Carlo <|w . direction|^s, G> for each s on one draw, with w the
-    minors of the 2x3 matrix; direction None is e_3, the third minor."""
+def _minor_mc(svals, spec: GaussianSpec) -> list:
+    """Monte Carlo <|w_3|^s, G> for each s on one draw, with w_3 the third
+    minor of the 2x3 matrix."""
     if spec.dim != 6:
         raise PreconditionError("minor-map pullback lives on R^6 (2x3 matrices)")
 
     def integrand(pts):
-        if direction is None:
-            # minor_map(pts.reshape(-1, 2, 3))[:, 2], bit for bit
-            proj = pts[:, 0] * pts[:, 4] - pts[:, 1] * pts[:, 3]
-        else:
-            proj = minor_map(pts.reshape(-1, 2, 3)) @ np.asarray(direction, dtype=float)
-        return _abs_powers(proj, svals)
+        # minor_map(pts.reshape(-1, 2, 3))[:, 2], bit for bit
+        return _abs_powers(pts[:, 0] * pts[:, 4] - pts[:, 1] * pts[:, 3], svals)
 
     return _expect_columns(spec, integrand)
 
@@ -334,16 +329,6 @@ def minor_pullback_check(s, spec: GaussianSpec):
     if s.real <= -1:
         raise PreconditionError("minor pullback needs Re s > -1")
     return _minor_mc((s,), spec)[0], _minor_rhs(s)
-
-
-def minor_pullback_rotated(s, rotation: np.ndarray, spec: GaussianSpec) -> Estimate:
-    """MC estimate of <nu*(h o R), G> with h = |w_3|^s and R a rotation.
-
-    By the SO(3)-equivariance of the minor map this must agree with the
-    unrotated estimate; used as the averaging-step consistency check.
-    """
-    r3 = np.asarray(rotation, dtype=float)[2, :]
-    return _minor_mc((s,), spec, direction=r3)[0]
 
 
 def _kernel_mc(triples, spec: GaussianSpec) -> list:

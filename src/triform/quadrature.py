@@ -12,7 +12,7 @@ skip the nodes whose tail t^p / p (t = x or 1 - x) lies below its rounding,
 as ``triple_quadrature`` does, and the levels stay nested as long as that
 choice depends on the node alone.
 
-``_exp_sinh`` is the half-line family of the Gaussian radial oracles.
+``half_line_nodes`` is the half-line family of the Gaussian radial oracles.
 
 Refinement is by an integer level; ``refine_until`` compares successive
 levels (a-posteriori error = |last - previous| with a safety factor).
@@ -27,7 +27,8 @@ import numpy as np
 from .errors import NonConvergentError, PreconditionError
 from .estimate import Estimate
 
-__all__ = ["QuadratureConfig", "unit_nodes", "refine_until", "ERROR_SAFETY"]
+__all__ = ["QuadratureConfig", "unit_nodes", "half_line_nodes", "refine_until",
+           "ERROR_SAFETY"]
 
 # a-posteriori error bounds are |last - previous| times this factor
 ERROR_SAFETY = 4.0
@@ -64,7 +65,7 @@ def _tanh_sinh(level: int):
 
 
 @lru_cache(maxsize=64)
-def _exp_sinh(level: int):
+def half_line_nodes(level: int):
     """r, w on (0, inf) with r = exp(pi/2 sinh t); step h = 2^-level.  For
     integrands with a factor e^{-r^2}, which is < 1e-316 past the last node."""
     h = 2.0 ** (-level)

@@ -36,7 +36,7 @@ from .estimate import Estimate
 from .kernel import kernel_on_circle
 from .params import exponents
 from .quadrature import QuadratureConfig, refine_until, unit_nodes
-from .trilinear import _spectral_batches
+from .trilinear import spectral_mode_values
 
 __all__ = [
     "random_sl2",
@@ -230,9 +230,10 @@ def _mode_rows(lam, tau, tau_prime, N: int, K_modes: int):
     flattened positions are ``idx`` and values ``vals``.  The kernel depends
     on its angles only through |sin| of their differences, so the element of
     (-m', -n', -k) equals that of (m', n', k): row -k is row k moved from the
-    flattened position idx to (2N+1)^2 - 1 - idx, and is not built.  All
-    rows share one set of |sin|^s series; each row keeps its own convolution
-    cutoff.
+    flattened position idx to (2N+1)^2 - 1 - idx, and is not built.  Row
+    k = 2k' holds m' = -N..N-k', so it is empty past k' = 2N, and every row
+    has largest |index| N: one spectral_mode_values call over all the rows
+    takes the convolution cutoff that each row would take alone.
     """
     if K_modes < 0:
         raise PreconditionError(f"need K_modes >= 0, got K_modes = {K_modes}")
@@ -241,15 +242,14 @@ def _mode_rows(lam, tau, tau_prime, N: int, K_modes: int):
     if K_modes % 2 != 0:
         raise PreconditionError(f"K_modes must be even, got K_modes = {K_modes}")
     n1 = 2 * N + 1
-    kps, batches = [], []
-    for kp in range(K_modes // 2 + 1):
-        mps = np.arange(max(-N, -kp - N), min(N, -kp + N) + 1)
-        if len(mps):
-            kps.append(kp)
-            batches.append(np.stack([mps, -kp - mps], axis=1))
-    values = _spectral_batches(batches, tau, tau_prime, lam)
+    batches = []
+    for kp in range(min(K_modes // 2, 2 * N) + 1):
+        mps = np.arange(-N, N - kp + 1)
+        batches.append(np.stack([mps, -kp - mps], axis=1))
+    values = spectral_mode_values(np.concatenate(batches), tau, tau_prime, lam)
+    values = np.split(values, np.cumsum([len(p) for p in batches])[:-1])
     return [(2 * kp, (p[:, 0] + N) * n1 + (p[:, 1] + N), v)
-            for kp, p, v in zip(kps, batches, values)]
+            for kp, (p, v) in enumerate(zip(batches, values))]
 
 
 def induced_form(lam, tau, tau_prime, N: int, K_modes: int) -> np.ndarray:

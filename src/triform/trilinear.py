@@ -22,11 +22,11 @@
   over it; the levels are nested, so a level adds only the nodes the
   previous level lacked to that level's sum.  No Gamma function enters.
 
-* ``mode_element`` / ``mode_element_spectral`` -- matrix elements of the
-  functional on Fourier modes e^{imx} (x) e^{iny} (x) e^{ikz}.  Translation
-  invariance makes them vanish unless m + n + k = 0.  The spectral backend
-  expands each |sin|^s factor in its exact Fourier series (Gamma-coefficient
-  formula) and sums the resulting triple-product convolution with an
+* ``spectral_mode_values`` -- values of the functional on Fourier modes
+  e^{2im'x} (x) e^{2in'y} (x) e^{2ik'z}, which translation invariance makes
+  vanish unless m' + n' + k' = 0, so a pair (m', n') names one.  Each
+  |sin|^s factor is expanded in its exact Fourier series (Gamma-coefficient
+  formula) and the resulting triple-product convolution is summed with an
   Euler-Maclaurin tail; it is cross-validated against the quadrature backend.
 
 The decay helpers normalize the squared spherical value by the exponential
@@ -57,8 +57,6 @@ __all__ = [
     "normalized_decay",
     "decay_constant",
     "triple_quadrature",
-    "mode_element",
-    "mode_element_spectral",
     "MAX_QUADRATURE_LEVEL",
     "sine_power_coeffs",
     "spectral_mode_values",
@@ -186,10 +184,15 @@ def decay_constant(tau, tau_prime, moduli: Sequence[float]):
     The normalized sequence behaves like c (1 + O(1/|lam|)); Richardson
     extrapolation on a doubling ladder removes the 1/|lam| term.  Returns
     (c_estimate, error_estimate); with one rung its value is returned with
-    an infinite error bar, and an empty ladder raises PreconditionError.
+    an infinite error bar.  An empty ladder raises PreconditionError, and
+    so does Re(tau + tau') != 0: there the sequence goes like |lam|^-s,
+    s = Re(tau + tau'), and has no plateau to extrapolate.
     """
     if not len(moduli):
         raise PreconditionError("decay_constant needs at least one rung")
+    s = (complex(tau) + complex(tau_prime)).real
+    if abs(s) > 1e-12:
+        raise PreconditionError(f"decay plateau needs Re(tau + tau') = 0, got {s}")
     r = [normalized_decay(tau, tau_prime, 1j * t) for t in moduli]
     if len(r) < 2:
         return r[-1], math.inf
@@ -423,32 +426,6 @@ def triple_quadrature(f1: CircleFunction, f2: CircleFunction, f3: CircleFunction
                         start_level=_START_LEVEL)
 
 
-def _vanishing_element(m: int, n: int, k: int) -> Optional[Estimate]:
-    """PreconditionError for an odd mode; the exact zero when m + n + k != 0."""
-    for name, v in (("m", m), ("n", n), ("k", k)):
-        if v % 2 != 0:
-            raise PreconditionError(f"mode {name}={v} must be even")
-    if m + n + k != 0:
-        return Estimate(0.0, 0.0, method="translation-invariance", cost=0)
-    return None
-
-
-def mode_element(m: int, n: int, k: int, l1, l2, l3,
-                 cfg: Optional[QuadratureConfig] = None) -> Estimate:
-    """Matrix element on Fourier modes e^{imx} (x) e^{iny} (x) e^{ikz}.
-
-    Exactly zero unless m + n + k = 0 (translation invariance of the kernel
-    integral); otherwise evaluated by the quadrature backend.
-    """
-    zero = _vanishing_element(m, n, k)
-    if zero is not None:
-        return zero
-    mm = CircleFunction.from_modes({m: 1.0}, abs(m) // 2)
-    nn = CircleFunction.from_modes({n: 1.0}, abs(n) // 2)
-    kk = CircleFunction.from_modes({k: 1.0}, abs(k) // 2)
-    return triple_quadrature(mm, nn, kk, l1, l2, l3, cfg)
-
-
 # ---------------------------------------------------------------------------
 # spectral backend: exact Fourier series of |sin|^s plus accelerated tails
 # ---------------------------------------------------------------------------
@@ -496,38 +473,6 @@ def _em_power_tail(w: complex, J: int) -> complex:
 
 
 _FIT_N = 60      # tail-fit window: |j| = J+1 .. J+_FIT_N on each side
-
-
-def _cutoff(maxidx: int) -> int:
-    """Default convolution cutoff J for pairs whose largest |index| is maxidx."""
-    return 2000 + 10 * maxidx
-
-
-def _spectral_batches(batches, l1, l2, l3, jmax: Optional[int] = None):
-    """Mode values for several (n, 2) integer arrays of (m', n') pairs.
-
-    Each batch gets its own cutoff J (from its largest index, unless ``jmax``
-    is given); the |sin|^s series are computed once, at the longest length
-    any batch reads, and the tail weights once per J.  Every coefficient
-    depends only on its own index: a batch reads the numbers of its own call.
-    A ``jmax`` below 1 raises PreconditionError.
-    """
-    if jmax is not None and jmax < 1:
-        raise PreconditionError(f"convolution cutoff jmax must be >= 1, got {jmax}")
-    e = exponents(l1, l2, l3)
-    e.require_convergent()
-    sA, sB, sG = e.kernel_powers()
-    w0 = 3.0 + (sA + sB + sG)
-    if w0.real <= 1.05:
-        raise PreconditionError(
-            "spectral convolution needs Re(3 + sA + sB + sG) > 1; "
-            "use the quadrature backend for this parameter range")
-    maxidx = [int(np.max(np.abs(b))) if b.size else 0 for b in batches]
-    cutoffs = [_cutoff(m) if jmax is None else jmax for m in maxidx]
-    kmax = max(J + _FIT_N + m + 2 for J, m in zip(cutoffs, maxidx))
-    cA, cB, cG = (sine_power_coeffs(s, kmax) for s in (sA, sB, sG))
-    weights = {J: _tail_weights(cG, w0, J) for J in set(cutoffs)}
-    return [_convolve_modes(b, cA, cB, weights[J]) for b, J in zip(batches, cutoffs)]
 
 
 def _tail_weights(cG, w0: complex, J: int) -> np.ndarray:
@@ -584,27 +529,26 @@ def spectral_mode_values(pairs, l1, l2, l3, jmax: Optional[int] = None) -> np.nd
     terms and summed analytically.  The fit is linear in the terms, so it
     is one fixed weight vector, and the pairs with equal m' + n' and
     consecutive m' are one correlation against it.  A pair array not of
-    shape (n, 2) raises PreconditionError.
+    shape (n, 2) or a ``jmax`` below 1 raises PreconditionError.
     """
     pairs = np.asarray(pairs, dtype=int)
     if pairs.ndim == 1 and pairs.size in (0, 2):
         pairs = pairs.reshape(-1, 2)
     if pairs.ndim != 2 or pairs.shape[1] != 2:
         raise PreconditionError(f"pairs must have shape (n, 2), got {pairs.shape}")
-    return _spectral_batches([pairs], l1, l2, l3, jmax)[0]
+    if jmax is not None and jmax < 1:
+        raise PreconditionError(f"convolution cutoff jmax must be >= 1, got {jmax}")
+    e = exponents(l1, l2, l3)
+    e.require_convergent()
+    sA, sB, sG = e.kernel_powers()
+    w0 = 3.0 + (sA + sB + sG)
+    if w0.real <= 1.05:
+        raise PreconditionError(
+            "spectral convolution needs Re(3 + sA + sB + sG) > 1; "
+            "use the quadrature backend for this parameter range")
+    maxidx = int(np.max(np.abs(pairs))) if pairs.size else 0
+    J = 2000 + 10 * maxidx if jmax is None else jmax
+    kmax = J + _FIT_N + maxidx + 2
+    cA, cB, cG = (sine_power_coeffs(s, kmax) for s in (sA, sB, sG))
+    return _convolve_modes(pairs, cA, cB, _tail_weights(cG, w0, J))
 
-
-def mode_element_spectral(m: int, n: int, k: int, l1, l2, l3) -> Estimate:
-    """Spectral-backend matrix element; agrees with ``mode_element``.
-
-    ``cost`` counts the convolution terms summed: 2 (J + 60) + 1 for the
-    cutoff J = 2000 + 10 * max(|m/2|, |n/2|) and the 60-term tail-fit window
-    on each side.
-    """
-    zero = _vanishing_element(m, n, k)
-    if zero is not None:
-        return zero
-    v1 = spectral_mode_values([(m // 2, n // 2)], l1, l2, l3)[0]
-    J = _cutoff(max(abs(m // 2), abs(n // 2)))
-    return Estimate(complex(v1), error_bound=1e-7 * max(1.0, abs(v1)),
-                    method="spectral-convolution", cost=2 * (J + _FIT_N) + 1)

@@ -169,6 +169,19 @@ def test_decay_scan_symmetry(tmp_path):
     assert [r["normalized"] for r in ra] == [r["normalized"] for r in rb]
 
 
+def test_decay_scan_refuses_a_ladder_without_plateau(capsys):
+    # Re(tau + tau') = 0.3: the rows fall like |lam|^-0.3, with no constant
+    # to extrapolate; one rung is still a plain table
+    params = ["decay-scan", "--tau", "0.3+1j", "--tau-prime", "0.2"]
+    code = main(params + ["--ladder", "100,200,400,800"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Re(tau + tau')" in err
+    assert main(params + ["--ladder", "100"]) == 0
+    assert "extrapolated_constant" not in capsys.readouterr().out
+
+
 def test_sobolev_trace_l0_is_plain_trace(tmp_path):
     code, text = run_cli(["sobolev-trace", "--l", "0", "--t-ladder", "2",
                           "--max-mode", "6", "--k-modes", "4"], tmp_path)

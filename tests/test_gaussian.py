@@ -7,8 +7,8 @@ from triform import (CircleFunction, GaussianSpec, NonFiniteError,
                      PreconditionError, det_moment, exponents, gaussian_expect,
                      homogeneous_reduction_check, identity_battery,
                      kernel_gaussian_check, kernel_value, linear_moment,
-                     minor_map, minor_pullback_check, minor_pullback_rotated,
-                     radial_expect, radius_moment)
+                     minor_map, minor_pullback_check, radial_expect,
+                     radius_moment)
 
 SQRT_PI = 1.7724538509055160273
 B000 = 31.031265787858834294      # Gamma(1/4)^4 / pi^3 * pi^(3/2)
@@ -198,19 +198,27 @@ def test_minor_pullback_identity():
         assert abs(lhs.value - rhs.value) <= lhs.error_bound + rhs.error_bound
 
 
+def rotated_minor_pullback(s, R, spec):
+    """MC <|w . R[2]|^s, G> over the minors w of 2x3 Gaussian matrices."""
+    return gaussian_expect(
+        spec, lambda pts: np.abs(minor_map(pts.reshape(-1, 2, 3)) @ R[2]) ** s)
+
+
 def test_non_finite_rotation_is_not_dropped():
     # |w . r|^s at a NaN projection is NaN, not the 0 of a v = 0 null set
     R = np.eye(3)
     R[2, 0] = np.nan
     with pytest.raises(NonFiniteError):
-        minor_pullback_rotated(1.0, R, GaussianSpec(6, 31, 1000))
+        rotated_minor_pullback(1.0, R, GaussianSpec(6, 31, 1000))
 
 
 def test_minor_pullback_rotation_invariance(rng):
+    # by the SO(3)-equivariance of the minor map, rotating h = |w_3|^s
+    # leaves its pull-back's expectation unchanged
     base = minor_pullback_check(1.0, GaussianSpec(6, 31, 200_000))[0]
     for _ in range(5):
         R = rotation(rng)
-        rot = minor_pullback_rotated(1.0, R, GaussianSpec(6, 31, 200_000))
+        rot = rotated_minor_pullback(1.0, R, GaussianSpec(6, 31, 200_000))
         assert abs(rot.value - base.value) <= rot.error_bound + base.error_bound
 
 

@@ -1,7 +1,8 @@
-"""The public API is the only way in: the CLI, tests and demos import no
-private names, and every name the demos and the bench import exists.  Every
-CLI flag is read by the command that accepts it, and the package refuses
-bad input with its own error types, never a builtin exception."""
+"""The public API is the only way in: the package's modules, tests and demos
+import no private names, every name the demos and the bench import exists,
+and every export but a listed few has a caller outside tests.  Every CLI
+flag is read by the command that accepts it, and the package refuses bad
+input with its own error types, never a builtin exception."""
 
 import argparse
 import ast
@@ -204,6 +205,54 @@ def test_package_raises_only_its_own_errors():
     assert [r.split(": ")[1]
             for r in offenders.pop("triform/estimate.py")] == ["ValueError"]
     assert {k: v for k, v in offenders.items() if v} == {}
+
+
+def test_package_modules_import_no_private_names():
+    # the package's modules reach each other through public names too
+    offenders = {p.relative_to(ROOT / "src").as_posix():
+                 private_imports(p.read_text(encoding="utf-8")) for p in PACKAGE}
+    assert {k: v for k, v in offenders.items() if v} == {}
+
+
+INIT = ROOT / "src" / "triform" / "__init__.py"
+# exports that no module, demo or bench script calls, each with why it stays
+UNCALLED_EXPORTS = {
+    "induced_form": "dense reference that sobolev_trace is tested against",
+    "relative_trace": "dense reference that sobolev_trace is tested against",
+    "weighted_mean_bound": "the bound acceptance's localization criterion checks",
+    "minor_map": "reference for the Monte Carlo third-minor line; tests rotate it",
+}
+
+
+def unused_exports(init_source: str, sources: list) -> set:
+    """Names that ``init_source`` imports from the package's modules and no
+    source in ``sources`` reads as a name, an attribute or an import."""
+    exported = {a.asname or a.name for node in ast.walk(ast.parse(init_source))
+                if isinstance(node, ast.ImportFrom) for a in node.names}
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name):
+                exported.discard(node.id)
+            elif isinstance(node, ast.Attribute):
+                exported.discard(node.attr)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                exported.difference_update(a.name for a in node.names)
+    return exported
+
+
+def test_detector_flags_unused_exports():
+    init = "from .a import f, g, h, k, m\nfrom .b import C"
+    sources = ["f(1)", "x = mod.g", "from triform import h", "def k(): pass",
+               "__all__ = ['m']", "class C: pass"]
+    assert unused_exports(init, sources) == {"k", "m", "C"}
+    assert unused_exports(init, sources + ["k(); y = [m, C]"]) == set()
+
+
+def test_every_export_has_a_caller():
+    sources = [p.read_text(encoding="utf-8") for p in [*PACKAGE, *UNRUN]
+               if p.name != "__init__.py"]
+    assert unused_exports(INIT.read_text(encoding="utf-8"), sources) == set(
+        UNCALLED_EXPORTS)
 
 
 ONE = CircleFunction.constant(1.0)

@@ -58,7 +58,7 @@ def test_action_unitary_on_spherical_vector():
     f = CircleFunction.constant(1.0, max_mode=64)
     g = np.diag([2.0, 0.5])
     out = group_action(g, 1j, f)
-    assert abs(out.l2_norm() - 1.0) <= np.sqrt(out.tail_energy) + 1e-10
+    assert abs(np.linalg.norm(out.coeffs) - 1.0) <= np.sqrt(out.tail_energy) + 1e-10
 
 
 def test_action_unitarity_random(rng):
@@ -67,7 +67,7 @@ def test_action_unitarity_random(rng):
         g = random_sl2(rng, max_norm=2.0)
         assert np.linalg.norm(g, 2) <= 2.0 + 1e-12
         out = group_action(g, 2.3j, f)
-        n0, n1 = f.l2_norm(), out.l2_norm()
+        n0, n1 = np.linalg.norm(f.coeffs), np.linalg.norm(out.coeffs)
         assert abs(n1 ** 2 - n0 ** 2) <= out.tail_energy + 1e-9 * n0 ** 2
 
 
@@ -545,10 +545,11 @@ def test_bump_mass_and_norm():
     u = bump_vector(1.0, 512)
     # truncation never touches the zero mode, so the series mass must match
     # the construction's exact unit mass
-    assert abs(u.series_mass() - 1.0) <= 1e-8
+    # (the integral of the series over [0, 2pi)^2 is (2pi)^2 c_00)
+    assert abs((2 * np.pi) ** 2 * u.coeffs[u.max_mode, u.max_mode].real - 1.0) <= 1e-8
     assert u.norm_sq_plain <= 1e5
     # Parseval over the truncated band is a lower bound on the exact norm
-    series_norm_sq = (2 * np.pi) ** 2 * u.l2_norm() ** 2
+    series_norm_sq = (2 * np.pi) ** 2 * np.linalg.norm(u.coeffs) ** 2
     assert series_norm_sq <= u.norm_sq_plain * (1.0 + 1e-10)
     # and the truncation carries nearly all of the energy
     assert series_norm_sq >= 0.95 * u.norm_sq_plain

@@ -13,9 +13,8 @@ from triform import (CircleFunction, DomainTooSmallError, NonFiniteError,
                      PoleArgumentError, PreconditionError, QuadratureConfig,
                      closed_form_value, decay_constant, decay_envelope,
                      exponents, group_action, invariant_functional,
-                     kernel_on_circle, mode_element, mode_element_spectral,
-                     normalized_decay, sine_power_coeffs, spectral_mode_values,
-                     spherical_square, triple_quadrature)
+                     kernel_on_circle, normalized_decay, sine_power_coeffs,
+                     spectral_mode_values, spherical_square, triple_quadrature)
 from triform.quadrature import unit_nodes
 from triform.specdecomp import random_sl2
 from triform.trilinear import MAX_QUADRATURE_LEVEL
@@ -160,6 +159,20 @@ def test_decay_constant_refuses_an_empty_ladder():
         decay_constant(0, 0, [])
 
 
+@pytest.mark.parametrize("tau, tau_prime", [(0.3, 0), (0.3 + 1j, 0.2j), (0, -1e-9)])
+def test_decay_constant_refuses_a_ladder_without_plateau(tau, tau_prime):
+    # at s = Re(tau + tau') != 0 the sequence goes like |lam|^-s; at (0.3, 0)
+    # it once returned 0.986 +- 0.228 from rungs falling 19% per doubling
+    with pytest.raises(PreconditionError, match="Re"):
+        decay_constant(tau, tau_prime, [100.0, 200.0, 400.0, 800.0])
+
+
+def test_decay_constant_takes_opposite_real_parts():
+    # only the sum's real part sets the power of |lam|
+    c, err = decay_constant(0.3, -0.3, [100.0, 200.0, 400.0, 800.0])
+    assert c > 0 and err <= 1e-4 * c
+
+
 # ---------------------------------------------------------------------------
 # quadrature
 # ---------------------------------------------------------------------------
@@ -231,7 +244,6 @@ def test_quadrature_nonconstant_modes():
     cfg = QuadratureConfig(target_rel_error=1e-7)
     whole = triple_quadrature(f1, ONES, ONES, 0, 1j, 2j, cfg)
     part0 = triple_quadrature(ONES, ONES, ONES, 0, 1j, 2j, cfg)
-    assert mode_element(2, 0, 0, 0, 1j, 2j, cfg).value == 0.0
     single = triple_quadrature(
         CircleFunction.from_modes({2: 0.5}, 1), ONES, ONES, 0, 1j, 2j, cfg)
     assert abs(single.value) <= 1e-12
@@ -466,14 +478,19 @@ def test_quadrature_refuses_levels_above_maximum():
 # mode elements
 # ---------------------------------------------------------------------------
 
-def test_mode_element_translation_invariance_exact():
-    est = mode_element(2, 2, 0, 0, 1j, 2j)
-    assert est.value == 0.0 and est.error_bound == 0.0
+def mode(freq):
+    """The single even Fourier mode e^{i freq theta}."""
+    return CircleFunction.from_modes({freq: 1.0}, abs(freq) // 2)
+
+
+def mode_quadrature(m, n, k, lams, cfg=None):
+    """Quadrature value on the modes e^{imx} (x) e^{iny} (x) e^{ikz}."""
+    return triple_quadrature(mode(m), mode(n), mode(k), *lams, cfg)
 
 
 def test_mode_element_zero_modes_match_closed_form():
     ref = closed_form_value(0, 1j, 4j).value
-    est = mode_element(0, 0, 0, 0, 1j, 4j)
+    est = mode_quadrature(0, 0, 0, (0, 1j, 4j))
     assert abs(est.value - ref) <= 1e-5 * abs(ref)
 
 
@@ -482,24 +499,19 @@ def test_mode_element_conjugation_identities():
     # complex conjugation reflects the spectral parameters lam -> -lam;
     # composing the two gives the conjugate-mode relation
     cfg = QuadratureConfig(target_rel_error=1e-7)
-    a = mode_element(2, -4, 2, 0, 1j, 4j, cfg).value
-    flipped = mode_element(-2, 4, -2, 0, 1j, 4j, cfg).value
+    a = mode_quadrature(2, -4, 2, (0, 1j, 4j), cfg).value
+    flipped = mode_quadrature(-2, 4, -2, (0, 1j, 4j), cfg).value
     assert abs(flipped - a) <= 1e-8 * abs(a)
-    reflected = mode_element(-2, 4, -2, 0, -1j, -4j, cfg).value
+    reflected = mode_quadrature(-2, 4, -2, (0, -1j, -4j), cfg).value
     assert abs(reflected - np.conj(a)) <= 1e-6 * abs(a)
-
-
-def test_mode_element_requires_even_modes():
-    with pytest.raises(PreconditionError, match="even"):
-        mode_element(1, -1, 0, 0, 0, 0)
 
 
 def test_spectral_matches_quadrature():
     for (m, n) in ((0, 0), (2, -2), (4, 2), (-8, 6)):
         k = -(m + n)
-        a = mode_element(m, n, k, 0, 1j, 4j,
-                         QuadratureConfig(target_rel_error=1e-8)).value
-        b = mode_element_spectral(m, n, k, 0, 1j, 4j).value
+        a = mode_quadrature(m, n, k, (0, 1j, 4j),
+                            QuadratureConfig(target_rel_error=1e-8)).value
+        b = spectral_mode_values((m // 2, n // 2), 0, 1j, 4j)[0]
         assert abs(a - b) <= 1e-6 * max(abs(a), 1e-6)
 
 
@@ -517,14 +529,7 @@ def test_spectral_negation_and_conjugation(lams, m, n):
 
 def test_spectral_rejects_divergent_convolution():
     with pytest.raises(PreconditionError):
-        mode_element_spectral(0, 0, 0, 0.9, 0.95, 0.9)
-
-
-def test_spectral_cost_counts_convolution_terms():
-    # the cutoff grows with the indices, J = 2000 + 10 * max(|m/2|, |n/2|),
-    # and the sum runs over |j| <= J plus a 60-term tail-fit window per side
-    assert mode_element_spectral(400, -400, 0, 0, 1j, 4j).cost == 2 * (4000 + 60) + 1
-    assert mode_element_spectral(0, 0, 0, 0, 1j, 4j).cost == 2 * (2000 + 60) + 1
+        spectral_mode_values((0, 0), 0.9, 0.95, 0.9)
 
 
 def _crude_3d(m, n, k, lams, n_grid=200):
@@ -603,13 +608,12 @@ def test_mode_elements_against_crude_3d_oracle():
     scale = abs(closed_form_value(*lams).value)
     # a vanishing element: no z-mean survives translation averaging
     crude_zero = _crude_3d(2, 0, 0, lams, 200)
-    assert mode_element(2, 0, 0, *lams).value == 0.0
     assert abs(crude_zero) <= 0.05 * scale
     # a surviving element agrees with the reduced quadrature within the
     # oracle's own a-posteriori error (and is far above the vanishing one)
     coarse = _crude_3d(2, -2, 0, lams, 150)
     crude = _crude_3d(2, -2, 0, lams, 300)
-    fine = mode_element(2, -2, 0, *lams).value
+    fine = mode_quadrature(2, -2, 0, lams).value
     assert abs(crude - fine) <= 4.0 * abs(crude - coarse)
     assert abs(crude_zero) <= 0.05 * abs(fine)
 

@@ -30,7 +30,7 @@ from .specdecomp import (PairingResult, bump_vector, circle_generators,
                          sobolev_matrix, sobolev_trace, sobolev_trace_estimate,
                          transformed_kernel_values, weighted_mean_bound)
 from .specfun import (gamma_product_log, gamma_value, log_gamma_complex,
-                      reciprocal_gamma, stirling_modulus)
+                      stirling_modulus)
 from .trilinear import (closed_form_log, closed_form_value, decay_constant,
                         decay_envelope, invariant_functional, normalized_decay,
                         sine_power_coeffs, spectral_mode_values,

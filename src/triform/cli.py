@@ -20,6 +20,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 import time
 
@@ -33,8 +34,8 @@ from .gaussian import identity_battery
 from .quadrature import QuadratureConfig
 from .specdecomp import sobolev_trace, sobolev_trace_estimate
 from .trilinear import (closed_form_log, closed_form_value, decay_constant,
-                        decay_envelope, normalized_decay,
-                        spherical_square, triple_quadrature)
+                        decay_envelope, decay_envelope_log, normalized_decay,
+                        triple_quadrature)
 
 SCHEMA = "triform.table.v1"
 
@@ -135,10 +136,11 @@ def cmd_closed_form(args) -> int:
             lg = closed_form_log(a, b, c)
             row["abs_value"] = float(np.exp(lg.real))
             row["arg_value"] = float(np.mod(lg.imag + np.pi, 2 * np.pi) - np.pi)
-            row["square"] = spherical_square(a, b, c)
+            # as spherical_square and normalized_decay compute them
+            row["square"] = math.exp(2.0 * lg.real)
             if abs(c.real) < 1e-12 and abs(c.imag) >= 1.0:
                 row["envelope"] = decay_envelope(c)
-                row["normalized"] = normalized_decay(a, b, c)
+                row["normalized"] = math.exp(2.0 * lg.real - decay_envelope_log(c))
             row["error"] = ""
         except PoleArgumentError as exc:
             row["error"] = f"pole:{exc.factor}"

@@ -6,10 +6,12 @@ class TriformError(Exception):
 
 
 class PoleArgumentError(TriformError):
-    """A Gamma factor was evaluated at (or within tolerance of) a pole."""
+    """A Gamma factor was evaluated at (or within tolerance of) a pole:
+    ``index`` is its position among the arguments of the call."""
 
-    def __init__(self, z, factor=""):
+    def __init__(self, z, index, factor=""):
         self.z = z
+        self.index = index
         self.factor = factor
         where = f" in factor {factor}" if factor else ""
         super().__init__(f"Gamma pole at z = {z}{where}")

@@ -349,8 +349,8 @@ def _kernel_mc(triples, spec: GaussianSpec) -> list:
 def _kernel_rhs(l1, l2, l3) -> Estimate:
     """A * prod Gamma((1-l_j)/2), assembled in log space."""
     z1, z2, z3 = complex(l1), complex(l2), complex(l3)
-    log_rhs = closed_form_log(z1, z2, z3) + sum(
-        log_gamma_complex((1.0 - z) / 2.0) for z in (z1, z2, z3))
+    log_rhs = closed_form_log(z1, z2, z3) + gamma_product_log(
+        [(1.0 - z) / 2.0 for z in (z1, z2, z3)], [])
     rhs_val = np.exp(log_rhs)
     return Estimate(value=complex(rhs_val), error_bound=1e-10 * abs(rhs_val),
                     method="gamma-closed-form", cost=13)

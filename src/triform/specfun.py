@@ -1,21 +1,23 @@
 """Cancellation-safe complex log-Gamma and Stirling envelopes.
 
 Everything downstream (closed forms, Fourier coefficients of |sin|^s, Gaussian
-moment identities) is assembled in log space from the two primitives here:
+moment identities) is assembled in log space from the primitives here:
 
-* ``log_gamma_complex`` -- log Gamma via the asymptotic Stirling series with
-  Bernoulli-number coefficients, pushed into its validity region Re z >= 10
-  by the recurrence Gamma(z+1) = z Gamma(z) from Re z >= -9, and by the
-  reflection formula Gamma(z) Gamma(1-z) = pi / sin(pi z) from further
-  left, so every argument costs a bounded amount of work.  No external
-  special-function library is used, so results are reproducible bit-for-bit.
+* ``log_gamma_array`` -- the one log-Gamma evaluator, over arrays of any
+  shape: the asymptotic Stirling series with Bernoulli-number coefficients,
+  pushed into its validity region Re z >= 10 by the recurrence
+  Gamma(z+1) = z Gamma(z) from Re z >= -9, and by the reflection formula
+  Gamma(z) Gamma(1-z) = pi / sin(pi z) from further left, so every argument
+  costs a bounded amount of work.  No external special-function library is
+  used, so results are reproducible bit-for-bit.  ``log_gamma_complex`` is
+  its scalar form.
 * ``stirling_modulus`` -- the classical modulus envelope
   sqrt(2 pi) exp(-pi |t| / 2) |t|^(sigma - 1/2) of Gamma(sigma + i t).
 
-The phase (imaginary part) returned by ``log_gamma_complex`` is accumulated
-along the evaluation path (series value plus recurrence logs) and is never
-reduced mod 2 pi, so it is continuous in t along vertical lines away from
-the poles; the reflected branch returns the same accumulated phase.
+The phase (imaginary part) of log Gamma is accumulated along the evaluation
+path (series value plus recurrence logs) and is never reduced mod 2 pi, so it
+is continuous in t along vertical lines away from the poles; the reflected
+branch returns the same accumulated phase.
 """
 
 import cmath
@@ -25,9 +27,9 @@ import numpy as np
 from .errors import DomainTooSmallError, PoleArgumentError
 
 __all__ = [
+    "log_gamma_array",
     "log_gamma_complex",
     "gamma_value",
-    "reciprocal_gamma",
     "stirling_modulus",
     "gamma_product_log",
 ]
@@ -60,7 +62,7 @@ def _is_pole(z):
 
 
 def _stirling_series(z):
-    # scalar or array; valid for Re z >= _SHIFT_RE, remainder < 1e-20 relative
+    # valid for Re z >= _SHIFT_RE, remainder < 1e-20 relative
     out = (z - 0.5) * np.log(z) - z + _HALF_LOG_2PI
     zinv = 1.0 / z
     zpow = zinv
@@ -71,87 +73,71 @@ def _stirling_series(z):
     return out
 
 
-def _reflected(z):
-    """log Gamma(z) for Re z < 1 - _SHIFT_RE, scalar or array, by reflection:
+def log_gamma_array(z) -> np.ndarray:
+    """log Gamma elementwise over an array of any shape (or a scalar); an
+    element within 1e-14 of a pole raises PoleArgumentError with its
+    ``index`` in the flattened array.
 
-        log Gamma(z) = log 2pi + i pi (z - 1/2) - log(1 - e^{2 pi i z})
-                       - log Gamma(1 - z)
+    One Stirling series call takes every element: z itself for Re z >= 10;
+    z + m for -9 <= Re z < 10, with m = ceil(10 - Re z) <= 19, less
+    sum_{k<m} log(z + k); and 1 - w further left, by reflection
 
-    for Im z >= 0 (-0.0 included, as the recurrence reads it), and the
-    conjugate of the value at conj z below.  Here |e^{2 pi i z}| <= 1, so the
-    principal log of 1 - e^{2 pi i z} (real part >= 0) is analytic on the
-    closed upper half plane off the poles, and the value is the accumulated
-    phase that the recurrence would reach after ceil(_SHIFT_RE - Re z) steps.
-    1 - e^{2 pi i z} is formed from Re z minus its nearest integer and
-    expm1, so it keeps its relative accuracy next to a pole.
+        log Gamma(w) = log 2pi + i pi (w - 1/2) - log(1 - e^{2 pi i w})
+                       - log Gamma(1 - w),
+
+    with w = z, or below the real axis w = conj z and the value conjugated.
+    There |e^{2 pi i w}| <= 1, so the principal log of 1 - e^{2 pi i w} is
+    analytic on the closed upper half plane off the poles, and the value is
+    the phase the recurrence would accumulate.  1 - e^{2 pi i w} is formed
+    from Re w minus its nearest integer and expm1, so it keeps its relative
+    accuracy next to a pole.
     """
-    up = z.imag >= 0
-    w = np.where(up, z, np.conj(z))
-    theta = 2.0 * np.pi * (w.real - np.rint(w.real))
-    phi = 2.0 * np.pi * w.imag
-    one_minus_q = ((2.0 * np.sin(0.5 * theta) ** 2 - np.expm1(-phi) * np.cos(theta))
-                   - 1j * np.exp(-phi) * np.sin(theta))
-    v = (2.0 * _HALF_LOG_2PI + 1j * np.pi * (w - 0.5) - np.log(one_minus_q)
-         - _stirling_series(1.0 - w))
-    return np.where(up, v, np.conj(v))
+    z = np.array(z, dtype=complex)
+    # an imaginary -0.0 becomes +0.0, so a negative real argument takes the
+    # upper side in every log
+    z += 0.0
+    flat = z.reshape(-1)
+    bad = np.flatnonzero(_is_pole(flat))
+    if bad.size:
+        raise PoleArgumentError(flat[bad[0]], int(bad[0]))
+    arg = flat.copy()
+    offset = np.zeros_like(flat)
+    # each branch is skipped when no element takes it: on a short array the
+    # numpy calls on empty selections would cost more than the series
+    near = np.flatnonzero((flat.real < _SHIFT_RE) & (flat.real >= 1.0 - _SHIFT_RE))
+    if near.size:
+        zn = flat[near]
+        m = np.ceil(_SHIFT_RE - zn.real)
+        k = np.arange(m.max())[:, None]
+        # cumsum adds the logs in the order k = 0, 1, ...
+        offset[near] = -np.cumsum(np.log(np.where(k < m, zn + k, 1.0)), axis=0)[-1]
+        arg[near] = zn + m
+    far = np.flatnonzero(flat.real < 1.0 - _SHIFT_RE)
+    down = far[flat[far].imag < 0]
+    if far.size:
+        w = flat[far]
+        w.imag = np.abs(w.imag)
+        theta = 2.0 * np.pi * (w.real - np.rint(w.real))
+        phi = 2.0 * np.pi * w.imag
+        one_minus_q = ((2.0 * np.sin(0.5 * theta) ** 2 - np.expm1(-phi) * np.cos(theta))
+                       - 1j * np.exp(-phi) * np.sin(theta))
+        offset[far] = 2.0 * _HALF_LOG_2PI + 1j * np.pi * (w - 0.5) - np.log(one_minus_q)
+        arg[far] = 1.0 - w
+    out = _stirling_series(arg)
+    out[far] = -out[far]
+    out += offset
+    out[down] = np.conj(out[down])
+    return out.reshape(z.shape)
 
 
 def log_gamma_complex(z) -> complex:
     """log Gamma(z) as one complex number (Im = accumulated phase); raises
     PoleArgumentError within 1e-14 of a pole."""
-    z = complex(z)
-    if _is_pole(z):
-        raise PoleArgumentError(z)
-    if z.real >= _SHIFT_RE:
-        return complex(_stirling_series(z))
-    if z.real < 1.0 - _SHIFT_RE:
-        return complex(_reflected(z))
-    m = int(math.ceil(_SHIFT_RE - z.real))
-    shift = 0.0 + 0.0j
-    for k in range(m):
-        shift += cmath.log(z + k)
-    return complex(_stirling_series(z + m) - shift)
+    return complex(log_gamma_array(z))
 
 
 def gamma_value(z) -> complex:
     return cmath.exp(log_gamma_complex(z))
-
-
-def reciprocal_gamma(z) -> complex:
-    """1 / Gamma(z); exactly 0 at the poles (no exception)."""
-    try:
-        return cmath.exp(-log_gamma_complex(z))
-    except PoleArgumentError:
-        return 0.0 + 0.0j
-
-
-def log_gamma_array(z: np.ndarray) -> np.ndarray:
-    """Vectorized log Gamma for arrays with no element at a pole.
-
-    Same algorithm as ``log_gamma_complex``: elements with Re z < -9 are
-    reflected, the others left of the Stirling strip are shifted up by the
-    recurrence with a masked loop of at most 19 passes.
-    """
-    z = np.array(z, dtype=complex)
-    # an imaginary -0.0 becomes +0.0, so a negative real argument takes the
-    # upper side in every log, as the scalar path does
-    z += 0.0
-    bad = _is_pole(z)
-    if np.any(bad):
-        raise PoleArgumentError(z[bad].flat[0])
-    far = z.real < 1.0 - _SHIFT_RE
-    if np.any(far):
-        out = np.empty_like(z)
-        out[far] = _reflected(z[far])
-        out[~far] = log_gamma_array(z[~far])
-        return out
-    shift = np.zeros_like(z)
-    mask = z.real < _SHIFT_RE
-    while np.any(mask):
-        shift[mask] += np.log(z[mask])
-        z[mask] += 1.0
-        mask = z.real < _SHIFT_RE
-    return _stirling_series(z) - shift
 
 
 def stirling_modulus(sigma: float, t: float) -> float:
@@ -170,17 +156,16 @@ def gamma_product_log(numerator, denominator) -> complex:
     """log of prod Gamma(numerator_i) / prod Gamma(denominator_j), as one
     complex number (log modulus + i accumulated phase).
 
-    Pole errors are re-raised with the offending factor identified.
+    A pole raises PoleArgumentError whose ``factor`` names it by side and
+    position, and whose ``index`` counts the numerator, then the denominator.
     """
-    total = 0.0 + 0.0j
-    for i, z in enumerate(numerator):
-        try:
-            total += log_gamma_complex(z)
-        except PoleArgumentError:
-            raise PoleArgumentError(complex(z), factor=f"numerator[{i}]") from None
-    for i, z in enumerate(denominator):
-        try:
-            total -= log_gamma_complex(z)
-        except PoleArgumentError:
-            raise PoleArgumentError(complex(z), factor=f"denominator[{i}]") from None
-    return total
+    n = len(numerator)
+    try:
+        lg = log_gamma_array(np.concatenate([numerator, denominator]))
+    except PoleArgumentError as exc:
+        i = exc.index
+        side = f"numerator[{i}]" if i < n else f"denominator[{i - n}]"
+        raise PoleArgumentError(exc.z, i, factor=side) from None
+    # a running sum in factor order, so the rounding does not depend on how
+    # numpy blocks a reduction of this length
+    return complex(np.cumsum(np.concatenate([[0j], lg[:n], -lg[n:]]))[-1])

@@ -45,8 +45,7 @@ from .errors import (DomainTooSmallError, NonFiniteError, PoleArgumentError,
 from .estimate import Estimate
 from .params import exponents
 from .quadrature import QuadratureConfig, refine_until, unit_nodes
-from .specfun import (gamma_product_log, log_gamma_array, log_gamma_complex,
-                      reciprocal_gamma)
+from .specfun import gamma_product_log, log_gamma_array
 
 __all__ = [
     "invariant_functional",
@@ -110,24 +109,23 @@ def invariant_functional(f: Callable, contour="unit_circle") -> Estimate:
 # closed Gamma form on spherical vectors
 # ---------------------------------------------------------------------------
 
+_FACTOR_NAMES = ("Gamma((alpha+1)/4)", "Gamma((beta+1)/4)", "Gamma((gamma+1)/4)",
+                 "Gamma((delta+1)/4)", "Gamma(1/2)", "Gamma(1/2)", "Gamma(1/2)",
+                 "Gamma((1-l1)/2)", "Gamma((1-l2)/2)", "Gamma((1-l3)/2)")
+
+
 def closed_form_log(l1, l2, l3) -> complex:
     """log (modulus + i accumulated phase) of the spherical closed form."""
     z1, z2, z3 = complex(l1), complex(l2), complex(l3)
     e = exponents(z1, z2, z3)
     num = [(e.alpha + 1) / 4, (e.beta + 1) / 4, (e.gamma + 1) / 4, (e.delta + 1) / 4]
     den = [0.5, 0.5, 0.5, (1 - z1) / 2, (1 - z2) / 2, (1 - z3) / 2]
-    names = ["Gamma((alpha+1)/4)", "Gamma((beta+1)/4)", "Gamma((gamma+1)/4)",
-             "Gamma((delta+1)/4)"]
-    dnames = ["Gamma(1/2)"] * 3 + ["Gamma((1-l1)/2)", "Gamma((1-l2)/2)",
-                                   "Gamma((1-l3)/2)"]
     try:
         return gamma_product_log(num, den)
     except PoleArgumentError as exc:
-        # re-identify the factor by position
-        side, idx = exc.factor.split("[")
-        idx = int(idx.rstrip("]"))
-        name = names[idx] if side == "numerator" else dnames[idx]
-        raise PoleArgumentError(exc.z, factor=name) from None
+        raise PoleArgumentError(exc.z, exc.index,
+                                factor=_FACTOR_NAMES[exc.index]) from None
+
 
 def closed_form_value(l1, l2, l3) -> Estimate:
     """Spherical value of the functional; error bound from Gamma tolerance only.
@@ -184,12 +182,16 @@ def decay_constant(tau, tau_prime, moduli: Sequence[float]):
     The normalized sequence behaves like c (1 + O(1/|lam|)); Richardson
     extrapolation on a doubling ladder removes the 1/|lam| term.  Returns
     (c_estimate, error_estimate); with one rung its value is returned with
-    an infinite error bar.  An empty ladder raises PreconditionError, and
-    so does Re(tau + tau') != 0: there the sequence goes like |lam|^-s,
-    s = Re(tau + tau'), and has no plateau to extrapolate.
+    an infinite error bar.  A ladder that is not t, 2t, 4t, ... with finite
+    t > 0 (the weights are those of a doubling) raises PreconditionError,
+    and so does Re(tau + tau') != 0: there the sequence goes like
+    |lam|^-s, s = Re(tau + tau'), and has no plateau to extrapolate.
     """
-    if not len(moduli):
-        raise PreconditionError("decay_constant needs at least one rung")
+    if not len(moduli) or not 0.0 < moduli[0] < math.inf or any(
+            b != 2.0 * a for a, b in zip(moduli, moduli[1:])):
+        raise PreconditionError("decay_constant needs at least one rung of a "
+                                "doubling ladder t, 2t, 4t, ... with finite "
+                                f"t > 0, got {list(moduli)}")
     s = (complex(tau) + complex(tau_prime)).real
     if abs(s) > 1e-12:
         raise PreconditionError(f"decay plateau needs Re(tau + tau') = 0, got {s}")
@@ -441,25 +443,27 @@ def sine_power_coeffs(s, kmax: int) -> np.ndarray:
               * Gamma(k - s/2) / Gamma(1 + s/2 + k),
 
     whose sine factor correctly kills the tail when |sin|^s is a trigonometric
-    polynomial (s an even nonnegative integer).
+    polynomial (s an even nonnegative integer).  Up to that line, with
+    a = 1+s/2, the right factor is 1/Gamma(a-k) = (a-1)...(a-k) / Gamma(a),
+    exactly 0 at and past a pole.
     """
     s = complex(s)
     if s.real <= -1.0:
         raise PreconditionError(f"need Re s > -1, got {s}")
-    out = np.zeros(kmax + 1, dtype=complex)
-    lg_pref = -s * math.log(2.0) + log_gamma_complex(1.0 + s)
     kd = min(kmax, 2 + max(0, int(math.ceil(s.real / 2.0))))
-    for k in range(kd + 1):
-        out[k] = ((-1) ** k * np.exp(lg_pref)
-                  * reciprocal_gamma(1.0 + s / 2 + k)
-                  * reciprocal_gamma(1.0 + s / 2 - k))
-    if kmax > kd:
-        sinfac = np.sin(np.pi * (1.0 + s / 2.0))
-        if abs(sinfac) == 0.0:
-            return out
-        k = np.arange(kd + 1, kmax + 1)
-        lg = log_gamma_array(k - s / 2.0) - log_gamma_array(1.0 + s / 2.0 + k)
-        out[kd + 1:] = np.exp(lg_pref + np.log(complex(sinfac)) - math.log(math.pi) + lg)
+    k = np.arange(kmax + 1)
+    # log Gamma at 1+s, at 1+s/2+k and, past kd, at k-s/2: all have Re > 0
+    lg = log_gamma_array(np.concatenate([[1.0 + s], 1.0 + s / 2.0 + k,
+                                         k[kd + 1:] - s / 2.0]))
+    lg_pref = -s * math.log(2.0) + lg[0]
+    lg_up = lg[1:kmax + 2]
+    out = np.zeros(kmax + 1, dtype=complex)
+    out[:kd + 1] = (np.exp(lg_pref - lg_up[0] - lg_up[:kd + 1])
+                    * np.cumprod(np.concatenate([[1.0], k[1:kd + 1] - (1.0 + s / 2.0)])))
+    sinfac = np.sin(np.pi * (1.0 + s / 2.0))
+    if abs(sinfac) != 0.0:
+        out[kd + 1:] = np.exp(lg_pref + np.log(complex(sinfac)) - math.log(math.pi)
+                              + (lg[kmax + 2:] - lg_up[kd + 1:]))
     return out
 
 

@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from triform import identity_battery, normalized_decay
+from triform import identity_battery, normalized_decay, spherical_square
 from triform.cli import main
 
 
@@ -64,6 +64,23 @@ def test_closed_form_normalized_where_the_square_underflows(l3, tmp_path):
     assert code == 0
     row = json.loads(text)["rows"][0]
     assert abs(row["normalized"] - normalized_decay(0, 0, 1j * l3)) <= 1e-12
+
+
+def test_closed_form_rows_equal_the_library_values(tmp_path):
+    # one closed_form_log per row gives the same bits as the two library
+    # calls that each evaluate it again
+    code, text = run_cli(["closed-form", "--cube", "0,1,4", "--triples",
+                          "0.3+0j,0,2;0,0,466", "--format", "json"], tmp_path)
+    assert code == 0
+    rows = json.loads(text)["rows"]
+    assert len(rows) == 29
+    for row in rows:
+        lam = [complex(row[k]) for k in ("l1", "l2", "l3")]
+        assert row["square"] == spherical_square(*lam)
+        if abs(lam[2]) >= 1.0:
+            assert row["normalized"] == normalized_decay(*lam)
+        else:
+            assert "normalized" not in row
 
 
 def test_reproducible_byte_determinism(tmp_path):
@@ -180,6 +197,16 @@ def test_decay_scan_refuses_a_ladder_without_plateau(capsys):
     assert "Re(tau + tau')" in err
     assert main(params + ["--ladder", "100"]) == 0
     assert "extrapolated_constant" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("ladder", ["25,50,-100", "100,100,100", "400,200,100",
+                                    "100,300,900"])
+def test_decay_scan_refuses_a_ladder_that_is_not_a_doubling(ladder, capsys):
+    code = main(["decay-scan", "--ladder", ladder])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "doubling ladder" in err
 
 
 def test_sobolev_trace_l0_is_plain_trace(tmp_path):

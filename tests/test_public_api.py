@@ -21,7 +21,8 @@ from triform import (BiCircleFunction, CircleFunction, GaussianSpec,
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted([*(ROOT / "tests").glob("*.py"), *(ROOT / "demos").glob("*.py")])
 CLI = ROOT / "src" / "triform" / "cli.py"
-# scripts that the test run never executes
+# scripts whose imports are checked here without running them (two demos
+# also run in test_demos.py)
 UNRUN = sorted([*(ROOT / "demos").glob("*.py"), *(ROOT / "bench").glob("*.py")])
 
 
@@ -221,6 +222,8 @@ UNCALLED_EXPORTS = {
     "relative_trace": "dense reference that sobolev_trace is tested against",
     "weighted_mean_bound": "the bound acceptance's localization criterion checks",
     "minor_map": "reference for the Monte Carlo third-minor line; tests rotate it",
+    "spherical_square": "reference the closed-form table's square column is "
+                        "tested against, bit for bit",
 }
 
 

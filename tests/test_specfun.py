@@ -15,8 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from triform import (DomainTooSmallError, PoleArgumentError, gamma_product_log,
-                     gamma_value, log_gamma_complex, reciprocal_gamma,
-                     stirling_modulus)
+                     gamma_value, log_gamma_complex, stirling_modulus)
 from triform.specfun import log_gamma_array
 
 mpmath.mp.dps = 50
@@ -63,26 +62,49 @@ def test_strip_accuracy_against_mpmath(rng):
         assert abs(mine - ref) <= 1e-12 * abs(ref), f"z={z}"
 
 
-def test_vectorized_matches_scalar(rng):
-    # both paths share one Stirling series; they differ only in rounding:
-    # numpy's array kernels for complex products and quotients round
-    # differently from scalar complex arithmetic, and the array recurrence
-    # adds 1 repeatedly where the scalar one adds k (16 eps seen at most)
-    z = np.concatenate([
-        rng.uniform(-9.5, 49.0, 64) + 1j * rng.uniform(-40.0, 40.0, 64),
-        rng.uniform(9.0, 11.0, 64) + 1j * rng.uniform(-3.0, 3.0, 64),   # Re z = 10
-        np.arange(-9, 20) + 0.25 + 0.5j,
-        [complex(-3.5, -0.0), complex(-3.5, 0.0)]])   # the upper side, both
+def mp_loggamma_array(z):
+    return np.array([mp_loggamma(v) for v in np.ravel(z)]).reshape(np.shape(z))
+
+
+@pytest.mark.parametrize("re", [10.0, -9.0])
+def test_branch_edges_against_mpmath(re):
+    # Re z = 10 is where the Stirling series starts, and Re z = -9 where the
+    # recurrence stops and reflection takes over; a 2-D grid just left and
+    # right of each edge keeps its shape
+    z = (re + np.array([-0.25, -1e-9, 1e-9, 0.25]))[:, None] + 1j * np.array(
+        [0.0, 1e-3, -3.0, 40.0])
     arr = log_gamma_array(z)
-    for zi, vi in zip(z, arr):
-        assert abs(vi - log_gamma_complex(zi)) <= 64 * EPS * max(1.0, abs(vi)), zi
+    assert arr.shape == z.shape
+    ref = mp_loggamma_array(z)
+    assert np.all(np.abs(arr - ref) <= 64 * EPS * np.maximum(1.0, np.abs(ref)))
+
+
+@pytest.mark.parametrize("z", [2.5 + 1j, -3.5 + 0.25j, 14.0, -20.5 - 2j])
+def test_zero_dim_input_against_mpmath(z):
+    ref = mp_loggamma(z)
+    for arg in (z, np.array(z)):
+        val = log_gamma_array(arg)
+        assert val.shape == ()
+        assert abs(val - ref) <= 64 * EPS * max(1.0, abs(ref))
+    assert log_gamma_complex(z) == complex(log_gamma_array(z))
+
+
+@pytest.mark.parametrize("re", [-3.5, -20.5, -1e4 - 0.5])
+def test_negative_zero_imaginary_part_takes_the_upper_side(re):
+    # on the negative real axis the phase is the limit from above, as
+    # mpmath's, whichever sign the zero imaginary part carries
+    ref = mp_loggamma(complex(re, 0.0))
+    assert abs(ref - mp_loggamma(complex(re, 1e-30))) <= 1e-20 * abs(ref)
+    for z in (complex(re, 0.0), complex(re, -0.0)):
+        assert abs(log_gamma_array(z) - ref) <= 64 * EPS * max(1.0, abs(ref))
+        assert log_gamma_complex(z) == log_gamma_complex(complex(re, 0.0))
 
 
 @pytest.mark.parametrize("re", [-1e4, -1e6])
 def test_far_left_against_mpmath(re):
-    # left of Re z = -9 both paths reflect instead of stepping the recurrence
-    # once per unit; the value keeps the recurrence's accumulated phase,
-    # which is mpmath's branch (continuous from the positive axis in each
+    # left of Re z = -9 the evaluator reflects instead of stepping the
+    # recurrence once per unit; the value keeps the recurrence's accumulated
+    # phase, which is mpmath's branch (continuous from the positive axis in each
     # half plane, and the upper side on the negative axis)
     z = np.array([re + 0.5j, re - 0.5j, re - 0.25 + 3j, re - 0.25 - 3j,
                   re + 0.3 + 1e-3j, re + 0.3 - 1e-3j, re - 7.5 + 40j,
@@ -98,8 +120,9 @@ def test_far_left_against_mpmath(re):
 def test_pole_detection_both_paths(pole):
     with pytest.raises(PoleArgumentError):
         log_gamma_complex(pole)
-    with pytest.raises(PoleArgumentError):
-        log_gamma_array(np.array([12.5 + 1j, pole, 0.5]))
+    with pytest.raises(PoleArgumentError) as exc:
+        log_gamma_array(np.array([[12.5 + 1j, 3.0], [pole, 0.5]]))
+    assert exc.value.index == 2
     # off the pole by more than the tolerance both paths evaluate
     near = complex(pole) + 1e-6
     assert cmath.isfinite(log_gamma_complex(near))
@@ -107,18 +130,14 @@ def test_pole_detection_both_paths(pole):
 
 
 def test_pole_detection():
-    for z in (0.0, -1.0, -7.0, -3.0 + 1e-15j):
+    # within the 1e-14 tolerance of a pole every element raises; just outside
+    # it the value is mpmath's
+    for z in (0.0, -1.0, -7.0, -3.0 + 1e-15j, 1e-300, -4.0 + 1e-15, -6.0 + 1e-15j):
         with pytest.raises(PoleArgumentError):
             log_gamma_complex(z)
-    assert reciprocal_gamma(0.0) == 0.0
-    assert reciprocal_gamma(-4.0) == 0.0
-    assert abs(reciprocal_gamma(2.0) - 1.0) < 1e-13
-    # exactly 0 within the pole tolerance, and bit for bit the exponential
-    # of log_gamma_complex off the poles
-    for z in (1e-300, -4.0 + 1e-15, -6.0 + 1e-15j):
-        assert reciprocal_gamma(z) == 0.0
-    for z in (0.5 + 3j, -2.5 + 0.1j, -7.3, 12.0 + 40j, -4.0 + 1e-13j):
-        assert reciprocal_gamma(z) == cmath.exp(-log_gamma_complex(z))
+    for z in (-4.0 + 1e-13j, -6.0 - 1e-13, 1e-13):
+        ref = mp_loggamma(z)
+        assert abs(log_gamma_complex(z) - ref) <= 64 * EPS * max(1.0, abs(ref)), z
 
 
 def test_reflection_identity_battery():
@@ -140,7 +159,7 @@ def test_recurrence_property(re, im):
 
 def test_phase_continuity_along_vertical_line():
     ts = np.linspace(-10.0, 10.0, 2001)
-    phases = np.array([log_gamma_complex(2.0 + 1j * t).imag for t in ts])
+    phases = log_gamma_array(2.0 + 1j * ts).imag
     assert np.max(np.abs(np.diff(phases))) < 0.1
 
 
@@ -190,3 +209,6 @@ def test_gamma_product_pole_identifies_factor():
     with pytest.raises(PoleArgumentError) as exc:
         gamma_product_log([1.0, -2.0], [0.5])
     assert "numerator[1]" in str(exc.value.factor)
+    with pytest.raises(PoleArgumentError) as exc:
+        gamma_product_log([1.0, 2.5], [0.5, 0.0])
+    assert exc.value.factor == "denominator[1]" and exc.value.index == 3

@@ -167,6 +167,17 @@ def test_decay_constant_refuses_a_ladder_without_plateau(tau, tau_prime):
         decay_constant(tau, tau_prime, [100.0, 200.0, 400.0, 800.0])
 
 
+@pytest.mark.parametrize("ladder", [[100.0, 100.0, 100.0], [400.0, 200.0, 100.0],
+                                    [100.0, 300.0, 900.0], [25.0, 50.0, -100.0],
+                                    [-25.0, -50.0], [math.inf, math.inf], [math.nan]])
+def test_decay_constant_refuses_a_ladder_that_is_not_a_doubling(ladder):
+    # the Richardson weights are those of t, 2t, 4t, ...: on [100, 100, 100]
+    # they gave 12.97041 +- 0.0, and on [400, 200, 100] 12.97138 +- 1.7e-3,
+    # neither covering the limit 128 / pi^2 = 12.969112
+    with pytest.raises(PreconditionError, match="doubling ladder"):
+        decay_constant(0, 0, ladder)
+
+
 def test_decay_constant_takes_opposite_real_parts():
     # only the sum's real part sets the power of |lam|
     c, err = decay_constant(0.3, -0.3, [100.0, 200.0, 400.0, 800.0])
@@ -655,3 +666,8 @@ def test_sine_power_trig_polynomial():
     assert abs(c[0] - 0.5) < 1e-13
     assert abs(c[1] + 0.25) < 1e-13
     assert np.max(np.abs(c[2:])) < 1e-13
+    # past the degree, up to k = 2 + s/2, the coefficients are exact zeros
+    assert c[2] == c[3] == 0.0
+    c = sine_power_coeffs(4.0, 8)      # 3/8 - cos(2t)/2 + cos(4t)/8
+    assert np.max(np.abs(c[:3] - [0.375, -0.25, 0.0625])) < 1e-13
+    assert c[3] == c[4] == 0.0 and np.max(np.abs(c[5:])) < 1e-13

@@ -10,6 +10,11 @@ sum |c_p|^2).
 ``BiCircleFunction`` is the same on S^1 x S^1 (coefficient matrix over even
 mode pairs) and carries the pointwise evaluator it was built from;
 ``coeffs`` may be deferred (None) for very fine bump vectors.
+
+``cis_half_angle`` is the one tangent half-angle form of scale e^{i phi}.
+``CircleFunction.evaluate``, the triple quadrature's node factors and the
+Gaussian Monte Carlo integrands take their phases from it, one SIMD tangent
+each, in place of a complex exp.
 """
 
 from dataclasses import dataclass
@@ -20,6 +25,22 @@ import numpy as np
 from .errors import PreconditionError
 
 __all__ = ["CircleFunction", "BiCircleFunction"]
+
+
+def cis_half_angle(t, scale, out=None):
+    """scale e^{i phi} from t = tan(phi / 2), as (q - scale) + i q t with
+    q = 2 scale / (1 + t^2), since e^{i phi} = (1 - t^2 + 2it) / (1 + t^2),
+    written to ``out`` (a complex array of t's shape) if given.  NaN where
+    t is; a relative error delta in t moves phi by at most delta."""
+    q = t * t
+    q += 1.0
+    np.divide(scale, q, out=q)
+    q += q
+    if out is None:
+        out = np.empty(q.shape, dtype=complex)
+    np.subtract(q, scale, out=out.real)
+    np.multiply(q, t, out=out.imag)
+    return out
 
 
 @dataclass
@@ -59,22 +80,36 @@ class CircleFunction:
         return self.coeffs[p + self.max_mode]
 
     def evaluate(self, theta):
-        """Evaluate the truncated series (vectorized over theta)."""
+        """Evaluate the truncated series (vectorized over theta); NaN where
+        theta is not finite.
+
+        z = e^{2i theta} comes from one SIMD tangent, tan(theta), by
+        cis_half_angle, and z^p (p = 1..N) from repeated multiplication, as
+        in the triple quadrature.  Mode -p carries conj(z^p), so each pair
+        p, -p adds (c_p + c_-p) Re z^p + i (c_p - c_-p) Im z^p: one real
+        product of the (n, 2N) table [Re z^p, Im z^p] with the pair
+        coefficients.  theta enters tan whole, so the error stays within
+        2 (N + 1) eps sum |c_p| at any |theta|, where exp(2ip theta) would
+        round 2p theta first.
+        """
         theta = np.asarray(theta, dtype=float)
         t = theta.ravel()
         N = self.max_mode
-        # exp(2ipt) only for p >= 1; column 0 is 1 (NaN where t is NaN) and
-        # column -p the conjugate of column p.  That is the full table bit
-        # for bit once the -0 imaginary parts that conj() makes at t = 0 are
-        # turned back into the +0 that exp gives.
-        phases = np.empty((len(t), 2 * N + 1), dtype=complex)
-        phases[:, N] = 1.0 + 0.0 * t
+        c = self.coeffs
         if N:
-            pos = np.exp(2j * np.outer(t, np.arange(1, N + 1)))
-            phases[:, N + 1:] = pos
-            phases[:, N - 1::-1] = pos.conj()
-            phases.imag[:, :N] += 0.0
-        vals = phases @ self.coeffs
+            z = np.empty((len(t), N), dtype=complex)
+            cis_half_angle(np.tan(t), 1.0, out=z[:, 0])
+            for k in range(1, N):
+                np.multiply(z[:, k - 1], z[:, 0], out=z[:, k])
+            pos, neg = c[N + 1:], c[N - 1::-1]
+            coef = np.empty(2 * N, dtype=complex)
+            coef[0::2] = pos + neg
+            coef[1::2] = 1j * (pos - neg)
+            pair = coef.view(float).reshape(2 * N, 2)     # [Re, Im] per row
+            vals = (z.view(float) @ pair).view(complex)[:, 0]
+            vals += c[N]
+        else:
+            vals = c[N] + 0.0 * t         # NaN where t is
         return vals.reshape(theta.shape) if theta.ndim else complex(vals[0])
 
 

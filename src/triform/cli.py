@@ -35,7 +35,7 @@ from .quadrature import QuadratureConfig
 from .specdecomp import sobolev_trace, sobolev_trace_estimate
 from .trilinear import (closed_form_log, closed_form_value, decay_constant,
                         decay_envelope, decay_envelope_log, normalized_decay,
-                        triple_quadrature)
+                        require_doubling_ladder, triple_quadrature)
 
 SCHEMA = "triform.table.v1"
 
@@ -205,6 +205,7 @@ def cmd_gaussian_check(args) -> int:
 def cmd_decay_scan(args) -> int:
     ladder = [float(v) for v in _split(args.ladder)]
     tau, tp = _parse_param(args.tau), _parse_param(args.tau_prime)
+    require_doubling_ladder(ladder)     # one rung too; the plateau needs two
     rows = []
     prev = None
     for t in ladder:

@@ -22,6 +22,15 @@ kernel Gaussian  B = A * Gamma((1-l1)/2) Gamma((1-l2)/2) Gamma((1-l3)/2).
 ``identity_battery`` runs all of them as one fixed, seeded sweep, drawing
 each of its 8 (seed, dim) streams once for its 35 identities.
 
+The Monte Carlo integrands take no complex exp.  ``abs_powers`` gives
+|v|^s as real columns for real s and as e^(Re s log|v|) times a phase from
+``circlefn.cis_half_angle`` (one SIMD tangent) for complex s; the angular
+factor f(theta) comes from ``CircleFunction.evaluate``, which uses the same
+identity.  Real columns are summed and merged in real arithmetic.  The
+kernel-Gaussian rows keep ``kernel_value``, the libm reference of
+``kernel.py``, and the closed forms and the radial-quadrature oracles keep
+their complex exp.
+
 A deterministic radial-quadrature route is provided for rotation-invariant
 integrands as a second, non-statistical oracle.
 """
@@ -33,13 +42,13 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .circlefn import CircleFunction
+from .circlefn import CircleFunction, cis_half_angle
 from .errors import NonFiniteError, PreconditionError
 from .estimate import Estimate
 from .kernel import kernel_value
 from .params import exponents
 from .quadrature import QuadratureConfig, half_line_nodes, refine_until
-from .specfun import gamma_product_log, log_gamma_complex
+from .specfun import gamma_product_log, log_gamma_array
 from .trilinear import closed_form_log, invariant_functional
 
 __all__ = [
@@ -70,25 +79,43 @@ class GaussianSpec:
             raise PreconditionError("dim and samples must be positive")
 
 
-def _abs_powers(v: np.ndarray, svals) -> list:
-    """[|v|^s for s in svals] as complex arrays, 0 where v = 0 (a null set
-    when Re s > -1) and NaN where v is; log|v| is taken once for all s."""
+def abs_powers(v: np.ndarray, svals) -> list:
+    """[|v|^s for s in svals], 0 where v = 0 (a null set when Re s > -1) and
+    NaN where v is NaN; log|v| is taken once for all s.
+
+    Real s give real columns: 1, |v| and |v| |v| at s = 0, 1, 2, and
+    exp(s log|v|) else.  Complex s give e^(Re s log|v|) cis(Im s log|v|),
+    the phase from one SIMD tangent of its half by cis_half_angle, so no
+    column takes a complex exp.  At |v| = inf a real s gives pow's limit
+    (1, inf or 0); a complex one gives NaN, since the phase has no limit.
+    """
     svals = [complex(s) for s in svals]
-    if any(s != 0 for s in svals):
-        a = np.abs(v)
+    a = np.abs(v)
+    if any(s not in (0, 1, 2) for s in svals):
         good = a != 0
         everywhere = bool(good.all())
         log_a = np.log(a if everywhere else a[good])
     out = []
     for s in svals:
         if s == 0:
-            out.append(np.ones(len(v), dtype=complex))
-        elif everywhere:
-            out.append(np.exp(s * log_a))
+            col = np.where(np.isnan(a), np.nan, 1.0)
+        elif s == 1:
+            col = a
+        elif s == 2:
+            col = a * a
         else:
-            col = np.zeros(len(a), dtype=complex)
-            col[good] = np.exp(s * log_a)
-            out.append(col)
+            with np.errstate(invalid="ignore"):     # tan(+-inf) at |v| = inf
+                scale = 1.0 if s.real == 0 else np.exp(s.real * log_a)
+                if s.imag == 0:
+                    col = scale
+                else:
+                    half = np.multiply(log_a, 0.5 * s.imag)
+                    col = cis_half_angle(np.tan(half, out=half), scale)
+            if not everywhere:
+                full = np.zeros(len(a), dtype=col.dtype)
+                full[good] = col
+                col = full
+        out.append(col)
     return out
 
 
@@ -101,40 +128,51 @@ def _chunk_generator(seed: int, chunk_index: int) -> np.random.Generator:
 def _expect_columns(spec: GaussianSpec, integrand: Callable) -> list:
     """Monte Carlo <f_j, G> for the k integrands f_j of one draw.
 
-    ``integrand`` receives an (n, dim) array of sample points and returns a
-    sequence of k arrays of n values, one per f_j.  Each chunk is drawn once;
+    ``integrand`` receives an (n, dim) array of sample points, valid for the
+    call only (the next chunk is drawn into it), and returns a sequence of
+    k arrays of n values, one per f_j.  Each chunk is drawn once;
     each column keeps its own sum and (mean, M2) merge, so every Estimate is
-    bit-identical to a separate ``gaussian_expect`` call with f_j.
+    bit-identical to a separate ``gaussian_expect`` call with f_j.  A real
+    column is summed and merged in real arithmetic (a float sum and a real
+    dot product); every value is returned complex.
     """
     acc = None                  # per column: [total, mean, m2]
     done = 0
     chunk_index = 0
+    # every chunk is drawn into one array: a fresh one costs page faults
+    buf = np.empty((min(_CHUNK, spec.samples), spec.dim))
     while done < spec.samples:
         n = min(_CHUNK, spec.samples - done)
-        pts = _chunk_generator(spec.seed, chunk_index).standard_normal((n, spec.dim))
+        pts = buf[:n]
+        _chunk_generator(spec.seed, chunk_index).standard_normal(out=pts)
         pts *= math.sqrt(0.5)
         cols = integrand(pts)
         if acc is None:
-            acc = [[0.0 + 0.0j, 0.0 + 0.0j, 0.0] for _ in cols]
+            acc = [[0.0, 0.0, 0.0] for _ in cols]
+        devs = {}               # the chunk's columns share deviation arrays
         for vals, a in zip(cols, acc):
             vals = np.asarray(vals)
-            chunk_sum = complex(np.sum(vals))
+            kind = complex if np.iscomplexobj(vals) else float
+            chunk_sum = kind(np.sum(vals))
             # a NaN or inf value makes the sum non-finite; only then scan
             if not cmath.isfinite(chunk_sum):
                 what = ("sum overflowed" if np.all(np.isfinite(vals))
                         else "integrand produced non-finite values")
                 raise NonFiniteError(f"{what} in chunk {chunk_index}")
             a[0] += chunk_sum
-            dev = vals - chunk_sum / n
+            key = (kind, vals.shape)
+            if key not in devs:
+                devs[key] = np.empty(vals.shape, dtype=kind)
+            dev = np.subtract(vals, chunk_sum / n, out=devs[key])
             delta = chunk_sum / n - a[1]
             a[1] += delta * (n / (done + n))
             a[2] += (float(np.vdot(dev, dev).real)
                      + abs(delta) ** 2 * (done * n / (done + n)))
-        del cols, vals, dev     # free them before the next chunk's draw
+        del cols, vals, dev, devs   # free them before the next chunk's draw
         done += n
         chunk_index += 1
     n = spec.samples
-    return [Estimate(value=total / n,
+    return [Estimate(value=complex(total / n),
                      error_bound=3.0 * math.sqrt(m2 / max(n - 1, 1) / n),
                      method=f"mc-philox/seed{spec.seed}", cost=n)
             for total, _, m2 in acc]
@@ -143,12 +181,13 @@ def _expect_columns(spec: GaussianSpec, integrand: Callable) -> list:
 def gaussian_expect(spec: GaussianSpec, integrand: Callable) -> Estimate:
     """Monte Carlo <f, G> with error_bound = 3 x standard error of the mean.
 
-    ``integrand`` receives an (n, dim) array of sample points and must return
-    n values (complex allowed).  The caller asserts that |f| has a finite
-    second moment; with heavy-tailed integrands the reported standard error
-    is the empirical one.  The value is the plain sum over n; the variance
-    merges per-chunk (mean, sum of squared deviations) pairs (Chan, Golub
-    and LeVeque 1979), so a large offset in f does not cancel it away.
+    ``integrand`` receives an (n, dim) array of sample points, which the next
+    chunk overwrites, and must return n values (complex allowed).  The caller
+    asserts that |f| has a finite second moment; with heavy-tailed
+    integrands the reported standard error is the empirical one.  The value
+    is the plain sum over n; the variance merges per-chunk (mean, sum of
+    squared deviations) pairs (Chan, Golub and LeVeque 1979), so a large
+    offset in f does not cancel it away.
     """
     return _expect_columns(spec, lambda pts: (integrand(pts),))[0]
 
@@ -157,31 +196,34 @@ def gaussian_expect(spec: GaussianSpec, integrand: Callable) -> Estimate:
 # closed-form moments
 # ---------------------------------------------------------------------------
 
+# Each takes one s or an array of them, with one log-Gamma call for all.
+
 def radius_moment(n: int, s) -> complex:
     """<r^s, G> on R^n = Gamma((s+n)/2) / Gamma(n/2); needs Re s > -n."""
-    s = complex(s)
-    if s.real <= -n:
+    s = np.asarray(s, dtype=complex)
+    if np.any(s.real <= -n):
         raise PreconditionError(f"radius moment needs Re s > -{n}")
-    return np.exp(gamma_product_log([(s + n) / 2], [n / 2]))
+    return np.exp(gamma_product_log([(s + n) / 2], [np.full_like(s, n / 2)]))
 
 
 def linear_moment(h_norm: float, s) -> complex:
     """<|h|^s, G> = ||h||^s Gamma((s+1)/2) / Gamma(1/2); needs Re s > -1."""
-    s = complex(s)
-    if s.real <= -1:
+    s = np.asarray(s, dtype=complex)
+    if np.any(s.real <= -1):
         raise PreconditionError("linear moment needs Re s > -1")
     if not h_norm > 0:
         raise PreconditionError("h_norm must be positive")
-    lg = gamma_product_log([(s + 1) / 2], [0.5])
+    lg = gamma_product_log([(s + 1) / 2], [np.full_like(s, 0.5)])
     return np.exp(s * math.log(h_norm) + lg)
 
 
 def det_moment(s) -> complex:
     """<|det|^s, G> on 2x2 matrices = Gamma((s+1)/2) Gamma(s/2+1) / Gamma(1/2)."""
-    s = complex(s)
-    if s.real <= -1:
+    s = np.asarray(s, dtype=complex)
+    if np.any(s.real <= -1):
         raise PreconditionError("determinant moment needs Re s > -1")
-    return np.exp(gamma_product_log([(s + 1) / 2, s / 2 + 1], [0.5]))
+    return np.exp(gamma_product_log([(s + 1) / 2, s / 2 + 1],
+                                    [np.full_like(s, 0.5)]))
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +269,7 @@ def _homogeneous_mc(lams, f: CircleFunction, spec: GaussianSpec) -> list:
     def integrand(pts):
         r = np.hypot(pts[:, 0], pts[:, 1])
         f_theta = f.evaluate(np.arctan2(pts[:, 1], pts[:, 0]))
-        return [p * f_theta for p in _abs_powers(r, powers)]
+        return [p * f_theta for p in abs_powers(r, powers)]
 
     return _expect_columns(spec, integrand)
 
@@ -237,14 +279,11 @@ def _homogeneous_rhs(lams, f: CircleFunction) -> list:
     does not depend on lam, so L is taken once."""
     ell = invariant_functional(
         lambda x, y: f.evaluate(np.arctan2(y, x)) / (x * x + y * y))
-    rows = []
-    for lam in lams:
-        gam = np.exp(log_gamma_complex((1.0 - complex(lam)) / 2.0))
-        rows.append(Estimate(
-            value=complex(gam) * ell.value,
-            error_bound=abs(gam) * ell.error_bound + 1e-12 * abs(gam * ell.value),
-            method="gamma*invariant-functional", cost=ell.cost))
-    return rows
+    gams = np.exp(log_gamma_array([(1.0 - complex(lam)) / 2.0 for lam in lams]))
+    return [Estimate(
+        value=complex(gam) * ell.value,
+        error_bound=abs(gam) * ell.error_bound + 1e-12 * abs(gam * ell.value),
+        method="gamma*invariant-functional", cost=ell.cost) for gam in gams]
 
 
 def homogeneous_reduction_check(lam, f: CircleFunction, method: str = "radial",
@@ -306,17 +345,19 @@ def _minor_mc(svals, spec: GaussianSpec) -> list:
 
     def integrand(pts):
         # minor_map(pts.reshape(-1, 2, 3))[:, 2], bit for bit
-        return _abs_powers(pts[:, 0] * pts[:, 4] - pts[:, 1] * pts[:, 3], svals)
+        return abs_powers(pts[:, 0] * pts[:, 4] - pts[:, 1] * pts[:, 3], svals)
 
     return _expect_columns(spec, integrand)
 
 
-def _minor_rhs(s) -> Estimate:
-    """<h, G> Gamma(s/2 + 1) for h(w) = |w_3|^s, in closed form."""
-    s = complex(s)
-    rhs_val = linear_moment(1.0, s) * np.exp(log_gamma_complex(s / 2.0 + 1.0))
-    return Estimate(value=complex(rhs_val), error_bound=1e-11 * abs(rhs_val),
-                    method="gamma-closed-form", cost=3)
+def _minor_rhs(svals) -> list:
+    """<h, G> Gamma(s/2 + 1) for h(w) = |w_3|^s and each s, in closed form:
+    linear_moment(1, s) times Gamma(s/2 + 1), from one log-Gamma call."""
+    s = np.array([complex(x) for x in svals])
+    lg = log_gamma_array([(s + 1) / 2, s / 2 + 1, np.full(len(s), 0.5)])
+    return [Estimate(value=complex(v), error_bound=1e-11 * abs(v),
+                     method="gamma-closed-form", cost=3)
+            for v in np.exp(lg[0] - lg[2]) * np.exp(lg[1])]
 
 
 def minor_pullback_check(s, spec: GaussianSpec):
@@ -328,7 +369,7 @@ def minor_pullback_check(s, spec: GaussianSpec):
     s = complex(s)
     if s.real <= -1:
         raise PreconditionError("minor pullback needs Re s > -1")
-    return _minor_mc((s,), spec)[0], _minor_rhs(s)
+    return _minor_mc((s,), spec)[0], _minor_rhs((s,))[0]
 
 
 def _kernel_mc(triples, spec: GaussianSpec) -> list:
@@ -400,22 +441,22 @@ def identity_battery(samples: int, seed: int) -> list:
     s_labels = [f"s={s}" for s in _S_VALUES]
     for n in (1, 2, 3):
         family("radius-moment", [f"n={n};{label}" for label in s_labels],
-               _expect_columns(spec(n, 0), lambda pts: _abs_powers(
+               _expect_columns(spec(n, 0), lambda pts: abs_powers(
                    np.sqrt(np.sum(pts * pts, 1)), _S_VALUES)),
-               closed(radius_moment(n, s) for s in _S_VALUES))
+               closed(radius_moment(n, _S_VALUES)))
     family("linear-moment", s_labels,
-           _expect_columns(spec(2, 1), lambda pts: _abs_powers(pts[:, 0], _S_VALUES)),
-           closed(linear_moment(1.0, s) for s in _S_VALUES))
+           _expect_columns(spec(2, 1), lambda pts: abs_powers(pts[:, 0], _S_VALUES)),
+           closed(linear_moment(1.0, _S_VALUES)))
     family("det-moment", s_labels,
-           _expect_columns(spec(4, 2), lambda pts: _abs_powers(
+           _expect_columns(spec(4, 2), lambda pts: abs_powers(
                pts[:, 0] * pts[:, 3] - pts[:, 1] * pts[:, 2], _S_VALUES)),
-           closed(det_moment(s) for s in _S_VALUES))
+           closed(det_moment(_S_VALUES)))
     f = CircleFunction.from_modes({0: 1.0, 2: 0.25, -2: 0.25}, 1)
     lams = (0.0, 2j)
     family("homogeneous-reduction", [f"lam={lam}" for lam in lams],
            _homogeneous_mc(lams, f, spec(2, 3)), _homogeneous_rhs(lams, f))
     family("minor-pullback", s_labels, _minor_mc(_S_VALUES, spec(6, 4)),
-           [_minor_rhs(s) for s in _S_VALUES])
+           _minor_rhs(_S_VALUES))
     triples = ((0j, 0j, 0j), (2j, 0j, 0j), (0j, 1j, 2j))
     family("kernel-gaussian", [f"l={t}" for t in triples],
            _kernel_mc(triples, spec(6, 6)), [_kernel_rhs(*t) for t in triples])

@@ -152,20 +152,25 @@ def stirling_modulus(sigma: float, t: float) -> float:
     return math.exp(logv)
 
 
-def gamma_product_log(numerator, denominator) -> complex:
+def gamma_product_log(numerator, denominator):
     """log of prod Gamma(numerator_i) / prod Gamma(denominator_j), as one
-    complex number (log modulus + i accumulated phase).
+    complex number (log modulus + i accumulated phase), or elementwise as an
+    array when the factors are arrays of one common shape; one
+    log_gamma_array call takes every factor.
 
     A pole raises PoleArgumentError whose ``factor`` names it by side and
     position, and whose ``index`` counts the numerator, then the denominator.
     """
     n = len(numerator)
+    factors = np.array([*numerator, *denominator], dtype=complex)
     try:
-        lg = log_gamma_array(np.concatenate([numerator, denominator]))
+        lg = log_gamma_array(factors)
     except PoleArgumentError as exc:
-        i = exc.index
+        i = exc.index // max(factors[0].size, 1)
         side = f"numerator[{i}]" if i < n else f"denominator[{i - n}]"
         raise PoleArgumentError(exc.z, i, factor=side) from None
     # a running sum in factor order, so the rounding does not depend on how
     # numpy blocks a reduction of this length
-    return complex(np.cumsum(np.concatenate([[0j], lg[:n], -lg[n:]]))[-1])
+    out = np.cumsum(np.concatenate([np.zeros_like(lg[:1]), lg[:n], -lg[n:]]),
+                    axis=0)[-1]
+    return complex(out) if out.ndim == 0 else out

@@ -39,7 +39,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .circlefn import CircleFunction
+from .circlefn import CircleFunction, cis_half_angle
 from .errors import (DomainTooSmallError, NonFiniteError, PoleArgumentError,
                      PreconditionError)
 from .estimate import Estimate
@@ -176,6 +176,16 @@ def normalized_decay(tau, tau_prime, lam) -> float:
     return math.exp(logk - decay_envelope_log(lam))
 
 
+def require_doubling_ladder(moduli: Sequence[float]) -> None:
+    """Raise PreconditionError unless moduli is t, 2t, 4t, ... with finite
+    t > 0: one rung or more, as decay_constant and decay-scan take them."""
+    if not len(moduli) or not 0.0 < moduli[0] < math.inf or any(
+            b != 2.0 * a for a, b in zip(moduli, moduli[1:])):
+        raise PreconditionError("a decay ladder needs at least one rung of a "
+                                "doubling ladder t, 2t, 4t, ... with finite "
+                                f"t > 0, got {list(moduli)}")
+
+
 def decay_constant(tau, tau_prime, moduli: Sequence[float]):
     """Extrapolated plateau of normalized_decay over a doubling ladder.
 
@@ -187,11 +197,7 @@ def decay_constant(tau, tau_prime, moduli: Sequence[float]):
     and so does Re(tau + tau') != 0: there the sequence goes like
     |lam|^-s, s = Re(tau + tau'), and has no plateau to extrapolate.
     """
-    if not len(moduli) or not 0.0 < moduli[0] < math.inf or any(
-            b != 2.0 * a for a, b in zip(moduli, moduli[1:])):
-        raise PreconditionError("decay_constant needs at least one rung of a "
-                                "doubling ladder t, 2t, 4t, ... with finite "
-                                f"t > 0, got {list(moduli)}")
+    require_doubling_ladder(moduli)
     s = (complex(tau) + complex(tau_prime)).real
     if abs(s) > 1e-12:
         raise PreconditionError(f"decay plateau needs Re(tau + tau') = 0, got {s}")
@@ -214,19 +220,6 @@ def _log_sin(u):
     q += 1.0
     np.divide(u + u, q, out=q)
     return np.log(q, out=q)
-
-
-def _cis(t, scale):
-    """scale e^{i phi} from t = tan(phi / 2), as (q - scale) + i q t with
-    q = 2 scale / (1 + t^2), since e^{i phi} = (1 - t^2 + 2it) / (1 + t^2)."""
-    q = t * t
-    q += 1.0
-    np.divide(scale, q, out=q)
-    q += q
-    out = np.empty(q.shape, dtype=complex)
-    np.subtract(q, scale, out=out.real)
-    np.multiply(q, t, out=out.imag)
-    return out
 
 
 class _FoldedModes:
@@ -267,7 +260,7 @@ class _FoldedModes:
         coef[:, 0::2] = (pos + neg).transpose(0, 2, 1)
         coef[:, 1::2] = (1j * (pos - neg)).transpose(0, 2, 1)
         z = np.empty(u.shape + (P,), dtype=complex)
-        z[..., 0] = _cis(u, 1.0)
+        cis_half_angle(u, 1.0, out=z[..., 0])
         z[..., 0] *= z[..., 0]
         for k in range(1, P):
             np.multiply(z[..., k - 1], z[..., 0], out=z[..., k])
@@ -321,14 +314,15 @@ def _folded_sum(powers, modes: _FoldedModes, d, wd, x, omx, w):
         with np.errstate(over="ignore", invalid="ignore", under="ignore"):
             vp, vm = lA + lB, lA - lB
             tS, reS = np.tan(hc2 * vm), c2.real * vm
-            S = _cis(tS, np.exp(reS))
-            Sinv = _cis(-tS, np.exp(-reS))
+            S = cis_half_angle(tS, np.exp(reS))
+            Sinv = cis_half_angle(-tS, np.exp(-reS))
             g = modes.factors(dd[:, 0], uB)
             pI, pR = hc1 * vp, c1.real * vp
             for piece, lg in enumerate(lG):
                 term = g[..., 2 * piece] * S
                 term += g[..., 2 * piece + 1] * Sinv
-                term *= _cis(np.tan(pI + hsG * lg), np.exp(pR + sG.real * lg))
+                term *= cis_half_angle(np.tan(pI + hsG * lg),
+                                       np.exp(pR + sG.real * lg))
                 f = term if piece == 0 else f + term
             f[~np.isfinite(f)] = 0.0
         total += np.sum((f @ w) * (dd[:, 0] * wd[lo:lo + rows]))

@@ -1,5 +1,6 @@
 """Truncated even Fourier series on the circle."""
 
+import mpmath
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,21 +13,42 @@ angles = arrays(np.float64, st.integers(1, 40),
                 elements=st.one_of(finite, st.sampled_from([0.0, -0.0, 5e-324, np.pi])))
 
 
+EPS = np.finfo(float).eps
+
+
+def exact_series(f, theta):
+    """sum_p c_p e^{2ip theta} at 30 digits, theta taken exactly."""
+    N = f.max_mode
+    with mpmath.workdps(30):
+        z = mpmath.expj(2 * mpmath.mpf(float(theta)))
+        return complex(sum(mpmath.mpc(complex(c)) * z ** p
+                           for p, c in zip(range(-N, N + 1), f.coeffs)))
+
+
 @settings(max_examples=60, deadline=None)
 @given(N=st.integers(0, 8), theta=angles, data=st.data())
-def test_evaluate_equals_the_full_exponential_table(N, theta, data):
-    # evaluate computes exp(2ipt) for p >= 1 only and mirrors it; the values
-    # must equal the full (2N+1)-column table bit for bit
+def test_evaluate_is_near_the_exponential_table_and_mpmath(N, theta, data):
+    # evaluate takes z = e^{2i theta} from tan(theta) and z^p by repeated
+    # multiplication: a few eps per power, so with S = sum |c_p|
+    #   |evaluate - exact| <= 2 (N + 1) eps S            at every theta.
+    # The libm table exp(2ip theta) @ c first rounds p theta, a phase error
+    # up to |p theta| eps <= pi (N + 1) eps for |theta| <= pi; beyond that its
+    # own rounding dominates, so large angles meet the exact sum only.
     re = data.draw(arrays(np.float64, 2 * N + 1, elements=finite))
     im = data.draw(arrays(np.float64, 2 * N + 1, elements=finite))
     f = CircleFunction(re + 1j * im, N)
-    p = np.arange(-N, N + 1)
-    ref = np.exp(2j * np.outer(theta, p)) @ f.coeffs
-    assert f.evaluate(theta).tobytes() == ref.tobytes()
-    assert f.evaluate(theta.reshape(-1, 1)).tobytes() == ref.tobytes()
-    # a one-row product may round differently from a many-row one
-    one = np.exp(2j * np.outer(theta[:1], p)) @ f.coeffs
-    assert np.array(f.evaluate(theta[0])).tobytes() == one.tobytes()
+    bound = 2 * (N + 1) * EPS * np.sum(np.abs(f.coeffs))
+    got = f.evaluate(theta)
+    assert got.dtype == complex and got.shape == theta.shape
+    assert f.evaluate(theta.reshape(-1, 1)).tobytes() == got.tobytes()
+    for t, g in zip(theta, got):
+        assert abs(g - exact_series(f, t)) <= bound, (t, g)
+    small = np.abs(theta) <= np.pi
+    table = np.exp(2j * np.outer(theta[small], np.arange(-N, N + 1))) @ f.coeffs
+    assert np.all(np.abs(got[small] - table) <= (2 + np.pi) / 2 * bound)
+    # a scalar angle gives a complex number, within the same bound
+    one = f.evaluate(theta[0])
+    assert type(one) is complex and abs(one - exact_series(f, theta[0])) <= bound
 
 
 def test_evaluate_keeps_nan_angles():

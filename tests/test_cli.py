@@ -200,7 +200,7 @@ def test_decay_scan_refuses_a_ladder_without_plateau(capsys):
 
 
 @pytest.mark.parametrize("ladder", ["25,50,-100", "100,100,100", "400,200,100",
-                                    "100,300,900"])
+                                    "100,300,900", "-100", "0", "inf", "nan"])
 def test_decay_scan_refuses_a_ladder_that_is_not_a_doubling(ladder, capsys):
     code = main(["decay-scan", "--ladder", ladder])
     out, err = capsys.readouterr()

@@ -1,5 +1,6 @@
 """Gaussian expectation machinery and the moment/reduction identities."""
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -9,6 +10,8 @@ from triform import (CircleFunction, GaussianSpec, NonFiniteError,
                      kernel_gaussian_check, kernel_value, linear_moment,
                      minor_map, minor_pullback_check, radial_expect,
                      radius_moment)
+from triform.circlefn import cis_half_angle
+from triform.gaussian import abs_powers
 
 SQRT_PI = 1.7724538509055160273
 B000 = 31.031265787858834294      # Gamma(1/4)^4 / pi^3 * pi^(3/2)
@@ -41,6 +44,15 @@ def test_seed_determinism():
     a = gaussian_expect(spec, r_squared)
     b = gaussian_expect(spec, r_squared)
     assert a.value == b.value and a.error_bound == b.error_bound
+
+
+def test_integrand_may_return_a_view_of_the_samples():
+    # the chunks share one sample array; a column that is a view of it is
+    # read before the next chunk is drawn into it
+    spec = GaussianSpec(dim=2, seed=4, samples=200_003)
+    view = gaussian_expect(spec, lambda pts: pts[:, 1])
+    copy = gaussian_expect(spec, lambda pts: pts[:, 1].copy())
+    assert (view.value, view.error_bound) == (copy.value, copy.error_bound)
 
 
 def test_r2_mean_is_one():
@@ -106,6 +118,8 @@ def test_radius_moment_mc_cross():
 def test_radius_moment_precondition():
     with pytest.raises(PreconditionError):
         radius_moment(2, -2.5)
+    with pytest.raises(PreconditionError):      # one bad element of an array
+        radius_moment(2, [1.0, -2.5])
 
 
 def test_linear_moment_examples():
@@ -281,14 +295,89 @@ def test_identity_battery_order_and_streams():
 # ---------------------------------------------------------------------------
 
 def abs_power(v, s):
-    """|v|^s as a separate integrand computes it: 0 where v = 0."""
+    """|v|^s as a separate integrand computes it, by the battery's formula:
+    1, |v|, |v| |v| at s = 0, 1, 2, exp(s log|v|) at other real s, and
+    e^(Re s log|v|) cis(Im s log|v|) from the tangent of the half phase at
+    complex s; 0 where v = 0."""
     s = complex(s)
-    if s == 0:
-        return np.ones(len(v), dtype=complex)
     a = np.abs(v)
-    out = np.zeros(len(a), dtype=complex)
-    out[a > 0] = np.exp(s * np.log(a[a > 0]))
+    if s in (0, 1, 2):
+        return np.ones(len(a)) if s == 0 else a if s == 1 else a * a
+    good = a != 0
+    log_a = np.log(a[good])
+    scale = 1.0 if s.real == 0 else np.exp(s.real * log_a)
+    out = np.zeros(len(a), dtype=float if s.imag == 0 else complex)
+    out[good] = (scale if s.imag == 0
+                 else cis_half_angle(np.tan(0.5 * s.imag * log_a), scale))
     return out
+
+
+EPS = np.finfo(float).eps
+SPECIAL_S = (0.0, 1.0, 2.0, 1j, 2j, -1 - 2j)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value")
+@pytest.mark.parametrize("v", [0.0, 5e-324, 1e300, -1e300, np.inf, np.nan])
+def test_abs_powers_at_special_values(v):
+    cols = abs_powers(np.array([v, -v]), SPECIAL_S)
+    for s, col in zip(SPECIAL_S, cols):
+        # real s give real columns; v and -v give the same value
+        assert (col.dtype == complex) == bool(s.imag)
+        assert np.array_equal(col[:1], col[1:], equal_nan=True)
+        got = complex(col[0])
+        if np.isnan(v):
+            assert np.isnan(got), s           # NaN in, NaN out, s = 0 too
+        elif v == 0:
+            assert got == (1.0 if s == 0 else 0.0), s
+        elif np.isinf(v):                     # pow's limit; no phase limit
+            assert (np.isnan(got) if s.imag else got == np.power(np.inf, s.real)), s
+        else:
+            check_abs_power(abs(v), s, got)
+
+
+def check_abs_power(a, s, got):
+    """got against mpmath and against the libm formula exp(s log a).
+
+    The columns take the phase Im s log a from the same rounded log a, so
+    with L = |log a| the error against the exact power is below
+    2 eps (1 + |s| L) of it (log's rounding, times |s|, then a few eps from
+    tan, exp and the half-angle form), and against libm below
+    eps (4 + |s| L): at s = 1, 2 the libm value carries that rounding of
+    log a, which |v| and |v| |v| do not.  Where the power overflows both
+    are non-finite, and where it underflows both are below 2^-1074.
+    """
+    with mpmath.workdps(30):
+        exact = complex(mpmath.power(mpmath.mpf(a), mpmath.mpc(s)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        libm = complex(np.exp(s * np.log(a)))
+    if not np.isfinite(exact):
+        assert not np.isfinite(got) and not np.isfinite(libm)
+        return
+    L = abs(np.log(a))
+    tiny = 2.0 ** -1074
+    assert abs(got - exact) <= 2 * EPS * (1 + abs(s) * L) * abs(exact) + tiny
+    assert abs(got - libm) <= EPS * (4 + abs(s) * L) * abs(libm) + tiny
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_abs_powers_over_the_exponent_range(rng):
+    v = 10.0 ** rng.uniform(-300, 300, 400) * rng.choice([-1.0, 1.0], 400)
+    for s, col in zip(SPECIAL_S, abs_powers(v, SPECIAL_S)):
+        for x, got in zip(v, col):
+            check_abs_power(abs(x), s, complex(got))
+
+
+def test_nan_sample_in_an_s0_column_is_not_dropped():
+    # |v|^0 is 1 except where v is NaN, so the chunk sum sees the NaN
+    spec = GaussianSpec(dim=1, seed=2, samples=1000)
+
+    def integrand(pts):
+        v = pts[:, 0].copy()
+        v[7] = np.nan
+        return abs_powers(v, (0.0,))[0]
+
+    with pytest.raises(NonFiniteError, match="non-finite values"):
+        gaussian_expect(spec, integrand)
 
 
 def test_battery_rows_equal_separate_calls():
@@ -325,7 +414,11 @@ def test_battery_rows_equal_separate_calls():
     for (identity, params, lhs, _), ref in zip(rows, want):
         assert (lhs.value, lhs.error_bound, lhs.cost) == (
             ref.value, ref.error_bound, ref.cost), (identity, params)
-    # the closed sides are the public checks' own
+    # the closed sides are the public moments' and checks' own, although the
+    # battery takes each family's Gamma factors in one call
+    assert [r[3].value for r in rows[:25]] == (
+        [radius_moment(n, s) for n in (1, 2, 3) for s in s_values]
+        + [linear_moment(1.0, s) for s in s_values] + [det_moment(s) for s in s_values])
     assert [r[3] for r in rows[25:27]] == [
         homogeneous_reduction_check(lam, f, method="mc",
                                     spec=GaussianSpec(2, seed + 3, 1000))[1]

@@ -16,10 +16,9 @@ import numpy as np
 from triform import bump_vector, kernel_bump_pairing, pairing_search
 
 T = 8.0
-N = int(400 * T)
 params = (0.0, 0.0, 2j * T)   # tau, tau', lam with |lam| = 2T
 
-u = bump_vector(T, N)
+u = bump_vector(T)
 print(f"bump: radius {u.support_radius:.4f}, mass {u.mass}, "
       f"plain squared norm {u.norm_sq_plain:.1f} (budget 1e5 T^2 = {1e5 * T * T:.0f})")
 

@@ -11,11 +11,11 @@ spherical value, and the truncated Hermitian-form / Sobolev-form machinery
 __version__ = "0.1.0"
 
 from .circlefn import BiCircleFunction, CircleFunction
-from .errors import (DomainTooSmallError, InsufficientTruncationError,
-                     NonConvergentError, NonFiniteError,
-                     NotPositiveDefiniteError, PoleArgumentError,
-                     PreconditionError, SingularConfigurationError,
-                     TriformError, TruncationOverflowError)
+from .errors import (DomainTooSmallError, NonConvergentError,
+                     NonFiniteError, NotPositiveDefiniteError,
+                     PoleArgumentError, PreconditionError,
+                     SingularConfigurationError, TriformError,
+                     TruncationOverflowError)
 from .estimate import Estimate
 from .gaussian import (GaussianSpec, det_moment, gaussian_expect,
                        homogeneous_reduction_check, identity_battery,

@@ -7,9 +7,9 @@ p + max_mode.  The L^2 norm refers to the normalized measure d(theta) / (2 pi)
 on each circle, so the stored modes are orthonormal (Parseval: ||f||^2 =
 sum |c_p|^2).
 
-``BiCircleFunction`` is the same on S^1 x S^1 (coefficient matrix over even
-mode pairs) and carries the pointwise evaluator it was built from;
-``coeffs`` may be deferred (None) for very fine bump vectors.
+``BiCircleFunction`` is a function on S^1 x S^1 given by its pointwise
+evaluator, with the analytic mass, support and norm its constructor
+(``bump_vector``) knows; it keeps no Fourier series.
 
 ``cis_half_angle`` is the one tangent half-angle form of scale e^{i phi}.
 ``CircleFunction.evaluate``, the triple quadrature's node factors and the
@@ -115,21 +115,12 @@ class CircleFunction:
 
 @dataclass
 class BiCircleFunction:
-    coeffs: Optional[np.ndarray]    # shape (2N+1, 2N+1), index (p + N, q + N)
-    max_mode: int
     evaluator: Callable             # pointwise values (x, y) -> f(x, y)
     # the analytic values the constructor (bump_vector) knows exactly
     mass: float                     # integral over [0,2pi)^2, plain measure
     support_radius: float
     center: Tuple[float, float]
     norm_sq_plain: float            # squared norm, plain measure
-
-    def __post_init__(self):
-        if self.coeffs is not None:
-            self.coeffs = np.asarray(self.coeffs, dtype=complex)
-            n = 2 * self.max_mode + 1
-            if self.coeffs.shape != (n, n):
-                raise PreconditionError("coefficient matrix must be (2N+1) x (2N+1)")
 
     def evaluate(self, x, y):
         """Pointwise values from the analytic evaluator."""

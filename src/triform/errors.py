@@ -46,9 +46,5 @@ class TruncationOverflowError(TriformError):
     """Fourier tail energy beyond the truncation exceeds the allowed budget."""
 
 
-class InsufficientTruncationError(TriformError):
-    """Truncation order too small to resolve the requested spatial scale."""
-
-
 class NotPositiveDefiniteError(TriformError):
     """A form that must be positive definite is not."""

@@ -352,12 +352,10 @@ def _minor_mc(svals, spec: GaussianSpec) -> list:
 
 def _minor_rhs(svals) -> list:
     """<h, G> Gamma(s/2 + 1) for h(w) = |w_3|^s and each s, in closed form:
-    linear_moment(1, s) times Gamma(s/2 + 1), from one log-Gamma call."""
-    s = np.array([complex(x) for x in svals])
-    lg = log_gamma_array([(s + 1) / 2, s / 2 + 1, np.full(len(s), 0.5)])
+    linear_moment(1, s) times Gamma(s/2 + 1), which is det_moment(s)."""
     return [Estimate(value=complex(v), error_bound=1e-11 * abs(v),
                      method="gamma-closed-form", cost=3)
-            for v in np.exp(lg[0] - lg[2]) * np.exp(lg[1])]
+            for v in det_moment(np.array([complex(x) for x in svals]))]
 
 
 def minor_pullback_check(s, spec: GaussianSpec):

@@ -11,7 +11,8 @@ Contents:
 * the nonnegative Hermitian form induced by the trilinear functional
   (Gram matrix of its mode elements over a window of output modes),
 * relative traces tr(H | Q) computed two independent ways,
-* the localized bump vector and its pairing against the transformed kernel,
+* the localized bump vector, an analytic evaluator with exact mass and norm
+  (no Fourier series), and its pairing against the transformed kernel,
 * the elementary averaged-pairing lower bound used by the localization step.
 
 Conventions: a mode index p stands for the frequency 2p (even functions); the
@@ -29,9 +30,8 @@ from scipy.linalg import lapack
 import scipy.sparse as sp
 
 from .circlefn import BiCircleFunction, CircleFunction
-from .errors import (InsufficientTruncationError, NonFiniteError,
-                     NotPositiveDefiniteError, PreconditionError,
-                     TruncationOverflowError)
+from .errors import (NonFiniteError, NotPositiveDefiniteError,
+                     PreconditionError, TruncationOverflowError)
 from .estimate import Estimate
 from .kernel import kernel_on_circle
 from .params import exponents
@@ -448,8 +448,8 @@ def sobolev_trace_estimate(l: int, T: float, lam, params: Tuple, N: int,
 # bump vectors and kernel pairings
 # ---------------------------------------------------------------------------
 
-# profile steepness: balances the spectral core width against the
-# support-edge tail at the resolvable frequency budget (2N) * r = 8
+# steepness a of the profile exp(-a x^2 / (1 - x^2)): it fixes the bump's
+# shape, hence its squared norm 4 amp^2 r^2 i2 and the pairing bounds
 _BUMP_SHARPNESS = 4.0
 _BUMP_CENTER = (np.pi / 3.0, 2.0 * np.pi / 3.0)
 
@@ -475,27 +475,20 @@ def _profile_moments(a: float):
     return i1, i2
 
 
-def bump_vector(T: float, N: int) -> BiCircleFunction:
+def bump_vector(T: float) -> BiCircleFunction:
     """Smooth nonnegative bump on the bi-circle, localized at scale 1/(100 T).
 
-    Supported (before truncation) in the disc of radius 1/(100 T) around
-    (pi/3, 2pi/3) (and its antipodal copies, as the function is even-even),
-    with unit total mass  integral u dx dy = 1  over [0, 2pi)^2 in plain
-    measure and squared norm well below 1e5 T^2.
-
-    Fourier coefficients come from a 96-point Gauss-Legendre quadrature of
-    the profile's Hankel transform when N <= 1024; for larger N only the
-    analytic evaluator is stored (coeffs = None).  Requires a finite T >= 1
-    (NonFiniteError, PreconditionError) and N >= 400 T to resolve the
-    localization scale.
+    Supported in the disc of radius 1/(100 T) around (pi/3, 2pi/3) (and its
+    antipodal copies, as the function is even-even), with unit total mass
+    integral u dx dy = 1  over [0, 2pi)^2 in plain measure and squared norm
+    well below 1e5 T^2; both are exact integrals of the profile, not of a
+    truncated series.  Requires a finite T >= 1 (NonFiniteError,
+    PreconditionError).
     """
     if not np.isfinite(T):
         raise NonFiniteError(f"T must be finite, got {T}")
     if T < 1.0:
         raise PreconditionError("bump vectors are defined for T >= 1")
-    if N < 400 * T:
-        raise InsufficientTruncationError(
-            f"need N >= 400 T = {400 * T:.0f} to resolve scale 1/(100 T), got {N}")
     r = 1.0 / (100.0 * T)
     a = _BUMP_SHARPNESS
     i1, i2 = _profile_moments(a)
@@ -508,35 +501,9 @@ def bump_vector(T: float, N: int) -> BiCircleFunction:
         rho2 = (dx * dx + dy * dy) / (r * r)
         return amp * _bump_profile(rho2, a)
 
-    # Fourier coefficients of the periodized bump are exactly the plane
-    # Fourier transform of one unit-mass copy at the even frequencies
-    # (Poisson summation); radially symmetric profile -> a Hankel integral.
-    # The zero mode reproduces the mass exactly (same radial nodes as i1).
-    coeffs = None
-    if N <= 1024:
-        from scipy.special import j0
-        gx, gw = np.polynomial.legendre.leggauss(96)
-        rho = 0.5 * (gx + 1.0)
-        wr = 0.5 * gw
-        prof = _bump_profile(rho ** 2, a) * rho * wr
-        p = np.arange(0, N + 1)
-        quadrant = np.empty((N + 1, N + 1))
-        for lo in range(0, N + 1, 64):
-            hi = min(lo + 64, N + 1)
-            kr = 2.0 * r * np.sqrt(p[lo:hi, None] ** 2 + p[None, :] ** 2)
-            quadrant[lo:hi] = (j0(kr[..., None] * rho) @ prof) * (2.0 * np.pi)
-        quadrant /= i1                  # normalized so the (0,0) entry is 1
-        full = np.empty((2 * N + 1, 2 * N + 1), dtype=float)
-        full[N:, N:] = quadrant
-        full[:N, N:] = quadrant[1:, :][::-1, :]
-        full[N:, :N] = quadrant[:, 1:][:, ::-1]
-        full[:N, :N] = quadrant[1:, 1:][::-1, ::-1]
-        pp = np.arange(-N, N + 1)
-        phase = np.exp(-2j * pp * x0)[:, None] * np.exp(-2j * pp * y0)[None, :]
-        coeffs = full * phase / (2.0 * np.pi) ** 2
     # exact plain-measure squared norm of the constructed bump (all 4 copies)
-    return BiCircleFunction(coeffs, N, evaluator=evaluator, mass=1.0,
-                            support_radius=r, center=(x0, y0),
+    return BiCircleFunction(evaluator=evaluator, mass=1.0, support_radius=r,
+                            center=(x0, y0),
                             norm_sq_plain=4.0 * amp ** 2 * r * r * i2)
 
 

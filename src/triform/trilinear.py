@@ -26,12 +26,13 @@
   e^{2im'x} (x) e^{2in'y} (x) e^{2ik'z}, which translation invariance makes
   vanish unless m' + n' + k' = 0, so a pair (m', n') names one.  Each
   |sin|^s factor is expanded in its exact Fourier series (Gamma-coefficient
-  formula) and the resulting triple-product convolution is summed with an
-  Euler-Maclaurin tail; it is cross-validated against the quadrature backend.
+  formula) and the resulting triple-product convolution, cut at the fixed
+  J = 2000 + 10 * (largest |index|), is summed with an Euler-Maclaurin tail;
+  it is cross-validated against the quadrature backend.
 
 The decay helpers normalize the squared spherical value by the exponential
 envelope exp(-pi |lam| / 2) |lam|^-2 so the remaining factor can be scanned
-for a plateau and extrapolated.
+for a plateau and extrapolated (in 1/|lam|^2 at imaginary tau and tau').
 """
 
 import math
@@ -75,33 +76,25 @@ _TAIL_EPS = 2.0 ** -60   # majorant mass a dropped strip of the grid may carry
 # the rotation-invariant functional on homogeneous degree -2 functions
 # ---------------------------------------------------------------------------
 
-def invariant_functional(f: Callable, contour="unit_circle") -> Estimate:
-    """Contour integral (1/2pi) oint f (x dy - y dx) of a degree -2 function.
+def invariant_functional(f: Callable) -> Estimate:
+    """Contour integral (1/2pi) oint f (x dy - y dx) of a degree -2 function,
+    taken on the unit circle.
 
     Normalized so that f = 1/(x^2+y^2) gives exactly 1; the value does not
-    depend on the contour for homogeneous f of degree -2.  ``contour`` is
-    either "unit_circle" or ("ellipse", a, b) with finite a, b > 0; any other
-    raises PreconditionError.  The integrand is smooth and periodic, so the
-    trapezoid rule converges spectrally under doubling.
+    depend on the contour for homogeneous f of degree -2, so the ellipse
+    with semi-axes a, b gives the value of  (x, y) -> a b f(a x, b y)  here.
+    The integrand is smooth and periodic, so the trapezoid rule converges
+    spectrally under doubling.
     """
     cfg = QuadratureConfig(target_rel_error=1e-12, refinement_levels=10)
-    if contour == "unit_circle":
-        a = b = 1.0
-    elif isinstance(contour, tuple) and len(contour) == 3 and contour[0] == "ellipse":
-        _, a, b = contour
-        if not (0 < a < math.inf and 0 < b < math.inf):
-            raise PreconditionError("ellipse semi-axes must be positive and finite, "
-                                    f"got {a} and {b}")
-    else:
-        raise PreconditionError(f"unknown contour {contour!r}")
 
     def eval_at_level(level):
         n = 64 * 2 ** level
         t = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
-        vals = np.asarray(f(a * np.cos(t), b * np.sin(t)), dtype=complex)
-        return (a * b / n) * np.sum(vals), n
+        vals = np.asarray(f(np.cos(t), np.sin(t)), dtype=complex)
+        return (1.0 / n) * np.sum(vals), n
 
-    return refine_until(eval_at_level, cfg, method=f"trapezoid/{contour}",
+    return refine_until(eval_at_level, cfg, method="trapezoid/unit_circle",
                         start_level=0)
 
 
@@ -178,7 +171,7 @@ def normalized_decay(tau, tau_prime, lam) -> float:
 
 def require_doubling_ladder(moduli: Sequence[float]) -> None:
     """Raise PreconditionError unless moduli is t, 2t, 4t, ... with finite
-    t > 0: one rung or more, as decay_constant and decay-scan take them."""
+    t > 0, one rung or more (decay_constant also needs a second)."""
     if not len(moduli) or not 0.0 < moduli[0] < math.inf or any(
             b != 2.0 * a for a, b in zip(moduli, moduli[1:])):
         raise PreconditionError("a decay ladder needs at least one rung of a "
@@ -189,25 +182,29 @@ def require_doubling_ladder(moduli: Sequence[float]) -> None:
 def decay_constant(tau, tau_prime, moduli: Sequence[float]):
     """Extrapolated plateau of normalized_decay over a doubling ladder.
 
-    The normalized sequence behaves like c (1 + O(1/|lam|)); Richardson
-    extrapolation on a doubling ladder removes the 1/|lam| term.  Returns
-    (c_estimate, error_estimate); with one rung its value is returned with
-    an infinite error bar.  A ladder that is not t, 2t, 4t, ... with finite
-    t > 0 (the weights are those of a doubling) raises PreconditionError,
+    The normalized sequence behaves like c (1 + a/|lam| + b/|lam|^2 + ...),
+    with a = 0 where Re tau = Re tau' = 0.  Richardson extrapolation on the
+    doubling ladder removes the leading term present: (4 r2 - r1)/3 there,
+    2 r2 - r1 elsewhere.  Returns (c_estimate, error_estimate), the error
+    being the last change of the extrapolated values (or of the one value
+    against the last rung).  A ladder of fewer than two rungs, or one that
+    is not t, 2t, 4t, ... with finite t > 0, raises PreconditionError,
     and so does Re(tau + tau') != 0: there the sequence goes like
     |lam|^-s, s = Re(tau + tau'), and has no plateau to extrapolate.
     """
     require_doubling_ladder(moduli)
-    s = (complex(tau) + complex(tau_prime)).real
+    if len(moduli) < 2:
+        raise PreconditionError("a decay plateau needs at least two rungs, "
+                                f"got {list(moduli)}")
+    tau, tau_prime = complex(tau), complex(tau_prime)
+    s = (tau + tau_prime).real
     if abs(s) > 1e-12:
         raise PreconditionError(f"decay plateau needs Re(tau + tau') = 0, got {s}")
     r = [normalized_decay(tau, tau_prime, 1j * t) for t in moduli]
-    if len(r) < 2:
-        return r[-1], math.inf
-    extrap = [2.0 * r[i + 1] - r[i] for i in range(len(r) - 1)]
-    if len(extrap) == 1:
-        return extrap[0], abs(extrap[0] - r[-1])
-    return extrap[-1], abs(extrap[-1] - extrap[-2])
+    w = 4.0 if max(abs(tau.real), abs(tau_prime.real)) <= 1e-12 else 2.0
+    extrap = [(w * b - a) / (w - 1.0) for a, b in zip(r, r[1:])]
+    prev = r[-1] if len(extrap) == 1 else extrap[-2]
+    return extrap[-1], abs(extrap[-1] - prev)
 
 
 # ---------------------------------------------------------------------------
@@ -511,7 +508,7 @@ def _convolve_modes(pairs, cA, cB, gw: np.ndarray) -> np.ndarray:
     return vals[inverse.ravel()]
 
 
-def spectral_mode_values(pairs, l1, l2, l3, jmax: Optional[int] = None) -> np.ndarray:
+def spectral_mode_values(pairs, l1, l2, l3) -> np.ndarray:
     """Values of the functional on modes e^{2im'x} (x) e^{2in'y} (x) e^{2ik'z}
     with k' = -(m'+n'), for an array of integer index pairs (m', n').
 
@@ -520,22 +517,19 @@ def spectral_mode_values(pairs, l1, l2, l3, jmax: Optional[int] = None) -> np.nd
 
         sum_j cG[j] cB[-m'-j] cA[j-n']
 
-    over the exact |sin|^s series, cut at |j| = J = jmax (an integer >= 1),
-    by default (jmax None) 2000 + 10 * (largest |index| of the call).  The
-    tail beyond J decays like a smooth power j^-(3 + sA + sB + sG); each
-    side is fitted by least squares with A + C/j times that power on 60
-    terms and summed analytically.  The fit is linear in the terms, so it
-    is one fixed weight vector, and the pairs with equal m' + n' and
-    consecutive m' are one correlation against it.  A pair array not of
-    shape (n, 2) or a ``jmax`` below 1 raises PreconditionError.
+    over the exact |sin|^s series, cut at |j| = J = 2000 + 10 * (largest
+    |index| of the call).  The tail beyond J decays like a smooth power
+    j^-(3 + sA + sB + sG); each side is fitted by least squares with
+    A + C/j times that power on 60 terms and summed analytically.  The fit
+    is linear in the terms, so it is one fixed weight vector, and the pairs
+    with equal m' + n' and consecutive m' are one correlation against it.
+    A pair array not of shape (n, 2) raises PreconditionError.
     """
     pairs = np.asarray(pairs, dtype=int)
     if pairs.ndim == 1 and pairs.size in (0, 2):
         pairs = pairs.reshape(-1, 2)
     if pairs.ndim != 2 or pairs.shape[1] != 2:
         raise PreconditionError(f"pairs must have shape (n, 2), got {pairs.shape}")
-    if jmax is not None and jmax < 1:
-        raise PreconditionError(f"convolution cutoff jmax must be >= 1, got {jmax}")
     e = exponents(l1, l2, l3)
     e.require_convergent()
     sA, sB, sG = e.kernel_powers()
@@ -545,7 +539,7 @@ def spectral_mode_values(pairs, l1, l2, l3, jmax: Optional[int] = None) -> np.nd
             "spectral convolution needs Re(3 + sA + sB + sG) > 1; "
             "use the quadrature backend for this parameter range")
     maxidx = int(np.max(np.abs(pairs))) if pairs.size else 0
-    J = 2000 + 10 * maxidx if jmax is None else jmax
+    J = 2000 + 10 * maxidx
     kmax = J + _FIT_N + maxidx + 2
     cA, cB, cG = (sine_power_coeffs(s, kmax) for s in (sA, sB, sG))
     return _convolve_modes(pairs, cA, cB, _tail_weights(cG, w0, J))

@@ -7,16 +7,18 @@ input with its own error types, never a builtin exception."""
 import argparse
 import ast
 import builtins
+import dataclasses
 import importlib
+import inspect
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from triform import (BiCircleFunction, CircleFunction, GaussianSpec,
-                     PreconditionError, QuadratureConfig, cli,
-                     homogeneous_reduction_check, kernel_gaussian_check,
-                     minor_pullback_check)
+import triform
+from triform import (CircleFunction, GaussianSpec, PreconditionError,
+                     QuadratureConfig, cli, homogeneous_reduction_check,
+                     kernel_gaussian_check, minor_pullback_check)
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted([*(ROOT / "tests").glob("*.py"), *(ROOT / "demos").glob("*.py")])
@@ -258,6 +260,81 @@ def test_every_export_has_a_caller():
         UNCALLED_EXPORTS)
 
 
+# every defaulted parameter of an exported function or public method and
+# every defaulted field of an exported dataclass, each with why it stays
+DEFAULTED_VALUES = {
+    "CircleFunction.tail_energy": "diagnostic: only group_action's truncation "
+                                  "sets it; other data have none",
+    "CircleFunction.constant(value)": "the constant's one datum; every caller "
+                                      "writes out the unit value",
+    "CircleFunction.constant(max_mode)": "tests pad a constant to more modes for "
+                                         "the group action",
+    "Estimate.method": "closed forms and refined values label themselves",
+    "Estimate.cost": "closed forms cost no integrand evaluation",
+    "QuadratureConfig.target_rel_error": "the CLI's --target and tests set it",
+    "QuadratureConfig.refinement_levels": "the CLI's --quad-levels and tests set it",
+    "homogeneous_reduction_check(method)": "the demo takes the radial route and "
+                                           "the bench the Monte Carlo one",
+    "homogeneous_reduction_check(spec)": "only the Monte Carlo route draws samples",
+    "random_sl2(max_norm)": "the pairing search's norm <= 2 region; the bench's "
+                            "Fourier workload moves its data by norm <= 1.3",
+    "triple_quadrature(cfg)": "the CLI's --quad-levels and --target reach it",
+    "weighted_mean_bound(weights)": "acceptance passes a measure; None is the "
+                                    "counting measure",
+}
+
+
+def defaulted_values(namespace: dict) -> set:
+    """"f(p)" for each defaulted parameter p of a function f in ``namespace``,
+    "C.m(p)" for one of a public method m of a class C, and "C.x" for each
+    defaulted field x of a dataclass C."""
+    found = set()
+    for name, obj in namespace.items():
+        if name.startswith("_"):
+            continue
+        members = {name: obj}
+        if inspect.isclass(obj):
+            members = {f"{name}.{attr}": m.__func__ if isinstance(m, classmethod) else m
+                       for attr, m in vars(obj).items() if not attr.startswith("_")}
+            if dataclasses.is_dataclass(obj):
+                found |= {f"{name}.{f.name}" for f in dataclasses.fields(obj)
+                          if f.default is not dataclasses.MISSING
+                          or f.default_factory is not dataclasses.MISSING}
+        for label, f in members.items():
+            if inspect.isfunction(f):
+                found |= {f"{label}({p.name})"
+                          for p in inspect.signature(f).parameters.values()
+                          if p.default is not inspect.Parameter.empty}
+    return found
+
+
+def test_detector_flags_defaulted_values():
+    @dataclasses.dataclass
+    class Config:
+        size: int
+        level: int = 3
+
+        @classmethod
+        def make(cls, size=1):
+            return cls(size)
+
+        def _hidden(self, x=0):
+            return x
+
+    def run(a, b=2, *, c=None):
+        return a, b, c
+
+    assert defaulted_values({"Config": Config, "run": run, "_private": run,
+                             "np": np}) == {"Config.level", "Config.make(size)",
+                                            "run(b)", "run(c)"}
+
+
+def test_every_defaulted_value_is_listed():
+    exported = {name: obj for name, obj in vars(triform).items()
+                if not inspect.ismodule(obj)}
+    assert defaulted_values(exported) == set(DEFAULTED_VALUES)
+
+
 ONE = CircleFunction.constant(1.0)
 PLANE, SPACE = (GaussianSpec(dim=n, seed=1, samples=10) for n in (2, 3))
 
@@ -276,9 +353,6 @@ PLANE, SPACE = (GaussianSpec(dim=n, seed=1, samples=10) for n in (2, 3))
     lambda: CircleFunction(np.ones(2), 1),
     lambda: CircleFunction.from_modes({1: 1.0}, 1),
     lambda: CircleFunction.from_modes({4: 1.0}, 1),
-    lambda: BiCircleFunction(np.ones((3, 2)), 1, evaluator=None, mass=0.0,
-                             support_radius=0.0, center=(0.0, 0.0),
-                             norm_sq_plain=0.0),
 ])
 def test_bad_inputs_raise_precondition_error(call):
     with pytest.raises(PreconditionError):

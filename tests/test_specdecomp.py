@@ -6,12 +6,12 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from scipy import integrate
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from triform import (CircleFunction, Estimate, InsufficientTruncationError,
-                     NonConvergentError, NonFiniteError,
-                     NotPositiveDefiniteError,
+from triform import (CircleFunction, Estimate, NonConvergentError,
+                     NonFiniteError, NotPositiveDefiniteError,
                      PreconditionError, TruncationOverflowError, bump_vector,
                      circle_generators, group_action, induced_form,
                      kernel_bump_pairing, pairing_search,
@@ -76,7 +76,7 @@ def test_diagnostics_are_declared_fields():
     assert CircleFunction.constant(1.0).tail_energy is None
     out = group_action(np.diag([2.0, 0.5]), 1j, CircleFunction.constant(1.0, 16))
     assert "tail_energy" in out.__dataclass_fields__ and out.tail_energy >= 0.0
-    u = bump_vector(1.0, 400)
+    u = bump_vector(1.0)
     for name in ("support_radius", "center", "norm_sq_plain", "mass"):
         assert name in u.__dataclass_fields__ and getattr(u, name) is not None
 
@@ -542,21 +542,31 @@ def test_odd_output_modes_are_refused(call):
 # ---------------------------------------------------------------------------
 
 def test_bump_mass_and_norm():
-    u = bump_vector(1.0, 512)
-    # truncation never touches the zero mode, so the series mass must match
-    # the construction's exact unit mass
-    # (the integral of the series over [0, 2pi)^2 is (2pi)^2 c_00)
-    assert abs((2 * np.pi) ** 2 * u.coeffs[u.max_mode, u.max_mode].real - 1.0) <= 1e-8
-    assert u.norm_sq_plain <= 1e5
-    # Parseval over the truncated band is a lower bound on the exact norm
-    series_norm_sq = (2 * np.pi) ** 2 * np.linalg.norm(u.coeffs) ** 2
-    assert series_norm_sq <= u.norm_sq_plain * (1.0 + 1e-10)
-    # and the truncation carries nearly all of the energy
-    assert series_norm_sq >= 0.95 * u.norm_sq_plain
+    # the analytic mass and squared norm against an independent polar
+    # quadrature of the evaluator: adaptive Gauss-Kronrod in the radius of
+    # the support disc, a 16-point trapezoid in the angle; the bump is
+    # pi-periodic in each angle, so [0, 2pi)^2 holds four copies of the disc
+    for T in (1.0, 8.0):
+        u = bump_vector(T)
+        x0, y0 = u.center
+        phi = np.linspace(0.0, 2 * np.pi, 16, endpoint=False)
+
+        def ring(rho, k):
+            vals = u.evaluate(x0 + rho * np.cos(phi), y0 + rho * np.sin(phi))
+            return 2 * np.pi * rho * np.mean(vals ** k)
+
+        mass, norm_sq = (4 * integrate.quad(ring, 0.0, u.support_radius, args=(k,),
+                                            epsabs=0.0, epsrel=1e-13, limit=200)[0]
+                         for k in (1, 2))
+        assert u.mass == 1.0 and abs(mass - 1.0) <= 1e-12
+        assert abs(norm_sq - u.norm_sq_plain) <= 1e-12 * u.norm_sq_plain
+        assert u.norm_sq_plain <= 1e5 * T * T
+        peak = u.evaluate(x0, y0)
+        assert abs(u.evaluate(x0 + np.pi, y0 - np.pi) - peak) <= 1e-9 * peak
 
 
 def test_bump_support():
-    u = bump_vector(1.0, 512)
+    u = bump_vector(1.0)
     r = u.support_radius
     x0, y0 = u.center
     peak = float(u.evaluate(np.array([x0]), np.array([y0]))[0])
@@ -571,17 +581,15 @@ def test_bump_support():
 
 
 def test_bump_preconditions():
-    with pytest.raises(InsufficientTruncationError):
-        bump_vector(2.0, 512)
     with pytest.raises(PreconditionError):
-        bump_vector(0.5, 512)
+        bump_vector(0.5)
 
 
 def test_bump_refuses_nan_scale():
-    # every comparison with NaN is False, so T = nan passed both guards and
+    # every comparison with NaN is False, so T = nan passed the guards and
     # gave a NaN radius and norm under a mass of 1
     with pytest.raises(NonFiniteError):
-        bump_vector(float("nan"), 512)
+        bump_vector(float("nan"))
 
 
 # ---------------------------------------------------------------------------
@@ -591,7 +599,7 @@ def test_bump_refuses_nan_scale():
 def test_identity_pairing_exceeds_half():
     T = 4.0
     params = (0.0, 0.0, 2j * T)
-    res = kernel_bump_pairing(np.eye(2), np.eye(2), params, bump_vector(T, 1600))
+    res = kernel_bump_pairing(np.eye(2), np.eye(2), params, bump_vector(T))
     assert res.value >= 0.5
     # Hoelder: the pairing cannot exceed the sup of the transformed kernel
     assert res.value <= res.sup_abs * (1.0 + 1e-6) + res.error
@@ -602,7 +610,7 @@ def test_identity_pairing_exceeds_half():
 def test_pairing_search_probes(rng):
     T = 4.0
     params = (0.0, 0.0, 2j * T)
-    results = pairing_search(bump_vector(T, 1600), params, n_random=4, seed=3)
+    results = pairing_search(bump_vector(T), params, n_random=4, seed=3)
     assert len(results) == 5
     best = max(r.value for _, _, r in results)
     assert best >= 0.5
@@ -613,7 +621,7 @@ def test_pairing_search_probes(rng):
 def test_pairing_search_equals_one_pairing_per_probe():
     # the search evaluates the bump once; each result must equal the
     # pairing that evaluates it itself, bit for bit
-    bump = bump_vector(4.0, 1600)
+    bump = bump_vector(4.0)
     params = (0.0, 0.0, 8j)
     for g1, g2, r in pairing_search(bump, params, n_random=3, seed=5):
         assert r == kernel_bump_pairing(g1, g2, params, bump)

@@ -30,7 +30,8 @@ __all__ = ["CircleFunction", "BiCircleFunction"]
 def cis_half_angle(t, scale, out=None):
     """scale e^{i phi} from t = tan(phi / 2), as (q - scale) + i q t with
     q = 2 scale / (1 + t^2), since e^{i phi} = (1 - t^2 + 2it) / (1 + t^2),
-    written to ``out`` (a complex array of t's shape) if given.  NaN where
+    written to ``out`` if given: a complex array of t's shape, or a pair
+    (re, im) of real arrays, which may be scale and t themselves.  NaN where
     t is; a relative error delta in t moves phi by at most delta."""
     q = t * t
     q += 1.0
@@ -38,8 +39,9 @@ def cis_half_angle(t, scale, out=None):
     q += q
     if out is None:
         out = np.empty(q.shape, dtype=complex)
-    np.subtract(q, scale, out=out.real)
-    np.multiply(q, t, out=out.imag)
+    re, im = (out.real, out.imag) if isinstance(out, np.ndarray) else out
+    np.subtract(q, scale, out=re)
+    np.multiply(q, t, out=im)
     return out
 
 

@@ -15,16 +15,18 @@ choice depends on the node alone.
 ``half_line_nodes`` is the half-line family of the Gaussian radial oracles.
 
 Refinement is by an integer level; ``refine_until`` compares successive
-levels (a-posteriori error = |last - previous| with a safety factor).
+levels (a-posteriori error = |last - previous| with a safety factor) and
+stops at the first level whose value is not finite.
 """
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import NonConvergentError, PreconditionError
+from .errors import NonConvergentError, NonFiniteError, PreconditionError
 from .estimate import Estimate
 
 __all__ = ["QuadratureConfig", "unit_nodes", "half_line_nodes", "refine_until",
@@ -94,7 +96,9 @@ def refine_until(eval_at_level, cfg: QuadratureConfig, method: str,
     """Run eval_at_level(level) -> (value, cost) until successive values agree.
 
     Returns an Estimate whose error_bound is ERROR_SAFETY * |last - previous|.
-    Raises NonConvergentError when the budget is exhausted above target.
+    Raises NonFiniteError at the first level whose value is NaN or infinite,
+    before any further level runs, and NonConvergentError when the budget
+    is exhausted above target.
     """
     prev = None
     total_cost = 0
@@ -102,6 +106,9 @@ def refine_until(eval_at_level, cfg: QuadratureConfig, method: str,
     diff = math.inf
     for level in range(start_level, start_level + cfg.refinement_levels):
         value, cost = eval_at_level(level)
+        if not cmath.isfinite(value):
+            raise NonFiniteError(f"{method}: the value at level {level} is "
+                                 f"{value}, not finite")
         total_cost += cost
         if prev is not None:
             diff = abs(value - prev)

@@ -20,7 +20,11 @@
   onto one half-triangle, rescaled so every singular corner becomes an
   endpoint of the tanh-sinh node family.  Each refinement level is one pass
   over it; the levels are nested, so a level adds only the nodes the
-  previous level lacked to that level's sum.  No Gamma function enters.
+  previous level lacked to that level's sum.  The two kernels of a node
+  differ by one factor S and its inverse; constant data weigh both pieces
+  with one shared factor 2 c0 (S + 1/S), and where Re l1 = Re l2, as on
+  the principal series, |S| = 1, so 1/S = conj(S) and S + 1/S is real
+  (``_FoldedModes``).  No Gamma function enters.
 
 * ``spectral_mode_values`` -- values of the functional on Fourier modes
   e^{2im'x} (x) e^{2in'y} (x) e^{2ik'z}, which translation invariance makes
@@ -35,6 +39,7 @@ envelope exp(-pi |lam| / 2) |lam|^-2 so the remaining factor can be scanned
 for a plateau and extrapolated (in 1/|lam|^2 at imaginary tau and tau').
 """
 
+import cmath
 import math
 from typing import Callable, Optional, Sequence
 
@@ -66,7 +71,8 @@ _GAMMA_REL_TOL = 1e-10   # relative accuracy budget of closed-form values
 
 _START_LEVEL = 3         # first level of triple_quadrature
 # top level of triple_quadrature: each level has 4x the nodes of the last;
-# on one Xeon core, constant data run levels 3-8 in 1.2 s and 3-10 in 21 s
+# on one Xeon core, constant data at (0, i, 4i) run levels 3-8 in 0.2 s and
+# 3-10 in 2.6 s
 MAX_QUADRATURE_LEVEL = 10
 _BLOCK_NODES = 1 << 13   # nodes per block of rows; bounds the temporaries
 _TAIL_EPS = 2.0 ** -60   # majorant mass a dropped strip of the grid may carry
@@ -219,6 +225,18 @@ def _log_sin(u):
     return np.log(q, out=q)
 
 
+def _phases(lG, pI, pR, hsG, sGr):
+    """(t, m) per piece, one piece at a time: the tangent of the half phase
+    and the modulus of M = e^{c1 vp + sG lg} for the piece's log-sine lg of
+    a - b, from pI = Im c1 vp / 2 and pR = Re c1 vp, computed in place."""
+    for lg in lG:
+        t = hsG * lg
+        t += pI
+        m = sGr * lg
+        m += pR
+        yield np.tan(t, out=t), np.exp(m, out=m)
+
+
 class _FoldedModes:
     """Mode factors of the folded integrand.  c(a, b) = sum_{p,q} f1_p f2_q
     f3_-(p+q) e^{2i(pa+qb)} has period pi in each angle, so folding leaves
@@ -226,32 +244,42 @@ class _FoldedModes:
         g1(a, b) = c(a, b) + c(-a, -b)   on K1,   g2(a, b) = g1(b, a)   on K2,
 
     sums of sym[p, q] e^{2i(pa+qb)} for sym = mat + mat[::-1, ::-1] (mat on
-    modes -P..P, P = max(P1, P2)).  Constant data: g1 = g2 = 2 c0.
+    modes -P..P, P = max(P1, P2)).  ``fold`` weighs the kernels K1 = M S
+    and K2 = M / S of both pieces with them.  Two cases, fixed by the data
+    and by Re c2 alone, need less per node:
+
+    * constant data (P = 0): g1 = g2 = 2 c0 on both pieces, so the
+      integrand is 2 c0 (S + 1/S)(M0 + M1), one shared factor in place of
+      four products with g;
+    * Re c2 = 0 (Re l1 = Re l2, as on the principal series): |S| = 1, so
+      1/S = conj(S) needs no exp and no second phase, and
+      S + 1/S = 2 Re S = 4 / (1 + tS^2) - 2 is real.
     """
 
-    def __init__(self, f1: CircleFunction, f2: CircleFunction, f3: CircleFunction):
+    def __init__(self, f1: CircleFunction, f2: CircleFunction, f3: CircleFunction,
+                 powers):
         self.P = max(f1.max_mode, f2.max_mode)
         p = np.arange(-self.P, self.P + 1)
         mat = (np.outer([f1.coefficient(k) for k in p], [f2.coefficient(k) for k in p])
                * np.array([[f3.coefficient(-(a + b)) for b in p] for a in p]))
         sym = mat + mat[::-1, ::-1]
         self.both = np.concatenate([sym, sym.T], axis=1)
+        sA, sB, _ = powers
+        self.re_c2 = (0.5 * (sB - sA)).real
 
     def factors(self, d, u):
         """(g1, g2) at a = d, then at a = pi - d, for rows d and nodes B with
-        u = tan(B / 2): shape (R, N, 4), or (R, 1, 4) for constant data.  Per
-        row each is a trigonometric polynomial in B: its coefficients meet one
-        real node factor [cos 2kB, sin 2kB]_{k=1..P}, with e^{2ikB} =
-        (e^{2iB})^k and e^{iB} = (1 + iu) / (1 - iu) = (1 - u^2 + 2iu) / (1 + u^2),
-        from the tangent the log-sine of B already took.
+        u = tan(B / 2): shape (R, N, 4), for P > 0.  Per row each is a
+        trigonometric polynomial in B: its coefficients meet one real node
+        factor [cos 2kB, sin 2kB]_{k=1..P}, with e^{2ikB} = (e^{2iB})^k and
+        e^{iB} = (1 + iu) / (1 - iu) = (1 - u^2 + 2iu) / (1 + u^2), from the
+        tangent the log-sine of B already took.
         """
         P = self.P
         ex = np.exp(2j * np.multiply.outer(d, np.arange(-P, P + 1)))
         # e^{2ip(pi - d)} = conj(e^{2ipd}); h is indexed (row, piece and g, q)
         h = (np.stack([ex, ex.conj()], axis=1) @ self.both).reshape(len(d), 4, -1)
         g = h[:, None, :, P]
-        if P == 0:
-            return g
         pos, neg = h[:, :, P + 1:], h[:, :, P - 1::-1]
         coef = np.empty((len(d), 2 * P, 4), dtype=complex)
         coef[:, 0::2] = (pos + neg).transpose(0, 2, 1)
@@ -262,6 +290,68 @@ class _FoldedModes:
         for k in range(1, P):
             np.multiply(z[..., k - 1], z[..., 0], out=z[..., k])
         return g + (z.view(float) @ coef.view(float)).view(complex)
+
+    def ratio(self, tS, vm):
+        """(S, 1/S) for S = e^{c2 vm} and tS = tan(Im c2 vm / 2).  At
+        Re c2 = 0, 1/S = conj(S): bit for bit the half-angle form of -tS."""
+        if self.re_c2 == 0.0:
+            S = cis_half_angle(tS, 1.0)
+            return S, S.conj()
+        re = self.re_c2 * vm
+        return cis_half_angle(tS, np.exp(re)), cis_half_angle(-tS, np.exp(-re))
+
+    def fold(self, d, u, tS, vm, phases):
+        """The folded integrand on the rows d,
+
+            F = sum_k (g_k S + g'_k / S) M_k,   M_k = cis_half_angle(t_k, m_k),
+
+        over the pieces k = 0, 1 (a = d, pi - d), where (g_k, g'_k) are
+        (g1, g2) there and ``phases`` yields the pairs (t_k, m_k), which
+        this may overwrite.
+
+        Constant data weigh each M_k with 2 c0 (S + 1/S) = a + ib before
+        the pieces are added, in real and imaginary parts (b = 0 for real
+        c0 at Re c2 = 0).  There that is bit for bit what the general path
+        computes, so the same nodes overflow.
+        """
+        if self.P:
+            S, Sinv = self.ratio(tS, vm)
+            g = self.factors(d, u)
+            f = None
+            for k, (t, m) in enumerate(phases):
+                term = g[..., 2 * k] * S
+                term += g[..., 2 * k + 1] * Sinv
+                term *= cis_half_angle(t, m)
+                f = term if f is None else f + term
+            return f
+        g = self.both[0, 0]                 # 2 c0
+        if self.re_c2 == 0.0:
+            a = tS * tS                     # S + 1/S = 2 Re S, real
+            a += 1.0
+            np.divide(4.0, a, out=a)
+            a -= 2.0
+            b = a * g.imag if g.imag else None
+            a *= g.real
+        else:
+            shared = np.add(*self.ratio(tS, vm))
+            shared *= g
+            a, b = shared.real, shared.imag
+        re = im = None
+        for t, m in phases:
+            cis_half_angle(t, m, out=(m, t))
+            if b is None:
+                m *= a
+                t *= a
+            else:
+                m, t = a * m - b * t, a * t + b * m
+            if re is None:
+                re, im = m, t
+            else:
+                re += m
+                im += t
+        f = np.empty(re.shape, dtype=complex)
+        f.real, f.imag = re, im
+        return f
 
 
 def _folded_sum(powers, modes: _FoldedModes, d, wd, x, omx, w):
@@ -276,22 +366,25 @@ def _folded_sum(powers, modes: _FoldedModes, d, wd, x, omx, w):
                          K2 = |sin a|^sA |sin b|^sB |sin(a-b)|^sG,
 
     in log space rather than through kernel_on_circle, since both kernels and
-    pieces share log-sines: K1 = M S and K2 = M / S, S the power of
-    sin a / sin b.  Every transcendental is numpy's SIMD tan, exp or log, by
-    the tangent half-angle identities.  With t = tan(y / 2), log sin y =
-    log(2t / (1 + t^2)) on (0, pi): one log, free of the cancellation of
-    log(2t) - log1p(t^2) near y = pi.  With t = tan(im / 2),
+    pieces share log-sines: K1 = M S and K2 = M / S, with S = e^{c2 vm} the
+    power of sin a / sin b and M = e^{c1 vp + sG lg}, vp and vm the sum and
+    difference of log sin a and log sin b and lg the piece's log sin(a - b);
+    ``_FoldedModes.fold`` weighs them with g1, g2.  Every transcendental
+    is numpy's SIMD tan, exp or log, by the tangent half-angle identities.
+    With t = tan(y / 2), log sin y = log(2t / (1 + t^2)) on (0, pi): one log,
+    free of the cancellation of log(2t) - log1p(t^2) near y = pi.  With
+    t = tan(im / 2),
 
         e^{re + i im} = e^re (1 - t^2 + 2it) / (1 + t^2),
 
     and 1/S = e^-re conj(e^{i im}): no complex exp or division, no sine or
     cosine.  Where the columns are mirror-symmetric (x == omx[::-1] bit for
     bit, as on the principal series), log sin(d (1 - x)) is log sin(d x)
-    read in reverse.  Values are deterministic per machine, since the SIMD
-    loops may differ from libm in the last place; kernel_on_circle is the
-    libm reference this is tested against.  A node whose value overflows
-    contributes nothing: the true integrand times its weight vanishes at the
-    endpoints (Re s > -1).
+    read in reverse, as a view.  Values are deterministic per machine, since
+    the SIMD loops may differ from libm in the last place; kernel_on_circle
+    is the libm reference this is tested against.  A node whose value
+    overflows contributes nothing: the true integrand times its weight
+    vanishes at the endpoints (Re s > -1).
     """
     sA, sB, sG = powers
     c1, c2 = 0.5 * (sA + sB), 0.5 * (sB - sA)
@@ -306,23 +399,18 @@ def _folded_sum(powers, modes: _FoldedModes, d, wd, x, omx, w):
         uB = np.tan(dd * hx)
         lA = _log_sin(np.tan(0.5 * dd))
         lB = _log_sin(uB)
-        lG = (np.ascontiguousarray(lB[:, ::-1]) if homx is None
-              else _log_sin(np.tan(dd * homx)), _log_sin(np.tan(dd * hpx)))
+        lG = (lB[:, ::-1] if homx is None else _log_sin(np.tan(dd * homx)),
+              _log_sin(np.tan(dd * hpx)))
         with np.errstate(over="ignore", invalid="ignore", under="ignore"):
             vp, vm = lA + lB, lA - lB
-            tS, reS = np.tan(hc2 * vm), c2.real * vm
-            S = cis_half_angle(tS, np.exp(reS))
-            Sinv = cis_half_angle(-tS, np.exp(-reS))
-            g = modes.factors(dd[:, 0], uB)
-            pI, pR = hc1 * vp, c1.real * vp
-            for piece, lg in enumerate(lG):
-                term = g[..., 2 * piece] * S
-                term += g[..., 2 * piece + 1] * Sinv
-                term *= cis_half_angle(np.tan(pI + hsG * lg),
-                                       np.exp(pR + sG.real * lg))
-                f = term if piece == 0 else f + term
-            f[~np.isfinite(f)] = 0.0
-        total += np.sum((f @ w) * (dd[:, 0] * wd[lo:lo + rows]))
+            phases = _phases(lG, hc1 * vp, c1.real * vp, hsG, sG.real)
+            f = modes.fold(dd[:, 0], uB, np.tan(hc2 * vm), vm, phases)
+            sums = np.dot(f, w)
+            # a non-finite node makes its row sum non-finite; only then scan
+            if not cmath.isfinite(sums.sum()):
+                f[~np.isfinite(f)] = 0.0
+                sums = np.dot(f, w)
+        total += np.sum(sums * (dd[:, 0] * wd[lo:lo + rows]))
     return total
 
 
@@ -387,7 +475,7 @@ def triple_quadrature(f1: CircleFunction, f2: CircleFunction, f3: CircleFunction
     e = exponents(l1, l2, l3)
     e.require_convergent()
     powers = e.kernel_powers()
-    modes = _FoldedModes(f1, f2, f3)
+    modes = _FoldedModes(f1, f2, f3, powers)
     eA, eB, eG = (min(s.real, 0.0) for s in powers)
     p_row, p_col, p_end = 2.0 + eA + eB + eG, 1.0 + min(eA, eB), 1.0 + eG
     raw = 0.0 + 0.0j

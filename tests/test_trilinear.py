@@ -9,12 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from triform import (CircleFunction, DomainTooSmallError, NonFiniteError,
-                     PoleArgumentError, PreconditionError, QuadratureConfig,
-                     closed_form_value, decay_constant, decay_envelope,
-                     exponents, group_action, invariant_functional,
-                     kernel_on_circle, normalized_decay, sine_power_coeffs,
-                     spectral_mode_values, spherical_square, triple_quadrature)
+from triform import (CircleFunction, DomainTooSmallError, NonConvergentError,
+                     NonFiniteError, PoleArgumentError, PreconditionError,
+                     QuadratureConfig, closed_form_value, decay_constant,
+                     decay_envelope, exponents, group_action,
+                     invariant_functional, kernel_on_circle, normalized_decay,
+                     sine_power_coeffs, spectral_mode_values, spherical_square,
+                     triple_quadrature)
 from triform.quadrature import unit_nodes
 from triform.specdecomp import random_sl2
 from triform.trilinear import MAX_QUADRATURE_LEVEL
@@ -45,6 +46,30 @@ def test_invariant_functional_cos_squared():
     # angular average of cos^2 is 1/2
     est = invariant_functional(lambda x, y: x * x / (x * x + y * y) ** 2)
     assert abs(est.value - 0.5) <= 1e-12
+
+
+def test_invariant_functional_stops_at_the_first_non_finite_level():
+    # a NaN value raises the typed error at its level, and no later level
+    # runs: here at level 0 (the node x = 1) ...
+    sizes = []
+
+    def nan_near_x1(x, y):
+        sizes.append(len(x))
+        return np.where(x > 0.99, np.nan, 1.0)
+
+    with pytest.raises(NonFiniteError, match="level 0"):
+        invariant_functional(nan_near_x1)
+    assert sizes == [64]
+    # ... and at level 2, after two finite levels that have not converged
+    sizes.clear()
+
+    def nan_from_256_points(x, y):
+        sizes.append(len(x))
+        return np.full(len(x), np.nan if len(x) >= 256 else 1.0 + 1.0 / len(x))
+
+    with pytest.raises(NonFiniteError, match="level 2"):
+        invariant_functional(nan_from_256_points)
+    assert sizes == [64, 128, 256]
 
 
 def on_ellipse(f, a, b):
@@ -454,16 +479,45 @@ _SPHERICAL_LEVELS = {
     (1, 1, 1): 5, (1, 1, 2): 5, (1, 1, 4): 5, (1, 2, 2): 5, (1, 2, 4): 6,
     (1, 4, 4): 6, (2, 2, 2): 5, (2, 2, 4): 6, (2, 4, 4): 6, (4, 4, 4): 6,
 }
+# nodes evaluated up to that level on the principal series: 2 * kept^2 at
+# the top level, with 127, 255 and 511 of the 169, 337 and 673 nodes kept
+_SPHERICAL_COSTS = {4: 32_258, 5: 130_050, 6: 522_242}
 
 
 def test_quadrature_truncation_keeps_levels_and_accuracy():
+    # the node sets are pinned: every triple's final level and exact cost
     cfg = QuadratureConfig(target_rel_error=1e-6, refinement_levels=6)
     for trip, level in _SPHERICAL_LEVELS.items():
         lams = [1j * v for v in trip]
         est = triple_quadrature(ONES, ONES, ONES, *lams, cfg)
         ref = closed_form_value(*lams).value
         assert est.method.endswith(f"/level{level}"), (trip, est.method)
+        assert est.cost == _SPHERICAL_COSTS[level], (trip, est.cost)
         assert abs(est.value - ref) <= 1e-13 * abs(ref), trip
+
+
+@pytest.mark.parametrize("values", [(1.0, 1.0, 1.0), (0.6 - 0.8j, 1.0, 2.0)])
+@pytest.mark.parametrize("lams", [(0.0, 4j, 4j), (0.3, -0.2, 0.1),
+                                  (0.2 + 1j, -0.4 + 2j, 0.5j),
+                                  (0.45, 0.45, 0.05)])
+def test_constant_data_fold_matches_the_general_path(lams, values):
+    # constant data take the shared factor 2 c0 (S + 1/S); the same
+    # functions stored with max_mode 1 take the mode-factor path.  (0, 4i,
+    # 4i) and (0.45, 0.45, 0.05) have Re c2 = 0, the other two not; c0 = 1
+    # and a complex c0 take the real and the complex shared factor.  At
+    # (0.45, 0.45, 0.05) 7,218 nodes overflow and are dropped, and
+    # refinement stalls: both paths must drop the same ones
+    def run(data):
+        try:
+            return triple_quadrature(*data, *lams)
+        except NonConvergentError as exc:
+            return exc.estimate
+
+    a = run([CircleFunction.constant(v) for v in values])
+    b = run([CircleFunction.from_modes({0: v}, 1) for v in values])
+    assert a.method == b.method and a.cost == b.cost
+    assert abs(a.value - b.value) <= 1e-14 * abs(b.value), (a.value, b.value)
+    assert b.method.endswith("/stalled") == (lams == (0.45, 0.45, 0.05))
 
 
 @pytest.mark.parametrize("lam", [-30.0, -60.0])

@@ -20,11 +20,8 @@
   onto one half-triangle, rescaled so every singular corner becomes an
   endpoint of the tanh-sinh node family.  Each refinement level is one pass
   over it; the levels are nested, so a level adds only the nodes the
-  previous level lacked to that level's sum.  The two kernels of a node
-  differ by one factor S and its inverse; constant data weigh both pieces
-  with one shared factor 2 c0 (S + 1/S), and where Re l1 = Re l2, as on
-  the principal series, |S| = 1, so 1/S = conj(S) and S + 1/S is real
-  (``_FoldedModes``).  No Gamma function enters.
+  previous level lacked to that level's sum; ``_FoldedModes`` notes the
+  cheaper form of principal-series data.  No Gamma function enters.
 
 * ``spectral_mode_values`` -- values of the functional on Fourier modes
   e^{2im'x} (x) e^{2in'y} (x) e^{2ik'z}, which translation invariance makes
@@ -244,16 +241,15 @@ class _FoldedModes:
         g1(a, b) = c(a, b) + c(-a, -b)   on K1,   g2(a, b) = g1(b, a)   on K2,
 
     sums of sym[p, q] e^{2i(pa+qb)} for sym = mat + mat[::-1, ::-1] (mat on
-    modes -P..P, P = max(P1, P2)).  ``fold`` weighs the kernels K1 = M S
-    and K2 = M / S of both pieces with them.  Two cases, fixed by the data
-    and by Re c2 alone, need less per node:
+    modes -P..P, P = max(P1, P2)).  Constant data: g1 = g2 = 2 c0.
 
-    * constant data (P = 0): g1 = g2 = 2 c0 on both pieces, so the
-      integrand is 2 c0 (S + 1/S)(M0 + M1), one shared factor in place of
-      four products with g;
-    * Re c2 = 0 (Re l1 = Re l2, as on the principal series): |S| = 1, so
-      1/S = conj(S) needs no exp and no second phase, and
-      S + 1/S = 2 Re S = 4 / (1 + tS^2) - 2 is real.
+    ``fold`` weighs the kernels K1 = M S and K2 = M / S of both pieces with
+    them.  Where Re c2 = 0 (Re l1 = Re l2, as on the principal series),
+    |S| = 1, so 1/S = conj(S), bit for bit the half-angle form of -tS.  For
+    real constant data there, the integrand is 2 c0 (S + 1/S)(M0 + M1) with
+    S + 1/S = 2 Re S = 4 / (1 + tS^2) - 2 real: one shared real factor in
+    place of four complex products with g.  All other data take the general
+    path.
     """
 
     def __init__(self, f1: CircleFunction, f2: CircleFunction, f3: CircleFunction,
@@ -269,17 +265,19 @@ class _FoldedModes:
 
     def factors(self, d, u):
         """(g1, g2) at a = d, then at a = pi - d, for rows d and nodes B with
-        u = tan(B / 2): shape (R, N, 4), for P > 0.  Per row each is a
-        trigonometric polynomial in B: its coefficients meet one real node
-        factor [cos 2kB, sin 2kB]_{k=1..P}, with e^{2ikB} = (e^{2iB})^k and
-        e^{iB} = (1 + iu) / (1 - iu) = (1 - u^2 + 2iu) / (1 + u^2), from the
-        tangent the log-sine of B already took.
+        u = tan(B / 2): shape (R, N, 4), or (R, 1, 4) for constant data.  Per
+        row each is a trigonometric polynomial in B: its coefficients meet one
+        real node factor [cos 2kB, sin 2kB]_{k=1..P}, with e^{2ikB} =
+        (e^{2iB})^k and e^{iB} = (1 + iu) / (1 - iu) = (1 - u^2 + 2iu) / (1 + u^2),
+        from the tangent the log-sine of B already took.
         """
         P = self.P
         ex = np.exp(2j * np.multiply.outer(d, np.arange(-P, P + 1)))
         # e^{2ip(pi - d)} = conj(e^{2ipd}); h is indexed (row, piece and g, q)
         h = (np.stack([ex, ex.conj()], axis=1) @ self.both).reshape(len(d), 4, -1)
         g = h[:, None, :, P]
+        if P == 0:
+            return g
         pos, neg = h[:, :, P + 1:], h[:, :, P - 1::-1]
         coef = np.empty((len(d), 2 * P, 4), dtype=complex)
         coef[:, 0::2] = (pos + neg).transpose(0, 2, 1)
@@ -291,31 +289,23 @@ class _FoldedModes:
             np.multiply(z[..., k - 1], z[..., 0], out=z[..., k])
         return g + (z.view(float) @ coef.view(float)).view(complex)
 
-    def ratio(self, tS, vm):
-        """(S, 1/S) for S = e^{c2 vm} and tS = tan(Im c2 vm / 2).  At
-        Re c2 = 0, 1/S = conj(S): bit for bit the half-angle form of -tS."""
-        if self.re_c2 == 0.0:
-            S = cis_half_angle(tS, 1.0)
-            return S, S.conj()
-        re = self.re_c2 * vm
-        return cis_half_angle(tS, np.exp(re)), cis_half_angle(-tS, np.exp(-re))
-
     def fold(self, d, u, tS, vm, phases):
-        """The folded integrand on the rows d,
-
-            F = sum_k (g_k S + g'_k / S) M_k,   M_k = cis_half_angle(t_k, m_k),
-
-        over the pieces k = 0, 1 (a = d, pi - d), where (g_k, g'_k) are
-        (g1, g2) there and ``phases`` yields the pairs (t_k, m_k), which
-        this may overwrite.
-
-        Constant data weigh each M_k with 2 c0 (S + 1/S) = a + ib before
-        the pieces are added, in real and imaginary parts (b = 0 for real
-        c0 at Re c2 = 0).  There that is bit for bit what the general path
-        computes, so the same nodes overflow.
+        """The folded integrand sum_k (g_k S + g'_k / S) M_k on the rows d,
+        over the pieces k = 0, 1 (a = d, pi - d), with (g_k, g'_k) the
+        (g1, g2) there, tS = tan(Im c2 vm / 2) and M_k = cis_half_angle(t_k,
+        m_k) for the pairs ``phases`` yields, which this may overwrite.  The
+        shared real factor weighs each M_k before the pieces are added, as
+        g = 2 c0 does on the general path, so the same nodes overflow.
         """
-        if self.P:
-            S, Sinv = self.ratio(tS, vm)
+        g0 = self.both[0, 0]                # g1 = g2 = 2 c0 when P = 0
+        if self.P or self.re_c2 or g0.imag:
+            if self.re_c2 == 0.0:
+                S = cis_half_angle(tS, 1.0)
+                Sinv = S.conj()
+            else:
+                re = self.re_c2 * vm
+                S = cis_half_angle(tS, np.exp(re))
+                Sinv = cis_half_angle(-tS, np.exp(-re))
             g = self.factors(d, u)
             f = None
             for k, (t, m) in enumerate(phases):
@@ -324,26 +314,16 @@ class _FoldedModes:
                 term *= cis_half_angle(t, m)
                 f = term if f is None else f + term
             return f
-        g = self.both[0, 0]                 # 2 c0
-        if self.re_c2 == 0.0:
-            a = tS * tS                     # S + 1/S = 2 Re S, real
-            a += 1.0
-            np.divide(4.0, a, out=a)
-            a -= 2.0
-            b = a * g.imag if g.imag else None
-            a *= g.real
-        else:
-            shared = np.add(*self.ratio(tS, vm))
-            shared *= g
-            a, b = shared.real, shared.imag
+        a = tS * tS                         # 2 c0 (S + 1/S)
+        a += 1.0
+        np.divide(4.0, a, out=a)
+        a -= 2.0
+        a *= g0.real
         re = im = None
         for t, m in phases:
             cis_half_angle(t, m, out=(m, t))
-            if b is None:
-                m *= a
-                t *= a
-            else:
-                m, t = a * m - b * t, a * t + b * m
+            m *= a
+            t *= a
             if re is None:
                 re, im = m, t
             else:

@@ -501,10 +501,10 @@ def test_quadrature_truncation_keeps_levels_and_accuracy():
                                   (0.2 + 1j, -0.4 + 2j, 0.5j),
                                   (0.45, 0.45, 0.05)])
 def test_constant_data_fold_matches_the_general_path(lams, values):
-    # constant data take the shared factor 2 c0 (S + 1/S); the same
-    # functions stored with max_mode 1 take the mode-factor path.  (0, 4i,
-    # 4i) and (0.45, 0.45, 0.05) have Re c2 = 0, the other two not; c0 = 1
-    # and a complex c0 take the real and the complex shared factor.  At
+    # real constant data at Re c2 = 0 take the shared factor 2 c0 (S + 1/S);
+    # the same functions stored with max_mode 1 take the mode-factor path.
+    # (0, 4i, 4i) and (0.45, 0.45, 0.05) have Re c2 = 0, the other two not;
+    # a complex c0 takes the general path with constant factors.  At
     # (0.45, 0.45, 0.05) 7,218 nodes overflow and are dropped, and
     # refinement stalls: both paths must drop the same ones
     def run(data):

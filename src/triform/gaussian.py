@@ -249,8 +249,9 @@ def radial_expect(n: int, s) -> Estimate:
 
     def eval_at_level(level):
         r, w = half_line_nodes(level)
-        vals = np.exp((s + n - 1) * np.log(r) - r * r)
-        return area / math.pi ** (n / 2.0) * np.sum(vals * w), len(r)
+        terms = np.exp((s + n - 1) * np.log(r) - r * r) * w
+        scale = area / math.pi ** (n / 2.0)
+        return scale * np.sum(terms), len(r), scale * np.sum(np.abs(terms))
 
     return refine_until(eval_at_level, cfg, method="radial-exp-sinh", start_level=3)
 
@@ -311,11 +312,14 @@ def homogeneous_reduction_check(lam, f: CircleFunction, method: str = "radial",
             # angular factor: (1/pi) int f(theta) dtheta, trapezoid
             ntheta = 256 * 2 ** level
             theta = np.linspace(0.0, 2.0 * np.pi, ntheta, endpoint=False)
-            ang = np.sum(f.evaluate(theta)) * (2.0 * np.pi / ntheta) / math.pi
+            fv = f.evaluate(theta)
+            ang, ang_mag = (np.sum(v) * (2.0 * np.pi / ntheta) / math.pi
+                            for v in (fv, np.abs(fv)))
             # radial factor: int_0^inf r^{-lam} e^{-r^2} dr
             r, w = half_line_nodes(level + 3)
-            rad = np.sum(np.exp(-z * np.log(r) - r * r) * w)
-            return ang * rad, ntheta + len(r)
+            rv = np.exp(-z * np.log(r) - r * r) * w
+            return (ang * np.sum(rv), ntheta + len(r),
+                    ang_mag * np.sum(np.abs(rv)))
 
         lhs = refine_until(eval_at_level, cfg, method="radial-product", start_level=1)
     elif method == "mc":

@@ -14,9 +14,10 @@ choice depends on the node alone.
 
 ``half_line_nodes`` is the half-line family of the Gaussian radial oracles.
 
-Refinement is by an integer level; ``refine_until`` compares successive
-levels (a-posteriori error = |last - previous| with a safety factor) and
-stops at the first level whose value is not finite.
+Refinement is by an integer level.  ``refine_until`` earns each bar from
+the rate the last three levels show, never from a fixed multiple of a
+difference, stops at the first level whose bar meets the target, and
+raises at the first level whose value is not finite.
 """
 
 import cmath
@@ -29,11 +30,10 @@ import numpy as np
 from .errors import NonConvergentError, NonFiniteError, PreconditionError
 from .estimate import Estimate
 
-__all__ = ["QuadratureConfig", "unit_nodes", "half_line_nodes", "refine_until",
-           "ERROR_SAFETY"]
+__all__ = ["QuadratureConfig", "unit_nodes", "half_line_nodes", "refine_until"]
 
-# a-posteriori error bounds are |last - previous| times this factor
-ERROR_SAFETY = 4.0
+# rounding of a level sum per unit of its magnitude: a few eps, here 4
+_FLOOR_PER_MAGNITUDE = 4.0 * float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -93,33 +93,63 @@ def unit_nodes(scheme: str, level: int):
 
 def refine_until(eval_at_level, cfg: QuadratureConfig, method: str,
                  start_level: int = 3) -> Estimate:
-    """Run eval_at_level(level) -> (value, cost) until successive values agree.
+    """Run eval_at_level(level) -> (value, cost, magnitude) until the bar the
+    observed rate earns meets the target.
 
-    Returns an Estimate whose error_bound is ERROR_SAFETY * |last - previous|.
-    Raises NonFiniteError at the first level whose value is NaN or infinite,
-    before any further level runs, and NonConvergentError when the budget
-    is exhausted above target.
+    ``magnitude`` is the size of the terms the level's value adds up,
+    sum_i |w_i f_i| for a rule sum_i w_i f_i, or an estimate of it within a
+    small factor.  With d_k = |v_k - v_(k-1)| and r = d_k / d_(k-1) the bar
+    at level k is
+
+        max(d_k r / (1 - r), floor),   floor = 4 eps magnitude_k.
+
+    The first term is the tail d_k (r + r^2 + ...) left if the differences
+    keep falling at least geometrically at ratio r: exact for a constant
+    ratio, d_k at r = 1/2, and about d_k^2 / d_(k-1), the next correction,
+    where they fall much faster, as tanh-sinh's do (its error roughly
+    squares per level: Bailey, Jeyabalan and Li 2005, Experimental Math.
+    14).  The floor is the rounding of the level sum: each term carries a
+    relative error of a few eps from the operations that formed and added
+    it, so the sum is off by a few eps times the magnitude at most, and by
+    a few eps sqrt(sum_i |w_i f_i|^2) where the errors are independent;
+    "a few" is taken as 4.  A d_k at or below the floor carries no
+    information and counts as converged, with bar floor.  Where r >= 1 no
+    rate bounds the tail, and refinement goes on.
+
+    Stops at the first level whose bar is at most target_rel_error |v_k|.
+    Raises NonFiniteError at the first level whose value is NaN or
+    infinite, before any further level runs, and NonConvergentError when
+    the budget is spent, carrying the last bar (inf where no falling rate
+    was seen).
     """
-    prev = None
+    prev = prev_diff = None
     total_cost = 0
     value = None
-    diff = math.inf
+    bar = math.inf
     for level in range(start_level, start_level + cfg.refinement_levels):
-        value, cost = eval_at_level(level)
+        value, cost, magnitude = eval_at_level(level)
         if not cmath.isfinite(value):
             raise NonFiniteError(f"{method}: the value at level {level} is "
                                  f"{value}, not finite")
         total_cost += cost
         if prev is not None:
             diff = abs(value - prev)
-            scale = max(abs(value), 1e-300)
-            if diff <= cfg.target_rel_error * scale:
-                return Estimate(value=value, error_bound=ERROR_SAFETY * diff,
+            floor = _FLOOR_PER_MAGNITUDE * magnitude
+            if diff <= floor:
+                bar = floor
+            elif prev_diff is not None and diff < prev_diff:
+                r = diff / prev_diff
+                bar = max(diff * r / (1.0 - r), floor)
+            else:
+                bar = math.inf
+            if bar < math.inf and bar <= cfg.target_rel_error * abs(value):
+                return Estimate(value=value, error_bound=bar,
                                 method=f"{method}/level{level}", cost=total_cost)
+            prev_diff = diff
         prev = value
-    est = Estimate(value=value, error_bound=ERROR_SAFETY * diff,
+    est = Estimate(value=value, error_bound=bar,
                    method=f"{method}/stalled", cost=total_cost)
     raise NonConvergentError(
-        f"refinement stalled at relative error "
-        f"{diff / max(abs(value), 1e-300):.3g} > {cfg.target_rel_error:.3g}",
+        f"refinement stalled at relative bar "
+        f"{bar / max(abs(value), 1e-300):.3g} > {cfg.target_rel_error:.3g}",
         estimate=est)

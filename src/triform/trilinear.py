@@ -38,6 +38,7 @@ for a plateau and extrapolated (in 1/|lam|^2 at imaginary tau and tau').
 
 import cmath
 import math
+from dataclasses import replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -66,10 +67,10 @@ __all__ = [
 
 _GAMMA_REL_TOL = 1e-10   # relative accuracy budget of closed-form values
 
-_START_LEVEL = 3         # first level of triple_quadrature
+_START_LEVEL = 2         # first level of triple_quadrature
 # top level of triple_quadrature: each level has 4x the nodes of the last;
-# on one Xeon core, constant data at (0, i, 4i) run levels 3-8 in 0.2 s and
-# 3-10 in 2.6 s
+# on one Xeon core, constant data at (0, i, 4i) run levels 2-8 in 0.25 s and
+# 2-10 in 4 s
 MAX_QUADRATURE_LEVEL = 10
 _BLOCK_NODES = 1 << 13   # nodes per block of rows; bounds the temporaries
 _TAIL_EPS = 2.0 ** -60   # majorant mass a dropped strip of the grid may carry
@@ -95,7 +96,7 @@ def invariant_functional(f: Callable) -> Estimate:
         n = 64 * 2 ** level
         t = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
         vals = np.asarray(f(np.cos(t), np.sin(t)), dtype=complex)
-        return (1.0 / n) * np.sum(vals), n
+        return (1.0 / n) * np.sum(vals), n, (1.0 / n) * np.sum(np.abs(vals))
 
     return refine_until(eval_at_level, cfg, method="trapezoid/unit_circle",
                         start_level=0)
@@ -334,8 +335,13 @@ class _FoldedModes:
         return f
 
 
-def _folded_sum(powers, modes: _FoldedModes, d, wd, x, omx, w):
-    """sum_r wd_r d_r sum_j w_j F(d_r, x_j) for the folded integrand F.
+def _folded_sum(powers, modes: _FoldedModes, d, wd, x, omx, w, magnitude=False):
+    """([sum_r wd_kr d_r sum_j w_kj F(d_r, x_j) for each k], M) for the
+    folded integrand F and the K rules on the same nodes that the rows of
+    the row and node weights wd (K, R) and w (K, N) give, from one
+    evaluation of F; M is the first rule's sum of |Re F| + |Im F| if
+    ``magnitude``, else 0.  Each row sum is a matrix-vector product, which
+    needs no BLAS work buffer.
 
     The square is the lower triangle {0 < b < a < pi} and its transpose.  Both
     fold onto T1a = {0 < b < a, a + b < pi}, whose pieces a = d and a = pi - d
@@ -372,7 +378,8 @@ def _folded_sum(powers, modes: _FoldedModes, d, wd, x, omx, w):
     hc1, hc2, hsG = 0.5 * c1.imag, 0.5 * c2.imag, 0.5 * sG.imag
     hx, hpx = 0.5 * x, 0.5 * (1.0 + x)
     homx = None if np.array_equal(x, omx[::-1]) else 0.5 * omx
-    total = 0.0 + 0.0j
+    w_mag = np.repeat(w[0], 2) if magnitude else None    # Re f, Im f alike
+    total, mag = [0.0 + 0.0j] * len(w), 0.0
     rows = max(1, _BLOCK_NODES // len(x))
     for lo in range(0, len(d), rows):
         dd = d[lo:lo + rows, None]
@@ -385,13 +392,18 @@ def _folded_sum(powers, modes: _FoldedModes, d, wd, x, omx, w):
             vp, vm = lA + lB, lA - lB
             phases = _phases(lG, hc1 * vp, c1.real * vp, hsG, sG.real)
             f = modes.fold(dd[:, 0], uB, np.tan(hc2 * vm), vm, phases)
-            sums = np.dot(f, w)
-            # a non-finite node makes its row sum non-finite; only then scan
-            if not cmath.isfinite(sums.sum()):
+            sums = [np.dot(f, wk) for wk in w]
+            # a non-finite node makes its row sums non-finite (the first
+            # rule weighs every node); only then scan
+            if not cmath.isfinite(sums[0].sum()):
                 f[~np.isfinite(f)] = 0.0
-                sums = np.dot(f, w)
-        total += np.sum(sums * (dd[:, 0] * wd[lo:lo + rows]))
-    return total
+                sums = [np.dot(f, wk) for wk in w]
+        for k, row_sums in enumerate(sums):
+            total[k] += np.sum(row_sums * (dd[:, 0] * wd[k, lo:lo + rows]))
+        if magnitude:
+            mag += np.sum(np.dot(np.abs(f.view(float)), w_mag)
+                          * (dd[:, 0] * wd[0, lo:lo + rows]))
+    return total, mag
 
 
 def _tail_kept(t, p):
@@ -404,10 +416,14 @@ def triple_quadrature(f1: CircleFunction, f2: CircleFunction, f3: CircleFunction
                       l1, l2, l3, cfg: Optional[QuadratureConfig] = None) -> Estimate:
     """Numerical circle-model value of the functional on truncated Fourier data.
 
-    Levels run from 3 to 2 + cfg.refinement_levels; a top level above
-    MAX_QUADRATURE_LEVEL raises PreconditionError before any work.  Each level
-    is one pass over the folded half-triangle that evaluates only the nodes
-    the level before lacked; ``cost`` counts the nodes evaluated.
+    Levels run from 2 to 2 + cfg.refinement_levels; a top level above
+    MAX_QUADRATURE_LEVEL raises PreconditionError before any work.  One pass
+    over the folded half-triangle on level 3's grid gives levels 2 and 3,
+    since level 2's nodes are its even positions at twice the weight; each
+    later level is one pass that evaluates only the nodes the level before
+    lacked.  ``cost`` counts the nodes evaluated.  The magnitude for
+    refine_until's rounding floor, the weighted sum of |Re F| + |Im F| on
+    level 3's grid, serves every level.
 
     The tensor grid is cut where its tail cannot matter.  Let e = min(Re s, 0)
     for each kernel power s of (sA, sB, sG).  Jordan's inequality
@@ -445,7 +461,7 @@ def triple_quadrature(f1: CircleFunction, f2: CircleFunction, f3: CircleFunction
     coefficient or parameter.
     """
     cfg = cfg or QuadratureConfig()
-    top = _START_LEVEL + cfg.refinement_levels - 1
+    top = _START_LEVEL + cfg.refinement_levels
     if top > MAX_QUADRATURE_LEVEL:
         raise PreconditionError(f"quadrature level {top} exceeds "
                                 f"MAX_QUADRATURE_LEVEL = {MAX_QUADRATURE_LEVEL}")
@@ -458,33 +474,46 @@ def triple_quadrature(f1: CircleFunction, f2: CircleFunction, f3: CircleFunction
     modes = _FoldedModes(f1, f2, f3, powers)
     eA, eB, eG = (min(s.real, 0.0) for s in powers)
     p_row, p_col, p_end = 2.0 + eA + eB + eG, 1.0 + min(eA, eB), 1.0 + eG
-    raw = 0.0 + 0.0j
+    raw, size, level3 = 0.0, None, None     # raw: the last level's sum, x pi^2
 
     def eval_at_level(level):
-        nonlocal raw
-        x, omx, w = unit_nodes("singularity_split", level)
+        nonlocal raw, size, level3
+        if level == _START_LEVEL + 1:
+            return level3
+        x, omx, w = unit_nodes("singularity_split", max(level, _START_LEVEL + 1))
         to_end = _tail_kept(omx, p_end)
         cols = np.flatnonzero(_tail_kept(x, p_col) & to_end)
         rows = (np.flatnonzero(_tail_kept(x, p_row) & to_end) if p_row > 0
                 else np.arange(len(x)))
+        d = (np.pi / 2.0) * x
+        if level == _START_LEVEL:
+            # one pass over level 3's grid gives level 2 too: its nodes are
+            # the even positions at twice the weight, a second rule that
+            # weighs the odd ones 0.  The pass's cost is booked here
+            ww = np.zeros((2, len(w)))
+            ww[0], ww[1, 0::2] = w, 2.0 * w[0::2]
+            tot, mag = _folded_sum(powers, modes, d[rows], (np.pi / 2.0) * ww[:, rows],
+                                   x[cols], omx[cols], ww[:, cols], magnitude=True)
+            raw, size = tot[0], mag / np.pi ** 2
+            level3 = (raw / np.pi ** 2, 0, size)
+            return tot[1] / np.pi ** 2, 2 * len(rows) * len(cols), size
         # level - 1's nodes are the even positions: each keeps its value and
         # half its old weight on each axis
-        if level > _START_LEVEL:
-            old, new = rows[rows % 2 == 0], rows[rows % 2 == 1]
-            new_cols = cols[cols % 2 == 1]
-        else:
-            old, new, new_cols = rows[:0], rows, cols
-        d, wd = (np.pi / 2.0) * x, (np.pi / 2.0) * w
+        wd = (np.pi / 2.0) * w
+        old, new = rows[rows % 2 == 0], rows[rows % 2 == 1]
+        new_cols = cols[cols % 2 == 1]
         raw = (raw / 4.0
-               + _folded_sum(powers, modes, d[new], wd[new],
-                             x[cols], omx[cols], w[cols])
-               + _folded_sum(powers, modes, d[old], wd[old],
-                             x[new_cols], omx[new_cols], w[new_cols]))
+               + _folded_sum(powers, modes, d[new], wd[None, new],
+                             x[cols], omx[cols], w[None, cols])[0][0]
+               + _folded_sum(powers, modes, d[old], wd[None, old],
+                             x[new_cols], omx[new_cols], w[None, new_cols])[0][0])
         return (raw / np.pi ** 2,
-                2 * len(new) * len(cols) + 2 * len(old) * len(new_cols))
+                2 * len(new) * len(cols) + 2 * len(old) * len(new_cols),
+                size)
 
-    return refine_until(eval_at_level, cfg, method="triple/singularity_split",
-                        start_level=_START_LEVEL)
+    return refine_until(eval_at_level,
+                        replace(cfg, refinement_levels=cfg.refinement_levels + 1),
+                        method="triple/singularity_split", start_level=_START_LEVEL)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ from triform import (CircleFunction, Estimate, NonConvergentError,
                      sobolev_trace, sobolev_trace_estimate,
                      spectral_mode_values, spherical_square,
                      transformed_kernel_values, weighted_mean_bound)
-from triform.quadrature import ERROR_SAFETY
 
 GEN_MATRICES = [np.array([[1.0, 0.0], [0.0, -1.0]]),
                 np.array([[0.0, 1.0], [1.0, 0.0]]),
@@ -451,12 +450,16 @@ def test_sobolev_trace_at_the_largest_joint_doubling():
     assert abs(rho * T ** 4 / 0.2179467678624868 - 1.0) <= 1e-12
 
 
+# sobolev_trace_estimate's bar: four times the change of one joint doubling
+DOUBLING_SAFETY = 4.0
+
+
 def test_sobolev_trace_estimate_is_one_joint_doubling():
     args = (2, 2.0, 2j, (0.0, 0.0))
     est = sobolev_trace_estimate(*args, 6, 4)
     coarse, fine = sobolev_trace(*args, 6, 4), sobolev_trace(*args, 12, 8)
     assert est.value == fine
-    assert est.error_bound == ERROR_SAFETY * abs(fine - coarse)
+    assert est.error_bound == DOUBLING_SAFETY * abs(fine - coarse)
     assert est.cost == 13 ** 2 + 25 ** 2
     assert est.method == "sobolev_trace/level1"
 
@@ -469,7 +472,7 @@ def test_sobolev_trace_estimate_raises_with_the_stalled_estimate():
     with pytest.raises(NonConvergentError) as info:
         sobolev_trace_estimate(*args, 2, 2)
     assert info.value.estimate == Estimate(
-        value=fine, error_bound=ERROR_SAFETY * abs(fine - coarse),
+        value=fine, error_bound=DOUBLING_SAFETY * abs(fine - coarse),
         method="sobolev_trace/stalled", cost=5 ** 2 + 9 ** 2)
 
 

@@ -21,6 +21,7 @@ the sl2 basis {diag(1,-1), offdiag(1,1), rotation}; their normalization is the
 plain derivative of the action along exp(tX) at t = 0.
 """
 
+import itertools
 from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
@@ -221,7 +222,7 @@ def sobolev_matrix(l: int, T: float, tau, tau_prime, N: int) -> sp.csc_matrix:
 _DENSE_MAX_N = 40
 
 
-def _mode_rows(lam, tau, tau_prime, N: int, K_modes: int):
+def _mode_rows(lam, tau, tau_prime, N: int, K_modes: int, exchange: bool = False):
     """Rows of the functional's mode matrix for the output frequencies k >= 0.
 
     Returns a list of (k, idx, vals) with k the even output frequency,
@@ -234,7 +235,9 @@ def _mode_rows(lam, tau, tau_prime, N: int, K_modes: int):
     flattened position idx to (2N+1)^2 - 1 - idx, and is not built.  Row
     k = 2k' holds m' = -N..N-k', so it is empty past k' = 2N, and every row
     has largest |index| N: one spectral_mode_values call over all the rows
-    takes the convolution cutoff that each row would take alone.
+    takes the convolution cutoff that each row would take alone.  With
+    ``exchange`` (tau = tau', see sobolev_trace) only m' <= n' is computed,
+    and the rest of each row is its first half reversed.
     """
     if K_modes < 0:
         raise PreconditionError(f"need K_modes >= 0, got K_modes = {K_modes}")
@@ -247,8 +250,13 @@ def _mode_rows(lam, tau, tau_prime, N: int, K_modes: int):
     for kp in range(min(K_modes // 2, 2 * N) + 1):
         mps = np.arange(-N, N - kp + 1)
         batches.append(np.stack([mps, -kp - mps], axis=1))
-    values = spectral_mode_values(np.concatenate(batches), tau, tau_prime, lam)
-    values = np.split(values, np.cumsum([len(p) for p in batches])[:-1])
+    # position i of an antidiagonal holds the pair of position len - 1 - i swapped
+    halves = [p[:(len(p) + 1) // 2] for p in batches] if exchange else batches
+    values = spectral_mode_values(np.concatenate(halves), tau, tau_prime, lam)
+    values = np.split(values, np.cumsum([len(p) for p in halves])[:-1])
+    if exchange:
+        values = [np.concatenate([v, v[:len(p) - len(v)][::-1]])
+                  for p, v in zip(batches, values)]
     return [(2 * kp, (p[:, 0] + N) * n1 + (p[:, 1] + N), v)
             for kp, (p, v) in enumerate(zip(batches, values))]
 
@@ -259,7 +267,9 @@ def induced_form(lam, tau, tau_prime, N: int, K_modes: int) -> np.ndarray:
 
     Gram structure H = sum_k conj(row_k)^T row_k over output modes
     |k| <= K_modes; positive semidefinite by construction and monotone in
-    K_modes.  Each row -k is the mirror of row k (see ``_mode_rows``).
+    K_modes.  Each row -k is the mirror of row k (see ``_mode_rows``); every
+    row k >= 0 is computed in full, also at tau = tau', so the form checks
+    sobolev_trace's exchange shortcut.
     Dense assembly; N > 40 raises PreconditionError.
     """
     if N > _DENSE_MAX_N:
@@ -375,7 +385,7 @@ def _block_term(grams: list, W: sp.spmatrix, weight: np.ndarray) -> float:
 def sobolev_trace(l: int, T: float, lam, params: Tuple, N: int,
                   K_modes: int) -> float:
     """tr(H_induced | Q_{l,T}) = sum_k row_k Q^{-1} row_k^*, without forming
-    the dense induced form, by three exact symmetries.
+    the dense induced form, by four exact symmetries.
 
     * Reflection.  With (Rf)_q = f_{-q}, R X_a R = X_a, R X_b R = -X_b and
       R X_r R = -X_r at every parameter, so each word Gram commutes with R,
@@ -393,14 +403,23 @@ def sobolev_trace(l: int, T: float, lam, params: Tuple, N: int,
       so rho = term(k = 0) + 2 sum_{k > 0} term(k) and only k >= 0 is built.
       Row k = 2k' lies on m' + n' = -k' and meets only the blocks whose
       class parities add up to k' mod 2; a block no row meets is skipped.
+    * Factor exchange.  At tau = tau', G = H, so Q = sum_{a+b <= l}
+      T^(2(l-a-b)) G_a (x) G_b commutes with the swap S(f (x) g) = g (x) f,
+      and with l1 = l2 the element of (m', n', k) equals that of (n', m', k),
+      so S fixes every row.  S maps block (i, j) and its rows onto block
+      (j, i), and the two terms are equal: only the ten blocks i <= j are
+      factored, each off-diagonal one twice counted and oriented with the
+      smaller class inner (narrower band), and only the half m' <= n' of
+      each row is computed.
 
     Matches relative_trace(induced_form(...), sobolev_matrix(...).toarray())
     on small truncations.  Any l >= 0 is computed; the T^(-2l) floor
     concerns l >= 2.
     """
     tau, tau_prime = params
+    exchange = complex(tau) == complex(tau_prime)
     grams = _weighted_grams(l, T, tau, tau_prime, N)
-    rows = _mode_rows(lam, tau, tau_prime, N, K_modes)
+    rows = _mode_rows(lam, tau, tau_prime, N, K_modes, exchange)
     n1 = 2 * N + 1
     kps = np.array([k // 2 for k, _idx, _v in rows])
     weight = np.where(kps == 0, 1.0, 2.0)
@@ -421,13 +440,19 @@ def sobolev_trace(l: int, T: float, lam, params: Tuple, N: int,
     classes = [(np.arange(e - B.shape[1], e), p, [fold(B, G) for G, _H in grams],
                 [fold(B, H) for _G, H in grams])
                for (B, p), e in zip(bases, ends) if B.shape[1]]
+    pairs = (itertools.combinations_with_replacement(classes, 2) if exchange
+             else itertools.product(classes, repeat=2))
     rho = 0.0
-    for ci, pi, Gi, _Hi in classes:
-        for cj, pj, _Gj, Hj in classes:
-            sel = np.flatnonzero((kps + pi + pj) % 2 == 0)
-            if len(sel):
-                W = VP[:, (ci[:, None] * n1 + cj).ravel()][sel]
-                rho += _block_term(list(zip(Gi, Hj)), W, weight[sel])
+    for outer, inner in pairs:
+        twice = exchange and outer is not inner
+        if twice and len(inner[0]) > len(outer[0]):
+            outer, inner = inner, outer
+        (ci, pi, Gi, _Hi), (cj, pj, _Gj, Hj) = outer, inner
+        sel = np.flatnonzero((kps + pi + pj) % 2 == 0)
+        if len(sel):
+            W = VP[:, (ci[:, None] * n1 + cj).ravel()][sel]
+            term = _block_term(list(zip(Gi, Hj)), W, weight[sel])
+            rho += 2.0 * term if twice else term
     return rho
 
 

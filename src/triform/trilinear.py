@@ -235,6 +235,14 @@ def _phases(lG, pI, pR, hsG, sGr):
         yield np.tan(t, out=t), np.exp(m, out=m)
 
 
+def _padded(f: CircleFunction, P: int) -> np.ndarray:
+    """f's coefficients on the modes -P..P, zero past f.max_mode."""
+    m = min(P, f.max_mode)
+    c = np.zeros(2 * P + 1, dtype=complex)
+    c[P - m:P + m + 1] = f.coeffs[f.max_mode - m:f.max_mode + m + 1]
+    return c
+
+
 class _FoldedModes:
     """Mode factors of the folded integrand.  c(a, b) = sum_{p,q} f1_p f2_q
     f3_-(p+q) e^{2i(pa+qb)} has period pi in each angle, so folding leaves
@@ -255,10 +263,10 @@ class _FoldedModes:
 
     def __init__(self, f1: CircleFunction, f2: CircleFunction, f3: CircleFunction,
                  powers):
-        self.P = max(f1.max_mode, f2.max_mode)
-        p = np.arange(-self.P, self.P + 1)
-        mat = (np.outer([f1.coefficient(k) for k in p], [f2.coefficient(k) for k in p])
-               * np.array([[f3.coefficient(-(a + b)) for b in p] for a in p]))
+        P = self.P = max(f1.max_mode, f2.max_mode)
+        # f3 on modes 2P..-2P, read as the Hankel matrix of -(a + b), a, b = -P..P
+        c3 = np.lib.stride_tricks.sliding_window_view(_padded(f3, 2 * P)[::-1], 2 * P + 1)
+        mat = np.outer(_padded(f1, P), _padded(f2, P)) * c3
         sym = mat + mat[::-1, ::-1]
         self.both = np.concatenate([sym, sym.T], axis=1)
         sA, sB, _ = powers

@@ -440,11 +440,44 @@ def test_sobolev_trace_real_and_mixed_blocks_match_dense_route(tau, taup, real):
     assert abs(dense - fast) <= 1e-12 * dense
 
 
+@pytest.mark.parametrize("tau", [0.0, 0.3 + 1j])
+def test_mode_rows_are_exchange_symmetric_at_equal_factor_parameters(tau):
+    # at l1 = l2 the element of (m', n') equals that of (n', m'): each
+    # antidiagonal's first half m' <= n', reversed, gives its second half,
+    # the shortcut sobolev_trace takes at tau = tau'; the rounding of each
+    # convolution is relative to the largest element, not to its own row's
+    N, lam = 16, 8j
+    rows = [np.stack([mps, -kp - mps], axis=1)
+            for kp in range(2 * N + 1) for mps in [np.arange(-N, N - kp + 1)]]
+    halves = [p[:(len(p) + 1) // 2] for p in rows]
+    full = spectral_mode_values(np.concatenate(rows), tau, tau, lam)
+    half = np.split(spectral_mode_values(np.concatenate(halves), tau, tau, lam),
+                    np.cumsum([len(h) for h in halves])[:-1])
+    mirrored = np.concatenate([np.concatenate([h, h[:len(p) - len(h)][::-1]])
+                               for p, h in zip(rows, half)])
+    assert np.max(np.abs(mirrored - full)) <= 1e-13 * np.max(np.abs(full))
+
+
+@pytest.mark.parametrize("N", [5, 6])
+@pytest.mark.parametrize("tau", [0.0, 1j, 0.3 + 1j])
+def test_sobolev_trace_exchange_path_matches_dense_route(tau, N):
+    # at tau = tau' sobolev_trace factors the ten blocks i <= j and computes
+    # half of each row; at N = 5 and 6 the classes have unequal sizes, so
+    # the smaller-class-inner orientation is taken; the induced form builds
+    # its rows in full
+    lam, l, T, K = 2j, 2, 2.0, 6
+    Q = sobolev_matrix(l, T, tau, tau, N).toarray()
+    dense = relative_trace(induced_form(lam, tau, tau, N, K), Q)
+    fast = sobolev_trace(l, T, lam, (tau, tau), N, K)
+    assert abs(dense - fast) <= 1e-12 * dense
+
+
 @pytest.mark.slow
 def test_sobolev_trace_at_the_largest_joint_doubling():
-    # the (N, K) = (256, 512) rung of the T = 32 joint doubling ladder (about
-    # 25 s and 260 MiB peak with one BLAS thread); the reference value is the
-    # one a sparse LU of the four reflection blocks gave
+    # the (N, K) = (256, 512) rung of the T = 32 joint doubling ladder
+    # (5.2-6.5 s and 290-296 MiB peak resident with one BLAS thread on two
+    # cores); the reference value is the one a sparse LU of the four
+    # reflection blocks gave
     T = 32.0
     rho = sobolev_trace(2, T, 32j, (0.0, 0.0), 256, 512)
     assert abs(rho * T ** 4 / 0.2179467678624868 - 1.0) <= 1e-12

@@ -233,11 +233,17 @@ def det_moment(s) -> complex:
 _SPHERE_AREA = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}
 
 
+def _below_first_node(p: float) -> float:
+    """r0^p / p >= int_0^r0 r^(p-1) e^(-r^2) dr, which no level sees: r0 is
+    half_line_nodes' first node, exp(-pi/2 sinh 4.5) at every level >= 1."""
+    return half_line_nodes(1)[0][0] ** p / p
+
+
 def radial_expect(n: int, s) -> Estimate:
     """<r^s, G> on R^n (n <= 3) by half-line quadrature in the radius.
 
-    Uses only the elementary sphere areas 2, 2pi, 4pi; the radial integral
-    int r^{s+n-1} e^{-r^2} dr is computed with an exp-sinh transform.
+    Uses only the elementary sphere areas 2, 2pi, 4pi; int r^{s+n-1} e^{-r^2}
+    dr is an exp-sinh sum, its bar covering the strip below the first node.
     """
     if n not in _SPHERE_AREA:
         raise PreconditionError("radial route implemented for n in {1,2,3}")
@@ -245,15 +251,15 @@ def radial_expect(n: int, s) -> Estimate:
     if s.real <= -n:
         raise PreconditionError(f"needs Re s > -{n}")
     cfg = QuadratureConfig(target_rel_error=1e-12, refinement_levels=8)
-    area = _SPHERE_AREA[n]
+    scale = _SPHERE_AREA[n] / math.pi ** (n / 2.0)
 
     def eval_at_level(level):
         r, w = half_line_nodes(level)
         terms = np.exp((s + n - 1) * np.log(r) - r * r) * w
-        scale = area / math.pi ** (n / 2.0)
         return scale * np.sum(terms), len(r), scale * np.sum(np.abs(terms))
 
-    return refine_until(eval_at_level, cfg, method="radial-exp-sinh", start_level=3)
+    return refine_until(eval_at_level, cfg, method="radial-exp-sinh", start_level=3,
+                        truncation=scale * _below_first_node(s.real + n))
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +327,9 @@ def homogeneous_reduction_check(lam, f: CircleFunction, method: str = "radial",
             return (ang * np.sum(rv), ntheta + len(r),
                     ang_mag * np.sum(np.abs(rv)))
 
-        lhs = refine_until(eval_at_level, cfg, method="radial-product", start_level=1)
+        strip = 2 * abs(f.coefficient(0)) * _below_first_node(1 - z.real)  # ang = 2 f_0
+        lhs = refine_until(eval_at_level, cfg, method="radial-product", start_level=1,
+                           truncation=strip)
     elif method == "mc":
         if spec is None:
             raise PreconditionError("mc method needs a GaussianSpec")

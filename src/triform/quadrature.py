@@ -92,9 +92,9 @@ def unit_nodes(scheme: str, level: int):
 
 
 def refine_until(eval_at_level, cfg: QuadratureConfig, method: str,
-                 start_level: int = 3) -> Estimate:
+                 start_level: int = 3, truncation: float = 0.0) -> Estimate:
     """Run eval_at_level(level) -> (value, cost, magnitude) until the bar the
-    observed rate earns meets the target.
+    observed rate earns, plus ``truncation``, meets the target.
 
     ``magnitude`` is the size of the terms the level's value adds up,
     sum_i |w_i f_i| for a rule sum_i w_i f_i, or an estimate of it within a
@@ -116,6 +116,7 @@ def refine_until(eval_at_level, cfg: QuadratureConfig, method: str,
     information and counts as converged, with bar floor.  Where r >= 1 no
     rate bounds the tail, and refinement goes on.
 
+    ``truncation``, a bound on what no level sees, is added to every bar.
     Stops at the first level whose bar is at most target_rel_error |v_k|.
     Raises NonFiniteError at the first level whose value is NaN or
     infinite, before any further level runs, and NonConvergentError when
@@ -142,6 +143,7 @@ def refine_until(eval_at_level, cfg: QuadratureConfig, method: str,
                 bar = max(diff * r / (1.0 - r), floor)
             else:
                 bar = math.inf
+            bar += truncation
             if bar < math.inf and bar <= cfg.target_rel_error * abs(value):
                 return Estimate(value=value, error_bound=bar,
                                 method=f"{method}/level{level}", cost=total_cost)

@@ -10,7 +10,10 @@ Contents:
   assembled from the word Grams of each factor (Kronecker products),
 * the nonnegative Hermitian form induced by the trilinear functional
   (Gram matrix of its mode elements over a window of output modes),
-* relative traces tr(H | Q) computed two independent ways,
+* relative traces tr(H | Q) computed two independent ways; the fast one
+  keeps what does not depend on T in two least-recently-used caches of 4
+  entries, the class Grams keyed on (l, tau, tau', N) and the row-to-block
+  maps keyed on (N, K_modes, tau == tau'),
 * the localized bump vector, an analytic evaluator with exact mass and norm
   (no Fourier series), and its pairing against the transformed kernel,
 * the elementary averaged-pairing lower bound used by the localization step.
@@ -22,7 +25,9 @@ plain derivative of the action along exp(tX) at t = 0.
 """
 
 import itertools
+import operator
 from dataclasses import dataclass, replace
+from functools import lru_cache, reduce
 from typing import Optional, Tuple
 
 import numpy as np
@@ -161,39 +166,24 @@ def _word_grams(lam, N: int, l: int) -> list:
     """
     Xa, Xb, Xr = circle_generators(lam, N)
     eye = sp.identity(2 * N + 1, format="csr", dtype=complex)
-    grams = []
-    for a in range(l + 1):
-        words = []
-        for i in range(a + 1):
-            for j in range(a - i + 1):
-                word = eye
-                for X in [Xa] * i + [Xb] * j + [Xr] * (a - i - j):
-                    word = word @ X
-                words.append(word)
-        grams.append(sum(w.getH() @ w for w in words))
-    return grams
+    return [sum(w.getH() @ w for w in (
+                reduce(operator.matmul, [Xa] * i + [Xb] * j + [Xr] * (a - i - j), eye)
+                for i in range(a + 1) for j in range(a - i + 1)))
+            for a in range(l + 1)]
 
 
-def _weighted_grams(l: int, T: float, tau, tau_prime, N: int) -> list:
-    """Pairs (G_a, sum_{b <= l-a} T^(2(l-a-b)) H_b), a = 0..l, whose
-    Kronecker products sum to Q_{l,T}; G_a and H_b are the word Grams of the
-    two circle factors (parameters tau and tau_prime, one set if equal).
-
-    Raises NonFiniteError for a NaN or infinite T, or one whose T^(2l)
-    overflows, and PreconditionError for l < 0, T <= 0 or N < 0.
-    """
+def _check_form(l: int, T: float, N: int, *params) -> None:
+    """The checks that sobolev_matrix's docstring lists."""
     if not np.isfinite(T):
         raise NonFiniteError(f"T must be finite, got {T}")
+    if not all(np.isfinite(complex(z)) for z in params):
+        raise NonFiniteError(f"parameters must be finite, got {params}")
     if l < 0 or T <= 0:
         raise PreconditionError("need l >= 0 and T > 0")
     if N < 0:
         raise PreconditionError(f"need N >= 0, got N = {N}")
     if 2 * l * np.log(T) > np.log(np.finfo(float).max):
         raise NonFiniteError(f"T^(2l) overflows at T = {T}, l = {l}")
-    G = _word_grams(tau, N, l)
-    H = G if complex(tau_prime) == complex(tau) else _word_grams(tau_prime, N, l)
-    return [(G[a], sum(T ** (2 * (l - a - b)) * H[b] for b in range(l - a + 1)))
-            for a in range(l + 1)]
 
 
 def sobolev_matrix(l: int, T: float, tau, tau_prime, N: int) -> sp.csc_matrix:
@@ -210,55 +200,42 @@ def sobolev_matrix(l: int, T: float, tau, tau_prime, N: int) -> sp.csc_matrix:
           = sum_a G_a (x) (sum_{b <= l-a} T^(2(l-a-b)) H_b),
 
     l + 1 Kronecker products of banded (2N+1)-dimensional matrices.
-    Raises NonFiniteError for a NaN or infinite T, or one whose T^(2l)
-    overflows, and PreconditionError for l < 0, T <= 0 or N < 0.
+    Raises NonFiniteError for a NaN or infinite T, tau or tau_prime, or a T
+    whose T^(2l) overflows, and PreconditionError for l < 0, T <= 0 or N < 0.
     """
-    Q = sum(sp.kron(G, Ht, format="csr")
-            for G, Ht in _weighted_grams(l, T, tau, tau_prime, N))
-    return Q.tocsc()
+    _check_form(l, T, N, tau, tau_prime)
+    G = _word_grams(tau, N, l)
+    H = G if complex(tau_prime) == complex(tau) else _word_grams(tau_prime, N, l)
+    return sum(sp.kron(G[a], sum(T ** (2 * (l - a - b)) * H[b]
+                                 for b in range(l - a + 1)), format="csr")
+               for a in range(l + 1)).tocsc()
 
 
 # largest truncation N of the dense induced form and the dense relative trace
 _DENSE_MAX_N = 40
 
 
-def _mode_rows(lam, tau, tau_prime, N: int, K_modes: int, exchange: bool = False):
-    """Rows of the functional's mode matrix for the output frequencies k >= 0.
-
-    Returns a list of (k, idx, vals) with k the even output frequency,
-    0 <= k <= K_modes; the row holds the element on
-    e^{2 i m' x} (x) e^{2 i n' y} (x) e^{i k z} at the flattened (m', n')
-    position, nonzero only on the antidiagonal m' + n' = -k/2, whose
-    flattened positions are ``idx`` and values ``vals``.  The kernel depends
-    on its angles only through |sin| of their differences, so the element of
-    (-m', -n', -k) equals that of (m', n', k): row -k is row k moved from the
-    flattened position idx to (2N+1)^2 - 1 - idx, and is not built.  Row
-    k = 2k' holds m' = -N..N-k', so it is empty past k' = 2N, and every row
-    has largest |index| N: one spectral_mode_values call over all the rows
-    takes the convolution cutoff that each row would take alone.  With
-    ``exchange`` (tau = tau', see sobolev_trace) only m' <= n' is computed,
-    and the rest of each row is its first half reversed.
-    """
+def _check_modes(N: int, K_modes: int) -> None:
+    """PreconditionError for K_modes < 0, N < 0 or an odd K_modes."""
     if K_modes < 0:
         raise PreconditionError(f"need K_modes >= 0, got K_modes = {K_modes}")
     if N < 0:
         raise PreconditionError(f"need N >= 0, got N = {N}")
     if K_modes % 2 != 0:
         raise PreconditionError(f"K_modes must be even, got K_modes = {K_modes}")
-    n1 = 2 * N + 1
-    batches = []
-    for kp in range(min(K_modes // 2, 2 * N) + 1):
-        mps = np.arange(-N, N - kp + 1)
-        batches.append(np.stack([mps, -kp - mps], axis=1))
-    # position i of an antidiagonal holds the pair of position len - 1 - i swapped
-    halves = [p[:(len(p) + 1) // 2] for p in batches] if exchange else batches
-    values = spectral_mode_values(np.concatenate(halves), tau, tau_prime, lam)
-    values = np.split(values, np.cumsum([len(p) for p in halves])[:-1])
-    if exchange:
-        values = [np.concatenate([v, v[:len(p) - len(v)][::-1]])
-                  for p, v in zip(batches, values)]
-    return [(2 * kp, (p[:, 0] + N) * n1 + (p[:, 1] + N), v)
-            for kp, (p, v) in enumerate(zip(batches, values))]
+
+
+def _antidiagonals(N: int, K_modes: int) -> list:
+    """The (m', n') pairs of the mode rows k = 2k' >= 0.  Row k holds the
+    element on e^{2 i m' x} (x) e^{2 i n' y} (x) e^{i k z} at the flattened
+    (m', n') position, nonzero only on m' + n' = -k', m' = -N..N-k': rows
+    past k' = 2N are empty, and one spectral_mode_values call over all rows
+    takes each row's own cutoff (largest |index| N).  The kernel depends only
+    on |sin| of angle differences, so (-m', -n', -k) has the element of
+    (m', n', k): row -k is row k moved from position i to (2N+1)^2 - 1 - i."""
+    return [np.stack([mps, -kp - mps], axis=1)
+            for kp in range(min(K_modes // 2, 2 * N) + 1)
+            for mps in [np.arange(-N, N - kp + 1)]]
 
 
 def induced_form(lam, tau, tau_prime, N: int, K_modes: int) -> np.ndarray:
@@ -267,22 +244,25 @@ def induced_form(lam, tau, tau_prime, N: int, K_modes: int) -> np.ndarray:
 
     Gram structure H = sum_k conj(row_k)^T row_k over output modes
     |k| <= K_modes; positive semidefinite by construction and monotone in
-    K_modes.  Each row -k is the mirror of row k (see ``_mode_rows``); every
-    row k >= 0 is computed in full, also at tau = tau', so the form checks
-    sobolev_trace's exchange shortcut.
+    K_modes.  Each row -k is the mirror of row k (see ``_antidiagonals``);
+    every row k >= 0 is computed in full, also at tau = tau', so the form
+    checks sobolev_trace's exchange shortcut.
     Dense assembly; N > 40 raises PreconditionError.
     """
     if N > _DENSE_MAX_N:
         raise PreconditionError("dense induced form is limited to N <= 40; "
                                 "use sobolev_trace for large truncations")
+    _check_modes(N, K_modes)
+    rows = _antidiagonals(N, K_modes)
+    values = spectral_mode_values(np.concatenate(rows), tau, tau_prime, lam)
     dim = (2 * N + 1) ** 2
     H = np.zeros((dim, dim), dtype=complex)
-    for k, idx, vals in _mode_rows(lam, tau, tau_prime, N, K_modes):
+    for kp, (p, vals) in enumerate(zip(rows, np.split(
+            values, np.cumsum([len(p) for p in rows])[:-1]))):
+        idx = (p[:, 0] + N) * (2 * N + 1) + (p[:, 1] + N)
         gram = np.outer(np.conj(vals), vals)
-        H[np.ix_(idx, idx)] += gram
-        if k > 0:
-            mirror = dim - 1 - idx
-            H[np.ix_(mirror, mirror)] += gram
+        for ix in ([idx, dim - 1 - idx] if kp else [idx]):
+            H[np.ix_(ix, ix)] += gram
     return H
 
 
@@ -293,9 +273,8 @@ def relative_trace(H, Q) -> float:
     Q-eigenbasis evaluation must agree to a relative 1e-10, or Q counts as
     numerically singular and NotPositiveDefiniteError is raised.  Q must be
     positive definite.  H and Q that are not square matrices of one shape,
-    or have more than
-    (2*40 + 1)^2 = 6561 rows, the dense induced form's limit, raise
-    PreconditionError; use sobolev_trace for large truncations.
+    or have more than (2*40 + 1)^2 = 6561 rows, the dense induced form's
+    limit, raise PreconditionError; use sobolev_trace for large truncations.
     """
     Hm, Qm = np.asarray(H, dtype=complex), np.asarray(Q, dtype=complex)
     rows = (2 * _DENSE_MAX_N + 1) ** 2
@@ -363,23 +342,75 @@ def _band_block(grams: list) -> np.ndarray:
     return ab
 
 
-def _block_term(grams: list, W: sp.spmatrix, weight: np.ndarray) -> float:
-    """sum_r weight_r w_r B^{-1} w_r^* over the rows w_r of W, for the block
-    B of ``_band_block``: B = U^H U by LAPACK's band Cholesky ``pbtrf`` for
-    B's dtype, and each term is ||U^{-H} w^*||^2, one ``tbtrs`` sweep.  A real
-    U (dpbtrf, dtbtrs) takes each row as the real columns a, b of w = a + i b,
-    since ||U^{-T} (a - i b)||^2 = ||U^{-T} a||^2 + ||U^{-T} b||^2."""
+def _block_term(grams: list, vals: np.ndarray, weight: np.ndarray,
+                dest: np.ndarray, src: np.ndarray, coef: np.ndarray) -> float:
+    """sum_r weight_r w_r B^{-1} w_r^* over the rows w_r of W (W.flat[dest]
+    += coef vals[src]) for the block B = U^H U of ``_band_block``, factored by
+    LAPACK's ``pbtrf`` in B's dtype: each term is ||U^{-H} w^*||^2, one
+    ``tbtrs`` sweep; a real U sweeps the columns a, b of w^* = a + i b, as
+    ||U^{-T} (a + i b)||^2 = ||U^{-T} a||^2 + ||U^{-T} b||^2."""
     ab = _band_block(grams)
     pbtrf, tbtrs = lapack.get_lapack_funcs(("pbtrf", "tbtrs"), (ab,))
     U, info = pbtrf(ab, overwrite_ab=1)
     if info > 0:
         raise NotPositiveDefiniteError(f"Sobolev block of size {U.shape[1]} is "
                                        f"not positive definite (minor {info})")
-    rhs = W.conj().toarray()
-    rhs = np.concatenate([rhs.real, rhs.imag]) if U.dtype.kind == "f" else rhs
-    X, _info = tbtrs(U, rhs.T, trans="C", overwrite_b=1)
+    real = U.dtype.kind == "f"
+    rhs = np.zeros((1 + real, len(weight) * U.shape[1]), dtype=U.dtype)
+    w = coef * vals[src]
+    for part, v in zip(rhs, (w.real, -w.imag) if real else (np.conj(w),)):
+        np.add.at(part, dest, v)
+    X, _info = tbtrs(U, rhs.reshape(-1, U.shape[1]).T, trans="C", overwrite_b=1)
     energy = np.sum(np.abs(X) ** 2, axis=0).reshape(-1, len(weight)).sum(axis=0)
     return float(energy @ weight)
+
+
+@lru_cache(maxsize=4)
+def _class_grams(l: int, tau: complex, tau_prime: complex, N: int) -> tuple:
+    """(parity, (P^T G_a P)_a, (P^T H_b P)_b), a, b = 0..l, per nonempty class
+    P of ``_parity_classes(N)`` (no H entry if tau = tau'), each Gram
+    read-only and real where its imaginary part is 0."""
+    def fold(B, M):
+        C = B.T @ M.toarray() @ B
+        C = C if np.any(C.imag) else C.real
+        C.flags.writeable = False
+        return C
+    grams = [_word_grams(t, N, l) for t in dict.fromkeys((tau, tau_prime))]
+    return tuple((p, *(tuple(fold(B, M) for M in G) for G in grams))
+                 for B, p in _parity_classes(N) if B.shape[1])
+
+
+@lru_cache(maxsize=4)
+def _block_maps(N: int, K_modes: int, exchange: bool) -> tuple:
+    """The (m', n') pairs whose values sobolev_trace computes and per block
+    (outer and inner class, row weights counting mirror rows and blocks, dest,
+    src, coef): W.flat[dest] += coef value[src] is its rows times P_o (x) P_i."""
+    full = np.concatenate(_antidiagonals(N, K_modes))
+    # with exchange, (m', n') and (n', m') share one value
+    pairs, src = np.unique(np.sort(full, axis=1) if exchange else full, axis=0,
+                           return_inverse=True)
+    m, n = full.T + N
+    # per class, each mode's column (-1 if none: it has one at most) and entry
+    classes = [(B.shape[1], p, np.where(B.any(axis=1), abs(B).argmax(axis=1), -1),
+                B.sum(axis=1)) for B, p in _parity_classes(N) if B.shape[1]]
+    kps = np.arange(min(K_modes // 2, 2 * N) + 1)
+    blocks = []
+    for i, j in (itertools.combinations_with_replacement(range(len(classes)), 2)
+                 if exchange else itertools.product(range(len(classes)), repeat=2)):
+        twice = exchange and i != j
+        if twice and classes[j][0] > classes[i][0]:
+            i, j = j, i
+        (ni, pi, ci, vi), (nj, pj, cj, vj) = classes[i], classes[j]
+        meets = (kps + pi + pj) % 2 == 0
+        if np.any(meets):
+            h = np.flatnonzero((ci[m] >= 0) & (cj[n] >= 0))
+            rank = np.cumsum(meets)[-full[h].sum(axis=1)] - 1
+            weight = np.where(kps == 0, 1.0, 2.0)[meets] * (2.0 if twice else 1.0)
+            blocks.append((i, j, weight, (rank * ni + ci[m[h]]) * nj + cj[n[h]],
+                           src.ravel()[h], vi[m[h]] * vj[n[h]]))
+    for a in [pairs] + [a for b in blocks for a in b[2:]]:
+        a.flags.writeable = False
+    return pairs, tuple(blocks)
 
 
 def sobolev_trace(l: int, T: float, lam, params: Tuple, N: int,
@@ -396,9 +427,8 @@ def sobolev_trace(l: int, T: float, lam, params: Tuple, N: int,
       (reflection, |q| parity) classes.  The Grams couple modes within 2l,
       l columns of a class, so in Kronecker order a block is a band of half
       bandwidth <= l n_j + l, factored by a Hermitian band Cholesky
-      (Q >= T^(2l); NotPositiveDefiniteError if it fails): dpbtrf/dtbtrs
-      when its class Grams are real, as at real parameters, where each word
-      is i^k times a real matrix, and zpbtrf/ztbtrs otherwise.
+      (Q >= T^(2l); NotPositiveDefiniteError if it fails), real where its
+      class Grams are, as at real parameters (each word is i^k times real).
     * Mirrored rows.  Row -k is row k under R (x) R, which commutes with Q,
       so rho = term(k = 0) + 2 sum_{k > 0} term(k) and only k >= 0 is built.
       Row k = 2k' lies on m' + n' = -k' and meets only the blocks whose
@@ -412,47 +442,27 @@ def sobolev_trace(l: int, T: float, lam, params: Tuple, N: int,
       smaller class inner (narrower band), and only the half m' <= n' of
       each row is computed.
 
+    What does not depend on T is kept as read-only arrays in two LRU caches
+    of 4 entries: the class Grams P^T G_a P and P^T H_b P, keyed on (l, tau,
+    tau', N), and each block's map from the row values into its right-hand
+    side, (destination, source, coefficient) triplets keyed on (N, K_modes,
+    tau == tau').  Every input is checked before a cache is read.
+
     Matches relative_trace(induced_form(...), sobolev_matrix(...).toarray())
     on small truncations.  Any l >= 0 is computed; the T^(-2l) floor
     concerns l >= 2.
     """
-    tau, tau_prime = params
-    exchange = complex(tau) == complex(tau_prime)
-    grams = _weighted_grams(l, T, tau, tau_prime, N)
-    rows = _mode_rows(lam, tau, tau_prime, N, K_modes, exchange)
-    n1 = 2 * N + 1
-    kps = np.array([k // 2 for k, _idx, _v in rows])
-    weight = np.where(kps == 0, 1.0, 2.0)
-    bases = _parity_classes(N)
-    # all classes side by side: an orthogonal P, and row @ (P (x) P) holds every block
-    P = sp.csc_matrix(np.hstack([B for B, _p in bases]))
-    V = sp.csr_matrix(
-        (np.concatenate([vals for _k, _idx, vals in rows]),
-         (np.repeat(np.arange(len(rows)), [len(idx) for _k, idx, _v in rows]),
-          np.concatenate([idx for _k, idx, _v in rows]))),
-        shape=(len(rows), n1 * n1))
-    VP = (V @ sp.kron(P, P, format="csc")).tocsc()
-    ends = np.cumsum([B.shape[1] for B, _p in bases])
-
-    def fold(B, M):     # a class Gram, kept real when its imaginary part is 0
-        C = B.T @ M.toarray() @ B
-        return C if np.any(C.imag) else C.real
-    classes = [(np.arange(e - B.shape[1], e), p, [fold(B, G) for G, _H in grams],
-                [fold(B, H) for _G, H in grams])
-               for (B, p), e in zip(bases, ends) if B.shape[1]]
-    pairs = (itertools.combinations_with_replacement(classes, 2) if exchange
-             else itertools.product(classes, repeat=2))
+    tau, tau_prime = (complex(t) for t in params)
+    _check_form(l, T, N, tau, tau_prime, lam)
+    _check_modes(N, K_modes)
+    pairs, blocks = _block_maps(N, K_modes, tau == tau_prime)
+    vals = spectral_mode_values(pairs, tau, tau_prime, lam)
+    classes = _class_grams(l, tau, tau_prime, N)
+    H = [[sum(T ** (2 * (l - a - b)) * c[-1][b] for b in range(l - a + 1))
+          for a in range(l + 1)] for c in classes]
     rho = 0.0
-    for outer, inner in pairs:
-        twice = exchange and outer is not inner
-        if twice and len(inner[0]) > len(outer[0]):
-            outer, inner = inner, outer
-        (ci, pi, Gi, _Hi), (cj, pj, _Gj, Hj) = outer, inner
-        sel = np.flatnonzero((kps + pi + pj) % 2 == 0)
-        if len(sel):
-            W = VP[:, (ci[:, None] * n1 + cj).ravel()][sel]
-            term = _block_term(list(zip(Gi, Hj)), W, weight[sel])
-            rho += 2.0 * term if twice else term
+    for i, j, *layout in blocks:
+        rho += _block_term(list(zip(classes[i][1], H[j])), vals, *layout)
     return rho
 
 

@@ -1,5 +1,7 @@
 """Smoke runs of the demos that call the log-Gamma evaluator and the decay
-ladder: each runs as a script against the package under src/ and exits 0."""
+ladder, and, in the slow lane (-m slow), of the Sobolev floor demo, the one
+caller whose output window K grows along its T-ladder: each runs as a
+script against the package under src/ and exits 0."""
 
 import os
 import subprocess
@@ -11,7 +13,9 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("demo", ["gamma_and_stirling.py", "exponential_decay.py"])
+@pytest.mark.parametrize("demo", [
+    "gamma_and_stirling.py", "exponential_decay.py",
+    pytest.param("sobolev_floor.py", marks=pytest.mark.slow)])
 def test_demo_exits_cleanly(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

@@ -4,9 +4,9 @@ import mpmath
 import numpy as np
 import pytest
 
-from triform import (CircleFunction, GaussianSpec, NonFiniteError,
-                     PreconditionError, det_moment, exponents, gaussian_expect,
-                     homogeneous_reduction_check, identity_battery,
+from triform import (CircleFunction, GaussianSpec, NonConvergentError,
+                     NonFiniteError, PreconditionError, det_moment, exponents,
+                     gaussian_expect, homogeneous_reduction_check, identity_battery,
                      kernel_gaussian_check, kernel_value, linear_moment,
                      minor_map, minor_pullback_check, radial_expect,
                      radius_moment)
@@ -156,6 +156,21 @@ def test_radial_quadrature_against_both_oracles():
     assert abs(mc.value - radial_expect(3, 1.0).value) <= mc.error_bound
 
 
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("s", [-0.9, -0.8, -0.7, -0.6, -0.5])
+def test_radial_bar_covers_the_strip_below_the_first_node(n, s):
+    # r^(s+n-1) puts mass up to r0^(s+n) / (s+n) below the first node r0
+    # (about 2e-31): near s = -n the bar must cover it, or the call raises
+    exact = float(mpmath.gamma((s + n) / 2) / mpmath.gamma(n / 2))
+    try:
+        est = radial_expect(n, s)
+    except NonConvergentError as exc:
+        assert exc.estimate.error_bound > 1e-12 * abs(exc.estimate.value)
+        assert (n, s) in ((1, -0.9), (1, -0.8), (1, -0.7))
+        return
+    assert abs(est.value - exact) <= est.error_bound
+
+
 # ---------------------------------------------------------------------------
 # reduction identities
 # ---------------------------------------------------------------------------
@@ -175,6 +190,22 @@ def test_homogeneous_reduction_angular_modes():
     f = CircleFunction.from_modes({0: 1.0, 2: 0.5, -2: 0.5}, 1)
     lhs, rhs = homogeneous_reduction_check(2j, f)
     assert abs(lhs.value - rhs.value) <= lhs.error_bound + rhs.error_bound + 1e-9
+
+
+@pytest.mark.parametrize("lam", [0.5, 0.6, 0.7, 0.8, 0.9])
+def test_homogeneous_radial_bar_covers_the_strip_below_the_first_node(lam):
+    # the radial factor r^-lam puts mass up to r0^(1-lam) / (1-lam) below the
+    # first node r0; <h, G> = 2 f_0 Gamma((1-lam)/2) / 2 exactly
+    f = CircleFunction.from_modes({0: 1.0, 2: 0.25, -2: 0.25}, 1)
+    exact = float(mpmath.gamma((1.0 - lam) / 2.0))
+    try:
+        lhs, rhs = homogeneous_reduction_check(lam, f)
+    except NonConvergentError as exc:
+        assert exc.estimate.error_bound > 1e-11 * abs(exc.estimate.value)
+        assert lam >= 0.7
+        return
+    assert abs(lhs.value - exact) <= lhs.error_bound
+    assert abs(lhs.value - rhs.value) <= lhs.error_bound + rhs.error_bound
 
 
 def test_homogeneous_reduction_mc_route():

@@ -19,6 +19,10 @@ from triform import (CircleFunction, Estimate, NonConvergentError,
                      sobolev_trace, sobolev_trace_estimate,
                      spectral_mode_values, spherical_square,
                      transformed_kernel_values, weighted_mean_bound)
+from triform import specdecomp
+
+# sobolev_trace's caches of the T-independent class Grams and block maps
+CACHES = (specdecomp._class_grams, specdecomp._block_maps)
 
 GEN_MATRICES = [np.array([[1.0, 0.0], [0.0, -1.0]]),
                 np.array([[0.0, 1.0], [1.0, 0.0]]),
@@ -431,13 +435,81 @@ def test_sobolev_trace_complex_hermitian_q(l, tau, taup):
 def test_sobolev_trace_real_and_mixed_blocks_match_dense_route(tau, taup, real):
     # at real tau and tau' every class Gram is real and the blocks factor in
     # real arithmetic; at (0.3, 0.5i) the tau' factor's Grams are complex,
-    # so every block is complex
+    # so every block is complex.  The class Grams and block maps come from
+    # the caches, filled at another T, and are weighted by this T
     lam, l, T, N, K = 2j, 2, 2.0, 6, 6
+    for cache in CACHES:
+        cache.cache_clear()
+    sobolev_trace(l, 3.0, lam, (tau, taup), N, K)
     Q = sobolev_matrix(l, T, tau, taup, N).toarray()
     assert (not np.any(Q.imag)) == real
     dense = relative_trace(induced_form(lam, tau, taup, N, K), Q)
     fast = sobolev_trace(l, T, lam, (tau, taup), N, K)
+    assert all(cache.cache_info().hits == 1 for cache in CACHES)
     assert abs(dense - fast) <= 1e-12 * dense
+
+
+@pytest.mark.parametrize("params", [(0.0, 0.0), (0.3 + 1j, 0.3 + 1j), (0.3, 0.5j)])
+def test_sobolev_trace_is_the_same_from_cold_and_warm_caches(params):
+    # every rung of a T-ladder equals, bit for bit, the same call made with
+    # empty caches, whichever way the ladder runs
+    def cold(T):
+        for cache in CACHES:
+            cache.cache_clear()
+        return sobolev_trace(2, T, 1j * T, params, 8, 8)
+
+    ladder = (2.0, 4.0, 8.0)
+    alone = [cold(T) for T in ladder]
+    up = [sobolev_trace(2, T, 1j * T, params, 8, 8) for T in ladder]
+    down = [sobolev_trace(2, T, 1j * T, params, 8, 8) for T in ladder[::-1]]
+    assert up == alone and down[::-1] == alone
+    assert all(cache.cache_info().hits == 6 for cache in CACHES)
+
+
+def test_sobolev_trace_reuses_the_class_grams_along_a_growing_window():
+    # demos/sobolev_floor.py widens the window with T (K = 4T): the block
+    # maps differ per rung, the class Grams of one truncation are shared
+    for cache in CACHES:
+        cache.cache_clear()
+    for T in (2.0, 4.0, 8.0):
+        sobolev_trace(2, T, 1j * T, (0.0, 0.0), 8, int(4 * T))
+    grams, maps = (cache.cache_info() for cache in CACHES)
+    assert (grams.hits, grams.misses) == (2, 1)
+    assert (maps.hits, maps.misses) == (0, 3)
+
+
+def test_cached_structures_are_read_only():
+    # at tau != tau' and N = 4: four classes with three word Grams of each
+    # factor, the computed pairs, and sixteen blocks of four arrays each
+    sobolev_trace(2, 2.0, 2j, (0.3, 0.5j), 4, 4)
+    classes = specdecomp._class_grams(2, 0.3 + 0j, 0.5j, 4)
+    pairs, blocks = specdecomp._block_maps(4, 4, False)
+    arrays = [M for c in classes for grams in c[1:] for M in grams]
+    arrays += [pairs] + [a for b in blocks for a in b[2:]]
+    assert len(arrays) == 4 * 2 * 3 + 1 + 16 * 4
+    for a in arrays:
+        with pytest.raises(ValueError):
+            a.flat[0] = 1.0
+
+
+@pytest.mark.parametrize("bad, error", [
+    ({"tau": np.nan}, NonFiniteError), ({"tau": complex(np.inf, 1.0)}, NonFiniteError),
+    ({"tau_prime": np.inf}, NonFiniteError),
+    ({"tau_prime": complex(0.0, np.nan)}, NonFiniteError),
+    ({"lam": complex(0.0, np.nan)}, NonFiniteError), ({"lam": np.inf}, NonFiniteError),
+    ({"T": 1e100}, NonFiniteError), ({"l": -1}, PreconditionError),
+    ({"N": -1}, PreconditionError), ({"K": -2}, PreconditionError),
+    ({"K": 3}, PreconditionError)])
+def test_bad_inputs_are_refused_before_a_cache_is_read(bad, error):
+    # no lookup, hit or miss, and no entry: the cache statistics stay as
+    # they were
+    a = {"l": 2, "T": 2.0, "lam": 2j, "tau": 0.0, "tau_prime": 0.0, "N": 5, "K": 4,
+         **bad}
+    before = [cache.cache_info() for cache in CACHES]
+    with pytest.raises(error):
+        sobolev_trace(a["l"], a["T"], a["lam"], (a["tau"], a["tau_prime"]), a["N"],
+                      a["K"])
+    assert [cache.cache_info() for cache in CACHES] == before
 
 
 @pytest.mark.parametrize("tau", [0.0, 0.3 + 1j])
@@ -475,9 +547,9 @@ def test_sobolev_trace_exchange_path_matches_dense_route(tau, N):
 @pytest.mark.slow
 def test_sobolev_trace_at_the_largest_joint_doubling():
     # the (N, K) = (256, 512) rung of the T = 32 joint doubling ladder
-    # (5.2-6.5 s and 290-296 MiB peak resident with one BLAS thread on two
-    # cores); the reference value is the one a sparse LU of the four
-    # reflection blocks gave
+    # (6.8-7.1 s as pytest reports it and 234 MiB peak resident with one
+    # BLAS thread on two cores); the reference value is the one a sparse LU
+    # of the four reflection blocks gave
     T = 32.0
     rho = sobolev_trace(2, T, 32j, (0.0, 0.0), 256, 512)
     assert abs(rho * T ** 4 / 0.2179467678624868 - 1.0) <= 1e-12

@@ -58,10 +58,8 @@ class CircleFunction:
             raise PreconditionError("coefficient length must be 2*max_mode + 1")
 
     @classmethod
-    def constant(cls, value=1.0, max_mode: int = 0) -> "CircleFunction":
-        c = np.zeros(2 * max_mode + 1, dtype=complex)
-        c[max_mode] = value
-        return cls(c, max_mode)
+    def constant(cls, value=1.0) -> "CircleFunction":
+        return cls(np.array([value], dtype=complex), 0)
 
     @classmethod
     def from_modes(cls, modes: dict, max_mode: int) -> "CircleFunction":

@@ -20,7 +20,6 @@ import argparse
 import csv
 import io
 import json
-import math
 import sys
 import time
 
@@ -34,8 +33,8 @@ from .gaussian import identity_battery
 from .quadrature import QuadratureConfig
 from .specdecomp import sobolev_trace, sobolev_trace_estimate
 from .trilinear import (closed_form_log, closed_form_value, decay_constant,
-                        decay_envelope, decay_envelope_log, normalized_decay,
-                        require_doubling_ladder, triple_quadrature)
+                        decay_envelope, normalized_decay, require_doubling_ladder,
+                        spherical_square, triple_quadrature)
 
 SCHEMA = "triform.table.v1"
 
@@ -136,11 +135,10 @@ def cmd_closed_form(args) -> int:
             lg = closed_form_log(a, b, c)
             row["abs_value"] = float(np.exp(lg.real))
             row["arg_value"] = float(np.mod(lg.imag + np.pi, 2 * np.pi) - np.pi)
-            # as spherical_square and normalized_decay compute them
-            row["square"] = math.exp(2.0 * lg.real)
+            row["square"] = spherical_square(a, b, c)
             if abs(c.real) < 1e-12 and abs(c.imag) >= 1.0:
                 row["envelope"] = decay_envelope(c)
-                row["normalized"] = math.exp(2.0 * lg.real - decay_envelope_log(c))
+                row["normalized"] = normalized_decay(a, b, c)
             row["error"] = ""
         except PoleArgumentError as exc:
             row["error"] = f"pole:{exc.factor}"

@@ -22,32 +22,31 @@ kernel Gaussian  B = A * Gamma((1-l1)/2) Gamma((1-l2)/2) Gamma((1-l3)/2).
 ``identity_battery`` runs all of them as one fixed, seeded sweep, drawing
 each of its 8 (seed, dim) streams once for its 35 identities.
 
-The Monte Carlo integrands take no complex exp.  ``abs_powers`` gives
-|v|^s as real columns for real s and as e^(Re s log|v|) times a phase from
-``circlefn.cis_half_angle`` (one SIMD tangent) for complex s; the angular
-factor f(theta) comes from ``CircleFunction.evaluate``, which uses the same
-identity.  Real columns are summed and merged in real arithmetic.  The
-kernel-Gaussian rows keep ``kernel_value``, the libm reference of
-``kernel.py``, and the closed forms and the radial-quadrature oracles keep
-their complex exp.
+The Monte Carlo integrands take no complex exp: ``abs_powers`` (|v|^s) and
+``CircleFunction.evaluate`` (the angular factor) take their phases from
+``circlefn.cis_half_angle``.  Real columns are summed and merged in real
+arithmetic.  The kernel-Gaussian rows keep ``kernel_value``, the libm
+reference of ``kernel.py``, and the closed forms and the radial-quadrature
+oracle keep their complex exp.
 
-A deterministic radial-quadrature route is provided for rotation-invariant
-integrands as a second, non-statistical oracle.
+``radial_expect`` is a deterministic radial-quadrature route for
+rotation-invariant integrands, a second, non-statistical oracle; the radial
+route of ``homogeneous_reduction_check`` is sqrt(pi) f_0 times it at n = 1.
 """
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
 
 from .circlefn import CircleFunction, cis_half_angle
-from .errors import NonFiniteError, PreconditionError
+from .errors import NonConvergentError, NonFiniteError, PreconditionError
 from .estimate import Estimate
 from .kernel import kernel_value
 from .params import exponents
-from .quadrature import QuadratureConfig, half_line_nodes, refine_until
+from .quadrature import half_line_nodes, refine_until
 from .specfun import gamma_product_log, log_gamma_array
 from .trilinear import closed_form_log, invariant_functional
 
@@ -233,33 +232,29 @@ def det_moment(s) -> complex:
 _SPHERE_AREA = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}
 
 
-def _below_first_node(p: float) -> float:
-    """r0^p / p >= int_0^r0 r^(p-1) e^(-r^2) dr, which no level sees: r0 is
-    half_line_nodes' first node, exp(-pi/2 sinh 4.5) at every level >= 1."""
-    return half_line_nodes(1)[0][0] ** p / p
-
-
 def radial_expect(n: int, s) -> Estimate:
     """<r^s, G> on R^n (n <= 3) by half-line quadrature in the radius.
 
     Uses only the elementary sphere areas 2, 2pi, 4pi; int r^{s+n-1} e^{-r^2}
-    dr is an exp-sinh sum, its bar covering the strip below the first node.
+    dr is an exp-sinh sum.  Its bar adds r0^p / p (p = Re s + n), a bound on
+    the strip below the first node r0 = exp(-pi/2 sinh 4.5) that no level sees.
     """
     if n not in _SPHERE_AREA:
         raise PreconditionError("radial route implemented for n in {1,2,3}")
     s = complex(s)
     if s.real <= -n:
         raise PreconditionError(f"needs Re s > -{n}")
-    cfg = QuadratureConfig(target_rel_error=1e-12, refinement_levels=8)
     scale = _SPHERE_AREA[n] / math.pi ** (n / 2.0)
+    r0, p = half_line_nodes(1)[0][0], s.real + n
 
-    def eval_at_level(level):
-        r, w = half_line_nodes(level)
-        terms = np.exp((s + n - 1) * np.log(r) - r * r) * w
-        return scale * np.sum(terms), len(r), scale * np.sum(np.abs(terms))
+    def levels():
+        for level in range(3, 11):
+            r, w = half_line_nodes(level)
+            terms = np.exp((s + n - 1) * np.log(r) - r * r) * w
+            yield level, scale * np.sum(terms), len(r), scale * np.sum(np.abs(terms))
 
-    return refine_until(eval_at_level, cfg, method="radial-exp-sinh", start_level=3,
-                        truncation=scale * _below_first_node(s.real + n))
+    return refine_until(levels(), 1e-12, method="radial-exp-sinh",
+                        truncation=scale * (r0 ** p / p))
 
 
 # ---------------------------------------------------------------------------
@@ -302,34 +297,28 @@ def homogeneous_reduction_check(lam, f: CircleFunction, method: str = "radial",
     vector, so h e_lam = r^-2 f(theta).  Absolute convergence of <h, G>
     requires Re lam < 1.
 
-    method "radial": product quadrature (angular trapezoid x radial exp-sinh);
-    deterministic.  method "mc": plain Monte Carlo with ``spec`` (note |h|^2
-    is only marginally integrable for principal-series lam, so the error bar
-    is the empirical one).  Returns (lhs, rhs) Estimates.
+    method "radial": deterministic, by the polar split <h, G> =
+    (1/pi) int f dtheta int_0^inf r^-lam e^(-r^2) dr = 2 f_0 (sqrt(pi) / 2)
+    radial_expect(1, -lam), f_0 being the series' mean; its bar, method and
+    cost, and any NonConvergentError, are radial_expect's, scaled.  method
+    "mc": plain Monte Carlo with ``spec`` (note |h|^2 is only marginally
+    integrable for principal-series lam, so the error bar is the empirical
+    one).  Returns (lhs, rhs) Estimates.
     """
     z = complex(lam)
     if z.real >= 1.0:
         raise PreconditionError("need Re lam < 1 for absolute convergence")
 
     if method == "radial":
-        cfg = QuadratureConfig(target_rel_error=1e-11, refinement_levels=8)
+        c = math.sqrt(math.pi) * f.coefficient(0)
 
-        def eval_at_level(level):
-            # angular factor: (1/pi) int f(theta) dtheta, trapezoid
-            ntheta = 256 * 2 ** level
-            theta = np.linspace(0.0, 2.0 * np.pi, ntheta, endpoint=False)
-            fv = f.evaluate(theta)
-            ang, ang_mag = (np.sum(v) * (2.0 * np.pi / ntheta) / math.pi
-                            for v in (fv, np.abs(fv)))
-            # radial factor: int_0^inf r^{-lam} e^{-r^2} dr
-            r, w = half_line_nodes(level + 3)
-            rv = np.exp(-z * np.log(r) - r * r) * w
-            return (ang * np.sum(rv), ntheta + len(r),
-                    ang_mag * np.sum(np.abs(rv)))
+        def scaled(e):
+            return replace(e, value=c * e.value, error_bound=abs(c) * e.error_bound)
 
-        strip = 2 * abs(f.coefficient(0)) * _below_first_node(1 - z.real)  # ang = 2 f_0
-        lhs = refine_until(eval_at_level, cfg, method="radial-product", start_level=1,
-                           truncation=strip)
+        try:
+            lhs = scaled(radial_expect(1, -z))
+        except NonConvergentError as exc:
+            raise NonConvergentError(str(exc), estimate=scaled(exc.estimate)) from None
     elif method == "mc":
         if spec is None:
             raise PreconditionError("mc method needs a GaussianSpec")

@@ -13,10 +13,9 @@ branch choice ever arises.  The one core doing so is ``_kernel_from_abs``,
 behind ``kernel_value`` and ``kernel_on_circle``, with libm sine, log and
 complex exp.  It is the reference that the quadrature hot path
 ``trilinear._folded_sum`` is tested against; that path takes the same powers
-from tangent half-angle identities (see there for why), through the shared
-``circlefn.cis_half_angle``, as do ``CircleFunction.evaluate`` and the
-Gaussian |v|^s columns (``gaussian.abs_powers``).  The kernel-Gaussian
-Monte Carlo rows still evaluate this libm reference.
+from ``circlefn.cis_half_angle``, as do ``CircleFunction.evaluate`` and
+``gaussian.abs_powers``.  The kernel-Gaussian Monte Carlo rows still
+evaluate this libm reference.
 """
 
 import numpy as np

@@ -14,10 +14,8 @@ choice depends on the node alone.
 
 ``half_line_nodes`` is the half-line family of the Gaussian radial oracles.
 
-Refinement is by an integer level.  ``refine_until`` earns each bar from
-the rate the last three levels show, never from a fixed multiple of a
-difference, stops at the first level whose bar meets the target, and
-raises at the first level whose value is not finite.
+``refine_until`` is the one refinement driver: it draws each caller's
+levels from the caller's generator, whose length is the budget.
 """
 
 import cmath
@@ -91,15 +89,16 @@ def unit_nodes(scheme: str, level: int):
     return _tanh_sinh(level)
 
 
-def refine_until(eval_at_level, cfg: QuadratureConfig, method: str,
-                 start_level: int = 3, truncation: float = 0.0) -> Estimate:
-    """Run eval_at_level(level) -> (value, cost, magnitude) until the bar the
-    observed rate earns, plus ``truncation``, meets the target.
+def refine_until(levels, target: float, method: str,
+                 truncation: float = 0.0) -> Estimate:
+    """Draw (level, value, cost, magnitude) from the iterator ``levels`` until
+    the bar the observed rate earns, plus ``truncation``, meets the target.
 
-    ``magnitude`` is the size of the terms the level's value adds up,
-    sum_i |w_i f_i| for a rule sum_i w_i f_i, or an estimate of it within a
-    small factor.  With d_k = |v_k - v_(k-1)| and r = d_k / d_(k-1) the bar
-    at level k is
+    The iterator's length is the budget; no level past the one this returns
+    or raises at is drawn.  ``magnitude`` is the size of the terms the
+    level's value adds up, sum_i |w_i f_i| for a rule sum_i w_i f_i, or an
+    estimate of it within a small factor.  With d_k = |v_k - v_(k-1)| and
+    r = d_k / d_(k-1) the bar at level k is
 
         max(d_k r / (1 - r), floor),   floor = 4 eps magnitude_k.
 
@@ -117,18 +116,16 @@ def refine_until(eval_at_level, cfg: QuadratureConfig, method: str,
     rate bounds the tail, and refinement goes on.
 
     ``truncation``, a bound on what no level sees, is added to every bar.
-    Stops at the first level whose bar is at most target_rel_error |v_k|.
-    Raises NonFiniteError at the first level whose value is NaN or
-    infinite, before any further level runs, and NonConvergentError when
-    the budget is spent, carrying the last bar (inf where no falling rate
-    was seen).
+    Stops at the first level whose bar is at most target |v_k|.  Raises
+    NonFiniteError at the first level whose value is NaN or infinite, and
+    NonConvergentError, carrying the last bar (inf where no falling rate was
+    seen), when the levels run out, or at the first level that earns a
+    finite bar while ``truncation`` alone exceeds target |v_k|.
     """
     prev = prev_diff = None
     total_cost = 0
-    value = None
     bar = math.inf
-    for level in range(start_level, start_level + cfg.refinement_levels):
-        value, cost, magnitude = eval_at_level(level)
+    for level, value, cost, magnitude in levels:
         if not cmath.isfinite(value):
             raise NonFiniteError(f"{method}: the value at level {level} is "
                                  f"{value}, not finite")
@@ -144,14 +141,17 @@ def refine_until(eval_at_level, cfg: QuadratureConfig, method: str,
             else:
                 bar = math.inf
             bar += truncation
-            if bar < math.inf and bar <= cfg.target_rel_error * abs(value):
-                return Estimate(value=value, error_bound=bar,
-                                method=f"{method}/level{level}", cost=total_cost)
+            if bar < math.inf:
+                if bar <= target * abs(value):
+                    return Estimate(value=value, error_bound=bar,
+                                    method=f"{method}/level{level}", cost=total_cost)
+                if truncation > target * abs(value):
+                    break
             prev_diff = diff
         prev = value
     est = Estimate(value=value, error_bound=bar,
                    method=f"{method}/stalled", cost=total_cost)
     raise NonConvergentError(
         f"refinement stalled at relative bar "
-        f"{bar / max(abs(value), 1e-300):.3g} > {cfg.target_rel_error:.3g}",
+        f"{bar / max(abs(value), 1e-300):.3g} > {target:.3g}",
         estimate=est)

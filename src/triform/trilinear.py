@@ -18,10 +18,8 @@
   polynomial), leaving a 2-D integral over (a, b) with |sin|^(Re s) lines
   a = 0, b = 0, a = b (mod pi).  Transposition and reflection fold the square
   onto one half-triangle, rescaled so every singular corner becomes an
-  endpoint of the tanh-sinh node family.  Each refinement level is one pass
-  over it; the levels are nested, so a level adds only the nodes the
-  previous level lacked to that level's sum; ``_FoldedModes`` notes the
-  cheaper form of principal-series data.  No Gamma function enters.
+  endpoint of the tanh-sinh node family, whose nested levels each add only
+  the nodes the level before lacked.  No Gamma function enters.
 
 * ``spectral_mode_values`` -- values of the functional on Fourier modes
   e^{2im'x} (x) e^{2in'y} (x) e^{2ik'z}, which translation invariance makes
@@ -38,7 +36,6 @@ for a plateau and extrapolated (in 1/|lam|^2 at imaginary tau and tau').
 
 import cmath
 import math
-from dataclasses import replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -90,16 +87,14 @@ def invariant_functional(f: Callable) -> Estimate:
     The integrand is smooth and periodic, so the trapezoid rule converges
     spectrally under doubling.
     """
-    cfg = QuadratureConfig(target_rel_error=1e-12, refinement_levels=10)
+    def levels():
+        for level in range(10):
+            n = 64 * 2 ** level
+            t = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
+            vals = np.asarray(f(np.cos(t), np.sin(t)), dtype=complex)
+            yield level, (1.0 / n) * np.sum(vals), n, (1.0 / n) * np.sum(np.abs(vals))
 
-    def eval_at_level(level):
-        n = 64 * 2 ** level
-        t = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
-        vals = np.asarray(f(np.cos(t), np.sin(t)), dtype=complex)
-        return (1.0 / n) * np.sum(vals), n, (1.0 / n) * np.sum(np.abs(vals))
-
-    return refine_until(eval_at_level, cfg, method="trapezoid/unit_circle",
-                        start_level=0)
+    return refine_until(levels(), 1e-12, method="trapezoid/unit_circle")
 
 
 # ---------------------------------------------------------------------------
@@ -277,8 +272,8 @@ class _FoldedModes:
         u = tan(B / 2): shape (R, N, 4), or (R, 1, 4) for constant data.  Per
         row each is a trigonometric polynomial in B: its coefficients meet one
         real node factor [cos 2kB, sin 2kB]_{k=1..P}, with e^{2ikB} =
-        (e^{2iB})^k and e^{iB} = (1 + iu) / (1 - iu) = (1 - u^2 + 2iu) / (1 + u^2),
-        from the tangent the log-sine of B already took.
+        (e^{2iB})^k and e^{iB} = cis_half_angle(u, 1), from the tangent the
+        log-sine of B already took.
         """
         P = self.P
         ex = np.exp(2j * np.multiply.outer(d, np.arange(-P, P + 1)))
@@ -367,14 +362,11 @@ def _folded_sum(powers, modes: _FoldedModes, d, wd, x, omx, w, magnitude=False):
     is numpy's SIMD tan, exp or log, by the tangent half-angle identities.
     With t = tan(y / 2), log sin y = log(2t / (1 + t^2)) on (0, pi): one log,
     free of the cancellation of log(2t) - log1p(t^2) near y = pi.  With
-    t = tan(im / 2),
-
-        e^{re + i im} = e^re (1 - t^2 + 2it) / (1 + t^2),
-
-    and 1/S = e^-re conj(e^{i im}): no complex exp or division, no sine or
-    cosine.  Where the columns are mirror-symmetric (x == omx[::-1] bit for
-    bit, as on the principal series), log sin(d (1 - x)) is log sin(d x)
-    read in reverse, as a view.  Values are deterministic per machine, since
+    t = tan(im / 2), e^{re + i im} = cis_half_angle(t, e^re), and 1/S =
+    e^-re conj(e^{i im}): no complex exp or division, no sine or cosine.
+    Where the columns are mirror-symmetric (x == omx[::-1] bit for bit, as
+    on the principal series), log sin(d (1 - x)) is log sin(d x) read in
+    reverse, as a view.  Values are deterministic per machine, since
     the SIMD loops may differ from libm in the last place; kernel_on_circle
     is the libm reference this is tested against.  A node whose value
     overflows contributes nothing: the true integrand times its weight
@@ -460,13 +452,11 @@ def triple_quadrature(f1: CircleFunction, f2: CircleFunction, f3: CircleFunction
     exactly, and near the convergence edge (p -> 0) every node is kept.
 
     Each node takes its log-sines, kernel powers and mode phases from one
-    SIMD tangent per angle, by sin y = 2t / (1 + t^2) and e^{i phi} =
-    (1 - t^2 + 2it) / (1 + t^2) with t the tangent of the half angle (see
-    _folded_sum).  Deterministic for a fixed config on one machine: the node
-    sets and the summation order are functions of the level and of
-    Re (sA, sB, sG) only, and numpy's SIMD tan, exp and log may differ from
-    libm in the last place.  Raises NonFiniteError on a non-finite Fourier
-    coefficient or parameter.
+    SIMD tangent per angle (see _folded_sum).  Deterministic for a fixed
+    config on one machine: the node sets and the summation order are
+    functions of the level and of Re (sA, sB, sG) only, and numpy's SIMD
+    tan, exp and log may differ from libm in the last place.  Raises
+    NonFiniteError on a non-finite Fourier coefficient or parameter.
     """
     cfg = cfg or QuadratureConfig()
     top = _START_LEVEL + cfg.refinement_levels
@@ -482,46 +472,41 @@ def triple_quadrature(f1: CircleFunction, f2: CircleFunction, f3: CircleFunction
     modes = _FoldedModes(f1, f2, f3, powers)
     eA, eB, eG = (min(s.real, 0.0) for s in powers)
     p_row, p_col, p_end = 2.0 + eA + eB + eG, 1.0 + min(eA, eB), 1.0 + eG
-    raw, size, level3 = 0.0, None, None     # raw: the last level's sum, x pi^2
 
-    def eval_at_level(level):
-        nonlocal raw, size, level3
-        if level == _START_LEVEL + 1:
-            return level3
-        x, omx, w = unit_nodes("singularity_split", max(level, _START_LEVEL + 1))
-        to_end = _tail_kept(omx, p_end)
-        cols = np.flatnonzero(_tail_kept(x, p_col) & to_end)
-        rows = (np.flatnonzero(_tail_kept(x, p_row) & to_end) if p_row > 0
-                else np.arange(len(x)))
-        d = (np.pi / 2.0) * x
-        if level == _START_LEVEL:
-            # one pass over level 3's grid gives level 2 too: its nodes are
-            # the even positions at twice the weight, a second rule that
-            # weighs the odd ones 0.  The pass's cost is booked here
-            ww = np.zeros((2, len(w)))
-            ww[0], ww[1, 0::2] = w, 2.0 * w[0::2]
-            tot, mag = _folded_sum(powers, modes, d[rows], (np.pi / 2.0) * ww[:, rows],
-                                   x[cols], omx[cols], ww[:, cols], magnitude=True)
-            raw, size = tot[0], mag / np.pi ** 2
-            level3 = (raw / np.pi ** 2, 0, size)
-            return tot[1] / np.pi ** 2, 2 * len(rows) * len(cols), size
-        # level - 1's nodes are the even positions: each keeps its value and
-        # half its old weight on each axis
-        wd = (np.pi / 2.0) * w
-        old, new = rows[rows % 2 == 0], rows[rows % 2 == 1]
-        new_cols = cols[cols % 2 == 1]
-        raw = (raw / 4.0
-               + _folded_sum(powers, modes, d[new], wd[None, new],
-                             x[cols], omx[cols], w[None, cols])[0][0]
-               + _folded_sum(powers, modes, d[old], wd[None, old],
-                             x[new_cols], omx[new_cols], w[None, new_cols])[0][0])
-        return (raw / np.pi ** 2,
-                2 * len(new) * len(cols) + 2 * len(old) * len(new_cols),
-                size)
+    def levels():       # raw: the last level's sum times pi^2
+        for level in range(_START_LEVEL + 1, top + 1):
+            x, omx, w = unit_nodes("singularity_split", level)
+            to_end = _tail_kept(omx, p_end)
+            cols = np.flatnonzero(_tail_kept(x, p_col) & to_end)
+            rows = (np.flatnonzero(_tail_kept(x, p_row) & to_end) if p_row > 0
+                    else np.arange(len(x)))
+            d = (np.pi / 2.0) * x
+            if level == _START_LEVEL + 1:
+                # level 2 is this pass's second column and pays for it
+                ww = np.zeros((2, len(w)))
+                ww[0], ww[1, 0::2] = w, 2.0 * w[0::2]
+                tot, mag = _folded_sum(powers, modes, d[rows],
+                                       (np.pi / 2.0) * ww[:, rows], x[cols],
+                                       omx[cols], ww[:, cols], magnitude=True)
+                raw, size = tot[0], mag / np.pi ** 2
+                yield _START_LEVEL, tot[1] / np.pi ** 2, 2 * len(rows) * len(cols), size
+                yield level, raw / np.pi ** 2, 0, size
+                continue
+            # level - 1's nodes are the even positions: each keeps its value
+            # and half its old weight on each axis
+            wd = (np.pi / 2.0) * w
+            old, new = rows[rows % 2 == 0], rows[rows % 2 == 1]
+            new_cols = cols[cols % 2 == 1]
+            raw = (raw / 4.0
+                   + _folded_sum(powers, modes, d[new], wd[None, new],
+                                 x[cols], omx[cols], w[None, cols])[0][0]
+                   + _folded_sum(powers, modes, d[old], wd[None, old],
+                                 x[new_cols], omx[new_cols], w[None, new_cols])[0][0])
+            yield (level, raw / np.pi ** 2,
+                   2 * len(new) * len(cols) + 2 * len(old) * len(new_cols), size)
 
-    return refine_until(eval_at_level,
-                        replace(cfg, refinement_levels=cfg.refinement_levels + 1),
-                        method="triple/singularity_split", start_level=_START_LEVEL)
+    return refine_until(levels(), cfg.target_rel_error,
+                        method="triple/singularity_split")
 
 
 # ---------------------------------------------------------------------------

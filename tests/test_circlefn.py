@@ -53,5 +53,5 @@ def test_evaluate_is_near_the_exponential_table_and_mpmath(N, theta, data):
 
 def test_evaluate_keeps_nan_angles():
     for N in (0, 2):
-        vals = CircleFunction.constant(1.0, N).evaluate(np.array([0.3, np.nan]))
+        vals = CircleFunction.from_modes({0: 1.0}, N).evaluate(np.array([0.3, np.nan]))
         assert np.isfinite(vals[0]) and np.isnan(vals[1])

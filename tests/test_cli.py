@@ -67,8 +67,7 @@ def test_closed_form_normalized_where_the_square_underflows(l3, tmp_path):
 
 
 def test_closed_form_rows_equal_the_library_values(tmp_path):
-    # one closed_form_log per row gives the same bits as the two library
-    # calls that each evaluate it again
+    # the square and normalized columns are the library's values, bit for bit
     code, text = run_cli(["closed-form", "--cube", "0,1,4", "--triples",
                           "0.3+0j,0,2;0,0,466", "--format", "json"], tmp_path)
     assert code == 0

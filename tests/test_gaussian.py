@@ -1,5 +1,7 @@
 """Gaussian expectation machinery and the moment/reduction identities."""
 
+import math
+
 import mpmath
 import numpy as np
 import pytest
@@ -160,13 +162,15 @@ def test_radial_quadrature_against_both_oracles():
 @pytest.mark.parametrize("s", [-0.9, -0.8, -0.7, -0.6, -0.5])
 def test_radial_bar_covers_the_strip_below_the_first_node(n, s):
     # r^(s+n-1) puts mass up to r0^(s+n) / (s+n) below the first node r0
-    # (about 2e-31): near s = -n the bar must cover it, or the call raises
+    # (about 2e-31): near s = -n the bar must cover it, or the call raises,
+    # as soon as a level earns a bar (levels 3-5 have 48 + 96 + 192 nodes)
     exact = float(mpmath.gamma((s + n) / 2) / mpmath.gamma(n / 2))
     try:
         est = radial_expect(n, s)
     except NonConvergentError as exc:
         assert exc.estimate.error_bound > 1e-12 * abs(exc.estimate.value)
         assert (n, s) in ((1, -0.9), (1, -0.8), (1, -0.7))
+        assert exc.estimate.cost <= 336
         return
     assert abs(est.value - exact) <= est.error_bound
 
@@ -190,6 +194,19 @@ def test_homogeneous_reduction_angular_modes():
     f = CircleFunction.from_modes({0: 1.0, 2: 0.5, -2: 0.5}, 1)
     lhs, rhs = homogeneous_reduction_check(2j, f)
     assert abs(lhs.value - rhs.value) <= lhs.error_bound + rhs.error_bound + 1e-9
+
+
+@pytest.mark.parametrize("lam", [0.0, 2j])
+def test_homogeneous_radial_route_is_the_radial_oracle(lam):
+    # (1/pi) int f dtheta = 2 f_0 and int r^-lam e^(-r^2) dr =
+    # (sqrt(pi) / 2) radial_expect(1, -lam): the lhs is their product
+    f = CircleFunction.from_modes({0: 0.5 - 0.25j, 2: 0.25, -2: 0.25}, 1)
+    lhs, _ = homogeneous_reduction_check(lam, f)
+    rad = radial_expect(1, -lam)
+    c = math.sqrt(math.pi) * f.coefficient(0)
+    assert lhs.value == c * rad.value
+    assert lhs.error_bound == abs(c) * rad.error_bound
+    assert (lhs.method, lhs.cost) == (rad.method, rad.cost)
 
 
 @pytest.mark.parametrize("lam", [0.5, 0.6, 0.7, 0.8, 0.9])

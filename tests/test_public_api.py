@@ -224,8 +224,6 @@ UNCALLED_EXPORTS = {
     "relative_trace": "dense reference that sobolev_trace is tested against",
     "weighted_mean_bound": "the bound acceptance's localization criterion checks",
     "minor_map": "reference for the Monte Carlo third-minor line; tests rotate it",
-    "spherical_square": "reference the closed-form table's square column is "
-                        "tested against, bit for bit",
 }
 
 
@@ -265,10 +263,8 @@ def test_every_export_has_a_caller():
 DEFAULTED_VALUES = {
     "CircleFunction.tail_energy": "diagnostic: only group_action's truncation "
                                   "sets it; other data have none",
-    "CircleFunction.constant(value)": "the constant's one datum; every caller "
-                                      "writes out the unit value",
-    "CircleFunction.constant(max_mode)": "tests pad a constant to more modes for "
-                                         "the group action",
+    "CircleFunction.constant(value)": "the constant's one datum; the bench "
+                                      "writes out 1.0 and tests pass 2.0",
     "Estimate.method": "closed forms and refined values label themselves",
     "Estimate.cost": "closed forms cost no integrand evaluation",
     "QuadratureConfig.target_rel_error": "the CLI's --target and tests set it",

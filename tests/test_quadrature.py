@@ -5,25 +5,25 @@ import math
 import numpy as np
 import pytest
 
-from triform import NonConvergentError, NonFiniteError, QuadratureConfig
+from triform import NonConvergentError, NonFiniteError
 from triform.quadrature import refine_until
 
 EPS = np.finfo(float).eps
 FLOOR = 4 * EPS         # the floor per unit of magnitude
 
 
-def run(values, target=1e-6, magnitude=1.0):
+def run(values, target=1e-6, magnitude=1.0, truncation=0.0):
     """refine_until over the given level values from level 0; returns the
     Estimate (or the stalled one) and the levels that ran."""
     ran = []
 
-    def eval_at_level(level):
-        ran.append(level)
-        return values[level], 1, magnitude
+    def levels():
+        for level, value in enumerate(values):
+            ran.append(level)
+            yield level, value, 1, magnitude
 
-    cfg = QuadratureConfig(refinement_levels=len(values), target_rel_error=target)
     try:
-        est = refine_until(eval_at_level, cfg, "synthetic", start_level=0)
+        est = refine_until(levels(), target, "synthetic", truncation)
     except NonConvergentError as exc:
         est = exc.estimate
     return est, ran
@@ -107,9 +107,8 @@ def test_the_stalled_bar_is_the_last_rate_bar():
     # above the target, and that bar travels with the error
     values = [1.0, 1.1, 1.15]
     with pytest.raises(NonConvergentError) as info:
-        refine_until(lambda level: (values[level], 1, 1.0),
-                     QuadratureConfig(refinement_levels=3, target_rel_error=1e-6),
-                     "synthetic", start_level=0)
+        refine_until(((k, v, 1, 1.0) for k, v in enumerate(values)), 1e-6,
+                     "synthetic")
     est = info.value.estimate
     assert est.method == "synthetic/stalled" and est.cost == 3
     assert est.error_bound == pytest.approx(0.05, rel=1e-12)
@@ -119,12 +118,44 @@ def test_the_stalled_bar_is_the_last_rate_bar():
 def test_the_first_non_finite_level_raises(bad):
     ran = []
 
-    def eval_at_level(level):
-        ran.append(level)
-        return (bad if level == 4 else 1.0 + 10.0 ** -level), 1, 1.0
+    def levels():
+        for level in range(2, 8):
+            ran.append(level)
+            yield level, (bad if level == 4 else 1.0 + 10.0 ** -level), 1, 1.0
 
     with pytest.raises(NonFiniteError, match="synthetic: the value at level 4"):
-        refine_until(eval_at_level,
-                     QuadratureConfig(refinement_levels=6, target_rel_error=1e-15),
-                     "synthetic", start_level=2)
+        refine_until(levels(), 1e-15, "synthetic")
     assert ran == [2, 3, 4]
+
+
+def _no_level_past(stop, values):
+    """The levels of ``values`` from 0; drawing one past ``stop`` fails."""
+    for level, value in enumerate(values):
+        assert level <= stop, f"level {level} drawn past {stop}"
+        yield level, value, 1, 1.0
+
+
+def test_no_level_is_drawn_past_the_one_returned_at():
+    # errors 1e-1, 1e-2, 1e-4, 1e-8: the driver returns at level 4 without
+    # advancing the generator again, so its later levels are never computed
+    values = [1.0 + 10.0 ** -(2 ** k) for k in range(8)]
+    est = refine_until(_no_level_past(4, values), 1e-6, "synthetic")
+    assert est.method == "synthetic/level4" and est.cost == 5
+
+
+def test_a_truncation_that_misses_the_target_stops_at_the_first_bar():
+    # the differences fall from level 2 on (9e-2, then 9.9e-3); a truncation
+    # of 1e-3 |v| alone misses the target 1e-6, so the driver raises there,
+    # not after the whole budget, and the stalled bar includes it
+    values = [1.0 + 10.0 ** -(2 ** k) for k in range(8)]
+    with pytest.raises(NonConvergentError) as info:
+        refine_until(_no_level_past(2, values), 1e-6, "synthetic", 1e-3)
+    est = info.value.estimate
+    assert est.method == "synthetic/stalled" and est.cost == 3
+    assert est.error_bound >= 1e-3
+    # a truncation within the target changes only the bar
+    est, ran = run(values, target=1e-6, truncation=1e-7)
+    assert ran == [0, 1, 2, 3, 4] and est.method == "synthetic/level4"
+    # without a falling rate the driver goes on: the value may still grow
+    est, ran = run([1.0, 1.5, 2.5, 4.5], target=1e-6, truncation=1e-3)
+    assert ran == [0, 1, 2, 3] and est.error_bound == math.inf

@@ -58,7 +58,7 @@ def test_action_rotation_is_lambda_independent_shift(rng):
 
 
 def test_action_unitary_on_spherical_vector():
-    f = CircleFunction.constant(1.0, max_mode=64)
+    f = CircleFunction.from_modes({0: 1.0}, 64)
     g = np.diag([2.0, 0.5])
     out = group_action(g, 1j, f)
     assert abs(np.linalg.norm(out.coeffs) - 1.0) <= np.sqrt(out.tail_energy) + 1e-10
@@ -77,7 +77,7 @@ def test_action_unitarity_random(rng):
 def test_diagnostics_are_declared_fields():
     # set through the constructors, never attached to an instance afterwards
     assert CircleFunction.constant(1.0).tail_energy is None
-    out = group_action(np.diag([2.0, 0.5]), 1j, CircleFunction.constant(1.0, 16))
+    out = group_action(np.diag([2.0, 0.5]), 1j, CircleFunction.from_modes({0: 1.0}, 16))
     assert "tail_energy" in out.__dataclass_fields__ and out.tail_energy >= 0.0
     u = bump_vector(1.0)
     for name in ("support_radius", "center", "norm_sq_plain", "mass"):
@@ -89,7 +89,7 @@ def test_non_finite_group_element_is_refused():
     # tail gate let through
     g = np.array([[1.0, np.nan], [0.0, 1.0]])
     with pytest.raises(NonFiniteError):
-        group_action(g, 1j, CircleFunction.constant(1.0, 4))
+        group_action(g, 1j, CircleFunction.from_modes({0: 1.0}, 4))
     theta = np.array([0.3, 1.1])
     with pytest.raises(NonFiniteError):
         transformed_kernel_values(np.eye(2), g, 0.0, (0.0, 0.0, 1j), theta,
@@ -105,7 +105,7 @@ def test_action_truncation_overflow():
 @pytest.mark.parametrize("g", [np.zeros((2, 2)), np.array([[1.0, 2.0], [0.5, 1.0]])])
 def test_singular_group_element_is_a_precondition_error(g):
     with pytest.raises(PreconditionError, match="invertible"):
-        group_action(g, 1j, CircleFunction.constant(1.0, 4))
+        group_action(g, 1j, CircleFunction.from_modes({0: 1.0}, 4))
     theta = np.array([0.3, 1.1])
     for pair in ((g, np.eye(2)), (np.eye(2), g)):
         with pytest.raises(PreconditionError, match="invertible"):

@@ -537,10 +537,12 @@ def _level_records(monkeypatch, data, lams, levels, nodes=unit_nodes):
     refine_until receives them, with ``nodes`` in place of unit_nodes."""
     seen = {}
 
-    def record(eval_at_level, cfg, method, start_level):
-        for level in levels:
-            seen[level] = eval_at_level(level)
-        return Estimate(0.0, 0.0)
+    def record(drawn, target, method):
+        for level, *rest in drawn:
+            if level in levels:
+                seen[level] = tuple(rest)
+            if level == max(levels):
+                return Estimate(0.0, 0.0)
 
     monkeypatch.setattr("triform.trilinear.refine_until", record)
     monkeypatch.setattr("triform.trilinear.unit_nodes", nodes)

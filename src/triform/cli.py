@@ -22,6 +22,7 @@ import io
 import json
 import sys
 import time
+from functools import lru_cache
 
 import numpy as np
 
@@ -257,7 +258,10 @@ def _add_common(p):
                    help="omit wall time so identical configs give identical bytes")
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process: parsing
+    leaves it unchanged, and each parse_args call makes a fresh namespace."""
     ap = argparse.ArgumentParser(prog="triform", description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = ap.add_subparsers(dest="command", required=True)

@@ -31,9 +31,6 @@ from functools import lru_cache, reduce
 from typing import Optional, Tuple
 
 import numpy as np
-import scipy.linalg as sla
-from scipy.linalg import lapack
-import scipy.sparse as sp
 
 from .circlefn import BiCircleFunction, CircleFunction
 from .errors import (NonConvergentError, NonFiniteError,
@@ -141,6 +138,8 @@ def circle_generators(lam, N: int):
                                      - i((q+1)+(lam-1)/2) f_{q+1}
       X_r = rotation:      (X f)_q = 2 i q f_q
     """
+    import scipy.sparse as sp
+
     z = complex(lam)
     q = np.arange(-N, N + 1)
     half = (z - 1.0) / 2.0
@@ -164,6 +163,8 @@ def _word_grams(lam, N: int, l: int) -> list:
     A_alpha = X_a^i X_b^j X_r^k runs over the words of length a in
     circle_generators(lam, N), composed in the fixed generator order.
     """
+    import scipy.sparse as sp
+
     Xa, Xb, Xr = circle_generators(lam, N)
     eye = sp.identity(2 * N + 1, format="csr", dtype=complex)
     return [sum(w.getH() @ w for w in (
@@ -186,7 +187,7 @@ def _check_form(l: int, T: float, N: int, *params) -> None:
         raise NonFiniteError(f"T^(2l) overflows at T = {T}, l = {l}")
 
 
-def sobolev_matrix(l: int, T: float, tau, tau_prime, N: int) -> sp.csc_matrix:
+def sobolev_matrix(l: int, T: float, tau, tau_prime, N: int) -> "sp.csc_matrix":
     """Sparse matrix of Q_{l,T}(v) = sum_nu T^(2(l-|nu|)) ||X^nu v||^2.
 
     The sum runs over multi-indices nu = (n_1..n_6) with |nu| <= l and
@@ -203,6 +204,8 @@ def sobolev_matrix(l: int, T: float, tau, tau_prime, N: int) -> sp.csc_matrix:
     Raises NonFiniteError for a NaN or infinite T, tau or tau_prime, or a T
     whose T^(2l) overflows, and PreconditionError for l < 0, T <= 0 or N < 0.
     """
+    import scipy.sparse as sp
+
     _check_form(l, T, N, tau, tau_prime)
     G = _word_grams(tau, N, l)
     H = G if complex(tau_prime) == complex(tau) else _word_grams(tau_prime, N, l)
@@ -276,6 +279,8 @@ def relative_trace(H, Q) -> float:
     or have more than (2*40 + 1)^2 = 6561 rows, the dense induced form's
     limit, raise PreconditionError; use sobolev_trace for large truncations.
     """
+    import scipy.linalg as sla
+
     Hm, Qm = np.asarray(H, dtype=complex), np.asarray(Q, dtype=complex)
     rows = (2 * _DENSE_MAX_N + 1) ** 2
     if max(Hm.shape + Qm.shape, default=0) > rows:
@@ -318,22 +323,17 @@ def _parity_classes(N: int):
 
 def _band_block(grams: list) -> np.ndarray:
     """Upper band storage ab[kd + r - c, c] = B[r, c] of B = sum_a G_a (x) H_a
-    for dense Hermitian G_a, H_a of sizes n_i, n_j, in their common dtype.
+    for dense Hermitian G_a, H_a of sizes n_i, n_j, in their common dtype,
+    from the pairs ((G_a, b(G_a)), (H_a, b(H_a))), b the half bandwidth.
     In Kronecker order (row i n_j + j) diagonal t of G_a times diagonal s of
-    H_a is B's diagonal t n_j + s, so kd = max_a (b(G_a) n_j + b(H_a)), b a
-    nonzero pattern's half bandwidth; band row kd - t n_j - s, read as an
-    (n_i, n_j) view, takes their outer product G[i - t, i] H[j - s, j] at
-    i >= t, s <= j < n_j + s."""
-    def half_bandwidth(M):
-        r, c = np.nonzero(M)
-        return int(np.max(np.abs(r - c), initial=0))
-
-    ni, nj = len(grams[0][0]), len(grams[0][1])
-    bands = [(half_bandwidth(G), half_bandwidth(H)) for G, H in grams]
-    kd = max(bg * nj + bh for bg, bh in bands)
-    dtype = np.result_type(*(M.dtype for pair in grams for M in pair))
+    H_a is B's diagonal t n_j + s, so kd = max_a (b(G_a) n_j + b(H_a)); band
+    row kd - t n_j - s, read as an (n_i, n_j) view, takes their outer
+    product G[i - t, i] H[j - s, j] at i >= t, s <= j < n_j + s."""
+    ni, nj = len(grams[0][0][0]), len(grams[0][1][0])
+    kd = max(bg * nj + bh for (_, bg), (_, bh) in grams)
+    dtype = np.result_type(*(M.dtype for pair in grams for M, _ in pair))
     ab = np.zeros((kd + 1, ni * nj), dtype=dtype, order="F")
-    for (G, H), (bg, bh) in zip(grams, bands):
+    for (G, bg), (H, bh) in grams:
         for t in range(bg + 1):
             g = np.diagonal(G, t)
             for s in range(max(-bh, -t * nj), bh + 1):
@@ -349,6 +349,8 @@ def _block_term(grams: list, vals: np.ndarray, weight: np.ndarray,
     LAPACK's ``pbtrf`` in B's dtype: each term is ||U^{-H} w^*||^2, one
     ``tbtrs`` sweep; a real U sweeps the columns a, b of w^* = a + i b, as
     ||U^{-T} (a + i b)||^2 = ||U^{-T} a||^2 + ||U^{-T} b||^2."""
+    from scipy.linalg import lapack
+
     ab = _band_block(grams)
     pbtrf, tbtrs = lapack.get_lapack_funcs(("pbtrf", "tbtrs"), (ab,))
     U, info = pbtrf(ab, overwrite_ab=1)
@@ -369,12 +371,14 @@ def _block_term(grams: list, vals: np.ndarray, weight: np.ndarray,
 def _class_grams(l: int, tau: complex, tau_prime: complex, N: int) -> tuple:
     """(parity, (P^T G_a P)_a, (P^T H_b P)_b), a, b = 0..l, per nonempty class
     P of ``_parity_classes(N)`` (no H entry if tau = tau'), each Gram
-    read-only and real where its imaginary part is 0."""
+    read-only, real where its imaginary part is 0, and paired with the half
+    bandwidth of its nonzero pattern."""
     def fold(B, M):
         C = B.T @ M.toarray() @ B
         C = C if np.any(C.imag) else C.real
         C.flags.writeable = False
-        return C
+        r, c = np.nonzero(C)
+        return C, int(np.max(np.abs(r - c), initial=0))
     grams = [_word_grams(t, N, l) for t in dict.fromkeys((tau, tau_prime))]
     return tuple((p, *(tuple(fold(B, M) for M in G) for G in grams))
                  for B, p in _parity_classes(N) if B.shape[1])
@@ -458,7 +462,9 @@ def sobolev_trace(l: int, T: float, lam, params: Tuple, N: int,
     pairs, blocks = _block_maps(N, K_modes, tau == tau_prime)
     vals = spectral_mode_values(pairs, tau, tau_prime, lam)
     classes = _class_grams(l, tau, tau_prime, N)
-    H = [[sum(T ** (2 * (l - a - b)) * c[-1][b] for b in range(l - a + 1))
+    # a T-weighted sum of Grams has the widest band among its terms
+    H = [[(sum(T ** (2 * (l - a - b)) * c[-1][b][0] for b in range(l - a + 1)),
+           max(c[-1][b][1] for b in range(l - a + 1)))
           for a in range(l + 1)] for c in classes]
     rho = 0.0
     for i, j, *layout in blocks:

@@ -36,6 +36,8 @@ for a plateau and extrapolated (in 1/|lam|^2 at imaginary tau and tau').
 
 import cmath
 import math
+import threading
+from collections import OrderedDict
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -71,6 +73,10 @@ _START_LEVEL = 2         # first level of triple_quadrature
 MAX_QUADRATURE_LEVEL = 10
 _BLOCK_NODES = 1 << 13   # nodes per block of rows; bounds the temporaries
 _TAIL_EPS = 2.0 ** -60   # majorant mass a dropped strip of the grid may carry
+# bytes of node geometry kept between calls: the principal-series parts of
+# levels 3-6 take 4.19 MB, the largest 2.10 MB; each part of level 7 or
+# above takes 4.19 MB or more, over half the budget
+_GEOMETRY_BUDGET = 9 << 19
 
 
 # ---------------------------------------------------------------------------
@@ -210,12 +216,109 @@ def decay_constant(tau, tau_prime, moduli: Sequence[float]):
 # singular quadrature of the circle-model integral
 # ---------------------------------------------------------------------------
 
-def _log_sin(u):
-    """log sin y from u = tan(y / 2), 0 < y < pi: sin y = 2u / (1 + u^2)."""
-    q = u * u
+def _log_sin(u, out=None):
+    """log sin y from u = tan(y / 2), 0 < y < pi: sin y = 2u / (1 + u^2),
+    written to ``out`` if given."""
+    q = np.multiply(u, u, out=out)
     q += 1.0
     np.divide(u + u, q, out=q)
     return np.log(q, out=q)
+
+
+class _GeometryCache:
+    """Least-recently-used map from a part of a level's grid to its read-only
+    log-sine arrays, holding at most ``budget`` bytes.  A part larger than
+    half the budget is never stored: it would evict the smaller parts of the
+    levels below it, which every call reads first.  A key (nodes, ...) names
+    the node array the part was cut from by identity, and its entry holds
+    that array, so the id stays its own: unit_nodes returns one cached array
+    per level, and a stand-in node family never reads another's geometry.
+    cache_info() is (hits, misses, entries, bytes).  A lock makes each
+    lookup and store atomic for callers in several threads."""
+
+    def __init__(self, budget: int):
+        self.budget = budget
+        self.entries = OrderedDict()
+        self.hits = self.misses = self.nbytes = 0
+        self.lock = threading.Lock()
+
+    def get(self, key):
+        slot = (id(key[0]), *key[1:])
+        with self.lock:
+            entry = self.entries.get(slot)
+            if entry is None:
+                self.misses += 1
+                return None
+            self.hits += 1
+            self.entries.move_to_end(slot)
+            return entry[1]
+
+    def admits(self, nbytes: int) -> bool:
+        return 2 * nbytes <= self.budget
+
+    def put(self, key, arrays):
+        for a in arrays:
+            a.flags.writeable = False
+        slot = (id(key[0]), *key[1:])
+        with self.lock:
+            if slot in self.entries:        # stored meanwhile by another thread
+                return
+            self.nbytes += sum(a.nbytes for a in arrays)
+            self.entries[slot] = key[0], arrays
+            while self.nbytes > self.budget:
+                _, (_, old) = self.entries.popitem(last=False)
+                self.nbytes -= sum(a.nbytes for a in old)
+
+    def cache_info(self):
+        return self.hits, self.misses, len(self.entries), self.nbytes
+
+    def cache_clear(self):
+        with self.lock:
+            self.entries.clear()
+            self.hits = self.misses = self.nbytes = 0
+
+
+_GEOMETRY = _GeometryCache(_GEOMETRY_BUDGET)
+
+
+def _log_sines(key, d, x, omx):
+    """(lo, dd, lA, lB, lG, uB) per block of rows dd = d[lo:lo + rows, None]
+    on the columns x: lA = log sin dd, lB = log sin(dd x), lG = (log sin(dd
+    (1 - x)), log sin(dd (1 + x))) and uB = tan(dd x / 2), which only a
+    block computed here has (None from the cache).
+
+    ``key`` names the node set, so that equal keys mean equal d, x and omx.
+    A part found in _GEOMETRY is read from it; one not found is computed
+    block by block, into the arrays it is then stored as where they fit the
+    budget.  Where the columns are mirror-symmetric (x == omx[::-1] bit for
+    bit, as on the principal series), log sin(d (1 - x)) is log sin(d x)
+    read in reverse, as a view, and is not stored.
+    """
+    rows = max(1, _BLOCK_NODES // len(x))
+    cached = _GEOMETRY.get(key)
+    store = None
+    if cached is None:
+        hx, hpx, homx = 0.5 * x, 0.5 * (1.0 + x), 0.5 * omx
+        mirror = np.array_equal(x, omx[::-1])
+        shapes = [(len(d), 1)] + [(len(d), len(x))] * (2 if mirror else 3)
+        if _GEOMETRY.admits(8 * sum(r * c for r, c in shapes)):
+            store = [np.empty(shape) for shape in shapes]
+    for lo in range(0, len(d), rows):
+        dd = d[lo:lo + rows, None]
+        if cached is not None:
+            lA, lB, lP, *lM = (a[lo:lo + rows] for a in cached)
+            uB = None
+        else:
+            lA, lB, lP, *lM = [None] * len(shapes) if store is None else (
+                a[lo:lo + rows] for a in store)
+            uB = np.tan(dd * hx)
+            lA = _log_sin(np.tan(0.5 * dd), lA)
+            lB = _log_sin(uB, lB)
+            lM = [_log_sin(np.tan(dd * homx), out) for out in lM]
+            lP = _log_sin(np.tan(dd * hpx), lP)
+        yield lo, dd, lA, lB, (lM[0] if lM else lB[:, ::-1], lP), uB
+    if store is not None:
+        _GEOMETRY.put(key, store)
 
 
 def _phases(lG, pI, pR, hsG, sGr):
@@ -338,13 +441,15 @@ class _FoldedModes:
         return f
 
 
-def _folded_sum(powers, modes: _FoldedModes, d, wd, x, omx, w, magnitude=False):
+def _folded_sum(powers, modes: _FoldedModes, key, d, wd, x, omx, w,
+                magnitude=False):
     """([sum_r wd_kr d_r sum_j w_kj F(d_r, x_j) for each k], M) for the
     folded integrand F and the K rules on the same nodes that the rows of
     the row and node weights wd (K, R) and w (K, N) give, from one
     evaluation of F; M is the first rule's sum of |Re F| + |Im F| if
     ``magnitude``, else 0.  Each row sum is a matrix-vector product, which
-    needs no BLAS work buffer.
+    needs no BLAS work buffer.  The log-sines of the nodes come from
+    ``_log_sines`` under ``key``.
 
     The square is the lower triangle {0 < b < a < pi} and its transpose.  Both
     fold onto T1a = {0 < b < a, a + b < pi}, whose pieces a = d and a = pi - d
@@ -364,30 +469,23 @@ def _folded_sum(powers, modes: _FoldedModes, d, wd, x, omx, w, magnitude=False):
     free of the cancellation of log(2t) - log1p(t^2) near y = pi.  With
     t = tan(im / 2), e^{re + i im} = cis_half_angle(t, e^re), and 1/S =
     e^-re conj(e^{i im}): no complex exp or division, no sine or cosine.
-    Where the columns are mirror-symmetric (x == omx[::-1] bit for bit, as
-    on the principal series), log sin(d (1 - x)) is log sin(d x) read in
-    reverse, as a view.  Values are deterministic per machine, since
-    the SIMD loops may differ from libm in the last place; kernel_on_circle
-    is the libm reference this is tested against.  A node whose value
-    overflows contributes nothing: the true integrand times its weight
-    vanishes at the endpoints (Re s > -1).
+    Values are deterministic per machine, since the SIMD loops may differ
+    from libm in the last place; kernel_on_circle is the libm reference this
+    is tested against.  A node whose value overflows contributes nothing:
+    the true integrand times its weight vanishes at the endpoints (Re s >
+    -1).
     """
     sA, sB, sG = powers
     c1, c2 = 0.5 * (sA + sB), 0.5 * (sB - sA)
     # every angle is halved before its tangent; 0.5 (c y) = (0.5 c) y exactly
     hc1, hc2, hsG = 0.5 * c1.imag, 0.5 * c2.imag, 0.5 * sG.imag
-    hx, hpx = 0.5 * x, 0.5 * (1.0 + x)
-    homx = None if np.array_equal(x, omx[::-1]) else 0.5 * omx
     w_mag = np.repeat(w[0], 2) if magnitude else None    # Re f, Im f alike
     total, mag = [0.0 + 0.0j] * len(w), 0.0
-    rows = max(1, _BLOCK_NODES // len(x))
-    for lo in range(0, len(d), rows):
-        dd = d[lo:lo + rows, None]
-        uB = np.tan(dd * hx)
-        lA = _log_sin(np.tan(0.5 * dd))
-        lB = _log_sin(uB)
-        lG = (lB[:, ::-1] if homx is None else _log_sin(np.tan(dd * homx)),
-              _log_sin(np.tan(dd * hpx)))
+    hx = 0.5 * x
+    for lo, dd, lA, lB, lG, uB in _log_sines(key, d, x, omx):
+        rows = len(dd)
+        if uB is None and modes.P:
+            uB = np.tan(dd * hx)
         with np.errstate(over="ignore", invalid="ignore", under="ignore"):
             vp, vm = lA + lB, lA - lB
             phases = _phases(lG, hc1 * vp, c1.real * vp, hsG, sG.real)
@@ -410,6 +508,14 @@ def _tail_kept(t, p):
     """Whether the strip from an endpoint to the nodes at distance t from it
     has majorant mass int_0^t u^(p-1) du = t^p / p of at least _TAIL_EPS."""
     return t ** p >= _TAIL_EPS * p
+
+
+def _kept_range(x, omx, p_start, p_end):
+    """(lo, hi) with x[lo:hi] the nodes whose strips toward x = 0 (exponent
+    p_start) and toward x = 1 (p_end) are both kept: t^p is monotone in t,
+    so each test keeps a run of nodes from its far end."""
+    idx = np.flatnonzero(_tail_kept(x, p_start) & _tail_kept(omx, p_end))
+    return (int(idx[0]), int(idx[-1]) + 1) if len(idx) else (0, 0)
 
 
 def triple_quadrature(f1: CircleFunction, f2: CircleFunction, f3: CircleFunction,
@@ -457,6 +563,17 @@ def triple_quadrature(f1: CircleFunction, f2: CircleFunction, f3: CircleFunction
     functions of the level and of Re (sA, sB, sG) only, and numpy's SIMD
     tan, exp and log may differ from libm in the last place.  Raises
     NonFiniteError on a non-finite Fourier coefficient or parameter.
+
+    No parameter enters the log-sines log sin d, log sin(d x) and log sin(d
+    (1 +- x)), and the kept rows and columns are each one run of indices,
+    so calls that share Re (sA, sB, sG), as every principal-series triple
+    does, share them.  They are kept, read-only, in one least-recently-used
+    cache per process, keyed on the level, the part of its pass (levels 2
+    and 3's pass, new rows by all columns, or old rows by new columns) and
+    the kept row and column ranges, and bounded at 4.5 MiB: the
+    principal-series parts of levels 3-6 take 4.2 MB, and a part larger than
+    half the budget, as each of level 7 or above is, is never stored.  A warm call gives
+    the cold call's value, bar, level and cost bit for bit.
     """
     cfg = cfg or QuadratureConfig()
     top = _START_LEVEL + cfg.refinement_levels
@@ -476,16 +593,17 @@ def triple_quadrature(f1: CircleFunction, f2: CircleFunction, f3: CircleFunction
     def levels():       # raw: the last level's sum times pi^2
         for level in range(_START_LEVEL + 1, top + 1):
             x, omx, w = unit_nodes("singularity_split", level)
-            to_end = _tail_kept(omx, p_end)
-            cols = np.flatnonzero(_tail_kept(x, p_col) & to_end)
-            rows = (np.flatnonzero(_tail_kept(x, p_row) & to_end) if p_row > 0
-                    else np.arange(len(x)))
+            col_range = _kept_range(x, omx, p_col, p_end)
+            row_range = (_kept_range(x, omx, p_row, p_end) if p_row > 0
+                         else (0, len(x)))
+            cols, rows = np.arange(*col_range), np.arange(*row_range)
+            key = (x, level, row_range, col_range)
             d = (np.pi / 2.0) * x
             if level == _START_LEVEL + 1:
                 # level 2 is this pass's second column and pays for it
                 ww = np.zeros((2, len(w)))
                 ww[0], ww[1, 0::2] = w, 2.0 * w[0::2]
-                tot, mag = _folded_sum(powers, modes, d[rows],
+                tot, mag = _folded_sum(powers, modes, key + ("all",), d[rows],
                                        (np.pi / 2.0) * ww[:, rows], x[cols],
                                        omx[cols], ww[:, cols], magnitude=True)
                 raw, size = tot[0], mag / np.pi ** 2
@@ -498,10 +616,12 @@ def triple_quadrature(f1: CircleFunction, f2: CircleFunction, f3: CircleFunction
             old, new = rows[rows % 2 == 0], rows[rows % 2 == 1]
             new_cols = cols[cols % 2 == 1]
             raw = (raw / 4.0
-                   + _folded_sum(powers, modes, d[new], wd[None, new],
-                                 x[cols], omx[cols], w[None, cols])[0][0]
-                   + _folded_sum(powers, modes, d[old], wd[None, old],
-                                 x[new_cols], omx[new_cols], w[None, new_cols])[0][0])
+                   + _folded_sum(powers, modes, key + ("new rows",), d[new],
+                                 wd[None, new], x[cols], omx[cols],
+                                 w[None, cols])[0][0]
+                   + _folded_sum(powers, modes, key + ("new cols",), d[old],
+                                 wd[None, old], x[new_cols], omx[new_cols],
+                                 w[None, new_cols])[0][0])
             yield (level, raw / np.pi ** 2,
                    2 * len(new) * len(cols) + 2 * len(old) * len(new_cols), size)
 

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from triform import identity_battery, normalized_decay, spherical_square
-from triform.cli import main
+from triform.cli import build_parser, main
+
+from test_public_api import CHEAP_RUNS
 
 
 def run_cli(args, tmp_path, name="out.txt"):
@@ -301,3 +303,26 @@ def test_quadrature_levels_above_maximum_are_an_error(capsys):
 def test_bad_config_exit_code():
     assert main(["quadrature-check", "--quad-levels", "0",
                  "--triples", "0,0,0"]) == 2
+
+
+def test_one_parser_serves_every_command_of_a_process(capsys):
+    # the parser is built once per process and reused: each cheap command,
+    # run twice in mixed order with a bad flag (exit 2) in between, prints
+    # the bytes, and exits with the code, of a run through a fresh parser
+    def run(argv):
+        code = main(argv + ["--reproducible"])
+        return (code, *capsys.readouterr())
+
+    def fresh(argv):
+        build_parser.cache_clear()
+        return run(argv)
+
+    runs = CHEAP_RUNS + [["closed-form", "--no-such-flag"]]
+    expected = [fresh(argv) for argv in runs]
+    assert expected[-1][0] == 2 and "--no-such-flag" in expected[-1][2]
+    order = [0, 3, 1, 4, 2, 5, 2, 0, 4, 3, 1]
+    build_parser.cache_clear()
+    parser = build_parser()
+    assert [run(runs[i]) for i in order] == [expected[i] for i in order]
+    assert build_parser() is parser
+    assert build_parser.cache_info().misses == 1

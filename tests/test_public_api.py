@@ -10,6 +10,9 @@ import builtins
 import dataclasses
 import importlib
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -358,3 +361,16 @@ def test_bad_inputs_raise_precondition_error(call):
 def test_cli_refuses_a_short_triple(capsys):
     assert cli.main(["closed-form", "--triples", "0,1"]) == 2
     assert "must have three entries" in capsys.readouterr().err
+
+
+def test_importing_the_package_loads_no_scipy():
+    # only the Sobolev algebra needs scipy, and imports it where it runs, so
+    # a CLI command that does no Sobolev algebra starts without it
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    code = ("import sys, triform, triform.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout == "[]\n"

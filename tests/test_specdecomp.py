@@ -484,7 +484,7 @@ def test_cached_structures_are_read_only():
     sobolev_trace(2, 2.0, 2j, (0.3, 0.5j), 4, 4)
     classes = specdecomp._class_grams(2, 0.3 + 0j, 0.5j, 4)
     pairs, blocks = specdecomp._block_maps(4, 4, False)
-    arrays = [M for c in classes for grams in c[1:] for M in grams]
+    arrays = [M for c in classes for grams in c[1:] for M, _band in grams]
     arrays += [pairs] + [a for b in blocks for a in b[2:]]
     assert len(arrays) == 4 * 2 * 3 + 1 + 16 * 4
     for a in arrays:

@@ -2,6 +2,8 @@
 
 import itertools
 import math
+import sys
+import threading
 
 import mpmath
 import numpy as np
@@ -17,6 +19,7 @@ from triform import (CircleFunction, DomainTooSmallError, Estimate,
                      invariant_functional, kernel_on_circle, normalized_decay,
                      sine_power_coeffs, spectral_mode_values, spherical_square,
                      triple_quadrature)
+from triform import trilinear
 from triform.quadrature import unit_nodes
 from triform.specdecomp import random_sl2
 from triform.trilinear import MAX_QUADRATURE_LEVEL
@@ -638,6 +641,145 @@ def test_quadrature_refuses_levels_above_maximum():
                            refinement_levels=MAX_QUADRATURE_LEVEL - 2)
     assert triple_quadrature(ONES, ONES, ONES, 0, 1j, 4j, cfg).cost > 0
     assert MAX_QUADRATURE_LEVEL >= 8        # the CLI's default top level
+
+
+# ---------------------------------------------------------------------------
+# the node-geometry cache
+# ---------------------------------------------------------------------------
+
+GEOMETRY = trilinear._GEOMETRY
+
+
+def _fields(est):
+    return est.value, est.error_bound, est.method, est.cost
+
+
+def _lift8_data():
+    """quad_fourier's lift-8 data at (0, i, 2i) and one seeded moved copy."""
+    base = [CircleFunction.from_modes({0: 1.0, 2: 0.3}, 8),
+            CircleFunction.from_modes({0: 1.0, -2: 0.2, 4: 0.1}, 8),
+            CircleFunction.from_modes({0: 1.0}, 8)]
+    g = random_sl2(np.random.default_rng(7), max_norm=1.3)
+    lams = (0.0, 1j, 2j)
+    return [(base, lams), ([group_action(g, l, f) for l, f in zip(lams, base)], lams)]
+
+
+@pytest.mark.parametrize("cases", [
+    [((ONES,) * 3, tuple(1j * v for v in t))
+     for t in itertools.combinations_with_replacement((0, 1, 2, 4), 3)],
+    [((ONES,) * 3, (0.3 + 1j, -0.3, 2j))],
+    _lift8_data()], ids=["bench-triples", "unmirrored-columns", "lift-8"])
+def test_cold_and_warm_geometry_give_the_same_estimate(cases):
+    # value, bar, level and cost of a call with an empty cache equal, bit for
+    # bit, those of the same call after it, which reads every part it
+    # stored.  At (0.3 + i, -0.3, 2i) the kept columns are not mirror-
+    # symmetric, so its parts store log sin(d (1 - x)) too
+    cfg = QuadratureConfig(refinement_levels=6, target_rel_error=1e-6)
+    for data, lams in cases:
+        GEOMETRY.cache_clear()
+        cold = _fields(triple_quadrature(*data, *lams, cfg))
+        hits, misses, entries, _ = GEOMETRY.cache_info()
+        assert hits == 0 and misses == entries > 0
+        warm = _fields(triple_quadrature(*data, *lams, cfg))
+        assert warm == cold, lams
+        assert GEOMETRY.cache_info()[:3] == (misses, misses, entries)
+        principal = not any(complex(lam).real for lam in lams)
+        assert all(len(arrays) == (3 if principal else 4)
+                   for _, arrays in GEOMETRY.entries.values())
+
+
+def test_cached_geometry_is_read_only():
+    GEOMETRY.cache_clear()
+    triple_quadrature(ONES, ONES, ONES, 0.3 + 1j, -0.3, 2j)
+    arrays = [a for _, part in GEOMETRY.entries.values() for a in part]
+    assert len(arrays) == 4 * len(GEOMETRY.entries) > 0
+    for a in arrays:
+        with pytest.raises(ValueError):
+            a.flat[0] = 1.0
+
+
+def test_geometry_cache_stays_within_its_budget():
+    # a sweep to level 8 at two kept-range sets: the principal series' seven
+    # parts of levels 3-6 fit the budget, a second set evicts the least
+    # recently used parts, and no part of level 7 or 8 is ever stored
+    GEOMETRY.cache_clear()
+    stall = QuadratureConfig(refinement_levels=6, target_rel_error=1e-300)
+    stored = []
+    for lams in ((0.0, 1j, 4j), (0.3 + 1j, -0.3, 2j)):
+        with pytest.raises(NonConvergentError) as info:
+            triple_quadrature(ONES, ONES, ONES, *lams, stall)
+        assert info.value.estimate.method.endswith("/stalled")
+        assert max(key[1] for key in GEOMETRY.entries) <= 6
+        _, _, entries, nbytes = GEOMETRY.cache_info()
+        assert nbytes == sum(a.nbytes for _, part in GEOMETRY.entries.values()
+                             for a in part)
+        assert nbytes <= trilinear._GEOMETRY_BUDGET
+        stored.append(entries)
+    assert stored[0] == 7
+    assert GEOMETRY.cache_info()[1] == 2 * 11      # levels 3-8: 1 + 2 * 5 parts
+
+
+def test_geometry_cache_under_threads():
+    # four threads sweep five kept-range sets, which together overflow the
+    # budget, with a short switch interval: every estimate equals the
+    # single-threaded one, and no lookup, entry or byte is lost
+    stall = QuadratureConfig(refinement_levels=3, target_rel_error=1e-300)
+    triples = [(0.0, 1j, 4j), (0.3 + 1j, -0.3, 2j), (0.3, -0.2, 0.1),
+               (0.2 + 1j, -0.4 + 2j, 0.5j), (0.1, 0.1, 0.1)]
+
+    def sweep(out):
+        for lams in triples:
+            with pytest.raises(NonConvergentError) as info:
+                triple_quadrature(ONES, ONES, ONES, *lams, stall)
+            out.append(_fields(info.value.estimate))
+
+    expected = []
+    sweep(expected)
+    GEOMETRY.cache_clear()
+    results = [[] for _ in range(4)]
+    threads = [threading.Thread(target=sweep, args=(out,)) for out in results]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [expected] * 4
+    hits, misses, entries, nbytes = GEOMETRY.cache_info()
+    assert hits + misses == 4 * len(expected) * 5     # levels 3-5: 1 + 2 * 2 parts
+    assert entries == len(GEOMETRY.entries)
+    assert nbytes == sum(a.nbytes for _, part in GEOMETRY.entries.values()
+                         for a in part) <= trilinear._GEOMETRY_BUDGET
+
+
+@pytest.mark.parametrize("data, lams, cfg, error", [
+    ((CircleFunction.from_modes({0: 1.0, 2: np.nan}, 1), ONES, ONES),
+     (0, 1j, 4j), None, NonFiniteError),
+    ((ONES,) * 3, (0, 1j, 4j),
+     QuadratureConfig(refinement_levels=MAX_QUADRATURE_LEVEL - 1), PreconditionError),
+    ((ONES,) * 3, (0.4, 0.3, 0.3), None, PreconditionError)],
+    ids=["nan-coefficient", "level-above-maximum", "divergent"])
+def test_refused_inputs_leave_the_geometry_cache_alone(data, lams, cfg, error):
+    triple_quadrature(ONES, ONES, ONES, 0, 1j, 4j)
+    before = GEOMETRY.cache_info(), list(GEOMETRY.entries)
+    with pytest.raises(error):
+        triple_quadrature(*data, *lams, cfg)
+    assert (GEOMETRY.cache_info(), list(GEOMETRY.entries)) == before
+
+
+@pytest.mark.parametrize("level", range(3, MAX_QUADRATURE_LEVEL + 1))
+def test_kept_nodes_are_one_run(level):
+    # the tail cut keeps one run of node indices for every exponent pair, so
+    # a range names the kept rows and columns
+    x, omx, _ = unit_nodes("singularity_split", level)
+    for p, q in itertools.product((0.05, 0.5, 1.0, 3.0, 30.0), repeat=2):
+        lo, hi = trilinear._kept_range(x, omx, p, q)
+        kept = trilinear._tail_kept(x, p) & trilinear._tail_kept(omx, q)
+        assert np.array_equal(np.flatnonzero(kept), np.arange(lo, hi)), (p, q)
 
 
 # ---------------------------------------------------------------------------

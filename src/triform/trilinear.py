@@ -36,8 +36,6 @@ for a plateau and extrapolated (in 1/|lam|^2 at imaginary tau and tau').
 
 import cmath
 import math
-import threading
-from collections import OrderedDict
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -73,10 +71,10 @@ _START_LEVEL = 2         # first level of triple_quadrature
 MAX_QUADRATURE_LEVEL = 10
 _BLOCK_NODES = 1 << 13   # nodes per block of rows; bounds the temporaries
 _TAIL_EPS = 2.0 ** -60   # majorant mass a dropped strip of the grid may carry
-# bytes of node geometry kept between calls: the principal-series parts of
-# levels 3-6 take 4.19 MB, the largest 2.10 MB; each part of level 7 or
-# above takes 4.19 MB or more, over half the budget
-_GEOMETRY_BUDGET = 9 << 19
+# top level whose principal-series node geometry is kept for the process:
+# its seven parts of levels 3-6 take 4,185,584 B, level 7's two would add
+# 12.5 MB and each level above four times as much
+_GEOMETRY_TOP = 6
 
 
 # ---------------------------------------------------------------------------
@@ -225,91 +223,40 @@ def _log_sin(u, out=None):
     return np.log(q, out=q)
 
 
-class _GeometryCache:
-    """Least-recently-used map from a part of a level's grid to its read-only
-    log-sine arrays, holding at most ``budget`` bytes.  A part larger than
-    half the budget is never stored: it would evict the smaller parts of the
-    levels below it, which every call reads first.  A key (nodes, ...) names
-    the node array the part was cut from by identity, and its entry holds
-    that array, so the id stays its own: unit_nodes returns one cached array
-    per level, and a stand-in node family never reads another's geometry.
-    cache_info() is (hits, misses, entries, bytes).  A lock makes each
-    lookup and store atomic for callers in several threads."""
-
-    def __init__(self, budget: int):
-        self.budget = budget
-        self.entries = OrderedDict()
-        self.hits = self.misses = self.nbytes = 0
-        self.lock = threading.Lock()
-
-    def get(self, key):
-        slot = (id(key[0]), *key[1:])
-        with self.lock:
-            entry = self.entries.get(slot)
-            if entry is None:
-                self.misses += 1
-                return None
-            self.hits += 1
-            self.entries.move_to_end(slot)
-            return entry[1]
-
-    def admits(self, nbytes: int) -> bool:
-        return 2 * nbytes <= self.budget
-
-    def put(self, key, arrays):
-        for a in arrays:
-            a.flags.writeable = False
-        slot = (id(key[0]), *key[1:])
-        with self.lock:
-            if slot in self.entries:        # stored meanwhile by another thread
-                return
-            self.nbytes += sum(a.nbytes for a in arrays)
-            self.entries[slot] = key[0], arrays
-            while self.nbytes > self.budget:
-                _, (_, old) = self.entries.popitem(last=False)
-                self.nbytes -= sum(a.nbytes for a in old)
-
-    def cache_info(self):
-        return self.hits, self.misses, len(self.entries), self.nbytes
-
-    def cache_clear(self):
-        with self.lock:
-            self.entries.clear()
-            self.hits = self.misses = self.nbytes = 0
-
-
-_GEOMETRY = _GeometryCache(_GEOMETRY_BUDGET)
+# (level, part) -> read-only log-sine arrays of that part of the principal
+# series' level; each part is written once and never replaced
+_GEOMETRY = {}
 
 
 def _log_sines(key, d, x, omx):
     """(lo, dd, lA, lB, lG, uB) per block of rows dd = d[lo:lo + rows, None]
     on the columns x: lA = log sin dd, lB = log sin(dd x), lG = (log sin(dd
     (1 - x)), log sin(dd (1 + x))) and uB = tan(dd x / 2), which only a
-    block computed here has (None from the cache).
+    block computed here has (None from the table).
 
-    ``key`` names the node set, so that equal keys mean equal d, x and omx.
-    A part found in _GEOMETRY is read from it; one not found is computed
-    block by block, into the arrays it is then stored as where they fit the
-    budget.  Where the columns are mirror-symmetric (x == omx[::-1] bit for
-    bit, as on the principal series), log sin(d (1 - x)) is log sin(d x)
-    read in reverse, as a view, and is not stored.
+    A part whose ``key`` is in _GEOMETRY is read from it.  Any other part
+    is computed block by block; one with a key (not None) is computed into
+    arrays that are then made read-only and published under it.  Where the
+    columns are mirror-symmetric (x == omx[::-1] bit for bit, as on the
+    principal series), log sin(d (1 - x)) is log sin(d x) read in reverse,
+    as a view, and is not stored.
     """
     rows = max(1, _BLOCK_NODES // len(x))
-    cached = _GEOMETRY.get(key)
+    stored = _GEOMETRY.get(key)
     store = None
-    if cached is None:
+    if stored is None:
         hx, hpx, homx = 0.5 * x, 0.5 * (1.0 + x), 0.5 * omx
-        mirror = np.array_equal(x, omx[::-1])
-        shapes = [(len(d), 1)] + [(len(d), len(x))] * (2 if mirror else 3)
-        if _GEOMETRY.admits(8 * sum(r * c for r, c in shapes)):
-            store = [np.empty(shape) for shape in shapes]
+        narrays = 3 if np.array_equal(x, omx[::-1]) else 4
+        if key is not None:
+            store = [np.empty((len(d), 1))] + [np.empty((len(d), len(x)))
+                                               for _ in range(narrays - 1)]
     for lo in range(0, len(d), rows):
         dd = d[lo:lo + rows, None]
-        if cached is not None:
-            lA, lB, lP, *lM = (a[lo:lo + rows] for a in cached)
+        if stored is not None:
+            lA, lB, lP, *lM = (a[lo:lo + rows] for a in stored)
             uB = None
         else:
-            lA, lB, lP, *lM = [None] * len(shapes) if store is None else (
+            lA, lB, lP, *lM = [None] * narrays if store is None else (
                 a[lo:lo + rows] for a in store)
             uB = np.tan(dd * hx)
             lA = _log_sin(np.tan(0.5 * dd), lA)
@@ -318,7 +265,9 @@ def _log_sines(key, d, x, omx):
             lP = _log_sin(np.tan(dd * hpx), lP)
         yield lo, dd, lA, lB, (lM[0] if lM else lB[:, ::-1], lP), uB
     if store is not None:
-        _GEOMETRY.put(key, store)
+        for a in store:
+            a.flags.writeable = False
+        _GEOMETRY.setdefault(key, store)      # a part stored meanwhile stays
 
 
 def _phases(lG, pI, pR, hsG, sGr):
@@ -565,15 +514,16 @@ def triple_quadrature(f1: CircleFunction, f2: CircleFunction, f3: CircleFunction
     NonFiniteError on a non-finite Fourier coefficient or parameter.
 
     No parameter enters the log-sines log sin d, log sin(d x) and log sin(d
-    (1 +- x)), and the kept rows and columns are each one run of indices,
-    so calls that share Re (sA, sB, sG), as every principal-series triple
-    does, share them.  They are kept, read-only, in one least-recently-used
-    cache per process, keyed on the level, the part of its pass (levels 2
-    and 3's pass, new rows by all columns, or old rows by new columns) and
-    the kept row and column ranges, and bounded at 4.5 MiB: the
-    principal-series parts of levels 3-6 take 4.2 MB, and a part larger than
-    half the budget, as each of level 7 or above is, is never stored.  A warm call gives
-    the cold call's value, bar, level and cost bit for bit.
+    (1 +- x)), and on the principal series (every kernel power of real part
+    exactly -1/2, as Re l1 = Re l2 = Re l3 = 0 gives) each level keeps one
+    set of rows and columns.  So each part of such a level's pass (levels 2
+    and 3's pass, new rows by all columns, or old rows by new columns) is
+    computed once per process and kept, read-only, in a table keyed on
+    (level, part): a fixed 4.19 MB for levels 3-6.  Levels 7 and above,
+    whose parts would take 4.2 MB each or more, and all other kernel powers,
+    whose kept ranges vary with Re (sA, sB, sG), compute their log-sines
+    block by block in every call.  A warm call gives the cold call's value,
+    bar, level and cost bit for bit.
     """
     cfg = cfg or QuadratureConfig()
     top = _START_LEVEL + cfg.refinement_levels
@@ -589,6 +539,11 @@ def triple_quadrature(f1: CircleFunction, f2: CircleFunction, f3: CircleFunction
     modes = _FoldedModes(f1, f2, f3, powers)
     eA, eB, eG = (min(s.real, 0.0) for s in powers)
     p_row, p_col, p_end = 2.0 + eA + eB + eG, 1.0 + min(eA, eB), 1.0 + eG
+    principal = all(s.real == -0.5 for s in powers)
+
+    def part(level, name):
+        """The table key of a part of the level's pass; None if not kept."""
+        return (level, name) if principal and level <= _GEOMETRY_TOP else None
 
     def levels():       # raw: the last level's sum times pi^2
         for level in range(_START_LEVEL + 1, top + 1):
@@ -597,13 +552,12 @@ def triple_quadrature(f1: CircleFunction, f2: CircleFunction, f3: CircleFunction
             row_range = (_kept_range(x, omx, p_row, p_end) if p_row > 0
                          else (0, len(x)))
             cols, rows = np.arange(*col_range), np.arange(*row_range)
-            key = (x, level, row_range, col_range)
             d = (np.pi / 2.0) * x
             if level == _START_LEVEL + 1:
                 # level 2 is this pass's second column and pays for it
                 ww = np.zeros((2, len(w)))
                 ww[0], ww[1, 0::2] = w, 2.0 * w[0::2]
-                tot, mag = _folded_sum(powers, modes, key + ("all",), d[rows],
+                tot, mag = _folded_sum(powers, modes, part(level, "all"), d[rows],
                                        (np.pi / 2.0) * ww[:, rows], x[cols],
                                        omx[cols], ww[:, cols], magnitude=True)
                 raw, size = tot[0], mag / np.pi ** 2
@@ -616,10 +570,10 @@ def triple_quadrature(f1: CircleFunction, f2: CircleFunction, f3: CircleFunction
             old, new = rows[rows % 2 == 0], rows[rows % 2 == 1]
             new_cols = cols[cols % 2 == 1]
             raw = (raw / 4.0
-                   + _folded_sum(powers, modes, key + ("new rows",), d[new],
+                   + _folded_sum(powers, modes, part(level, "new rows"), d[new],
                                  wd[None, new], x[cols], omx[cols],
                                  w[None, cols])[0][0]
-                   + _folded_sum(powers, modes, key + ("new cols",), d[old],
+                   + _folded_sum(powers, modes, part(level, "new cols"), d[old],
                                  wd[None, old], x[new_cols], omx[new_cols],
                                  w[None, new_cols])[0][0])
             yield (level, raw / np.pi ** 2,

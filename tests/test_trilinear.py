@@ -31,6 +31,14 @@ A0010 = -6.254263599920590863e-05 - 1.2583705083835460888e-04j
 
 ONES = CircleFunction.constant(1.0)
 EPS = np.finfo(float).eps
+# the process's principal-series geometry table; stand-in node families
+# patch in an empty one of their own
+GEOMETRY = trilinear._GEOMETRY
+
+
+def _same_table(a, b):
+    """Whether the geometry tables a and b hold the same keys and arrays."""
+    return a.keys() == b.keys() and all(a[key] is b[key] for key in a)
 
 
 def closed_form_mp(l1, l2, l3):
@@ -439,6 +447,8 @@ def test_folded_kernel_matches_libm_reference(lams, mirrored, monkeypatch):
     assert np.array_equal(x, omx[::-1]) == mirrored
     monkeypatch.setattr("triform.trilinear.unit_nodes",
                         lambda scheme, level: grid[level])
+    monkeypatch.setattr(trilinear, "_GEOMETRY", {})
+    before = dict(GEOMETRY)
     # levels 2 and 3 come from one pass over the level-3 grid and level 4
     # reuses it; an infinite target accepts level 4 wherever the three
     # levels show a falling rate, and the stalled estimate holds the same
@@ -456,6 +466,7 @@ def test_folded_kernel_matches_libm_reference(lams, mirrored, monkeypatch):
         assert est.method.endswith(("/level4", "/stalled"))
         assert est.cost == 2 * len(x) ** 2
         assert abs(est.value - ref) <= 1e-13 * abs(ref), (data[0].max_mode, lams)
+    assert _same_table(GEOMETRY, before)
 
 
 def test_quadrature_matches_closed_form_at_largest_phases():
@@ -537,7 +548,8 @@ def test_quadrature_bars_cover_the_acceptance_grid():
 
 def _level_records(monkeypatch, data, lams, levels, nodes=unit_nodes):
     """(value, cost, magnitude) of each of triple_quadrature's ``levels`` as
-    refine_until receives them, with ``nodes`` in place of unit_nodes."""
+    refine_until receives them, with ``nodes`` in place of unit_nodes and
+    an empty geometry table in place of the process's."""
     seen = {}
 
     def record(drawn, target, method):
@@ -549,7 +561,10 @@ def _level_records(monkeypatch, data, lams, levels, nodes=unit_nodes):
 
     monkeypatch.setattr("triform.trilinear.refine_until", record)
     monkeypatch.setattr("triform.trilinear.unit_nodes", nodes)
+    monkeypatch.setattr(trilinear, "_GEOMETRY", {})
+    before = dict(GEOMETRY)
     triple_quadrature(*data, *lams)
+    assert _same_table(GEOMETRY, before)
     return seen
 
 
@@ -647,11 +662,22 @@ def test_quadrature_refuses_levels_above_maximum():
 # the node-geometry cache
 # ---------------------------------------------------------------------------
 
-GEOMETRY = trilinear._GEOMETRY
+# the principal series' seven parts of levels 3-6: the level-3 pass, then
+# new rows and new columns of each later level
+PRINCIPAL_PARTS = {(3, "all")} | {(level, part) for level in (4, 5, 6)
+                                  for part in ("new rows", "new cols")}
+PRINCIPAL_BYTES = 4_185_584
 
 
 def _fields(est):
     return est.value, est.error_bound, est.method, est.cost
+
+
+def _estimate(data, lams, cfg=None):
+    try:
+        return _fields(triple_quadrature(*data, *lams, cfg))
+    except NonConvergentError as exc:
+        return _fields(exc.estimate)
 
 
 def _lift8_data():
@@ -664,65 +690,72 @@ def _lift8_data():
     return [(base, lams), ([group_action(g, l, f) for l, f in zip(lams, base)], lams)]
 
 
+class _ReadLog(dict):
+    """A geometry table that logs what each lookup returns."""
+
+    def __init__(self, table):
+        super().__init__(table)
+        self.read = []
+
+    def get(self, key, default=None):
+        self.read.append((key, super().get(key, default)))
+        return self.read[-1][1]
+
+
 @pytest.mark.parametrize("cases", [
     [((ONES,) * 3, tuple(1j * v for v in t))
      for t in itertools.combinations_with_replacement((0, 1, 2, 4), 3)],
-    [((ONES,) * 3, (0.3 + 1j, -0.3, 2j))],
+    [((ONES,) * 3, (0.3 + 1j, -0.3, 2j)), ((ONES,) * 3, (0.3, -0.2, 0.1))],
     _lift8_data()], ids=["bench-triples", "unmirrored-columns", "lift-8"])
-def test_cold_and_warm_geometry_give_the_same_estimate(cases):
-    # value, bar, level and cost of a call with an empty cache equal, bit for
-    # bit, those of the same call after it, which reads every part it
-    # stored.  At (0.3 + i, -0.3, 2i) the kept columns are not mirror-
-    # symmetric, so its parts store log sin(d (1 - x)) too
+def test_cold_and_warm_geometry_give_the_same_estimate(cases, monkeypatch):
+    # value, bar, level and cost of a call with an empty table equal, bit for
+    # bit, those of the same call after it.  A principal-series warm call
+    # reads the very arrays the cold one stored; (0.3 + i, -0.3, 2i) and
+    # (0.3, -0.2, 0.1) are not principal (nor are their kept columns
+    # mirror-symmetric) and store nothing
     cfg = QuadratureConfig(refinement_levels=6, target_rel_error=1e-6)
     for data, lams in cases:
-        GEOMETRY.cache_clear()
-        cold = _fields(triple_quadrature(*data, *lams, cfg))
-        hits, misses, entries, _ = GEOMETRY.cache_info()
-        assert hits == 0 and misses == entries > 0
-        warm = _fields(triple_quadrature(*data, *lams, cfg))
-        assert warm == cold, lams
-        assert GEOMETRY.cache_info()[:3] == (misses, misses, entries)
         principal = not any(complex(lam).real for lam in lams)
-        assert all(len(arrays) == (3 if principal else 4)
-                   for _, arrays in GEOMETRY.entries.values())
+        monkeypatch.setattr(trilinear, "_GEOMETRY", {})
+        cold = _estimate(data, lams, cfg)
+        stored = dict(trilinear._GEOMETRY)
+        assert bool(stored) == principal and set(stored) <= PRINCIPAL_PARTS
+        monkeypatch.setattr(trilinear, "_GEOMETRY", _ReadLog(stored))
+        assert _estimate(data, lams, cfg) == cold, lams
+        if principal:
+            assert {key for key, _ in trilinear._GEOMETRY.read} == set(stored)
+            assert all(arrays is stored[key]
+                       for key, arrays in trilinear._GEOMETRY.read)
+        assert _same_table(trilinear._GEOMETRY, stored)
 
 
 def test_cached_geometry_is_read_only():
-    GEOMETRY.cache_clear()
-    triple_quadrature(ONES, ONES, ONES, 0.3 + 1j, -0.3, 2j)
-    arrays = [a for _, part in GEOMETRY.entries.values() for a in part]
-    assert len(arrays) == 4 * len(GEOMETRY.entries) > 0
+    triple_quadrature(ONES, ONES, ONES, 0, 1j, 4j)
+    arrays = [a for part in GEOMETRY.values() for a in part]
+    assert len(arrays) == 3 * len(GEOMETRY) > 0
     for a in arrays:
         with pytest.raises(ValueError):
             a.flat[0] = 1.0
 
 
-def test_geometry_cache_stays_within_its_budget():
-    # a sweep to level 8 at two kept-range sets: the principal series' seven
-    # parts of levels 3-6 fit the budget, a second set evicts the least
-    # recently used parts, and no part of level 7 or 8 is ever stored
-    GEOMETRY.cache_clear()
+def test_geometry_table_holds_the_principal_parts_of_levels_3_to_6(monkeypatch):
+    # stalled sweeps to level 8 on and off the principal series store the
+    # principal parts of levels 3-6 and nothing else: a fixed size
+    monkeypatch.setattr(trilinear, "_GEOMETRY", {})
     stall = QuadratureConfig(refinement_levels=6, target_rel_error=1e-300)
-    stored = []
-    for lams in ((0.0, 1j, 4j), (0.3 + 1j, -0.3, 2j)):
+    for lams in ((0.3 + 1j, -0.3, 2j), (0.0, 1j, 4j), (0.3, -0.2, 0.1)):
         with pytest.raises(NonConvergentError) as info:
             triple_quadrature(ONES, ONES, ONES, *lams, stall)
         assert info.value.estimate.method.endswith("/stalled")
-        assert max(key[1] for key in GEOMETRY.entries) <= 6
-        _, _, entries, nbytes = GEOMETRY.cache_info()
-        assert nbytes == sum(a.nbytes for _, part in GEOMETRY.entries.values()
-                             for a in part)
-        assert nbytes <= trilinear._GEOMETRY_BUDGET
-        stored.append(entries)
-    assert stored[0] == 7
-    assert GEOMETRY.cache_info()[1] == 2 * 11      # levels 3-8: 1 + 2 * 5 parts
+    assert set(trilinear._GEOMETRY) == PRINCIPAL_PARTS
+    assert sum(a.nbytes for part in trilinear._GEOMETRY.values()
+               for a in part) == PRINCIPAL_BYTES
 
 
-def test_geometry_cache_under_threads():
-    # four threads sweep five kept-range sets, which together overflow the
-    # budget, with a short switch interval: every estimate equals the
-    # single-threaded one, and no lookup, entry or byte is lost
+def test_geometry_cache_under_threads(monkeypatch):
+    # four threads sweep principal and other triples from an empty table
+    # with a short switch interval: every estimate equals the
+    # single-threaded one, and the table holds the principal parts reached
     stall = QuadratureConfig(refinement_levels=3, target_rel_error=1e-300)
     triples = [(0.0, 1j, 4j), (0.3 + 1j, -0.3, 2j), (0.3, -0.2, 0.1),
                (0.2 + 1j, -0.4 + 2j, 0.5j), (0.1, 0.1, 0.1)]
@@ -735,7 +768,7 @@ def test_geometry_cache_under_threads():
 
     expected = []
     sweep(expected)
-    GEOMETRY.cache_clear()
+    monkeypatch.setattr(trilinear, "_GEOMETRY", {})
     results = [[] for _ in range(4)]
     threads = [threading.Thread(target=sweep, args=(out,)) for out in results]
     interval = sys.getswitchinterval()
@@ -749,11 +782,8 @@ def test_geometry_cache_under_threads():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert results == [expected] * 4
-    hits, misses, entries, nbytes = GEOMETRY.cache_info()
-    assert hits + misses == 4 * len(expected) * 5     # levels 3-5: 1 + 2 * 2 parts
-    assert entries == len(GEOMETRY.entries)
-    assert nbytes == sum(a.nbytes for _, part in GEOMETRY.entries.values()
-                         for a in part) <= trilinear._GEOMETRY_BUDGET
+    assert set(trilinear._GEOMETRY) == {key for key in PRINCIPAL_PARTS
+                                         if key[0] <= 5}
 
 
 @pytest.mark.parametrize("data, lams, cfg, error", [
@@ -765,10 +795,10 @@ def test_geometry_cache_under_threads():
     ids=["nan-coefficient", "level-above-maximum", "divergent"])
 def test_refused_inputs_leave_the_geometry_cache_alone(data, lams, cfg, error):
     triple_quadrature(ONES, ONES, ONES, 0, 1j, 4j)
-    before = GEOMETRY.cache_info(), list(GEOMETRY.entries)
+    before = dict(GEOMETRY)
     with pytest.raises(error):
         triple_quadrature(*data, *lams, cfg)
-    assert (GEOMETRY.cache_info(), list(GEOMETRY.entries)) == before
+    assert _same_table(GEOMETRY, before)
 
 
 @pytest.mark.parametrize("level", range(3, MAX_QUADRATURE_LEVEL + 1))

@@ -31,17 +31,22 @@ def cis_half_angle(t, scale, out=None):
     """scale e^{i phi} from t = tan(phi / 2), as (q - scale) + i q t with
     q = 2 scale / (1 + t^2), since e^{i phi} = (1 - t^2 + 2it) / (1 + t^2),
     written to ``out`` if given: a complex array of t's shape, or a pair
-    (re, im) of real arrays, which may be scale and t themselves.  NaN where
-    t is; a relative error delta in t moves phi by at most delta."""
-    q = t * t
+    (re, im) of real arrays, of which im may be t itself.  With ``out``, q
+    is computed in its real part, which therefore must share no memory with
+    t or scale.  NaN where t is; a relative error delta in t moves phi by
+    at most delta."""
+    if out is None:
+        q = t * t
+        out = np.empty(q.shape, dtype=complex)
+        re, im = out.real, out.imag
+    else:
+        re, im = (out.real, out.imag) if isinstance(out, np.ndarray) else out
+        q = np.multiply(t, t, out=re)
     q += 1.0
     np.divide(scale, q, out=q)
     q += q
-    if out is None:
-        out = np.empty(q.shape, dtype=complex)
-    re, im = (out.real, out.imag) if isinstance(out, np.ndarray) else out
-    np.subtract(q, scale, out=re)
     np.multiply(q, t, out=im)
+    np.subtract(q, scale, out=re)
     return out
 
 

@@ -276,9 +276,18 @@ def _homogeneous_mc(lams, f: CircleFunction, spec: GaussianSpec) -> list:
     return _expect_columns(spec, integrand)
 
 
+def _zero_mean(n: int) -> list:
+    """n exact zeros: both sides of the reduction for a series with f_0 = 0."""
+    return [Estimate(0j, 0.0, method="zero-mean", cost=0)] * n
+
+
 def _homogeneous_rhs(lams, f: CircleFunction) -> list:
     """Gamma((1-lam)/2) L(h e_lam) for each lam; h e_lam = r^-2 f(theta)
-    does not depend on lam, so L is taken once."""
+    does not depend on lam, so L is taken once.  L(r^-2 f) is the circle
+    mean f_0 of f, so it is exactly 0 where f_0 = 0, which a relative
+    target never meets."""
+    if f.coefficient(0) == 0:
+        return _zero_mean(len(lams))
     ell = invariant_functional(
         lambda x, y: f.evaluate(np.arctan2(y, x)) / (x * x + y * y))
     gams = np.exp(log_gamma_array([(1.0 - complex(lam)) / 2.0 for lam in lams]))
@@ -304,6 +313,11 @@ def homogeneous_reduction_check(lam, f: CircleFunction, method: str = "radial",
     "mc": plain Monte Carlo with ``spec`` (note |h|^2 is only marginally
     integrable for principal-series lam, so the error bar is the empirical
     one).  Returns (lhs, rhs) Estimates.
+
+    Where f_0 = 0 both sides are exactly 0 (the radial one is f_0 times a
+    finite integral, and L(r^-2 f) = f_0): the rhs, and the radial lhs
+    without consulting radial_expect, are zero with bar 0, method
+    "zero-mean" and cost 0.
     """
     z = complex(lam)
     if z.real >= 1.0:
@@ -311,6 +325,8 @@ def homogeneous_reduction_check(lam, f: CircleFunction, method: str = "radial",
 
     if method == "radial":
         c = math.sqrt(math.pi) * f.coefficient(0)
+        if c == 0:
+            return _zero_mean(2)
 
         def scaled(e):
             return replace(e, value=c * e.value, error_bound=abs(c) * e.error_bound)

@@ -36,6 +36,7 @@ for a plateau and extrapolated (in 1/|lam|^2 at imaginary tau and tau').
 
 import cmath
 import math
+import threading
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -214,13 +215,95 @@ def decay_constant(tau, tau_prime, moduli: Sequence[float]):
 # singular quadrature of the circle-model integral
 # ---------------------------------------------------------------------------
 
-def _log_sin(u, out=None):
+def _log_sin(u, out, two_u):
     """log sin y from u = tan(y / 2), 0 < y < pi: sin y = 2u / (1 + u^2),
-    written to ``out`` if given."""
+    written to ``out``; 2u is formed in ``two_u``, which may be u itself."""
     q = np.multiply(u, u, out=out)
     q += 1.0
-    np.divide(u + u, q, out=q)
+    np.divide(np.add(u, u, out=two_u), q, out=q)
     return np.log(q, out=q)
+
+
+def _tan(dd, h, out):
+    """tan(dd h), written to ``out``."""
+    return np.tan(np.multiply(dd, h, out=out), out=out)
+
+
+# the block temporaries of _folded_sum by name: real and complex arrays of
+# the block's shape (rows, columns) and real ones of shape (rows, 1); data
+# with 1 <= P <= _TABLE_MODES also take the mode-factor table (rows,
+# columns, P) and its product (rows, columns, 8) from the workspace
+_REAL = ("u", "lB", "lP", "lM", "scratch", "vp", "vm", "pI", "tS",
+         "t0", "m0", "t1", "m1", "a", "r0", "r1")
+_ROW = ("uA", "lA")
+_COMPLEX = ("f", "term", "tmp", "M", "S", "Sinv")
+_TABLE_MODES = 8
+# bytes of one thread's workspace buffers: 3,538,944
+_WORKSPACE_BYTES = 8 * _BLOCK_NODES * (len(_REAL) + len(_ROW) + 2 * len(_COMPLEX)
+                                       + 2 * _TABLE_MODES + 8)
+_BLOCK_SHAPES = 32       # block shapes whose views a workspace keeps
+
+
+class _Block:
+    """The temporaries of one block shape: an attribute per name of _REAL,
+    _ROW and _COMPLEX, ``mag``, the real view of ``term``, and ``table``
+    and ``product`` (None where the workspace has no slot for them).  Each
+    is C-contiguous: a reshaped prefix of one of the workspace's flat
+    buffers where the block has at most _BLOCK_NODES nodes (``shared``),
+    else a fresh array."""
+
+    def __init__(self, ws, rows, cols, P):
+        n = rows * cols
+        self.shared = n <= _BLOCK_NODES
+        if self.shared:
+            real, row, cplx = ws.real, ws.row, ws.cplx
+        else:
+            real, row = np.empty((len(_REAL), n)), np.empty((len(_ROW), rows))
+            cplx = np.empty((len(_COMPLEX), n), dtype=complex)
+        self.__dict__.update(zip(_REAL, real[:, :n].reshape(-1, rows, cols)))
+        self.__dict__.update(zip(_ROW, row[:, :rows].reshape(-1, rows, 1)))
+        self.__dict__.update(zip(_COMPLEX, cplx[:, :n].reshape(-1, rows, cols)))
+        self.mag = self.term.view(float)
+        self.table = self.product = None
+        if self.shared and 0 < P <= _TABLE_MODES:
+            self.table = ws.table[:n * P].reshape(rows, cols, P)
+            self.product = ws.product[:8 * n].reshape(rows, cols, 8)
+
+
+class _Workspace:
+    """One thread's block temporaries, kept across calls: flat buffers of
+    _WORKSPACE_BYTES in all, allocated once, and the _Block views of up to
+    _BLOCK_SHAPES block shapes."""
+
+    def __init__(self):
+        self.real = np.empty((len(_REAL), _BLOCK_NODES))
+        self.row = np.empty((len(_ROW), _BLOCK_NODES))
+        self.cplx = np.empty((len(_COMPLEX), _BLOCK_NODES), dtype=complex)
+        self.table = np.empty(_TABLE_MODES * _BLOCK_NODES, dtype=complex)
+        self.product = np.empty(8 * _BLOCK_NODES)
+        self.blocks = {}
+
+    def block(self, rows, cols, P):
+        """The _Block of rows x cols nodes for data with P modes."""
+        blk = self.blocks.get((rows, cols, P))
+        if blk is None:
+            blk = _Block(self, rows, cols, P)
+            if blk.shared:
+                if len(self.blocks) >= _BLOCK_SHAPES:
+                    self.blocks.clear()
+                self.blocks[rows, cols, P] = blk
+        return blk
+
+
+_LOCAL = threading.local()
+
+
+def _workspace() -> _Workspace:
+    """This thread's _Workspace, made on its first use."""
+    ws = getattr(_LOCAL, "ws", None)
+    if ws is None:
+        ws = _LOCAL.ws = _Workspace()
+    return ws
 
 
 # (level, part) -> read-only log-sine arrays of that part of the principal
@@ -228,56 +311,61 @@ def _log_sin(u, out=None):
 _GEOMETRY = {}
 
 
-def _log_sines(key, d, x, omx):
-    """(lo, dd, lA, lB, lG, uB) per block of rows dd = d[lo:lo + rows, None]
-    on the columns x: lA = log sin dd, lB = log sin(dd x), lG = (log sin(dd
-    (1 - x)), log sin(dd (1 + x))) and uB = tan(dd x / 2), which only a
-    block computed here has (None from the table).
+def _log_sines(key, d, x, omx, ws, P):
+    """(lo, dd, lA, lB, lG, uB, blk) per block of rows dd = d[lo:lo + rows,
+    None] on the columns x: lA = log sin dd, lB = log sin(dd x), lG = (log
+    sin(dd (1 - x)), log sin(dd (1 + x))), uB = tan(dd x / 2), which only a
+    block computed here has (None from the table), and blk, the block's
+    temporaries from the workspace ws for data with P modes.
 
     A part whose ``key`` is in _GEOMETRY is read from it.  Any other part
     is computed block by block; one with a key (not None) is computed into
-    arrays that are then made read-only and published under it.  Where the
-    columns are mirror-symmetric (x == omx[::-1] bit for bit, as on the
-    principal series), log sin(d (1 - x)) is log sin(d x) read in reverse,
-    as a view, and is not stored.
+    arrays that are then made read-only and published under it, one without
+    into blk.  Where the columns are mirror-symmetric (x == omx[::-1] bit for
+    bit, as on the principal series), log sin(d (1 - x)) is log sin(d x)
+    read in reverse, as a view, and is not stored.
     """
     rows = max(1, _BLOCK_NODES // len(x))
     stored = _GEOMETRY.get(key)
     store = None
     if stored is None:
         hx, hpx, homx = 0.5 * x, 0.5 * (1.0 + x), 0.5 * omx
-        narrays = 3 if np.array_equal(x, omx[::-1]) else 4
+        mirrored = np.array_equal(x, omx[::-1])
         if key is not None:
             store = [np.empty((len(d), 1))] + [np.empty((len(d), len(x)))
-                                               for _ in range(narrays - 1)]
+                                               for _ in range(2 if mirrored else 3)]
     for lo in range(0, len(d), rows):
         dd = d[lo:lo + rows, None]
+        blk = ws.block(len(dd), len(x), P)
         if stored is not None:
             lA, lB, lP, *lM = (a[lo:lo + rows] for a in stored)
             uB = None
         else:
-            lA, lB, lP, *lM = [None] * narrays if store is None else (
-                a[lo:lo + rows] for a in store)
-            uB = np.tan(dd * hx)
-            lA = _log_sin(np.tan(0.5 * dd), lA)
-            lB = _log_sin(uB, lB)
-            lM = [_log_sin(np.tan(dd * homx), out) for out in lM]
-            lP = _log_sin(np.tan(dd * hpx), lP)
-        yield lo, dd, lA, lB, (lM[0] if lM else lB[:, ::-1], lP), uB
+            outs = ([blk.lA, blk.lB, blk.lP, blk.lM] if store is None
+                    else [a[lo:lo + rows] for a in store])
+            lA, lB, lP, *lM = outs[:3 if mirrored else 4]
+            uB = _tan(dd, hx, blk.u)
+            _log_sin(_tan(dd, 0.5, blk.uA), lA, blk.uA)
+            _log_sin(uB, lB, blk.scratch)
+            for out in lM:
+                _log_sin(_tan(dd, homx, blk.scratch), out, blk.scratch)
+            _log_sin(_tan(dd, hpx, blk.scratch), lP, blk.scratch)
+        yield lo, dd, lA, lB, (lM[0] if lM else lB[:, ::-1], lP), uB, blk
     if store is not None:
         for a in store:
             a.flags.writeable = False
         _GEOMETRY.setdefault(key, store)      # a part stored meanwhile stays
 
 
-def _phases(lG, pI, pR, hsG, sGr):
-    """(t, m) per piece, one piece at a time: the tangent of the half phase
-    and the modulus of M = e^{c1 vp + sG lg} for the piece's log-sine lg of
-    a - b, from pI = Im c1 vp / 2 and pR = Re c1 vp, computed in place."""
-    for lg in lG:
-        t = hsG * lg
+def _phases(lG, pI, pR, hsG, sGr, blk):
+    """(t, m) per piece, one piece at a time, in blk's (t0, m0) and (t1,
+    m1): the tangent of the half phase and the modulus of M = e^{c1 vp + sG
+    lg} for the piece's log-sine lg of a - b, from pI = Im c1 vp / 2 and
+    pR = Re c1 vp."""
+    for lg, t, m in zip(lG, (blk.t0, blk.t1), (blk.m0, blk.m1)):
+        np.multiply(lg, hsG, out=t)
         t += pI
-        m = sGr * lg
+        np.multiply(lg, sGr, out=m)
         m += pR
         yield np.tan(t, out=t), np.exp(m, out=m)
 
@@ -319,18 +407,20 @@ class _FoldedModes:
         sA, sB, _ = powers
         self.re_c2 = (0.5 * (sB - sA)).real
 
-    def factors(self, d, u):
+    def factors(self, d, u, blk):
         """(g1, g2) at a = d, then at a = pi - d, for rows d and nodes B with
         u = tan(B / 2): shape (R, N, 4), or (R, 1, 4) for constant data.  Per
         row each is a trigonometric polynomial in B: its coefficients meet one
         real node factor [cos 2kB, sin 2kB]_{k=1..P}, with e^{2ikB} =
         (e^{2iB})^k and e^{iB} = cis_half_angle(u, 1), from the tangent the
-        log-sine of B already took.
+        log-sine of B already took.  The power table and its product are
+        blk's ``table`` and ``product`` where it has them.
         """
         P = self.P
         ex = np.exp(2j * np.multiply.outer(d, np.arange(-P, P + 1)))
         # e^{2ip(pi - d)} = conj(e^{2ipd}); h is indexed (row, piece and g, q)
-        h = (np.stack([ex, ex.conj()], axis=1) @ self.both).reshape(len(d), 4, -1)
+        h = (np.stack([ex, ex.conj()], axis=1).reshape(2 * len(d), -1)
+             @ self.both).reshape(len(d), 4, -1)
         g = h[:, None, :, P]
         if P == 0:
             return g
@@ -338,54 +428,60 @@ class _FoldedModes:
         coef = np.empty((len(d), 2 * P, 4), dtype=complex)
         coef[:, 0::2] = (pos + neg).transpose(0, 2, 1)
         coef[:, 1::2] = (1j * (pos - neg)).transpose(0, 2, 1)
-        z = np.empty(u.shape + (P,), dtype=complex)
+        z = blk.table if blk.table is not None else np.empty(u.shape + (P,), dtype=complex)
         cis_half_angle(u, 1.0, out=z[..., 0])
         z[..., 0] *= z[..., 0]
         for k in range(1, P):
             np.multiply(z[..., k - 1], z[..., 0], out=z[..., k])
-        return g + (z.view(float) @ coef.view(float)).view(complex)
+        out = np.matmul(z.view(float), coef.view(float), out=blk.product).view(complex)
+        out += g
+        return out
 
-    def fold(self, d, u, tS, vm, phases):
+    def fold(self, d, u, tS, vm, phases, blk):
         """The folded integrand sum_k (g_k S + g'_k / S) M_k on the rows d,
         over the pieces k = 0, 1 (a = d, pi - d), with (g_k, g'_k) the
         (g1, g2) there, tS = tan(Im c2 vm / 2) and M_k = cis_half_angle(t_k,
-        m_k) for the pairs ``phases`` yields, which this may overwrite.  The
-        shared real factor weighs each M_k before the pieces are added, as
-        g = 2 c0 does on the general path, so the same nodes overflow.
+        m_k) for the pairs ``phases`` yields, which this may overwrite; in
+        blk's ``f``.  The shared real factor weighs each M_k before the
+        pieces are added, as g = 2 c0 does on the general path, so the same
+        nodes overflow.
         """
         g0 = self.both[0, 0]                # g1 = g2 = 2 c0 when P = 0
+        f = blk.f
         if self.P or self.re_c2 or g0.imag:
             if self.re_c2 == 0.0:
-                S = cis_half_angle(tS, 1.0)
-                Sinv = S.conj()
+                S = cis_half_angle(tS, 1.0, out=blk.S)
+                Sinv = np.conjugate(S, out=blk.Sinv)
             else:
-                re = self.re_c2 * vm
-                S = cis_half_angle(tS, np.exp(re))
-                Sinv = cis_half_angle(-tS, np.exp(-re))
-            g = self.factors(d, u)
-            f = None
+                re = np.multiply(vm, self.re_c2, out=blk.a)
+                neg = np.negative(re, out=blk.r0)
+                S = cis_half_angle(tS, np.exp(re, out=re), out=blk.S)
+                Sinv = cis_half_angle(np.negative(tS, out=blk.r1),
+                                      np.exp(neg, out=neg), out=blk.Sinv)
+            g = self.factors(d, u, blk)
             for k, (t, m) in enumerate(phases):
-                term = g[..., 2 * k] * S
-                term += g[..., 2 * k + 1] * Sinv
-                term *= cis_half_angle(t, m)
-                f = term if f is None else f + term
+                term = blk.term if k else f
+                np.multiply(g[..., 2 * k], S, out=term)
+                term += np.multiply(g[..., 2 * k + 1], Sinv, out=blk.tmp)
+                term *= cis_half_angle(t, m, out=blk.M)
+                if k:
+                    f += term
             return f
-        a = tS * tS                         # 2 c0 (S + 1/S)
+        a = np.multiply(tS, tS, out=blk.a)  # 2 c0 (S + 1/S)
         a += 1.0
         np.divide(4.0, a, out=a)
         a -= 2.0
         a *= g0.real
         re = im = None
-        for t, m in phases:
-            cis_half_angle(t, m, out=(m, t))
-            m *= a
+        for (t, m), r in zip(phases, (blk.r0, blk.r1)):
+            cis_half_angle(t, m, out=(r, t))
+            r *= a
             t *= a
             if re is None:
-                re, im = m, t
+                re, im = r, t
             else:
-                re += m
+                re += r
                 im += t
-        f = np.empty(re.shape, dtype=complex)
         f.real, f.imag = re, im
         return f
 
@@ -423,6 +519,19 @@ def _folded_sum(powers, modes: _FoldedModes, key, d, wd, x, omx, w,
     is tested against.  A node whose value overflows contributes nothing:
     the true integrand times its weight vanishes at the endpoints (Re s >
     -1).
+
+    Every block-sized temporary lives in this thread's _Workspace, fetched
+    once per call and kept across calls, so a warm call touches no fresh
+    memory: the log-sines of a part outside the geometry table and their
+    tangents, vp, vm, the phase inputs, tS, each piece's (t, m), the fold's
+    S, 1/S, terms and F, the magnitude |F|, and, for data with P <= 8, the
+    (R, N, P) power table of the mode factors and its product.  Its flat
+    buffers take _WORKSPACE_BYTES = 3,538,944 B per thread, and a block
+    reads a C-contiguous reshaped prefix of each.  Data with P > 8 allocate
+    the table per block, and a block of more than _BLOCK_NODES nodes (rows
+    of level 10) allocates all its temporaries, so the row blocks stay
+    those of _BLOCK_NODES.  Every operation is the same, in the same order,
+    as on fresh arrays: no value depends on the workspace.
     """
     sA, sB, sG = powers
     c1, c2 = 0.5 * (sA + sB), 0.5 * (sB - sA)
@@ -431,14 +540,17 @@ def _folded_sum(powers, modes: _FoldedModes, key, d, wd, x, omx, w,
     w_mag = np.repeat(w[0], 2) if magnitude else None    # Re f, Im f alike
     total, mag = [0.0 + 0.0j] * len(w), 0.0
     hx = 0.5 * x
-    for lo, dd, lA, lB, lG, uB in _log_sines(key, d, x, omx):
+    ws = _workspace()
+    for lo, dd, lA, lB, lG, uB, blk in _log_sines(key, d, x, omx, ws, modes.P):
         rows = len(dd)
         if uB is None and modes.P:
-            uB = np.tan(dd * hx)
+            uB = _tan(dd, hx, blk.u)
         with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-            vp, vm = lA + lB, lA - lB
-            phases = _phases(lG, hc1 * vp, c1.real * vp, hsG, sG.real)
-            f = modes.fold(dd[:, 0], uB, np.tan(hc2 * vm), vm, phases)
+            vp = np.add(lA, lB, out=blk.vp)
+            vm = np.subtract(lA, lB, out=blk.vm)
+            pI = np.multiply(vp, hc1, out=blk.pI)
+            phases = _phases(lG, pI, np.multiply(vp, c1.real, out=vp), hsG, sG.real, blk)
+            f = modes.fold(dd[:, 0], uB, _tan(vm, hc2, blk.tS), vm, phases, blk)
             sums = [np.dot(f, wk) for wk in w]
             # a non-finite node makes its row sums non-finite (the first
             # rule weighs every node); only then scan
@@ -448,7 +560,7 @@ def _folded_sum(powers, modes: _FoldedModes, key, d, wd, x, omx, w,
         for k, row_sums in enumerate(sums):
             total[k] += np.sum(row_sums * (dd[:, 0] * wd[k, lo:lo + rows]))
         if magnitude:
-            mag += np.sum(np.dot(np.abs(f.view(float)), w_mag)
+            mag += np.sum(np.dot(np.abs(f.view(float), out=blk.mag), w_mag)
                           * (dd[:, 0] * wd[0, lo:lo + rows]))
     return total, mag
 
@@ -524,6 +636,11 @@ def triple_quadrature(f1: CircleFunction, f2: CircleFunction, f3: CircleFunction
     whose kept ranges vary with Re (sA, sB, sG), compute their log-sines
     block by block in every call.  A warm call gives the cold call's value,
     bar, level and cost bit for bit.
+
+    The block temporaries of each pass come from a per-thread workspace of
+    3,538,944 B that persists across calls (see _folded_sum), so a warm
+    call takes no page faults in its node loop; no value, bar, level or
+    cost depends on it, and threads never share one.
     """
     cfg = cfg or QuadratureConfig()
     top = _START_LEVEL + cfg.refinement_levels
@@ -681,8 +798,9 @@ def spectral_mode_values(pairs, l1, l2, l3) -> np.ndarray:
 
         sum_j cG[j] cB[-m'-j] cA[j-n']
 
-    over the exact |sin|^s series, cut at |j| = J = 2000 + 10 * (largest
-    |index| of the call).  The tail beyond J decays like a smooth power
+    over the exact |sin|^s series, one per distinct power, cut at |j| = J =
+    2000 + 10 * (largest |index| of the call).  The tail beyond J decays
+    like a smooth power
     j^-(3 + sA + sB + sG); each side is fitted by least squares with
     A + C/j times that power on 60 terms and summed analytically.  The fit
     is linear in the terms, so it is one fixed weight vector, and the pairs
@@ -705,6 +823,11 @@ def spectral_mode_values(pairs, l1, l2, l3) -> np.ndarray:
     maxidx = int(np.max(np.abs(pairs))) if pairs.size else 0
     J = 2000 + 10 * maxidx
     kmax = J + _FIT_N + maxidx + 2
-    cA, cB, cG = (sine_power_coeffs(s, kmax) for s in (sA, sB, sG))
+    # one series per distinct power, told apart bit for bit (signs of zero
+    # too): sA is sB whenever l1 == l2
+    keys = [np.complex128(s).tobytes() for s in (sA, sB, sG)]
+    series = {key: sine_power_coeffs(s, kmax)
+              for key, s in dict(zip(keys, (sA, sB, sG))).items()}
+    cA, cB, cG = (series[key] for key in keys)
     return _convolve_modes(pairs, cA, cB, _tail_weights(cG, w0, J))
 

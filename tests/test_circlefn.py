@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from triform import CircleFunction
+from triform.circlefn import cis_half_angle
 
 finite = st.floats(-1e6, 1e6, allow_nan=False)
 angles = arrays(np.float64, st.integers(1, 40),
@@ -55,3 +56,22 @@ def test_evaluate_keeps_nan_angles():
     for N in (0, 2):
         vals = CircleFunction.from_modes({0: 1.0}, N).evaluate(np.array([0.3, np.nan]))
         assert np.isfinite(vals[0]) and np.isnan(vals[1])
+
+
+def test_cis_half_angle_output_forms_agree_bit_for_bit():
+    # with an output given, q is formed in its real part: the same
+    # operations in the same order as on a fresh array
+    rng = np.random.default_rng(4)
+    t = np.tan(rng.uniform(-1.5, 1.5, 257))
+    t[::31] = np.nan
+    scale = rng.uniform(0.1, 3.0, 257)
+    fresh = cis_half_angle(t, scale)
+    out = np.empty(257, dtype=complex)
+    assert cis_half_angle(t, scale, out=out) is out
+    re, im = np.empty(257), t.copy()
+    cis_half_angle(im, scale, out=(re, im))          # im may be t itself
+    table = np.empty((257, 3), dtype=complex)
+    cis_half_angle(t, 1.0, out=table[:, 0])          # a strided column
+    for a, b in ((out.real, fresh.real), (out.imag, fresh.imag), (re, fresh.real),
+                 (im, fresh.imag), (table[:, 0], cis_half_angle(t, 1.0))):
+        assert a.tobytes() == b.tobytes()

@@ -232,6 +232,22 @@ def test_homogeneous_reduction_mc_route():
     assert abs(lhs.value - rhs.value) <= lhs.error_bound + rhs.error_bound
 
 
+@pytest.mark.parametrize("lam", [0.0, 2j, 0.5, -1.0, -10.0, 5j])
+def test_homogeneous_reduction_of_a_zero_mean_series(lam):
+    # f = 2 cos 2 theta has f_0 = 0: both sides are exactly 0 (the radial
+    # one is f_0 times a finite integral, and L(r^-2 f) is the circle mean),
+    # which a relative target never met; the Monte Carlo lhs lies within
+    # its bar of 0
+    f = CircleFunction.from_modes({2: 1.0, -2: 1.0}, 1)
+    lhs, rhs = homogeneous_reduction_check(lam, f)
+    for est in (lhs, rhs):
+        assert (est.value, est.error_bound, est.method) == (0, 0.0, "zero-mean")
+    spec = GaussianSpec(dim=2, seed=29, samples=200_000)
+    lhs, rhs = homogeneous_reduction_check(lam, f, method="mc", spec=spec)
+    assert (rhs.value, rhs.error_bound) == (0, 0.0)
+    assert abs(lhs.value) <= lhs.error_bound
+
+
 def test_homogeneous_reduction_precondition():
     with pytest.raises(PreconditionError):
         homogeneous_reduction_check(1.5, CircleFunction.constant(1.0))

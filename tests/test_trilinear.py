@@ -2,8 +2,11 @@
 
 import itertools
 import math
+import os
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -29,6 +32,7 @@ A000 = 5.5728157187427074367
 # closed form at (0, 0, 10j), independent 40-digit evaluation
 A0010 = -6.254263599920590863e-05 - 1.2583705083835460888e-04j
 
+ROOT = Path(__file__).resolve().parent.parent
 ONES = CircleFunction.constant(1.0)
 EPS = np.finfo(float).eps
 # the process's principal-series geometry table; stand-in node families
@@ -813,6 +817,144 @@ def test_kept_nodes_are_one_run(level):
 
 
 # ---------------------------------------------------------------------------
+# the per-thread block workspace
+# ---------------------------------------------------------------------------
+
+# (value, error_bound, final level, cost) of the constant-data triples
+# {0, 1, 2, 4}i at (levels 6, target 1e-6), and of the lift-8 data and its
+# first seed-7 moved copy at (levels 4, target 1e-5), as the quadrature gave
+# them before its block temporaries moved into the workspace (numpy 2.4.6
+# on x86-64: the SIMD tan, exp and log may differ elsewhere in the last place)
+_PINNED_TRIPLES = {
+    (0, 0, 0): (complex(5.572815718742708, 0.0), 4.949654658352135e-15, 4, 32258),
+    (0, 0, 1): (complex(1.1425229386184295, 1.522463150548381), 6.0607370406694176e-15, 4, 32258),
+    (0, 0, 2): (complex(0.05782508620389611, 0.42433489148681486), 1.0545671235338297e-14, 4, 32258),
+    (0, 0, 4): (complex(-0.022785799949327872, 0.03337542381534173), 5.2499178442284486e-15, 5, 130050),
+    (0, 1, 1): (complex(1.3240425558711382, 1.631016176430851), 3.168024985183404e-14, 4, 32258),
+    (0, 1, 2): (complex(0.42521644449924084, 0.6252245652827585), 5.009451033223755e-10, 4, 32258),
+    (0, 1, 4): (complex(0.013491280820670864, 0.06529839748992676), 7.584624997145299e-13, 5, 130050),
+    (0, 2, 2): (complex(0.8951315528796379, 1.02379285624154), 1.9842917538304893e-07, 4, 32258),
+    (0, 2, 4): (complex(0.08800203207366139, 0.1393103103012816), 8.789213109053744e-11, 5, 130050),
+    (0, 4, 4): (complex(0.6470134623379832, 0.6896382077443701), 9.487156252472553e-08, 5, 130050),
+    (1, 1, 1): (complex(-0.05426724095710017, 1.6305026295558742), 8.028531868006737e-10, 4, 32258),
+    (1, 1, 2): (complex(0.26249217227428556, 1.0040286370769334), 1.4147271526291607e-07, 4, 32258),
+    (1, 1, 4): (complex(0.08114421506260724, 0.07569277851050857), 3.0952942027069485e-11, 5, 130050),
+    (1, 2, 2): (complex(-0.14347546736596914, 1.0107840373550774), 2.2153063669137385e-12, 5, 130050),
+    (1, 2, 4): (complex(0.20971574844249224, 0.1821027988046475), 1.3494889224762311e-09, 5, 130050),
+    (1, 4, 4): (complex(-0.09884037481263715, 0.6914477858992489), 4.7410115622655156e-07, 5, 130050),
+    (2, 2, 2): (complex(-0.31540356341544096, 0.6928357407623235), 1.8230944910968878e-10, 5, 130050),
+    (2, 2, 4): (complex(0.17079261719987945, 0.533527521758785), 4.924075693993939e-08, 5, 130050),
+    (2, 4, 4): (complex(-0.2591846353452065, 0.4182658975303742), 6.240401458053885e-13, 6, 522242),
+    (4, 4, 4): (complex(-0.2733865307618645, 0.22210823540864388), 5.5474596998284706e-11, 6, 522242),
+}
+_PINNED_LIFT8 = [
+    (complex(0.4312166881227563, 0.5937113349892958), 5.127842035239049e-10, 4, 32258),
+    (complex(0.43121668812312025, 0.5937113349903924), 4.760766174048437e-10, 4, 32258),
+]
+_LIFT8_CFG = QuadratureConfig(target_rel_error=1e-5, refinement_levels=4)
+
+
+def _pinned_fields(est):
+    return est.value, est.error_bound, int(est.method.rsplit("level", 1)[1]), est.cost
+
+
+def test_bench_estimates_are_pinned_bit_for_bit():
+    # each pair is checked cold (empty geometry table) and warm
+    cfg = QuadratureConfig(refinement_levels=6, target_rel_error=1e-6)
+    for trip, pinned in _PINNED_TRIPLES.items():
+        lams = [1j * v for v in trip]
+        for _ in range(2):
+            est = triple_quadrature(ONES, ONES, ONES, *lams, cfg)
+            assert _pinned_fields(est) == pinned, trip
+    for (data, lams), pinned in zip(_lift8_data(), _PINNED_LIFT8):
+        for _ in range(2):
+            assert _pinned_fields(triple_quadrature(*data, *lams, _LIFT8_CFG)) == pinned
+
+
+def _fourier_sweep():
+    """Estimates of Fourier data with P = 1, 8 (the workspace's table) and
+    16 (a fresh table per block) at a principal and two other triples."""
+    rng = np.random.default_rng(5)
+    cfg = QuadratureConfig(refinement_levels=3, target_rel_error=1e-300)
+    out = [_estimate(data, lams, _LIFT8_CFG) for data, lams in _lift8_data()]
+    for P in (1, 8, 16):
+        data = (_random_data(rng, P, P), _random_data(rng, P - 1, P),
+                _random_data(rng, P, P))
+        for lams in ((0.0, 1j, 2j), (0.3 + 1j, -0.3, 2j), (0.3, -0.2, 0.1)):
+            out.append(_estimate(data, lams, cfg))
+    return out
+
+
+def test_workspace_is_per_thread_under_threads():
+    # four threads sweep Fourier data with a short switch interval, each on
+    # its own workspace: every estimate equals the single-threaded one
+    expected = _fourier_sweep()
+    results = [None] * 4
+
+    def sweep(i):
+        results[i] = _fourier_sweep()
+
+    threads = [threading.Thread(target=sweep, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=300)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [expected] * 4
+
+
+def test_workspace_stays_within_its_bytes():
+    # after P = 16 data (fresh tables) and a level-8 constant call (log-sines
+    # of levels 7 and 8 outside the table) the workspace holds its buffers
+    # and views of them only
+    _fourier_sweep()
+    stall = QuadratureConfig(refinement_levels=6, target_rel_error=1e-300)
+    with pytest.raises(NonConvergentError):
+        triple_quadrature(ONES, ONES, ONES, 0.0, 1j, 4j, stall)
+    ws = trilinear._workspace()
+    buffers = [ws.real, ws.row, ws.cplx, ws.table, ws.product]
+    assert sum(b.nbytes for b in buffers) <= trilinear._WORKSPACE_BYTES == 3_538_944
+    assert 0 < len(ws.blocks) <= trilinear._BLOCK_SHAPES
+    for blk in ws.blocks.values():
+        for a in vars(blk).values():
+            if isinstance(a, np.ndarray):
+                assert a.flags.c_contiguous
+                assert any(a.base is b for b in buffers), a.shape
+
+
+@pytest.mark.slow
+def test_warm_quadrature_takes_no_page_faults():
+    # three lift-8 quadratures in a fresh interpreter: the third touches
+    # only memory the first two did (a per-block allocation took about 600
+    # minor faults per call)
+    pytest.importorskip("resource")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    code = """
+import resource
+from triform import CircleFunction, QuadratureConfig, triple_quadrature
+data = [CircleFunction.from_modes({0: 1.0, 2: 0.3}, 8),
+        CircleFunction.from_modes({0: 1.0, -2: 0.2, 4: 0.1}, 8),
+        CircleFunction.from_modes({0: 1.0}, 8)]
+cfg = QuadratureConfig(target_rel_error=1e-5, refinement_levels=4)
+for _ in range(3):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    triple_quadrature(*data, 0.0, 1j, 2j, cfg)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 50
+
+
+# ---------------------------------------------------------------------------
 # mode elements
 # ---------------------------------------------------------------------------
 
@@ -863,6 +1005,21 @@ def test_spectral_negation_and_conjugation(lams, m, n):
     conj = spectral_mode_values([(m, n)], *np.conj(lams))[0]
     assert abs(negated - v) <= 1e-12 * abs(v)
     assert abs(conj - np.conj(v)) <= 1e-12 * abs(v)
+
+
+@pytest.mark.parametrize("lams, calls", [((0.0, 1j, 2j), 3), ((1j, 1j, 0.5j), 2),
+                                         ((0.0, 0.0, 0.0), 1)])
+def test_spectral_takes_one_series_per_distinct_power(lams, calls, monkeypatch):
+    # l1 == l2 makes sA == sB, and l1 == l2 == l3 all three powers equal
+    seen = []
+
+    def counted(s, kmax):
+        seen.append(s)
+        return sine_power_coeffs(s, kmax)
+
+    monkeypatch.setattr(trilinear, "sine_power_coeffs", counted)
+    spectral_mode_values([(0, 0), (1, -2)], *lams)
+    assert len(seen) == len(set(seen)) == calls
 
 
 def test_spectral_rejects_divergent_convolution():

@@ -27,20 +27,24 @@ from .errors import PreconditionError
 __all__ = ["CircleFunction", "BiCircleFunction"]
 
 
-def cis_half_angle(t, scale, out=None):
+def cis_half_angle(t, scale, out=None, q=None):
     """scale e^{i phi} from t = tan(phi / 2), as (q - scale) + i q t with
     q = 2 scale / (1 + t^2), since e^{i phi} = (1 - t^2 + 2it) / (1 + t^2),
     written to ``out`` if given: a complex array of t's shape, or a pair
-    (re, im) of real arrays, of which im may be t itself.  With ``out``, q
-    is computed in its real part, which therefore must share no memory with
-    t or scale.  NaN where t is; a relative error delta in t moves phi by
-    at most delta."""
+    (re, im) of real arrays, of which im may be t itself.  A pair's re holds
+    q; a complex ``out`` takes q in ``q``, a contiguous real array of t's
+    shape (made if not given), not in its own strided real part.  Whatever
+    holds q must share no memory with t or scale.  NaN where t is; a
+    relative error delta in t moves phi by at most delta."""
     if out is None:
         q = t * t
         out = np.empty(q.shape, dtype=complex)
         re, im = out.real, out.imag
+    elif isinstance(out, np.ndarray):
+        re, im = out.real, out.imag
+        q = np.multiply(t, t, out=q)
     else:
-        re, im = (out.real, out.imag) if isinstance(out, np.ndarray) else out
+        re, im = out
         q = np.multiply(t, t, out=re)
     q += 1.0
     np.divide(scale, q, out=q)

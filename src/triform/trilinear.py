@@ -73,8 +73,9 @@ MAX_QUADRATURE_LEVEL = 10
 _BLOCK_NODES = 1 << 13   # nodes per block of rows; bounds the temporaries
 _TAIL_EPS = 2.0 ** -60   # majorant mass a dropped strip of the grid may carry
 # top level whose principal-series node geometry is kept for the process:
-# its seven parts of levels 3-6 take 4,185,584 B, level 7's two would add
-# 12.5 MB and each level above four times as much
+# the log-sines and kernel moduli of its seven parts of levels 3-6 take
+# 8,363,520 B, level 7's two would add 25.0 MB and each level above four
+# times as much
 _GEOMETRY_TOP = 6
 
 
@@ -311,19 +312,23 @@ def _workspace() -> _Workspace:
 _GEOMETRY = {}
 
 
-def _log_sines(key, d, x, omx, ws, P):
-    """(lo, dd, lA, lB, lG, uB, blk) per block of rows dd = d[lo:lo + rows,
-    None] on the columns x: lA = log sin dd, lB = log sin(dd x), lG = (log
-    sin(dd (1 - x)), log sin(dd (1 + x))), uB = tan(dd x / 2), which only a
-    block computed here has (None from the table), and blk, the block's
-    temporaries from the workspace ws for data with P modes.
+def _log_sines(key, d, x, omx, re_c1, re_sG, ws, P):
+    """(lo, dd, lA, lB, lG, vp, mods, uB, blk) per block of rows dd =
+    d[lo:lo + rows, None] on the columns x: lA = log sin dd, lB = log
+    sin(dd x), lG = (log sin(dd (1 - x)), log sin(dd (1 + x))), vp = lA +
+    lB, mods = the moduli e^{re_c1 vp + re_sG lg} of M for lg in lG, uB =
+    tan(dd x / 2), which only a block computed here has (None from the
+    table), and blk, the block's temporaries from the workspace ws for data
+    with P modes.
 
-    A part whose ``key`` is in _GEOMETRY is read from it.  Any other part
-    is computed block by block; one with a key (not None) is computed into
-    arrays that are then made read-only and published under it, one without
-    into blk.  Where the columns are mirror-symmetric (x == omx[::-1] bit for
-    bit, as on the principal series), log sin(d (1 - x)) is log sin(d x)
-    read in reverse, as a view, and is not stored.
+    A part whose ``key`` is in _GEOMETRY is read from it, moduli included,
+    so a key names parts of one (re_c1, re_sG): the principal series'
+    (-1/2, -1/2).  Any other part is computed block by block; one with a
+    key (not None) is computed into arrays that are then made read-only and
+    published under it, one without into blk.  Where the columns are
+    mirror-symmetric (x == omx[::-1] bit for bit, as on the principal
+    series), log sin(d (1 - x)) is log sin(d x) read in reverse, as a view,
+    and is not stored.
     """
     rows = max(1, _BLOCK_NODES // len(x))
     stored = _GEOMETRY.get(key)
@@ -333,41 +338,49 @@ def _log_sines(key, d, x, omx, ws, P):
         mirrored = np.array_equal(x, omx[::-1])
         if key is not None:
             store = [np.empty((len(d), 1))] + [np.empty((len(d), len(x)))
-                                               for _ in range(2 if mirrored else 3)]
+                                               for _ in range(4 if mirrored else 5)]
     for lo in range(0, len(d), rows):
         dd = d[lo:lo + rows, None]
         blk = ws.block(len(dd), len(x), P)
         if stored is not None:
-            lA, lB, lP, *lM = (a[lo:lo + rows] for a in stored)
+            lA, lB, lP, *lM, m0, m1 = (a[lo:lo + rows] for a in stored)
             uB = None
         else:
-            outs = ([blk.lA, blk.lB, blk.lP, blk.lM] if store is None
+            outs = ([blk.lA, blk.lB, blk.lP, blk.lM][:3 if mirrored else 4]
+                    + [blk.m0, blk.m1] if store is None
                     else [a[lo:lo + rows] for a in store])
-            lA, lB, lP, *lM = outs[:3 if mirrored else 4]
+            lA, lB, lP, *lM, m0, m1 = outs
             uB = _tan(dd, hx, blk.u)
             _log_sin(_tan(dd, 0.5, blk.uA), lA, blk.uA)
             _log_sin(uB, lB, blk.scratch)
             for out in lM:
                 _log_sin(_tan(dd, homx, blk.scratch), out, blk.scratch)
             _log_sin(_tan(dd, hpx, blk.scratch), lP, blk.scratch)
-        yield lo, dd, lA, lB, (lM[0] if lM else lB[:, ::-1], lP), uB, blk
+        lG = (lM[0] if lM else lB[:, ::-1], lP)
+        vp = np.add(lA, lB, out=blk.vp)
+        if stored is None:
+            pR = np.multiply(vp, re_c1, out=blk.scratch)
+            with np.errstate(over="ignore"):
+                for lg, m in zip(lG, (m0, m1)):
+                    np.multiply(lg, re_sG, out=m)
+                    m += pR
+                    np.exp(m, out=m)
+        yield lo, dd, lA, lB, lG, vp, (m0, m1), uB, blk
     if store is not None:
         for a in store:
             a.flags.writeable = False
         _GEOMETRY.setdefault(key, store)      # a part stored meanwhile stays
 
 
-def _phases(lG, pI, pR, hsG, sGr, blk):
-    """(t, m) per piece, one piece at a time, in blk's (t0, m0) and (t1,
-    m1): the tangent of the half phase and the modulus of M = e^{c1 vp + sG
-    lg} for the piece's log-sine lg of a - b, from pI = Im c1 vp / 2 and
-    pR = Re c1 vp."""
-    for lg, t, m in zip(lG, (blk.t0, blk.t1), (blk.m0, blk.m1)):
+def _phases(lG, mods, pI, hsG, blk):
+    """(t, m) per piece, one piece at a time: t, in blk's t0 or t1, the
+    tangent of the half phase of M = e^{c1 vp + sG lg} for the piece's
+    log-sine lg of a - b, from pI = Im c1 vp / 2, and m, its modulus, from
+    mods."""
+    for lg, t, m in zip(lG, (blk.t0, blk.t1), mods):
         np.multiply(lg, hsG, out=t)
         t += pI
-        np.multiply(lg, sGr, out=m)
-        m += pR
-        yield np.tan(t, out=t), np.exp(m, out=m)
+        yield np.tan(t, out=t), m
 
 
 def _padded(f: CircleFunction, P: int) -> np.ndarray:
@@ -385,7 +398,9 @@ class _FoldedModes:
         g1(a, b) = c(a, b) + c(-a, -b)   on K1,   g2(a, b) = g1(b, a)   on K2,
 
     sums of sym[p, q] e^{2i(pa+qb)} for sym = mat + mat[::-1, ::-1] (mat on
-    modes -P..P, P = max(P1, P2)).  Constant data: g1 = g2 = 2 c0.
+    modes -P'..P', P' = max(P1, P2)), cut to its support: P is the largest
+    |p| or |q| of a nonzero entry, so zero padding costs nothing.  P = 0
+    (constant data, or data whose modes cancel in sym): g1 = g2 = 2 c0.
 
     ``fold`` weighs the kernels K1 = M S and K2 = M / S of both pieces with
     them.  Where Re c2 = 0 (Re l1 = Re l2, as on the principal series),
@@ -398,11 +413,13 @@ class _FoldedModes:
 
     def __init__(self, f1: CircleFunction, f2: CircleFunction, f3: CircleFunction,
                  powers):
-        P = self.P = max(f1.max_mode, f2.max_mode)
+        P = max(f1.max_mode, f2.max_mode)
         # f3 on modes 2P..-2P, read as the Hankel matrix of -(a + b), a, b = -P..P
         c3 = np.lib.stride_tricks.sliding_window_view(_padded(f3, 2 * P)[::-1], 2 * P + 1)
         mat = np.outer(_padded(f1, P), _padded(f2, P)) * c3
         sym = mat + mat[::-1, ::-1]
+        Q = self.P = int(np.abs(np.argwhere(sym) - P).max(initial=0))
+        sym = sym[P - Q:P + Q + 1, P - Q:P + Q + 1]
         self.both = np.concatenate([sym, sym.T], axis=1)
         sA, sB, _ = powers
         self.re_c2 = (0.5 * (sB - sA)).real
@@ -413,8 +430,12 @@ class _FoldedModes:
         row each is a trigonometric polynomial in B: its coefficients meet one
         real node factor [cos 2kB, sin 2kB]_{k=1..P}, with e^{2ikB} =
         (e^{2iB})^k and e^{iB} = cis_half_angle(u, 1), from the tangent the
-        log-sine of B already took.  The power table and its product are
-        blk's ``table`` and ``product`` where it has them.
+        log-sine of B already took.  e^{2iB} is formed contiguously in blk's
+        M; the power table and its product are blk's ``table`` and
+        ``product`` where it has them.  Each power multiplies the one before
+        within the table's (R, N, P) layout, whose interleaved strides take
+        numpy's scalar complex product: contiguous arrays would take its SIMD
+        product, whose fused multiply-add rounds differently.
         """
         P = self.P
         ex = np.exp(2j * np.multiply.outer(d, np.arange(-P, P + 1)))
@@ -429,10 +450,11 @@ class _FoldedModes:
         coef[:, 0::2] = (pos + neg).transpose(0, 2, 1)
         coef[:, 1::2] = (1j * (pos - neg)).transpose(0, 2, 1)
         z = blk.table if blk.table is not None else np.empty(u.shape + (P,), dtype=complex)
-        cis_half_angle(u, 1.0, out=z[..., 0])
-        z[..., 0] *= z[..., 0]
+        z1 = cis_half_angle(u, 1.0, out=blk.M, q=blk.scratch)
+        z1 *= z1
+        z[..., 0] = z1
         for k in range(1, P):
-            np.multiply(z[..., k - 1], z[..., 0], out=z[..., k])
+            np.multiply(z[..., k - 1], z1, out=z[..., k])
         out = np.matmul(z.view(float), coef.view(float), out=blk.product).view(complex)
         out += g
         return out
@@ -441,29 +463,29 @@ class _FoldedModes:
         """The folded integrand sum_k (g_k S + g'_k / S) M_k on the rows d,
         over the pieces k = 0, 1 (a = d, pi - d), with (g_k, g'_k) the
         (g1, g2) there, tS = tan(Im c2 vm / 2) and M_k = cis_half_angle(t_k,
-        m_k) for the pairs ``phases`` yields, which this may overwrite; in
-        blk's ``f``.  The shared real factor weighs each M_k before the
-        pieces are added, as g = 2 c0 does on the general path, so the same
-        nodes overflow.
+        m_k) for the pairs ``phases`` yields, whose t_k this may overwrite
+        (m_k may be read-only); in blk's ``f``.  The shared real factor
+        weighs each M_k before the pieces are added, as g = 2 c0 does on the
+        general path, so the same nodes overflow.
         """
         g0 = self.both[0, 0]                # g1 = g2 = 2 c0 when P = 0
         f = blk.f
         if self.P or self.re_c2 or g0.imag:
             if self.re_c2 == 0.0:
-                S = cis_half_angle(tS, 1.0, out=blk.S)
+                S = cis_half_angle(tS, 1.0, out=blk.S, q=blk.scratch)
                 Sinv = np.conjugate(S, out=blk.Sinv)
             else:
                 re = np.multiply(vm, self.re_c2, out=blk.a)
                 neg = np.negative(re, out=blk.r0)
-                S = cis_half_angle(tS, np.exp(re, out=re), out=blk.S)
-                Sinv = cis_half_angle(np.negative(tS, out=blk.r1),
-                                      np.exp(neg, out=neg), out=blk.Sinv)
+                S = cis_half_angle(tS, np.exp(re, out=re), out=blk.S, q=blk.scratch)
+                Sinv = cis_half_angle(np.negative(tS, out=blk.r1), np.exp(neg, out=neg),
+                                      out=blk.Sinv, q=blk.scratch)
             g = self.factors(d, u, blk)
             for k, (t, m) in enumerate(phases):
                 term = blk.term if k else f
                 np.multiply(g[..., 2 * k], S, out=term)
                 term += np.multiply(g[..., 2 * k + 1], Sinv, out=blk.tmp)
-                term *= cis_half_angle(t, m, out=blk.M)
+                term *= cis_half_angle(t, m, out=blk.M, q=blk.scratch)
                 if k:
                     f += term
             return f
@@ -508,8 +530,11 @@ def _folded_sum(powers, modes: _FoldedModes, key, d, wd, x, omx, w,
     pieces share log-sines: K1 = M S and K2 = M / S, with S = e^{c2 vm} the
     power of sin a / sin b and M = e^{c1 vp + sG lg}, vp and vm the sum and
     difference of log sin a and log sin b and lg the piece's log sin(a - b);
-    ``_FoldedModes.fold`` weighs them with g1, g2.  Every transcendental
-    is numpy's SIMD tan, exp or log, by the tangent half-angle identities.
+    ``_FoldedModes.fold`` weighs them with g1, g2.  M's modulus e^{Re c1 vp
+    + Re sG lg} comes with the log-sines from ``_log_sines``: on the
+    principal series it is free of the parameters, and the table keeps it.
+    Every transcendental is numpy's SIMD tan, exp or log, by the tangent
+    half-angle identities.
     With t = tan(y / 2), log sin y = log(2t / (1 + t^2)) on (0, pi): one log,
     free of the cancellation of log(2t) - log1p(t^2) near y = pi.  With
     t = tan(im / 2), e^{re + i im} = cis_half_angle(t, e^re), and 1/S =
@@ -522,10 +547,11 @@ def _folded_sum(powers, modes: _FoldedModes, key, d, wd, x, omx, w,
 
     Every block-sized temporary lives in this thread's _Workspace, fetched
     once per call and kept across calls, so a warm call touches no fresh
-    memory: the log-sines of a part outside the geometry table and their
-    tangents, vp, vm, the phase inputs, tS, each piece's (t, m), the fold's
-    S, 1/S, terms and F, the magnitude |F|, and, for data with P <= 8, the
-    (R, N, P) power table of the mode factors and its product.  Its flat
+    memory: the log-sines and moduli of a part outside the geometry table
+    and their tangents, vp, vm, the phase inputs, tS, each piece's phase
+    tangent, the fold's S, 1/S, M, terms and F, the scratch q of each
+    complex cis_half_angle, the magnitude |F|, and, for data with P <= 8,
+    the (R, N, P) power table of the mode factors and its product.  Its flat
     buffers take _WORKSPACE_BYTES = 3,538,944 B per thread, and a block
     reads a C-contiguous reshaped prefix of each.  Data with P > 8 allocate
     the table per block, and a block of more than _BLOCK_NODES nodes (rows
@@ -541,15 +567,14 @@ def _folded_sum(powers, modes: _FoldedModes, key, d, wd, x, omx, w,
     total, mag = [0.0 + 0.0j] * len(w), 0.0
     hx = 0.5 * x
     ws = _workspace()
-    for lo, dd, lA, lB, lG, uB, blk in _log_sines(key, d, x, omx, ws, modes.P):
+    for lo, dd, lA, lB, lG, vp, mods, uB, blk in _log_sines(
+            key, d, x, omx, c1.real, sG.real, ws, modes.P):
         rows = len(dd)
         if uB is None and modes.P:
             uB = _tan(dd, hx, blk.u)
         with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-            vp = np.add(lA, lB, out=blk.vp)
             vm = np.subtract(lA, lB, out=blk.vm)
-            pI = np.multiply(vp, hc1, out=blk.pI)
-            phases = _phases(lG, pI, np.multiply(vp, c1.real, out=vp), hsG, sG.real, blk)
+            phases = _phases(lG, mods, np.multiply(vp, hc1, out=blk.pI), hsG, blk)
             f = modes.fold(dd[:, 0], uB, _tan(vm, hc2, blk.tS), vm, phases, blk)
             sums = [np.dot(f, wk) for wk in w]
             # a non-finite node makes its row sums non-finite (the first
@@ -628,14 +653,17 @@ def triple_quadrature(f1: CircleFunction, f2: CircleFunction, f3: CircleFunction
     No parameter enters the log-sines log sin d, log sin(d x) and log sin(d
     (1 +- x)), and on the principal series (every kernel power of real part
     exactly -1/2, as Re l1 = Re l2 = Re l3 = 0 gives) each level keeps one
-    set of rows and columns.  So each part of such a level's pass (levels 2
-    and 3's pass, new rows by all columns, or old rows by new columns) is
+    set of rows and columns, and the kernel's modulus on each piece, e^{-(vp
+    + lg) / 2} = (sin a sin b |sin(a - b)|)^(-1/2), is free of the
+    parameters too: they enter only through its phase.  So each part of
+    such a level's pass (levels 2 and 3's pass, new rows by all columns, or
+    old rows by new columns) has its log-sines and both pieces' moduli
     computed once per process and kept, read-only, in a table keyed on
-    (level, part): a fixed 4.19 MB for levels 3-6.  Levels 7 and above,
-    whose parts would take 4.2 MB each or more, and all other kernel powers,
-    whose kept ranges vary with Re (sA, sB, sG), compute their log-sines
-    block by block in every call.  A warm call gives the cold call's value,
-    bar, level and cost bit for bit.
+    (level, part): a fixed 8.36 MB for levels 3-6.  Levels 7 and above,
+    whose parts would take 8.3 MB each or more, and all other kernel powers,
+    whose kept ranges vary with Re (sA, sB, sG), compute them block by block
+    in every call.  A warm call gives the cold call's value, bar, level and
+    cost bit for bit.
 
     The block temporaries of each pass come from a per-thread workspace of
     3,538,944 B that persists across calls (see _folded_sum), so a warm

@@ -613,16 +613,29 @@ def test_three_level_rule_stops_no_earlier_near_the_edge(lams, monkeypatch):
                for k in range(4, stop + 1)), (stop, vals)
 
 
+class _Untrimmed(trilinear._FoldedModes):
+    """_FoldedModes that hold constant data on the modes -1..1, as zero
+    padding was held before sym was cut to its support: the mode-factor
+    path with factors 0 at mode 1."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        if self.P == 0:
+            sym = np.zeros((3, 3), dtype=complex)
+            sym[1, 1] = self.both[0, 0]
+            self.both, self.P = np.concatenate([sym, sym.T], axis=1), 1
+
+
 @pytest.mark.parametrize("values", [(1.0, 1.0, 1.0), (0.6 - 0.8j, 1.0, 2.0)])
 @pytest.mark.parametrize("lams", [(0.0, 4j, 4j), (0.3, -0.2, 0.1),
                                   (0.2 + 1j, -0.4 + 2j, 0.5j),
                                   (0.45, 0.45, 0.05)])
-def test_constant_data_fold_matches_the_general_path(lams, values):
+def test_constant_data_fold_matches_the_general_path(lams, values, monkeypatch):
     # real constant data at Re c2 = 0 take the shared factor 2 c0 (S + 1/S);
-    # the same functions stored with max_mode 1 take the mode-factor path.
-    # (0, 4i, 4i) and (0.45, 0.45, 0.05) have Re c2 = 0, the other two not;
-    # a complex c0 takes the general path with constant factors.  At
-    # (0.45, 0.45, 0.05) 7,218 nodes overflow and are dropped, and
+    # the same data held on modes -1..1 by _Untrimmed take the mode-factor
+    # path.  (0, 4i, 4i) and (0.45, 0.45, 0.05) have Re c2 = 0, the other
+    # two not; a complex c0 takes the general path with constant factors.
+    # At (0.45, 0.45, 0.05) 7,218 nodes overflow and are dropped, and
     # refinement stalls: both paths must drop the same ones
     def run(data):
         try:
@@ -630,8 +643,10 @@ def test_constant_data_fold_matches_the_general_path(lams, values):
         except NonConvergentError as exc:
             return exc.estimate
 
-    a = run([CircleFunction.constant(v) for v in values])
-    b = run([CircleFunction.from_modes({0: v}, 1) for v in values])
+    data = [CircleFunction.constant(v) for v in values]
+    a = run(data)
+    monkeypatch.setattr(trilinear, "_FoldedModes", _Untrimmed)
+    b = run(data)
     assert a.method == b.method and a.cost == b.cost
     assert abs(a.value - b.value) <= 1e-14 * abs(b.value), (a.value, b.value)
     assert b.method.endswith("/stalled") == (lams == (0.45, 0.45, 0.05))
@@ -670,7 +685,7 @@ def test_quadrature_refuses_levels_above_maximum():
 # new rows and new columns of each later level
 PRINCIPAL_PARTS = {(3, "all")} | {(level, part) for level in (4, 5, 6)
                                   for part in ("new rows", "new cols")}
-PRINCIPAL_BYTES = 4_185_584
+PRINCIPAL_BYTES = 8_363_520
 
 
 def _fields(est):
@@ -734,12 +749,27 @@ def test_cold_and_warm_geometry_give_the_same_estimate(cases, monkeypatch):
 
 
 def test_cached_geometry_is_read_only():
+    # per part: log sin d, log sin(d x), log sin(d (1 + x)) and two moduli
     triple_quadrature(ONES, ONES, ONES, 0, 1j, 4j)
     arrays = [a for part in GEOMETRY.values() for a in part]
-    assert len(arrays) == 3 * len(GEOMETRY) > 0
+    assert len(arrays) == 5 * len(GEOMETRY) > 0
     for a in arrays:
         with pytest.raises(ValueError):
             a.flat[0] = 1.0
+
+
+def test_stored_moduli_recompute_from_the_stored_log_sines():
+    # on the principal series Re c1 = Re sG = -1/2, so each piece's stored
+    # modulus is e^{Re sG lg + Re c1 (lA + lB)}, bit for bit, from the
+    # stored log-sines; (2i, 4i, 4i) reaches level 6 and so all seven parts
+    cfg = QuadratureConfig(refinement_levels=6, target_rel_error=1e-6)
+    assert triple_quadrature(ONES, ONES, ONES, 2j, 4j, 4j, cfg).method.endswith("/level6")
+    assert set(GEOMETRY) == PRINCIPAL_PARTS
+    for key, (lA, lB, lP, m0, m1) in GEOMETRY.items():
+        pR = (lA + lB) * -0.5
+        for lg, m in ((lB[:, ::-1], m0), (lP, m1)):
+            assert np.array_equal(np.exp(lg * -0.5 + pR), m), key
+            assert not m.flags.writeable
 
 
 def test_geometry_table_holds_the_principal_parts_of_levels_3_to_6(monkeypatch):
@@ -858,6 +888,22 @@ def _pinned_fields(est):
     return est.value, est.error_bound, int(est.method.rsplit("level", 1)[1]), est.cost
 
 
+def test_lifted_data_give_the_estimate_of_their_support():
+    # sym is cut to its support, so zero padding costs nothing and changes
+    # no bit: quad_fourier's lift-8 data (support 1) give the estimate of
+    # the same functions at their own max_mode, and constant data stored
+    # with max_mode 3 that of constant data, on and off the principal series
+    (lifted, lams), _ = _lift8_data()
+    own = [CircleFunction.from_modes({0: 1.0, 2: 0.3}, 1),
+           CircleFunction.from_modes({0: 1.0, -2: 0.2, 4: 0.1}, 2), ONES]
+    assert trilinear._FoldedModes(*lifted, exponents(*lams).kernel_powers()).P == 1
+    assert _estimate(lifted, lams, _LIFT8_CFG) == _estimate(own, lams, _LIFT8_CFG)
+    consts = [CircleFunction.from_modes({0: v}, 3) for v in (1.0, 0.5, 2.0)]
+    for lams in ((0.0, 1j, 4j), (0.3 + 1j, -0.3, 2j)):
+        assert _estimate(consts, lams) == _estimate(
+            [CircleFunction.constant(v) for v in (1.0, 0.5, 2.0)], lams)
+
+
 def test_bench_estimates_are_pinned_bit_for_bit():
     # each pair is checked cold (empty geometry table) and warm
     cfg = QuadratureConfig(refinement_levels=6, target_rel_error=1e-6)
@@ -929,9 +975,10 @@ def test_workspace_stays_within_its_bytes():
 
 @pytest.mark.slow
 def test_warm_quadrature_takes_no_page_faults():
-    # three lift-8 quadratures in a fresh interpreter: the third touches
-    # only memory the first two did (a per-block allocation took about 600
-    # minor faults per call)
+    # three lift-8 quadratures in a fresh interpreter, then three principal
+    # constant-data ones that reach level 6, and so read every part of the
+    # geometry table: each third call touches only memory the first two did
+    # (a per-block allocation took about 600 minor faults per call)
     pytest.importorskip("resource")
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(
@@ -942,16 +989,21 @@ from triform import CircleFunction, QuadratureConfig, triple_quadrature
 data = [CircleFunction.from_modes({0: 1.0, 2: 0.3}, 8),
         CircleFunction.from_modes({0: 1.0, -2: 0.2, 4: 0.1}, 8),
         CircleFunction.from_modes({0: 1.0}, 8)]
-cfg = QuadratureConfig(target_rel_error=1e-5, refinement_levels=4)
-for _ in range(3):
-    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    triple_quadrature(*data, 0.0, 1j, 2j, cfg)
-print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+ones = [CircleFunction.constant(1.0)] * 3
+for data, lams, cfg in (
+        (data, (0.0, 1j, 2j), QuadratureConfig(target_rel_error=1e-5, refinement_levels=4)),
+        (ones, (2j, 4j, 4j), QuadratureConfig(target_rel_error=1e-6, refinement_levels=6))):
+    for _ in range(3):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        est = triple_quadrature(*data, *lams, cfg)
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before, est.method)
 """
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert int(proc.stdout) < 50
+    (fourier, _), (constant, method) = (line.split() for line in proc.stdout.splitlines())
+    assert method.endswith("/level6")
+    assert int(fourier) < 50 and int(constant) < 50, proc.stdout
 
 
 # ---------------------------------------------------------------------------

@@ -65,7 +65,10 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 def random_sl2(rng: np.random.Generator, max_norm: float = 2.0) -> np.ndarray:
-    """Random SL(2,R) element with operator norm <= max_norm (KAK sampling)."""
+    """Random SL(2,R) element with operator norm <= max_norm (KAK sampling).
+    A max_norm below 1 or not finite raises PreconditionError."""
+    if not 1.0 <= max_norm < np.inf:
+        raise PreconditionError(f"max_norm must be finite and at least 1, got {max_norm}")
     sigma = rng.uniform(1.0, max_norm)
     p1, p2 = rng.uniform(0.0, 2.0 * np.pi, size=2)
     r1 = np.array([[np.cos(p1), -np.sin(p1)], [np.sin(p1), np.cos(p1)]])

@@ -36,6 +36,7 @@ for a plateau and extrapolated (in 1/|lam|^2 at imaginary tau and tau').
 
 import cmath
 import math
+import numbers
 import threading
 from typing import Callable, Optional, Sequence
 
@@ -72,10 +73,8 @@ _START_LEVEL = 2         # first level of triple_quadrature
 MAX_QUADRATURE_LEVEL = 10
 _BLOCK_NODES = 1 << 13   # nodes per block of rows; bounds the temporaries
 _TAIL_EPS = 2.0 ** -60   # majorant mass a dropped strip of the grid may carry
-# top level whose principal-series node geometry is kept for the process:
-# the log-sines and kernel moduli of its seven parts of levels 3-6 take
-# 8,363,520 B, level 7's two would add 25.0 MB and each level above four
-# times as much
+# top level whose principal-series node geometry _GEOMETRY keeps: level
+# 7's two parts would add 25.0 MB and each level above four times as much
 _GEOMETRY_TOP = 6
 
 
@@ -231,68 +230,64 @@ def _tan(dd, h, out):
 
 
 # the block temporaries of _folded_sum by name: real and complex arrays of
-# the block's shape (rows, columns) and real ones of shape (rows, 1); data
-# with 1 <= P <= _TABLE_MODES also take the mode-factor table (rows,
-# columns, P) and its product (rows, columns, 8) from the workspace
+# the block's shape (rows, columns) and real ones of shape (rows, 1), beside
+# the mode-factor table (rows, columns, P) and its product (rows, columns, 8)
 _REAL = ("u", "lB", "lP", "lM", "scratch", "vp", "vm", "pI", "tS",
          "t0", "m0", "t1", "m1", "a", "r0", "r1")
 _ROW = ("uA", "lA")
 _COMPLEX = ("f", "term", "tmp", "M", "S", "Sinv")
-_TABLE_MODES = 8
-# bytes of one thread's workspace buffers: 3,538,944
-_WORKSPACE_BYTES = 8 * _BLOCK_NODES * (len(_REAL) + len(_ROW) + 2 * len(_COMPLEX)
-                                       + 2 * _TABLE_MODES + 8)
 _BLOCK_SHAPES = 32       # block shapes whose views a workspace keeps
 
 
 class _Block:
     """The temporaries of one block shape: an attribute per name of _REAL,
-    _ROW and _COMPLEX, ``mag``, the real view of ``term``, and ``table``
-    and ``product`` (None where the workspace has no slot for them).  Each
-    is C-contiguous: a reshaped prefix of one of the workspace's flat
-    buffers where the block has at most _BLOCK_NODES nodes (``shared``),
-    else a fresh array."""
+    _ROW and _COMPLEX, ``mag``, the real view of ``term``, ``table`` and
+    ``product``, each a C-contiguous reshaped prefix of one of the
+    workspace's flat buffers."""
 
     def __init__(self, ws, rows, cols, P):
         n = rows * cols
-        self.shared = n <= _BLOCK_NODES
-        if self.shared:
-            real, row, cplx = ws.real, ws.row, ws.cplx
-        else:
-            real, row = np.empty((len(_REAL), n)), np.empty((len(_ROW), rows))
-            cplx = np.empty((len(_COMPLEX), n), dtype=complex)
-        self.__dict__.update(zip(_REAL, real[:, :n].reshape(-1, rows, cols)))
-        self.__dict__.update(zip(_ROW, row[:, :rows].reshape(-1, rows, 1)))
-        self.__dict__.update(zip(_COMPLEX, cplx[:, :n].reshape(-1, rows, cols)))
+        self.__dict__.update(zip(_REAL, ws.real[:, :n].reshape(-1, rows, cols)))
+        self.__dict__.update(zip(_ROW, ws.row[:, :rows].reshape(-1, rows, 1)))
+        self.__dict__.update(zip(_COMPLEX, ws.cplx[:, :n].reshape(-1, rows, cols)))
         self.mag = self.term.view(float)
-        self.table = self.product = None
-        if self.shared and 0 < P <= _TABLE_MODES:
-            self.table = ws.table[:n * P].reshape(rows, cols, P)
-            self.product = ws.product[:8 * n].reshape(rows, cols, 8)
+        self.table = ws.table[:n * P].reshape(rows, cols, P)
+        self.product = ws.product[:8 * n].reshape(rows, cols, 8)
 
 
 class _Workspace:
-    """One thread's block temporaries, kept across calls: flat buffers of
-    _WORKSPACE_BYTES in all, allocated once, and the _Block views of up to
-    _BLOCK_SHAPES block shapes."""
+    """One thread's block temporaries, kept across calls, and the _Block
+    views of up to _BLOCK_SHAPES block shapes.  Its flat buffers (a row per
+    name of _REAL, _ROW and _COMPLEX, the mode-factor table and its product)
+    hold ``nodes`` = max(_BLOCK_NODES, the most nodes of a block served)
+    nodes, the table for the most modes ``P`` of data served.  A block that
+    needs more grows the buffers it outgrows, once, and drops the views.
+    Blocks of at most _BLOCK_NODES nodes with P <= 8 so take at most
+    3,538,944 B per thread; a row of level 10 (10,753 nodes) or more modes
+    grow them for good."""
 
     def __init__(self):
-        self.real = np.empty((len(_REAL), _BLOCK_NODES))
-        self.row = np.empty((len(_ROW), _BLOCK_NODES))
-        self.cplx = np.empty((len(_COMPLEX), _BLOCK_NODES), dtype=complex)
-        self.table = np.empty(_TABLE_MODES * _BLOCK_NODES, dtype=complex)
-        self.product = np.empty(8 * _BLOCK_NODES)
-        self.blocks = {}
+        self.nodes = self.P = 0
+        self._grow(_BLOCK_NODES, 0)
+
+    def _grow(self, nodes, P):
+        if nodes > self.nodes:
+            self.real = np.empty((len(_REAL), nodes))
+            self.row = np.empty((len(_ROW), nodes))
+            self.cplx = np.empty((len(_COMPLEX), nodes), dtype=complex)
+            self.product = np.empty(8 * nodes)
+        self.table = np.empty(P * nodes, dtype=complex)
+        self.nodes, self.P, self.blocks = nodes, P, {}
 
     def block(self, rows, cols, P):
         """The _Block of rows x cols nodes for data with P modes."""
         blk = self.blocks.get((rows, cols, P))
         if blk is None:
-            blk = _Block(self, rows, cols, P)
-            if blk.shared:
-                if len(self.blocks) >= _BLOCK_SHAPES:
-                    self.blocks.clear()
-                self.blocks[rows, cols, P] = blk
+            if rows * cols > self.nodes or P > self.P:
+                self._grow(max(rows * cols, self.nodes), max(P, self.P))
+            elif len(self.blocks) >= _BLOCK_SHAPES:
+                self.blocks.clear()
+            blk = self.blocks[rows, cols, P] = _Block(self, rows, cols, P)
         return blk
 
 
@@ -307,8 +302,9 @@ def _workspace() -> _Workspace:
     return ws
 
 
-# (level, part) -> read-only log-sine arrays of that part of the principal
-# series' level; each part is written once and never replaced
+# (level, part) -> read-only log-sine and kernel-modulus arrays of that part
+# of the principal series' level, each written once and never replaced; the
+# seven parts of levels 3-6 take 8,363,520 B
 _GEOMETRY = {}
 
 
@@ -317,9 +313,9 @@ def _log_sines(key, d, x, omx, re_c1, re_sG, ws, P):
     d[lo:lo + rows, None] on the columns x: lA = log sin dd, lB = log
     sin(dd x), lG = (log sin(dd (1 - x)), log sin(dd (1 + x))), vp = lA +
     lB, mods = the moduli e^{re_c1 vp + re_sG lg} of M for lg in lG, uB =
-    tan(dd x / 2), which only a block computed here has (None from the
-    table), and blk, the block's temporaries from the workspace ws for data
-    with P modes.
+    tan(dd x / 2), which the mode factors of data with P > 0 take (None for
+    a table block of constant data), and blk, the block's temporaries from
+    the workspace ws for data with P modes.
 
     A part whose ``key`` is in _GEOMETRY is read from it, moduli included,
     so a key names parts of one (re_c1, re_sG): the principal series'
@@ -333,8 +329,9 @@ def _log_sines(key, d, x, omx, re_c1, re_sG, ws, P):
     rows = max(1, _BLOCK_NODES // len(x))
     stored = _GEOMETRY.get(key)
     store = None
+    hx = 0.5 * x
     if stored is None:
-        hx, hpx, homx = 0.5 * x, 0.5 * (1.0 + x), 0.5 * omx
+        hpx, homx = 0.5 * (1.0 + x), 0.5 * omx
         mirrored = np.array_equal(x, omx[::-1])
         if key is not None:
             store = [np.empty((len(d), 1))] + [np.empty((len(d), len(x)))
@@ -342,15 +339,14 @@ def _log_sines(key, d, x, omx, re_c1, re_sG, ws, P):
     for lo in range(0, len(d), rows):
         dd = d[lo:lo + rows, None]
         blk = ws.block(len(dd), len(x), P)
+        uB = _tan(dd, hx, blk.u) if stored is None or P else None
         if stored is not None:
             lA, lB, lP, *lM, m0, m1 = (a[lo:lo + rows] for a in stored)
-            uB = None
         else:
             outs = ([blk.lA, blk.lB, blk.lP, blk.lM][:3 if mirrored else 4]
                     + [blk.m0, blk.m1] if store is None
                     else [a[lo:lo + rows] for a in store])
             lA, lB, lP, *lM, m0, m1 = outs
-            uB = _tan(dd, hx, blk.u)
             _log_sin(_tan(dd, 0.5, blk.uA), lA, blk.uA)
             _log_sin(uB, lB, blk.scratch)
             for out in lM:
@@ -432,9 +428,9 @@ class _FoldedModes:
         (e^{2iB})^k and e^{iB} = cis_half_angle(u, 1), from the tangent the
         log-sine of B already took.  e^{2iB} is formed contiguously in blk's
         M; the power table and its product are blk's ``table`` and
-        ``product`` where it has them.  Each power multiplies the one before
-        within the table's (R, N, P) layout, whose interleaved strides take
-        numpy's scalar complex product: contiguous arrays would take its SIMD
+        ``product``.  Each power multiplies the one before within the
+        table's (R, N, P) layout, whose interleaved strides take numpy's
+        scalar complex product: contiguous arrays would take its SIMD
         product, whose fused multiply-add rounds differently.
         """
         P = self.P
@@ -449,7 +445,7 @@ class _FoldedModes:
         coef = np.empty((len(d), 2 * P, 4), dtype=complex)
         coef[:, 0::2] = (pos + neg).transpose(0, 2, 1)
         coef[:, 1::2] = (1j * (pos - neg)).transpose(0, 2, 1)
-        z = blk.table if blk.table is not None else np.empty(u.shape + (P,), dtype=complex)
+        z = blk.table
         z1 = cis_half_angle(u, 1.0, out=blk.M, q=blk.scratch)
         z1 *= z1
         z[..., 0] = z1
@@ -550,14 +546,10 @@ def _folded_sum(powers, modes: _FoldedModes, key, d, wd, x, omx, w,
     memory: the log-sines and moduli of a part outside the geometry table
     and their tangents, vp, vm, the phase inputs, tS, each piece's phase
     tangent, the fold's S, 1/S, M, terms and F, the scratch q of each
-    complex cis_half_angle, the magnitude |F|, and, for data with P <= 8,
-    the (R, N, P) power table of the mode factors and its product.  Its flat
-    buffers take _WORKSPACE_BYTES = 3,538,944 B per thread, and a block
-    reads a C-contiguous reshaped prefix of each.  Data with P > 8 allocate
-    the table per block, and a block of more than _BLOCK_NODES nodes (rows
-    of level 10) allocates all its temporaries, so the row blocks stay
-    those of _BLOCK_NODES.  Every operation is the same, in the same order,
-    as on fresh arrays: no value depends on the workspace.
+    complex cis_half_angle, the magnitude |F|, and the (R, N, P) power
+    table of the mode factors and its product (sized as _Workspace says).
+    Every operation is the same, in the same order, as on fresh arrays: no
+    value depends on the workspace.
     """
     sA, sB, sG = powers
     c1, c2 = 0.5 * (sA + sB), 0.5 * (sB - sA)
@@ -565,13 +557,10 @@ def _folded_sum(powers, modes: _FoldedModes, key, d, wd, x, omx, w,
     hc1, hc2, hsG = 0.5 * c1.imag, 0.5 * c2.imag, 0.5 * sG.imag
     w_mag = np.repeat(w[0], 2) if magnitude else None    # Re f, Im f alike
     total, mag = [0.0 + 0.0j] * len(w), 0.0
-    hx = 0.5 * x
     ws = _workspace()
     for lo, dd, lA, lB, lG, vp, mods, uB, blk in _log_sines(
             key, d, x, omx, c1.real, sG.real, ws, modes.P):
         rows = len(dd)
-        if uB is None and modes.P:
-            uB = _tan(dd, hx, blk.u)
         with np.errstate(over="ignore", invalid="ignore", under="ignore"):
             vm = np.subtract(lA, lB, out=blk.vm)
             phases = _phases(lG, mods, np.multiply(vp, hc1, out=blk.pI), hsG, blk)
@@ -659,14 +648,14 @@ def triple_quadrature(f1: CircleFunction, f2: CircleFunction, f3: CircleFunction
     such a level's pass (levels 2 and 3's pass, new rows by all columns, or
     old rows by new columns) has its log-sines and both pieces' moduli
     computed once per process and kept, read-only, in a table keyed on
-    (level, part): a fixed 8.36 MB for levels 3-6.  Levels 7 and above,
+    (level, part) for levels 3-6 (see _GEOMETRY).  Levels 7 and above,
     whose parts would take 8.3 MB each or more, and all other kernel powers,
     whose kept ranges vary with Re (sA, sB, sG), compute them block by block
     in every call.  A warm call gives the cold call's value, bar, level and
     cost bit for bit.
 
-    The block temporaries of each pass come from a per-thread workspace of
-    3,538,944 B that persists across calls (see _folded_sum), so a warm
+    The block temporaries of each pass come from a per-thread workspace
+    that persists across calls (see _Workspace and _folded_sum), so a warm
     call takes no page faults in its node loop; no value, bar, level or
     cost depends on it, and threads never share one.
     """
@@ -745,9 +734,14 @@ def sine_power_coeffs(s, kmax: int) -> np.ndarray:
     whose sine factor correctly kills the tail when |sin|^s is a trigonometric
     polynomial (s an even nonnegative integer).  Up to that line, with
     a = 1+s/2, the right factor is 1/Gamma(a-k) = (a-1)...(a-k) / Gamma(a),
-    exactly 0 at and past a pole.
+    exactly 0 at and past a pole.  A non-finite s raises NonFiniteError, a
+    kmax that is not a non-negative integer PreconditionError.
     """
     s = complex(s)
+    if not cmath.isfinite(s):
+        raise NonFiniteError(f"need a finite s, got {s}")
+    if not isinstance(kmax, numbers.Integral) or kmax < 0:
+        raise PreconditionError(f"kmax must be a non-negative integer, got {kmax!r}")
     if s.real <= -1.0:
         raise PreconditionError(f"need Re s > -1, got {s}")
     kd = min(kmax, 2 + max(0, int(math.ceil(s.real / 2.0))))

@@ -84,6 +84,13 @@ def test_diagnostics_are_declared_fields():
         assert name in u.__dataclass_fields__ and getattr(u, name) is not None
 
 
+@pytest.mark.parametrize("max_norm", [0.5, np.nan, np.inf])
+def test_random_sl2_refuses_a_norm_bound_below_1_or_not_finite(max_norm):
+    # 0.5 gave numpy's ValueError, NaN and inf an OverflowError
+    with pytest.raises(PreconditionError, match="max_norm"):
+        random_sl2(np.random.default_rng(0), max_norm)
+
+
 def test_non_finite_group_element_is_refused():
     # a NaN entry gave NaN coefficients and a NaN tail energy, which the 1%
     # tail gate let through

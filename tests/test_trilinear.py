@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import mpmath
@@ -918,8 +919,8 @@ def test_bench_estimates_are_pinned_bit_for_bit():
 
 
 def _fourier_sweep():
-    """Estimates of Fourier data with P = 1, 8 (the workspace's table) and
-    16 (a fresh table per block) at a principal and two other triples."""
+    """Estimates of Fourier data with P = 1, 8 and 16 (each growing a
+    fresh workspace's table) at a principal and two other triples."""
     rng = np.random.default_rng(5)
     cfg = QuadratureConfig(refinement_levels=3, target_rel_error=1e-300)
     out = [_estimate(data, lams, _LIFT8_CFG) for data, lams in _lift8_data()]
@@ -954,23 +955,57 @@ def test_workspace_is_per_thread_under_threads():
     assert results == [expected] * 4
 
 
-def test_workspace_stays_within_its_bytes():
-    # after P = 16 data (fresh tables) and a level-8 constant call (log-sines
-    # of levels 7 and 8 outside the table) the workspace holds its buffers
-    # and views of them only
-    _fourier_sweep()
-    stall = QuadratureConfig(refinement_levels=6, target_rel_error=1e-300)
-    with pytest.raises(NonConvergentError):
-        triple_quadrature(ONES, ONES, ONES, 0.0, 1j, 4j, stall)
-    ws = trilinear._workspace()
+def _assert_views_are_prefixes(ws, *blocks):
+    """Each temporary of each block, and of each block the workspace keeps,
+    is a C-contiguous prefix of a row of one of its flat buffers (of the
+    whole of a 1-D one)."""
     buffers = [ws.real, ws.row, ws.cplx, ws.table, ws.product]
-    assert sum(b.nbytes for b in buffers) <= trilinear._WORKSPACE_BYTES == 3_538_944
+    names = (*trilinear._REAL, *trilinear._ROW, *trilinear._COMPLEX, "mag",
+             "table", "product")
     assert 0 < len(ws.blocks) <= trilinear._BLOCK_SHAPES
-    for blk in ws.blocks.values():
-        for a in vars(blk).values():
-            if isinstance(a, np.ndarray):
-                assert a.flags.c_contiguous
-                assert any(a.base is b for b in buffers), a.shape
+    for blk in (*ws.blocks.values(), *blocks):
+        for name in names:
+            a = getattr(blk, name)
+            assert isinstance(a, np.ndarray) and a.flags.c_contiguous, name
+            base = [b for b in buffers if a.base is b]
+            assert base, name
+            row = base[0].strides[0] if base[0].ndim == 2 else base[0].nbytes
+            offset = a.ctypes.data - base[0].ctypes.data
+            assert offset % row == 0 and a.nbytes <= row, name
+
+
+def test_workspace_grows_to_its_blocks():
+    # a fresh thread (a fresh workspace) runs bench-shaped traffic: the 20
+    # principal triples, then the lift-8 data and its 3 seed-7 moved copies;
+    # their blocks fit in 3,538,944 B.  P = 16 data and a row block of
+    # level 10 then grow the buffers, and every block's views stay
+    # prefixes of the grown ones, also after a level-8 constant call
+    def traffic():
+        cfg = QuadratureConfig(refinement_levels=6, target_rel_error=1e-6)
+        for trip in _PINNED_TRIPLES:
+            triple_quadrature(ONES, ONES, ONES, *(1j * v for v in trip), cfg)
+        (base, lams), _ = _lift8_data()
+        rng = np.random.default_rng(7)
+        for data in [base] + [[group_action(random_sl2(rng, max_norm=1.3), l, f)
+                               for l, f in zip(lams, base)] for _ in range(3)]:
+            triple_quadrature(*data, *lams, _LIFT8_CFG)
+        ws = trilinear._workspace()
+        bench_bytes = sum(b.nbytes for b in (ws.real, ws.row, ws.cplx, ws.table,
+                                             ws.product))
+        _fourier_sweep()
+        _assert_views_are_prefixes(ws)
+        blk = ws.block(1, 10_753, 16)
+        _assert_views_are_prefixes(ws, blk)
+        assert blk.table.shape == (1, 10_753, 16)
+        _fourier_sweep()
+        stall = QuadratureConfig(refinement_levels=6, target_rel_error=1e-300)
+        with pytest.raises(NonConvergentError):   # levels 7 and 8 off the table
+            triple_quadrature(ONES, ONES, ONES, 0.0, 1j, 4j, stall)
+        _assert_views_are_prefixes(ws)
+        return bench_bytes
+
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        assert pool.submit(traffic).result(timeout=300) <= 3_538_944
 
 
 @pytest.mark.slow
@@ -1202,3 +1237,17 @@ def test_sine_power_trig_polynomial():
     c = sine_power_coeffs(4.0, 8)      # 3/8 - cos(2t)/2 + cos(4t)/8
     assert np.max(np.abs(c[:3] - [0.375, -0.25, 0.0625])) < 1e-13
     assert c[3] == c[4] == 0.0 and np.max(np.abs(c[5:])) < 1e-13
+
+
+@pytest.mark.parametrize("s", [complex(0.0, math.inf), math.nan])
+def test_sine_power_coeffs_refuses_a_non_finite_power(s):
+    # s = i inf gave an all-NaN series, s = nan numpy's ValueError
+    with pytest.raises(NonFiniteError):
+        sine_power_coeffs(s, 4)
+
+
+@pytest.mark.parametrize("kmax", [-1, 2.5])
+def test_sine_power_coeffs_refuses_a_kmax_that_is_no_count(kmax):
+    # kmax = -1 gave an IndexError, 2.5 a TypeError
+    with pytest.raises(PreconditionError, match="kmax"):
+        sine_power_coeffs(0.5, kmax)

@@ -33,5 +33,6 @@ from .specfun import (gamma_product_log, gamma_value, log_gamma_complex,
                       stirling_modulus)
 from .trilinear import (closed_form_log, closed_form_value, decay_constant,
                         decay_envelope, invariant_functional, normalized_decay,
-                        sine_power_coeffs, spectral_mode_values,
-                        spherical_square, triple_quadrature)
+                        recurrence_mode_values, sine_power_coeffs,
+                        spectral_mode_values, spherical_square,
+                        triple_quadrature)

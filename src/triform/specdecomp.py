@@ -40,7 +40,7 @@ from .estimate import Estimate
 from .kernel import kernel_on_circle
 from .params import exponents
 from .quadrature import unit_nodes
-from .trilinear import spectral_mode_values
+from .trilinear import recurrence_mode_values
 
 __all__ = [
     "random_sl2",
@@ -235,10 +235,10 @@ def _antidiagonals(N: int, K_modes: int) -> list:
     """The (m', n') pairs of the mode rows k = 2k' >= 0.  Row k holds the
     element on e^{2 i m' x} (x) e^{2 i n' y} (x) e^{i k z} at the flattened
     (m', n') position, nonzero only on m' + n' = -k', m' = -N..N-k': rows
-    past k' = 2N are empty, and one spectral_mode_values call over all rows
-    takes each row's own cutoff (largest |index| N).  The kernel depends only
-    on |sin| of angle differences, so (-m', -n', -k) has the element of
-    (m', n', k): row -k is row k moved from position i to (2N+1)^2 - 1 - i."""
+    past k' = 2N are empty, and one recurrence_mode_values call gives all
+    rows from one table.  The kernel depends only on |sin| of angle
+    differences, so (-m', -n', -k) has the element of (m', n', k): row -k
+    is row k moved from position i to (2N+1)^2 - 1 - i."""
     return [np.stack([mps, -kp - mps], axis=1)
             for kp in range(min(K_modes // 2, 2 * N) + 1)
             for mps in [np.arange(-N, N - kp + 1)]]
@@ -250,9 +250,9 @@ def induced_form(lam, tau, tau_prime, N: int, K_modes: int) -> np.ndarray:
 
     Gram structure H = sum_k conj(row_k)^T row_k over output modes
     |k| <= K_modes; positive semidefinite by construction and monotone in
-    K_modes.  Each row -k is the mirror of row k (see ``_antidiagonals``);
-    every row k >= 0 is computed in full, also at tau = tau', so the form
-    checks sobolev_trace's exchange shortcut.
+    K_modes.  The rows come from recurrence_mode_values, and each row -k is
+    the mirror of row k (see ``_antidiagonals``); the dense Gram checks
+    sobolev_trace's block, mirror and exchange shortcuts.
     Dense assembly; N > 40 raises PreconditionError.
     """
     if N > _DENSE_MAX_N:
@@ -260,7 +260,7 @@ def induced_form(lam, tau, tau_prime, N: int, K_modes: int) -> np.ndarray:
                                 "use sobolev_trace for large truncations")
     _check_modes(N, K_modes)
     rows = _antidiagonals(N, K_modes)
-    values = spectral_mode_values(np.concatenate(rows), tau, tau_prime, lam)
+    values = recurrence_mode_values(np.concatenate(rows), tau, tau_prime, lam)
     dim = (2 * N + 1) ** 2
     H = np.zeros((dim, dim), dtype=complex)
     for kp, (p, vals) in enumerate(zip(rows, np.split(
@@ -389,14 +389,13 @@ def _class_grams(l: int, tau: complex, tau_prime: complex, N: int) -> tuple:
 
 @lru_cache(maxsize=4)
 def _block_maps(N: int, K_modes: int, exchange: bool) -> tuple:
-    """The (m', n') pairs whose values sobolev_trace computes and per block
+    """The (m', n') pairs of the rows k >= 0 (``_antidiagonals``), whose
+    values sobolev_trace takes from recurrence_mode_values, and per block
     (outer and inner class, row weights counting mirror rows and blocks, dest,
-    src, coef): W.flat[dest] += coef value[src] is its rows times P_o (x) P_i."""
-    full = np.concatenate(_antidiagonals(N, K_modes))
-    # with exchange, (m', n') and (n', m') share one value
-    pairs, src = np.unique(np.sort(full, axis=1) if exchange else full, axis=0,
-                           return_inverse=True)
-    m, n = full.T + N
+    src, coef): W.flat[dest] += coef value[src] is its rows times P_o (x) P_i,
+    src indexing the pairs."""
+    pairs = np.concatenate(_antidiagonals(N, K_modes))
+    m, n = pairs.T + N
     # per class, each mode's column (-1 if none: it has one at most) and entry
     classes = [(B.shape[1], p, np.where(B.any(axis=1), abs(B).argmax(axis=1), -1),
                 B.sum(axis=1)) for B, p in _parity_classes(N) if B.shape[1]]
@@ -411,10 +410,10 @@ def _block_maps(N: int, K_modes: int, exchange: bool) -> tuple:
         meets = (kps + pi + pj) % 2 == 0
         if np.any(meets):
             h = np.flatnonzero((ci[m] >= 0) & (cj[n] >= 0))
-            rank = np.cumsum(meets)[-full[h].sum(axis=1)] - 1
+            rank = np.cumsum(meets)[-pairs[h].sum(axis=1)] - 1
             weight = np.where(kps == 0, 1.0, 2.0)[meets] * (2.0 if twice else 1.0)
             blocks.append((i, j, weight, (rank * ni + ci[m[h]]) * nj + cj[n[h]],
-                           src.ravel()[h], vi[m[h]] * vj[n[h]]))
+                           h, vi[m[h]] * vj[n[h]]))
     for a in [pairs] + [a for b in blocks for a in b[2:]]:
         a.flags.writeable = False
     return pairs, tuple(blocks)
@@ -446,14 +445,11 @@ def sobolev_trace(l: int, T: float, lam, params: Tuple, N: int,
       so S fixes every row.  S maps block (i, j) and its rows onto block
       (j, i), and the two terms are equal: only the ten blocks i <= j are
       factored, each off-diagonal one twice counted and oriented with the
-      smaller class inner (narrower band), and only the half m' <= n' of
-      each row is computed.
+      smaller class inner (narrower band).
 
-    What does not depend on T is kept as read-only arrays in two LRU caches
-    of 4 entries: the class Grams P^T G_a P and P^T H_b P, keyed on (l, tau,
-    tau', N), and each block's map from the row values into its right-hand
-    side, (destination, source, coefficient) triplets keyed on (N, K_modes,
-    tau == tau').  Every input is checked before a cache is read.
+    The rows k >= 0 come from one recurrence_mode_values call.  What does
+    not depend on T is cached read-only (_class_grams, _block_maps); every
+    input is checked before a cache is read.
 
     Matches relative_trace(induced_form(...), sobolev_matrix(...).toarray())
     on small truncations.  Any l >= 0 is computed; the T^(-2l) floor
@@ -463,7 +459,7 @@ def sobolev_trace(l: int, T: float, lam, params: Tuple, N: int,
     _check_form(l, T, N, tau, tau_prime, lam)
     _check_modes(N, K_modes)
     pairs, blocks = _block_maps(N, K_modes, tau == tau_prime)
-    vals = spectral_mode_values(pairs, tau, tau_prime, lam)
+    vals = recurrence_mode_values(pairs, tau, tau_prime, lam)
     classes = _class_grams(l, tau, tau_prime, N)
     # a T-weighted sum of Grams has the widest band among its terms
     H = [[(sum(T ** (2 * (l - a - b)) * c[-1][b][0] for b in range(l - a + 1)),

@@ -1,4 +1,4 @@
-"""The invariant trilinear functional, three ways.
+"""The invariant trilinear functional: closed form, quadrature, mode values.
 
 * ``closed_form_value``     -- the exact Gamma-function expression for the value
   on rotation-invariant (spherical) unit vectors,
@@ -21,13 +21,11 @@
   endpoint of the tanh-sinh node family, whose nested levels each add only
   the nodes the level before lacked.  No Gamma function enters.
 
-* ``spectral_mode_values`` -- values of the functional on Fourier modes
-  e^{2im'x} (x) e^{2in'y} (x) e^{2ik'z}, which translation invariance makes
-  vanish unless m' + n' + k' = 0, so a pair (m', n') names one.  Each
-  |sin|^s factor is expanded in its exact Fourier series (Gamma-coefficient
-  formula) and the resulting triple-product convolution, cut at the fixed
-  J = 2000 + 10 * (largest |index|), is summed with an Euler-Maclaurin tail;
-  it is cross-validated against the quadrature backend.
+* ``recurrence_mode_values`` -- values on the modes e^{2im'x} (x) e^{2in'y}
+  (x) e^{2ik'z}, m' + n' + k' = 0, from the three-term relations invariance
+  imposes, anchored by the closed form; ``spectral_mode_values``, their
+  independent check, convolves the exact Fourier series of the |sin|^s
+  factors.
 
 The decay helpers normalize the squared spherical value by the exponential
 envelope exp(-pi |lam| / 2) |lam|^-2 so the remaining factor can be scanned
@@ -62,6 +60,7 @@ __all__ = [
     "MAX_QUADRATURE_LEVEL",
     "sine_power_coeffs",
     "spectral_mode_values",
+    "recurrence_mode_values",
 ]
 
 _GAMMA_REL_TOL = 1e-10   # relative accuracy budget of closed-form values
@@ -527,29 +526,14 @@ def _folded_sum(powers, modes: _FoldedModes, key, d, wd, x, omx, w,
     power of sin a / sin b and M = e^{c1 vp + sG lg}, vp and vm the sum and
     difference of log sin a and log sin b and lg the piece's log sin(a - b);
     ``_FoldedModes.fold`` weighs them with g1, g2.  M's modulus e^{Re c1 vp
-    + Re sG lg} comes with the log-sines from ``_log_sines``: on the
-    principal series it is free of the parameters, and the table keeps it.
-    Every transcendental is numpy's SIMD tan, exp or log, by the tangent
-    half-angle identities.
-    With t = tan(y / 2), log sin y = log(2t / (1 + t^2)) on (0, pi): one log,
-    free of the cancellation of log(2t) - log1p(t^2) near y = pi.  With
-    t = tan(im / 2), e^{re + i im} = cis_half_angle(t, e^re), and 1/S =
-    e^-re conj(e^{i im}): no complex exp or division, no sine or cosine.
-    Values are deterministic per machine, since the SIMD loops may differ
-    from libm in the last place; kernel_on_circle is the libm reference this
-    is tested against.  A node whose value overflows contributes nothing:
-    the true integrand times its weight vanishes at the endpoints (Re s >
-    -1).
-
-    Every block-sized temporary lives in this thread's _Workspace, fetched
-    once per call and kept across calls, so a warm call touches no fresh
-    memory: the log-sines and moduli of a part outside the geometry table
-    and their tangents, vp, vm, the phase inputs, tS, each piece's phase
-    tangent, the fold's S, 1/S, M, terms and F, the scratch q of each
-    complex cis_half_angle, the magnitude |F|, and the (R, N, P) power
-    table of the mode factors and its product (sized as _Workspace says).
-    Every operation is the same, in the same order, as on fresh arrays: no
-    value depends on the workspace.
+    + Re sG lg} comes with the log-sines from ``_log_sines``.  Every
+    transcendental is numpy's SIMD tan, exp or log, by the tangent
+    half-angle identities of ``_log_sin`` and ``cis_half_angle``, so values
+    are deterministic per machine (kernel_on_circle is the libm reference
+    this is tested against).  A node whose value overflows contributes
+    nothing: the true integrand times its weight vanishes at the endpoints
+    (Re s > -1).  Every block temporary lives in this thread's _Workspace,
+    so a warm call touches no fresh memory; no value depends on it.
     """
     sA, sB, sG = powers
     c1, c2 = 0.5 * (sA + sB), 0.5 * (sB - sA)
@@ -639,25 +623,14 @@ def triple_quadrature(f1: CircleFunction, f2: CircleFunction, f3: CircleFunction
     tan, exp and log may differ from libm in the last place.  Raises
     NonFiniteError on a non-finite Fourier coefficient or parameter.
 
-    No parameter enters the log-sines log sin d, log sin(d x) and log sin(d
-    (1 +- x)), and on the principal series (every kernel power of real part
-    exactly -1/2, as Re l1 = Re l2 = Re l3 = 0 gives) each level keeps one
-    set of rows and columns, and the kernel's modulus on each piece, e^{-(vp
-    + lg) / 2} = (sin a sin b |sin(a - b)|)^(-1/2), is free of the
-    parameters too: they enter only through its phase.  So each part of
-    such a level's pass (levels 2 and 3's pass, new rows by all columns, or
-    old rows by new columns) has its log-sines and both pieces' moduli
-    computed once per process and kept, read-only, in a table keyed on
-    (level, part) for levels 3-6 (see _GEOMETRY).  Levels 7 and above,
-    whose parts would take 8.3 MB each or more, and all other kernel powers,
-    whose kept ranges vary with Re (sA, sB, sG), compute them block by block
-    in every call.  A warm call gives the cold call's value, bar, level and
-    cost bit for bit.
-
-    The block temporaries of each pass come from a per-thread workspace
-    that persists across calls (see _Workspace and _folded_sum), so a warm
-    call takes no page faults in its node loop; no value, bar, level or
-    cost depends on it, and threads never share one.
+    On the principal series (every kernel power of real part exactly -1/2)
+    each level keeps one set of rows and columns, and neither the log-sines
+    nor the kernel's moduli (sin a sin b |sin(a - b)|)^(-1/2) hold a
+    parameter, so each part of levels 3-6 reads them from the write-once
+    table _GEOMETRY; levels 7 and above and other kernel powers compute them
+    block by block.  Block temporaries come from a per-thread _Workspace.
+    Neither changes a value, bar, level or cost: a warm call repeats the
+    cold call bit for bit, and threads never share a workspace.
     """
     cfg = cfg or QuadratureConfig()
     top = _START_LEVEL + cfg.refinement_levels
@@ -770,86 +743,176 @@ def _em_power_tail(w: complex, J: int) -> complex:
     return t
 
 
-_FIT_N = 60      # tail-fit window: |j| = J+1 .. J+_FIT_N on each side
+_TAIL_TERMS = 8         # basis terms of each tail fit
+_MAX_INDEX = 10_000     # largest |index| of a mode pair: J <= 102,000
+_MAX_TABLE = 1 << 21    # most entries of a recurrence table (32 MiB)
+
+
+def _mode_pairs(pairs) -> np.ndarray:
+    """``pairs`` as an (n, 2) integer array; PreconditionError first for another
+    shape (but (2,)), a non-integer or an |index| above _MAX_INDEX."""
+    a = np.asarray(pairs)
+    a = a.reshape(-1, 2) if a.ndim == 1 and a.size in (0, 2) else a
+    if a.ndim != 2 or a.shape[1] != 2 or a.size and (
+            a.dtype.kind not in "iu" or a.min() < -_MAX_INDEX or a.max() > _MAX_INDEX):
+        raise PreconditionError(f"pairs must have shape (n, 2) and be integers of "
+                                f"|index| <= {_MAX_INDEX}, got {a.dtype} {a.shape}")
+    return a.astype(np.int64)
 
 
 def _tail_weights(cG, w0: complex, J: int) -> np.ndarray:
-    """cG[|j|] times the convolution weight of j, |j| <= J + _FIT_N: 1 up to J,
-    and on each tail window the linear map  terms -> fitted (A + C/j) j^-w0
-    -> its analytic sum over |j| > J,  folded into one vector."""
-    L = J + _FIT_N
-    jj = np.arange(J + 1, L + 1)
-    fit = np.linalg.pinv(np.stack([np.ones(_FIT_N), 1.0 / jj], axis=1))
-    tails = np.array([_em_power_tail(w0, J), _em_power_tail(w0 + 1.0, J)])
-    tail_w = (tails @ fit) * jj ** w0
-    weight = np.ones(2 * L + 1, dtype=complex)
-    weight[L + J + 1:] = tail_w
-    weight[:_FIT_N] = tail_w[::-1]
-    return cG[np.abs(np.arange(-L, L + 1))] * weight
-
-
-def _convolve_modes(pairs, cA, cB, gw: np.ndarray) -> np.ndarray:
-    """sum_j gw[j] cB[|m'+j|] cA[|j-n'|], |j| <= L, for each pair (m', n').
-
-    With s = m' + n' fixed, cB[|m'+j|] cA[|j-n'|] = h(m'+j) for
-    h(i) = cB[|i|] cA[|i-s|], so each run of consecutive m' on one antidiagonal
-    is one correlation np.correlate(h, conj(gw), "valid"), with no window copy.
-    """
-    if len(pairs) == 0:
-        return np.empty(0, dtype=complex)
-    L = len(gw) // 2
-    # distinct (m'+n', m') sorted, cut into runs of consecutive m'
-    keys, inverse = np.unique(np.stack([pairs.sum(axis=1), pairs[:, 0]], axis=1),
-                              axis=0, return_inverse=True)
-    cuts = np.flatnonzero((np.diff(keys[:, 0]) != 0) | (np.diff(keys[:, 1]) != 1))
-    vals = np.empty(len(keys), dtype=complex)
-    for run in np.split(np.arange(len(keys)), cuts + 1):
-        s, lo = keys[run[0]]
-        i = np.arange(lo - L, lo + len(run) + L)
-        h = cB[np.abs(i)] * cA[np.abs(i - s)]
-        vals[run] = np.correlate(h, np.conj(gw), "valid")
-    return vals[inverse.ravel()]
+    """cG[|j|] times the weight of j, |j| <= J: 1, plus on J/2 < |j| <= J the
+    linear map  terms -> least-squares fit sum_n c_n T_n(2x - 3) |j|^-w0,
+    x = J/|j|, n < _TAIL_TERMS  -> its sum over |j| > J.  With T_n(2x - 3)
+    = sum_k A_nk x^k, x^k |j|^-w0 sums to J^k _em_power_tail(w0 + k, J)."""
+    j = np.arange(J // 2 + 1, J + 1)
+    fit = np.linalg.pinv(np.polynomial.chebyshev.chebvander(2.0 * J / j - 3.0,
+                                                            _TAIL_TERMS - 1))
+    # the rows A_n by T_{n+1}(y) = 2 y T_n(y) - T_{n-1}(y), y = 2x - 3
+    A = np.zeros((_TAIL_TERMS, _TAIL_TERMS))
+    A[0, 0], A[1, :2] = 1.0, (-3.0, 2.0)
+    for n in range(1, _TAIL_TERMS - 1):
+        A[n + 1] = -6.0 * A[n] - A[n - 1] + np.r_[0.0, 4.0 * A[n, :-1]]
+    sums = [float(J) ** k * _em_power_tail(w0 + k, J) for k in range(_TAIL_TERMS)]
+    weight = np.ones(2 * J + 1, dtype=complex)
+    tail_w = (A @ sums) @ fit * j ** w0
+    weight[J + j] += tail_w
+    weight[J - j] += tail_w
+    return cG[np.abs(np.arange(-J, J + 1))] * weight
 
 
 def spectral_mode_values(pairs, l1, l2, l3) -> np.ndarray:
-    """Values of the functional on modes e^{2im'x} (x) e^{2in'y} (x) e^{2ik'z}
-    with k' = -(m'+n'), for an array of integer index pairs (m', n').
-
-    The value is the (2m', 2n') Fourier coefficient of
-    |sin a|^sB |sin b|^sA |sin(a-b)|^sG, computed as
-
-        sum_j cG[j] cB[-m'-j] cA[j-n']
-
-    over the exact |sin|^s series, one per distinct power, cut at |j| = J =
-    2000 + 10 * (largest |index| of the call).  The tail beyond J decays
-    like a smooth power
-    j^-(3 + sA + sB + sG); each side is fitted by least squares with
-    A + C/j times that power on 60 terms and summed analytically.  The fit
-    is linear in the terms, so it is one fixed weight vector, and the pairs
-    with equal m' + n' and consecutive m' are one correlation against it.
-    A pair array not of shape (n, 2) raises PreconditionError.
+    """The values of ``recurrence_mode_values`` by an independent route: the
+    (2m', 2n') Fourier coefficient sum_j cG[j] cB[-m'-j] cA[j-n'] of
+    |sin a|^sB |sin b|^sA |sin(a-b)|^sG, over the exact |sin|^s series, one
+    per distinct power, cut at |j| = J = 2000 + 10 * (largest |index|).  The
+    terms decay like j^-w0, w0 = 3 + sA + sB + sG, times a series in 1/j;
+    each side's tail past J is a fit over J/2 < |j| <= J (_tail_weights),
+    linear in the terms, so each pair is one sum against fixed weights.
+    Pairs not of shape (n, 2), a non-integer index, an |index| above 10,000,
+    divergent parameters and Re w0 <= 1.05 raise PreconditionError first.
     """
-    pairs = np.asarray(pairs, dtype=int)
-    if pairs.ndim == 1 and pairs.size in (0, 2):
-        pairs = pairs.reshape(-1, 2)
-    if pairs.ndim != 2 or pairs.shape[1] != 2:
-        raise PreconditionError(f"pairs must have shape (n, 2), got {pairs.shape}")
+    pairs = _mode_pairs(pairs)
     e = exponents(l1, l2, l3)
     e.require_convergent()
     sA, sB, sG = e.kernel_powers()
     w0 = 3.0 + (sA + sB + sG)
     if w0.real <= 1.05:
-        raise PreconditionError(
-            "spectral convolution needs Re(3 + sA + sB + sG) > 1; "
-            "use the quadrature backend for this parameter range")
+        raise PreconditionError("spectral convolution needs Re(3 + sA + sB + sG) > "
+                                "1.05; use recurrence_mode_values or the quadrature")
     maxidx = int(np.max(np.abs(pairs))) if pairs.size else 0
     J = 2000 + 10 * maxidx
-    kmax = J + _FIT_N + maxidx + 2
     # one series per distinct power, told apart bit for bit (signs of zero
     # too): sA is sB whenever l1 == l2
     keys = [np.complex128(s).tobytes() for s in (sA, sB, sG)]
-    series = {key: sine_power_coeffs(s, kmax)
+    series = {key: sine_power_coeffs(s, J + maxidx)
               for key, s in dict(zip(keys, (sA, sB, sG))).items()}
     cA, cB, cG = (series[key] for key in keys)
-    return _convolve_modes(pairs, cA, cB, _tail_weights(cG, w0, J))
+    gw = _tail_weights(cG, w0, J)
+    L = J + maxidx
+    i = np.abs(np.arange(-L, L + 1))
+    cA, cB = cA[i], cB[i]           # two-sided: c[L + t] = c_|t|
+    return np.array([(gw * cB[L + m - J:L + m + J + 1]) @ cA[L - n - J:L - n + J + 1]
+                     for m, n in pairs.tolist()], dtype=complex)
 
+
+# ---------------------------------------------------------------------------
+# mode values from the invariance relations
+# ---------------------------------------------------------------------------
+
+def _relations(l1, l2, l3, m, n):
+    """(Cm, C0, Cp) of recurrence_mode_values' relation at the pair (m, n)."""
+    return (-(2 * m - 1 + l1) * (2 * n + 1 - l2),
+            l1 * l1 + l2 * l2 - l3 * l3 - 1.0 + 8.0 * m * n,
+            -(2 * m + 1 - l1) * (2 * n - 1 + l2))
+
+
+def _mode_table(l1, l2, l3, N: int, K: int) -> np.ndarray:
+    """b[m + M, k] = a(m, -k-m, k) on the rows k = 0..K, m = -N..N-k (the
+    rest unset), M = max(N, K), as recurrence_mode_values derives it."""
+    M, ks = max(N, K), np.arange(1, K + 1)
+    # row 0 of (l1, l2, l3), (l3, l2, l1) and (l1, l3, l2) in extended
+    # precision: it anchors every row, and in double its rounding reaches
+    # 1.5e-13 by m = 256 (at l3 = 32i)
+    orders = np.array([[l1, l3, l1], [l2, l2, l3], [l3, l1, l2]], dtype=np.clongdouble)
+    m = np.arange(M + 1, dtype=np.longdouble)[:, None]
+    rm, r0, rp = _relations(*orders, m, -m)
+    mm = np.arange(-M, N + 1)[:, None]
+    Cm, C0, Cp = _relations(l1, l2, l3, mm, -np.arange(K + 1) - mm)
+    if not all(np.all(c) for c in (rm, rp, Cm, Cp)):
+        raise PreconditionError(f"a coefficient of the invariance relations vanishes "
+                                f"at {(l1, l2, l3)}, as at any odd-integer l_j")
+    r = np.empty((M + 2, 3), dtype=np.clongdouble)
+    r[0] = closed_form_value(l1, l2, l3).value
+    f1, f0 = -rm / rp, -r0 / rp
+    r[1] = 0.5 * f0[0] * r[0]           # b(-1) = b(1)
+    for i in range(1, M):
+        r[i + 1] = f1[i] * r[i - 1] + f0[i] * r[i]
+    b = np.empty((M + N + 1, K + 1), dtype=complex)
+    b[M:, 0], b[M - N:M, 0] = r[:N + 1, 0], r[N:0:-1, 0]
+    b[M, 1:], b[M - ks, ks] = r[1:K + 1, 1], r[1:K + 1, 2]
+    # between the anchors b(-k) and b(0): b(m) = al b(m - 1) + be, eliminated
+    # from m = -1 down, (al, be)[i, k - 1] at m = -i, then solved back up
+    al, be = np.zeros((2, K + 1, K), dtype=complex)
+    be[0] = b[M, 1:]
+    for i in range(1, K):
+        t = M - i
+        D = C0[t, i + 1:] + Cp[t, i + 1:] * al[i - 1, i:]
+        al[i, i:], be[i, i:] = -Cm[t, i + 1:] / D, -Cp[t, i + 1:] * be[i - 1, i:] / D
+    for i in range(K - 1, 0, -1):
+        b[M - i, i + 1:] = al[i, i:] * b[M - i - 1, i + 1:] + be[i, i:]
+    # outward from the anchors: up to m = N - k, down to m = -N
+    up1, up0, dn0, dn1 = -Cm / Cp, -C0 / Cp, -C0 / Cm, -Cp / Cm
+    for i in range(N - 1):
+        s, t = slice(1, N - i), M + i
+        b[t + 1, s] = up1[t, s] * b[t - 1, s] + up0[t, s] * b[t, s]
+    for i in range(1, N):
+        s, t = slice(1, i + 1), M - i
+        b[t - 1, s] = dn0[t, s] * b[t, s] + dn1[t, s] * b[t + 1, s]
+    return b
+
+
+def recurrence_mode_values(pairs, l1, l2, l3) -> np.ndarray:
+    """Values of the functional on modes e^{2im'x} (x) e^{2in'y} (x) e^{2ik'z},
+    k' = -(m'+n'), for an array of integer pairs (m', n').
+
+    Relations.  On the mode e_n = e^{2int} of parameter l, E+- = X_a +- i X_b
+    (``specdecomp.circle_generators``) act by E+ e_n = (2n + 1 - l) e_{n+1}
+    and E- e_n = -(2n - 1 + l) e_{n-1}, so the Casimir X_a^2 + X_b^2 - X_r^2
+    = (E+ E- + E- E+)/2 - X_r^2 is l^2 - 1.  Invariance moves the Casimir of
+    the diagonal action on the first two factors onto the third, l3^2 - 1;
+    its cross term E+ (x) E- + E- (x) E+ - 2 X_r (x) X_r moves (m', n') by
+    (+-1, -+1).  On a row k', b(m) = a(m, n, k') with n = -k' - m:
+
+        Cm b(m - 1) + C0 b(m) + Cp b(m + 1) = 0,
+        Cm = -(2m - 1 + l1)(2n + 1 - l2),  Cp = -(2m + 1 - l1)(2n - 1 + l2),
+        C0 = l1^2 + l2^2 - l3^2 - 1 + 8 m n.
+
+    Anchors.  |sin| is even, so a(-m', -n', -k') = a(m', n', k'): a pair with
+    k' < 0 takes the value of (-m', -n'), and row 0 has b(-1) = b(1), so
+    b(1) = -C0 b(0) / (2 Cp) at m = 0 from b(0) = closed_form_value; it
+    recurs forward.  A slot exchange exchanges parameters and indices, so
+    row k' takes b(0) and b(-k') from row 0 of (l3, l2, l1) and of (l1, l3,
+    l2) at m = k', solves the tridiagonal relations between them and recurs
+    up to m' = N - k' and down to m' = -N.  All rows march together as
+    numpy arrays, O(1) work per value (marching across rows in k' is
+    unstable); each row is right to about 2e-14 of its largest value.
+
+    The table holds (K'+1) x (max(N, K') + N + 1) values, N the largest
+    |index|, K' the largest |k'|.  Pairs not of shape (n, 2), a non-integer
+    index, an |index| above 10,000, a table above 2^21 entries, divergent
+    parameters and a vanishing Cm or Cp (only at an odd-integer l_j) raise
+    PreconditionError before any march.
+    """
+    pairs = _mode_pairs(pairs)
+    exponents(l1, l2, l3).require_convergent()
+    if not pairs.size:
+        return np.empty(0, dtype=complex)
+    k = -pairs.sum(axis=1)
+    pairs = np.where(k[:, None] < 0, -pairs, pairs)
+    N, K = int(np.max(np.abs(pairs))), int(np.max(np.abs(k)))
+    if (K + 1) * (max(N, K) + N + 1) > _MAX_TABLE:
+        raise PreconditionError(f"a mode table of {K + 1} rows and largest "
+                                f"|index| {N} exceeds {_MAX_TABLE} entries")
+    b = _mode_table(complex(l1), complex(l2), complex(l3), N, K)
+    return b[pairs[:, 0] + max(N, K), np.abs(k)]

@@ -15,8 +15,8 @@ from triform import (CircleFunction, Estimate, NonConvergentError,
                      PreconditionError, TruncationOverflowError, bump_vector,
                      circle_generators, group_action, induced_form,
                      kernel_bump_pairing, pairing_search,
-                     random_sl2, relative_trace, sobolev_matrix,
-                     sobolev_trace, sobolev_trace_estimate,
+                     random_sl2, recurrence_mode_values, relative_trace,
+                     sobolev_matrix, sobolev_trace, sobolev_trace_estimate,
                      spectral_mode_values, spherical_square,
                      transformed_kernel_values, weighted_mean_bound)
 from triform import specdecomp
@@ -408,18 +408,17 @@ def test_sobolev_trace_blocks_match_dense_route_at_small_truncations(N, l):
 
 def test_induced_form_is_gram_of_mode_rows():
     # the Gram matrix of rows built pair by pair through the public
-    # spectral_mode_values, for every k of both signs, equals the induced
-    # form's shared-series rows, whose rows k < 0 are mirrors of rows k > 0
+    # recurrence_mode_values, for every k of both signs, equals the induced
+    # form's rows from one table, whose rows k < 0 are mirrors of rows k > 0
     lam, tau, taup = 2j, 0.5j, 0.0
     for N, K in ((4, 2), (4, 8), (6, 8)):
         n1 = 2 * N + 1
         H = np.zeros((n1 * n1, n1 * n1), dtype=complex)
         for kp in range(-K // 2, K // 2 + 1):
-            mps = range(max(-N, -kp - N), min(N, -kp + N) + 1)
-            pairs = [(mp, -kp - mp) for mp in mps]
             row = np.zeros(n1 * n1, dtype=complex)
-            for (mp, np_), v in zip(pairs, spectral_mode_values(pairs, tau, taup, lam)):
-                row[(mp + N) * n1 + (np_ + N)] = v
+            for mp in range(max(-N, -kp - N), min(N, -kp + N) + 1):
+                row[(mp + N) * n1 + (-kp - mp + N)] = recurrence_mode_values(
+                    [(mp, -kp - mp)], tau, taup, lam)[0]
             H += np.outer(np.conj(row), row)
         got = induced_form(lam, tau, taup, N, K)
         assert np.max(np.abs(got - H)) <= 1e-13 * np.max(np.abs(H))
@@ -521,20 +520,22 @@ def test_bad_inputs_are_refused_before_a_cache_is_read(bad, error):
 
 @pytest.mark.parametrize("tau", [0.0, 0.3 + 1j])
 def test_mode_rows_are_exchange_symmetric_at_equal_factor_parameters(tau):
-    # at l1 = l2 the element of (m', n') equals that of (n', m'): each
-    # antidiagonal's first half m' <= n', reversed, gives its second half,
-    # the shortcut sobolev_trace takes at tau = tau'; the rounding of each
-    # convolution is relative to the largest element, not to its own row's
+    # at l1 = l2 the element of (m', n') equals that of (n', m'), so each
+    # antidiagonal reads the same reversed, which sobolev_trace's factor
+    # exchange needs; the recurrence marches each row from both ends and
+    # meets this to rounding of the row's largest element, the convolution
+    # to rounding of the call's largest element
     N, lam = 16, 8j
     rows = [np.stack([mps, -kp - mps], axis=1)
             for kp in range(2 * N + 1) for mps in [np.arange(-N, N - kp + 1)]]
-    halves = [p[:(len(p) + 1) // 2] for p in rows]
-    full = spectral_mode_values(np.concatenate(rows), tau, tau, lam)
-    half = np.split(spectral_mode_values(np.concatenate(halves), tau, tau, lam),
-                    np.cumsum([len(h) for h in halves])[:-1])
-    mirrored = np.concatenate([np.concatenate([h, h[:len(p) - len(h)][::-1]])
-                               for p, h in zip(rows, half)])
-    assert np.max(np.abs(mirrored - full)) <= 1e-13 * np.max(np.abs(full))
+    cuts = np.cumsum([len(p) for p in rows])[:-1]
+    for evaluate in (recurrence_mode_values, spectral_mode_values):
+        vals = np.split(evaluate(np.concatenate(rows), tau, tau, lam), cuts)
+        scale = np.max(np.abs(np.concatenate(vals)))
+        for v in vals:
+            if evaluate is recurrence_mode_values:
+                scale = np.max(np.abs(v))
+            assert np.max(np.abs(v[::-1] - v)) <= 1e-13 * scale
 
 
 @pytest.mark.parametrize("N", [5, 6])
@@ -551,15 +552,19 @@ def test_sobolev_trace_exchange_path_matches_dense_route(tau, N):
     assert abs(dense - fast) <= 1e-12 * dense
 
 
+# rho T^4 of sobolev_trace(2, 32, 32i, (0, 0), 256, 512)
+PIN_256_512 = 0.2179467678742834
+
+
 @pytest.mark.slow
 def test_sobolev_trace_at_the_largest_joint_doubling():
     # the (N, K) = (256, 512) rung of the T = 32 joint doubling ladder
-    # (6.8-7.1 s as pytest reports it and 234 MiB peak resident with one
-    # BLAS thread on two cores); the reference value is the one a sparse LU
-    # of the four reflection blocks gave
+    # (7-10 s as pytest reports it with one BLAS thread on two cores); the
+    # reference value is the one the recurrence's rows give, 5.4e-11 above
+    # the 0.2179467678624868 of the spectral rows with their earlier tail
     T = 32.0
     rho = sobolev_trace(2, T, 32j, (0.0, 0.0), 256, 512)
-    assert abs(rho * T ** 4 / 0.2179467678624868 - 1.0) <= 1e-12
+    assert abs(rho * T ** 4 / PIN_256_512 - 1.0) <= 1e-12
 
 
 # sobolev_trace_estimate's bar: four times the change of one joint doubling
@@ -593,7 +598,7 @@ def test_sobolev_trace_estimate_covers_the_largest_joint_doubling():
     # test_sobolev_trace_at_the_largest_joint_doubling pins (about 1.4 s)
     T = 32.0
     est = sobolev_trace_estimate(2, T, 32j, (0.0, 0.0), 64, 128)
-    assert abs(0.2179467678624868 * T ** -4 - est.value) <= est.error_bound
+    assert abs(PIN_256_512 * T ** -4 - est.value) <= est.error_bound
     assert est.error_bound <= 0.05 * est.value
 
 

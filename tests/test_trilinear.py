@@ -6,7 +6,9 @@ import os
 import subprocess
 import sys
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
+from functools import lru_cache
 from pathlib import Path
 
 import mpmath
@@ -21,8 +23,8 @@ from triform import (CircleFunction, DomainTooSmallError, Estimate,
                      QuadratureConfig, closed_form_value, decay_constant,
                      decay_envelope, exponents, group_action,
                      invariant_functional, kernel_on_circle, normalized_decay,
-                     sine_power_coeffs, spectral_mode_values, spherical_square,
-                     triple_quadrature)
+                     recurrence_mode_values, sine_power_coeffs,
+                     spectral_mode_values, spherical_square, triple_quadrature)
 from triform import trilinear
 from triform.quadrature import unit_nodes
 from triform.specdecomp import random_sl2
@@ -1136,24 +1138,35 @@ def _crude_3d(m, n, k, lams, n_grid=200):
     return F.sum() * h ** 3 / (2 * np.pi) ** 3
 
 
-def loop_mode_value(mp, np_, lams, J, fitn=60):
-    """One pair by the defining sum: |j| <= J term by term, then a
-    least-squares (A + C/j) j^-w fit on each 60-term tail window, summed
-    with Hurwitz zeta values (mpmath)."""
+@lru_cache(maxsize=None)
+def zeta_tails(w, J, terms=8):
+    """sum_{j > J} j^-w T_n(2J/j - 3) for n < terms, from Hurwitz zeta
+    values (mpmath at 30 digits: at 15 the value at w + 7 is wrong from its
+    leading digit) and the power coefficients of T_n(2x - 3), x = J/j."""
+    with mpmath.workdps(30):
+        zeta = [J ** k * complex(mpmath.zeta(w + k, J + 1)) for k in range(terms)]
+    powers = [np.polynomial.Chebyshev.basis(n, domain=[1, 2]).convert(
+        kind=np.polynomial.Polynomial).coef for n in range(terms)]
+    return np.array([np.dot(c, zeta[:len(c)]) for c in powers])
+
+
+def loop_mode_value(mp, np_, lams, J):
+    """One pair by the defining sum: |j| <= J term by term, then on each
+    window J/2 < |j| <= J a least-squares fit of the terms by T_n(2J/|j| - 3)
+    |j|^-w, n < 8, whose sums past J are ``zeta_tails``."""
     sA, sB, sG = exponents(*lams).kernel_powers()
     w = 3.0 + sA + sB + sG
-    kmax = J + fitn + max(abs(mp), abs(np_)) + 2
+    kmax = J + max(abs(mp), abs(np_))
     cA, cB, cG = (sine_power_coeffs(s, kmax) for s in (sA, sB, sG))
-    j = np.arange(-(J + fitn), J + fitn + 1)
+    j = np.arange(-J, J + 1)
     terms = cG[np.abs(j)] * cB[np.abs(-mp - j)] * cA[np.abs(j - np_)]
-    val = np.sum(terms[np.abs(j) <= J])
-    jj = np.arange(J + 1, J + fitn + 1)
-    design = np.stack([np.ones(fitn), 1.0 / jj], axis=1)
-    tails = [complex(mpmath.zeta(w + d, J + 1)) for d in (0, 1)]
+    val = np.sum(terms)
+    jj = np.arange(J // 2 + 1, J + 1)
+    design = np.polynomial.chebyshev.chebvander(2.0 * J / jj - 3.0, 7)
+    tails = zeta_tails(w, J)
     for side in (jj, -jj):
-        coef = np.linalg.lstsq(design, terms[side + J + fitn] * jj ** w,
-                               rcond=None)[0]
-        val += coef[0] * tails[0] + coef[1] * tails[1]
+        coef = np.linalg.lstsq(design, terms[side + J] * jj ** w, rcond=None)[0]
+        val += np.dot(coef, tails)
     return val
 
 
@@ -1193,6 +1206,172 @@ def test_mode_elements_against_crude_3d_oracle():
     fine = mode_quadrature(2, -2, 0, lams).value
     assert abs(crude - fine) <= 4.0 * abs(crude - coarse)
     assert abs(crude_zero) <= 0.05 * abs(fine)
+
+
+# ---------------------------------------------------------------------------
+# mode values from the invariance relations
+# ---------------------------------------------------------------------------
+
+# the parameters of the sobolev_floor bench rungs, whose rows are k' = 0..16
+# with N = 64 (and N = 32 at T = 8), and a complex mixed triple
+BENCH_LAMS = [(0.0, 0.0, 2j), (0.0, 0.0, 4j), (0.0, 0.0, 8j)]
+MIXED = (0.1 + 1.3j, 0.7j, -0.2 + 2.1j)
+
+
+@lru_cache(maxsize=None)
+def twin_rows(lams, N, K):
+    """(pairs, values, k') on the rows k' = 0..K, m' = -N..N-k', from the
+    invariance relations run element by element in mpmath at 50 digits: row
+    0 forward from the closed form, each row k' > 0 solved between its
+    anchors from row 0 of slot-permuted parameters, then outward."""
+    with mpmath.workdps(50):
+        l1, l2, l3 = (mpmath.mpc(complex(v)) for v in lams)
+
+        def rel(a1, a2, a3, m, n):          # (Cm, C0, Cp) at the pair (m, n)
+            return (-(2 * m - 1 + a1) * (2 * n + 1 - a2),
+                    a1 ** 2 + a2 ** 2 - a3 ** 2 - 1 + 8 * m * n,
+                    -(2 * m + 1 - a1) * (2 * n - 1 + a2))
+
+        mus = (l1 - l2 - l3, -l1 + l2 - l3, -l1 - l2 + l3, -l1 - l2 - l3)
+        b0 = mpmath.fprod(mpmath.gamma((mu + 1) / 4) for mu in mus) / (
+            mpmath.sqrt(mpmath.pi) ** 3
+            * mpmath.fprod(mpmath.gamma((1 - z) / 2) for z in (l1, l2, l3)))
+
+        def row0(a1, a2, a3):
+            _, c0, cp = rel(a1, a2, a3, 0, 0)
+            b = [b0, -c0 * b0 / (2 * cp)]
+            for m in range(1, max(N, K)):
+                cm, c0, cp = rel(a1, a2, a3, m, -m)
+                b.append(-(cm * b[m - 1] + c0 * b[m]) / cp)
+            return b
+
+        own, right, left = (row0(*o) for o in ((l1, l2, l3), (l3, l2, l1), (l1, l3, l2)))
+        rows = {(m, 0): own[abs(m)] for m in range(-N, N + 1)}
+        for k in range(1, K + 1):
+            b, al, be = {0: right[k], -k: left[k]}, {0: 0}, {0: right[k]}
+            for m in range(-1, -k, -1):
+                cm, c0, cp = rel(l1, l2, l3, m, -k - m)
+                d = c0 + cp * al[m + 1]
+                al[m], be[m] = -cm / d, -cp * be[m + 1] / d
+            for m in range(1 - k, 0):
+                b[m] = al[m] * b[m - 1] + be[m]
+            for m in range(0, N - k):
+                cm, c0, cp = rel(l1, l2, l3, m, -k - m)
+                b[m + 1] = -(cm * b[m - 1] + c0 * b[m]) / cp
+            for m in range(-k, -N, -1):
+                cm, c0, cp = rel(l1, l2, l3, m, -k - m)
+                b[m - 1] = -(c0 * b[m] + cp * b[m + 1]) / cm
+            rows.update(((m, k), b[m]) for m in range(-N, N - k + 1))
+    pairs = np.array([(m, -k - m) for m, k in rows])
+    return pairs, np.array([complex(v) for v in rows.values()]), -pairs.sum(axis=1)
+
+
+def row_error(values, ref, ks):
+    """The largest error of a row over that row's largest reference value."""
+    err = np.abs(values - ref)
+    return max(np.max(err[ks == k]) / np.max(np.abs(ref[ks == k])) for k in set(ks))
+
+
+@pytest.mark.parametrize("lams", BENCH_LAMS + [MIXED])
+def test_recurrence_matches_its_mpmath_twin(lams):
+    pairs, ref, ks = twin_rows(lams, 64, 16)
+    assert row_error(recurrence_mode_values(pairs, *lams), ref, ks) <= 1e-13
+    inner = np.max(np.abs(pairs), axis=1) <= 32      # the N = 32 rows
+    assert row_error(recurrence_mode_values(pairs[inner], *lams), ref[inner],
+                     ks[inner]) <= 1e-13
+
+
+@pytest.mark.parametrize("lams, pair", [((0.0, 0.0, 8j), (1, -1)),
+                                        ((0.0, 0.0, 8j), (-12, -4)),
+                                        ((0.0, 1j, 4j), (2, -1)), (MIXED, (3, -5))])
+def test_recurrence_matches_triple_quadrature_at_four_modes(lams, pair):
+    # from row 0's march, the interior of row 16, row 1's downward run (the
+    # pair is (-2, 1) on row 1) and row 2's upward run
+    m, n = pair
+    est = mode_quadrature(2 * m, 2 * n, -2 * (m + n), lams,
+                          QuadratureConfig(target_rel_error=1e-10, refinement_levels=6))
+    assert abs(recurrence_mode_values([pair], *lams)[0] - est.value) <= est.error_bound
+
+
+@pytest.mark.parametrize("lams", BENCH_LAMS)
+def test_spectral_route_is_within_1e_10_on_the_bench_rows(lams):
+    # the old tail was off by up to 7.3e-6 (T = 2) and 1.5e-5 (T = 8) of
+    # the largest value here
+    pairs, ref, _ = twin_rows(lams, 64, 16)
+    err = np.abs(spectral_mode_values(pairs, *lams) - ref)
+    assert np.max(err) <= 1e-10 * np.max(np.abs(ref))
+
+
+def old_tail_mode_value(mp, np_, lams, J, fitn=60):
+    """One pair by the defining sum with the earlier tail: a least-squares
+    (A + C/j) j^-w fit on each 60-term window past J, summed with Hurwitz
+    zeta values (mpmath)."""
+    sA, sB, sG = exponents(*lams).kernel_powers()
+    w = 3.0 + sA + sB + sG
+    kmax = J + fitn + max(abs(mp), abs(np_)) + 2
+    cA, cB, cG = (sine_power_coeffs(s, kmax) for s in (sA, sB, sG))
+    j = np.arange(-(J + fitn), J + fitn + 1)
+    terms = cG[np.abs(j)] * cB[np.abs(-mp - j)] * cA[np.abs(j - np_)]
+    val = np.sum(terms[np.abs(j) <= J])
+    jj = np.arange(J + 1, J + fitn + 1)
+    design = np.stack([np.ones(fitn), 1.0 / jj], axis=1)
+    tails = [complex(mpmath.zeta(w + d, J + 1)) for d in (0, 1)]
+    for side in (jj, -jj):
+        coef = np.linalg.lstsq(design, terms[side + J + fitn] * jj ** w, rcond=None)[0]
+        val += coef[0] * tails[0] + coef[1] * tails[1]
+    return val
+
+
+@pytest.mark.parametrize("lams", [(0.0, 0.0, 2j), (0.0, 0.0, 8j), (0.0, 1j, 4j),
+                                  (0.3, 0.28, 0.28), MIXED, (0.3, 1j, -0.2 + 2j),
+                                  (0.5j, -1j, 2.5j), (0.0, 0.0, 0.0)])
+def test_new_tail_is_100_times_closer_than_the_old_one(lams):
+    # against the mpmath twin at five modes; (0.3, 0.28, 0.28) has
+    # Re(3 + sA + sB + sG) = 1.07, near the route's limit 1.05
+    pairs, ref, _ = twin_rows(lams, 7, 5)
+    modes = [(0, 0), (1, -1), (-3, -2), (-5, 1), (4, -7)]
+    twin = dict(zip(map(tuple, pairs.tolist()), ref))
+    ref = np.array([twin[p] for p in modes])
+    J = 2000 + 10 * 7                   # the spectral cutoff of these modes
+    old = np.array([old_tail_mode_value(*p, lams, J) for p in modes])
+    new = spectral_mode_values(modes, *lams)
+    assert np.max(np.abs(new - ref)) <= 0.01 * np.max(np.abs(old - ref))
+
+
+@pytest.mark.parametrize("evaluate", [spectral_mode_values, recurrence_mode_values])
+def test_mode_evaluators_refuse_non_integral_pairs(evaluate):
+    # the spectral route cast (0.5, 0) to (0, 0) and returned that value
+    with pytest.raises(PreconditionError, match="integers"):
+        evaluate([(0.5, 0)], 0, 0, 1j)
+
+
+@pytest.mark.parametrize("evaluate, pairs", [
+    (spectral_mode_values, [(10 ** 6, 0)]), (recurrence_mode_values, [(10 ** 6, 0)]),
+    (recurrence_mode_values, [(5000, -10_000)])], ids=["spectral", "index", "table"])
+def test_mode_evaluators_refuse_oversized_requests_at_once(evaluate, pairs):
+    # (10**6, 0) ran the spectral route 9.7 s into numpy's MemoryError;
+    # (5000, -10000) passes the index bound, and its recurrence table of
+    # 5,001 x 20,001 entries is refused
+    start = time.perf_counter()
+    with pytest.raises(PreconditionError):
+        evaluate(pairs, 0, 0, 1j)
+    assert time.perf_counter() - start < 0.1
+
+
+def test_recurrence_refuses_a_vanishing_coefficient():
+    # l1 = -1 converges with (l2, l3) = (-0.5, 0.2); there Cp = -(2m + 1 -
+    # l1)(2n - 1 + l2) vanishes at m = -1, inside every row k' >= 2
+    with pytest.raises(PreconditionError, match="vanishes"):
+        recurrence_mode_values([(2, -4)], -1.0, -0.5, 0.2)
+
+
+@pytest.mark.slow
+def test_recurrence_matches_its_mpmath_twin_on_the_slow_pin_rows():
+    # the rows of test_sobolev_trace_at_the_largest_joint_doubling: T = 32,
+    # N = 256, K' = 256
+    lams = (0.0, 0.0, 32j)
+    pairs, ref, ks = twin_rows(lams, 256, 256)
+    assert row_error(recurrence_mode_values(pairs, *lams), ref, ks) <= 1e-13
 
 
 # ---------------------------------------------------------------------------

@@ -176,18 +176,37 @@ def _word_grams(lam, N: int, l: int) -> list:
             for a in range(l + 1)]
 
 
-def _check_form(l: int, T: float, N: int, *params) -> None:
-    """The checks that sobolev_matrix's docstring lists."""
+# largest truncation N of sobolev_matrix and sobolev_trace: at N = 512 and
+# l = 2 one band block of sobolev_trace holds 517 x 257^2 doubles (273 MB)
+_SPARSE_MAX_N = 512
+
+
+def _count(value, name: str, top: Optional[int] = None) -> int:
+    """``value`` as an int in [0, top]; PreconditionError for anything else
+    (a float such as 4.5 included), before any work."""
+    try:
+        n = operator.index(value)
+    except TypeError:
+        raise PreconditionError(f"{name} must be an integer, got {value!r}") from None
+    if n < 0:
+        raise PreconditionError(f"need {name} >= 0, got {name} = {n}")
+    if top is not None and n > top:
+        raise PreconditionError(f"need {name} <= {top}, got {name} = {n}")
+    return n
+
+
+def _check_form(l: int, T: float, N: int, *params) -> Tuple[int, int]:
+    """The checks that sobolev_matrix's docstring lists; (l, N) as ints."""
     if not np.isfinite(T):
         raise NonFiniteError(f"T must be finite, got {T}")
     if not all(np.isfinite(complex(z)) for z in params):
         raise NonFiniteError(f"parameters must be finite, got {params}")
-    if l < 0 or T <= 0:
-        raise PreconditionError("need l >= 0 and T > 0")
-    if N < 0:
-        raise PreconditionError(f"need N >= 0, got N = {N}")
+    l, N = _count(l, "l"), _count(N, "N", _SPARSE_MAX_N)
+    if T <= 0:
+        raise PreconditionError(f"need T > 0, got T = {T}")
     if 2 * l * np.log(T) > np.log(np.finfo(float).max):
         raise NonFiniteError(f"T^(2l) overflows at T = {T}, l = {l}")
+    return l, N
 
 
 def sobolev_matrix(l: int, T: float, tau, tau_prime, N: int) -> "sp.csc_matrix":
@@ -205,11 +224,12 @@ def sobolev_matrix(l: int, T: float, tau, tau_prime, N: int) -> "sp.csc_matrix":
 
     l + 1 Kronecker products of banded (2N+1)-dimensional matrices.
     Raises NonFiniteError for a NaN or infinite T, tau or tau_prime, or a T
-    whose T^(2l) overflows, and PreconditionError for l < 0, T <= 0 or N < 0.
+    whose T^(2l) overflows, and PreconditionError for T <= 0, an l or N
+    that is not a non-negative integer, or N > 512, before any allocation.
     """
     import scipy.sparse as sp
 
-    _check_form(l, T, N, tau, tau_prime)
+    l, N = _check_form(l, T, N, tau, tau_prime)
     G = _word_grams(tau, N, l)
     H = G if complex(tau_prime) == complex(tau) else _word_grams(tau_prime, N, l)
     return sum(sp.kron(G[a], sum(T ** (2 * (l - a - b)) * H[b]
@@ -221,14 +241,13 @@ def sobolev_matrix(l: int, T: float, tau, tau_prime, N: int) -> "sp.csc_matrix":
 _DENSE_MAX_N = 40
 
 
-def _check_modes(N: int, K_modes: int) -> None:
-    """PreconditionError for K_modes < 0, N < 0 or an odd K_modes."""
-    if K_modes < 0:
-        raise PreconditionError(f"need K_modes >= 0, got K_modes = {K_modes}")
-    if N < 0:
-        raise PreconditionError(f"need N >= 0, got N = {N}")
+def _check_modes(K_modes: int) -> int:
+    """K_modes as an int; PreconditionError unless it is an even non-negative
+    integer."""
+    K_modes = _count(K_modes, "K_modes")
     if K_modes % 2 != 0:
         raise PreconditionError(f"K_modes must be even, got K_modes = {K_modes}")
+    return K_modes
 
 
 def _antidiagonals(N: int, K_modes: int) -> list:
@@ -253,12 +272,14 @@ def induced_form(lam, tau, tau_prime, N: int, K_modes: int) -> np.ndarray:
     K_modes.  The rows come from recurrence_mode_values, and each row -k is
     the mirror of row k (see ``_antidiagonals``); the dense Gram checks
     sobolev_trace's block, mirror and exchange shortcuts.
-    Dense assembly; N > 40 raises PreconditionError.
+    Dense assembly: an N or K_modes that is not a non-negative integer, an
+    odd K_modes and N > 40 raise PreconditionError (use sobolev_trace for
+    large truncations).
     """
+    N, K_modes = _count(N, "N"), _check_modes(K_modes)
     if N > _DENSE_MAX_N:
         raise PreconditionError("dense induced form is limited to N <= 40; "
                                 "use sobolev_trace for large truncations")
-    _check_modes(N, K_modes)
     rows = _antidiagonals(N, K_modes)
     values = recurrence_mode_values(np.concatenate(rows), tau, tau_prime, lam)
     dim = (2 * N + 1) ** 2
@@ -348,9 +369,11 @@ def _band_block(grams: list) -> np.ndarray:
 def _block_term(grams: list, vals: np.ndarray, weight: np.ndarray,
                 dest: np.ndarray, src: np.ndarray, coef: np.ndarray) -> float:
     """sum_r weight_r w_r B^{-1} w_r^* over the rows w_r of W (W.flat[dest]
-    += coef vals[src]) for the block B = U^H U of ``_band_block``, factored by
-    LAPACK's ``pbtrf`` in B's dtype: each term is ||U^{-H} w^*||^2, one
-    ``tbtrs`` sweep; a real U sweeps the columns a, b of w^* = a + i b, as
+    += coef vals[src], two entries meeting in one cell on row k = 0) for the
+    block B = U^H U of ``_band_block``, factored by LAPACK's ``pbtrf`` in B's
+    dtype: each term is ||U^{-H} w^*||^2, one ``tbtrs`` sweep per column.
+    A real U sweeps a real row (sobolev_trace's conjugation symmetry) as one
+    column and a complex row w^* = a + i b as the two columns a, b, as
     ||U^{-T} (a + i b)||^2 = ||U^{-T} a||^2 + ||U^{-T} b||^2."""
     from scipy.linalg import lapack
 
@@ -360,14 +383,32 @@ def _block_term(grams: list, vals: np.ndarray, weight: np.ndarray,
     if info > 0:
         raise NotPositiveDefiniteError(f"Sobolev block of size {U.shape[1]} is "
                                        f"not positive definite (minor {info})")
-    real = U.dtype.kind == "f"
-    rhs = np.zeros((1 + real, len(weight) * U.shape[1]), dtype=U.dtype)
+    n = U.shape[1]
+    size = len(weight) * n
     w = coef * vals[src]
-    for part, v in zip(rhs, (w.real, -w.imag) if real else (np.conj(w),)):
-        np.add.at(part, dest, v)
-    X, _info = tbtrs(U, rhs.reshape(-1, U.shape[1]).T, trans="C", overwrite_b=1)
-    energy = np.sum(np.abs(X) ** 2, axis=0).reshape(-1, len(weight)).sum(axis=0)
-    return float(energy @ weight)
+    real = U.dtype.kind == "f"
+    if real:
+        parts = (w,) if w.dtype.kind == "f" else (w.real, w.imag)
+        rhs = np.concatenate([np.bincount(dest, v, size) for v in parts])
+    else:
+        rhs = np.zeros(size, dtype=U.dtype)
+        np.add.at(rhs, dest, np.conj(w))
+    X, _info = tbtrs(U, rhs.reshape(-1, n).T, trans="C", overwrite_b=1)
+    energy = np.einsum("ij,ij->j", X, X) if real else np.sum(np.abs(X) ** 2, axis=0)
+    return float(energy.reshape(-1, len(weight)).sum(axis=0) @ weight)
+
+
+def _real_rows(vals: np.ndarray, N: int, rows: int) -> np.ndarray:
+    """Re(row_k conj(u_k)) on the rows k' = 0..rows-1 of ``_antidiagonals``,
+    concatenated in ``vals``, u_k the phase of row k''s largest entry (1
+    where that entry is 0)."""
+    lengths = 2 * N + 1 - np.arange(rows)
+    starts = np.cumsum(lengths) - lengths
+    j = np.arange(2 * N + 1)
+    idx = np.minimum(starts[:, None] + j, len(vals) - 1)
+    mag = np.where(j < lengths[:, None], np.abs(vals[idx]), -1.0)
+    lead = vals[idx[np.arange(rows), mag.argmax(axis=1)]]
+    return (vals * np.repeat(np.exp(-1j * np.angle(lead)), lengths)).real
 
 
 @lru_cache(maxsize=4)
@@ -422,7 +463,7 @@ def _block_maps(N: int, K_modes: int, exchange: bool) -> tuple:
 def sobolev_trace(l: int, T: float, lam, params: Tuple, N: int,
                   K_modes: int) -> float:
     """tr(H_induced | Q_{l,T}) = sum_k row_k Q^{-1} row_k^*, without forming
-    the dense induced form, by four exact symmetries.
+    the dense induced form, by five exact symmetries.
 
     * Reflection.  With (Rf)_q = f_{-q}, R X_a R = X_a, R X_b R = -X_b and
       R X_r R = -X_r at every parameter, so each word Gram commutes with R,
@@ -446,6 +487,19 @@ def sobolev_trace(l: int, T: float, lam, params: Tuple, N: int,
       (j, i), and the two terms are equal: only the ten blocks i <= j are
       factored, each off-diagonal one twice counted and oriented with the
       smaller class inner (narrower band).
+    * Conjugation.  At real tau, tau' and real lam^2 (lam real or purely
+      imaginary, as at the CLI default lam = iT) the kernel's conjugate is
+      the kernel at (tau, tau', -lam), and with |sin| even, conj a(m', n',
+      k') = a_{-lam}(m', n', k').  The standard intertwiner pi_lam ->
+      pi_{-lam} acts on each K-type of the third factor by a scalar, so by
+      uniqueness of the invariant functional a_{-lam}(., ., k') = kappa(k')
+      a_lam(., ., k'): each row is real up to one unit phase u_k.  The
+      term of row k is unchanged by u_k, so the row is rotated by the
+      conjugate phase of its largest entry and only its real part is kept
+      (the dropped imaginary part is rounding, about 1e-15 of the row, and
+      would enter squared); the class Grams are real there, so each row is
+      one real ``tbtrs`` column, not two.  The case is told from tau, tau'
+      and lam alone; other parameters keep their complex rows.
 
     The rows k >= 0 come from one recurrence_mode_values call.  What does
     not depend on T is cached read-only (_class_grams, _block_maps); every
@@ -453,13 +507,22 @@ def sobolev_trace(l: int, T: float, lam, params: Tuple, N: int,
 
     Matches relative_trace(induced_form(...), sobolev_matrix(...).toarray())
     on small truncations.  Any l >= 0 is computed; the T^(-2l) floor
-    concerns l >= 2.
+    concerns l >= 2.  T, tau, tau' or lam not finite, or a closed form at
+    (tau, tau', lam) that is not a normal double (NonFiniteError), and l, N
+    or K_modes not non-negative integers, an odd K_modes, N > 512, T <= 0 or
+    divergent parameters (PreconditionError) are refused before any table
+    is built.
     """
     tau, tau_prime = (complex(t) for t in params)
-    _check_form(l, T, N, tau, tau_prime, lam)
-    _check_modes(N, K_modes)
+    l, N = _check_form(l, T, N, tau, tau_prime, lam)
+    K_modes = _check_modes(K_modes)
+    # the parameter checks of recurrence_mode_values, on no pairs
+    recurrence_mode_values(np.empty((0, 2), dtype=int), tau, tau_prime, lam)
     pairs, blocks = _block_maps(N, K_modes, tau == tau_prime)
     vals = recurrence_mode_values(pairs, tau, tau_prime, lam)
+    z = complex(lam)
+    if tau.imag == tau_prime.imag == 0.0 and (z.real == 0.0 or z.imag == 0.0):
+        vals = _real_rows(vals, N, min(K_modes // 2, 2 * N) + 1)
     classes = _class_grams(l, tau, tau_prime, N)
     # a T-weighted sum of Grams has the widest band among its terms
     H = [[(sum(T ** (2 * (l - a - b)) * c[-1][b][0] for b in range(l - a + 1)),
@@ -482,7 +545,9 @@ def sobolev_trace_estimate(l: int, T: float, lam, params: Tuple, N: int,
     """sobolev_trace at (2N, 2K_modes), error_bound _DOUBLING_SAFETY (4) times
     its change from (N, K_modes), cost (2n+1)^2 summed over both.  A change
     above 10% raises NonConvergentError with that Estimate, and a value that
-    is not finite NonFiniteError."""
+    is not finite NonFiniteError.  N > 256 (the fine call's 2N > 512) and
+    what sobolev_trace refuses raise before either call's work."""
+    N, K_modes = _count(N, "N", _SPARSE_MAX_N // 2), _check_modes(K_modes)
     coarse, fine = (sobolev_trace(l, T, lam, params, m * N, m * K_modes)
                     for m in (1, 2))
     if not np.isfinite(fine - coarse):

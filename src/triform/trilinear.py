@@ -744,6 +744,10 @@ def _em_power_tail(w: complex, J: int) -> complex:
 
 
 _TAIL_TERMS = 8         # basis terms of each tail fit
+# the log-moduli of the closed form at which it anchors the recurrence rows:
+# below the smallest normal double its precision drains away (at 0 every
+# row is exactly 0), above the largest it overflows
+_ANCHOR_LOG_RANGE = (math.log(np.finfo(float).tiny), math.log(np.finfo(float).max))
 _MAX_INDEX = 10_000     # largest |index| of a mode pair: J <= 102,000
 _MAX_TABLE = 1 << 21    # most entries of a recurrence table (32 MiB)
 
@@ -827,9 +831,10 @@ def _relations(l1, l2, l3, m, n):
             -(2 * m + 1 - l1) * (2 * n - 1 + l2))
 
 
-def _mode_table(l1, l2, l3, N: int, K: int) -> np.ndarray:
+def _mode_table(l1, l2, l3, N: int, K: int, anchor: complex) -> np.ndarray:
     """b[m + M, k] = a(m, -k-m, k) on the rows k = 0..K, m = -N..N-k (the
-    rest unset), M = max(N, K), as recurrence_mode_values derives it."""
+    rest unset), M = max(N, K), as recurrence_mode_values derives it from
+    the closed form ``anchor``."""
     M, ks = max(N, K), np.arange(1, K + 1)
     # row 0 of (l1, l2, l3), (l3, l2, l1) and (l1, l3, l2) in extended
     # precision: it anchors every row, and in double its rounding reaches
@@ -843,7 +848,7 @@ def _mode_table(l1, l2, l3, N: int, K: int) -> np.ndarray:
         raise PreconditionError(f"a coefficient of the invariance relations vanishes "
                                 f"at {(l1, l2, l3)}, as at any odd-integer l_j")
     r = np.empty((M + 2, 3), dtype=np.clongdouble)
-    r[0] = closed_form_value(l1, l2, l3).value
+    r[0] = anchor
     f1, f0 = -rm / rp, -r0 / rp
     r[1] = 0.5 * f0[0] * r[0]           # b(-1) = b(1)
     for i in range(1, M):
@@ -902,10 +907,17 @@ def recurrence_mode_values(pairs, l1, l2, l3) -> np.ndarray:
     |index|, K' the largest |k'|.  Pairs not of shape (n, 2), a non-integer
     index, an |index| above 10,000, a table above 2^21 entries, divergent
     parameters and a vanishing Cm or Cp (only at an odd-integer l_j) raise
-    PreconditionError before any march.
+    PreconditionError before any march; a closed form whose modulus is not
+    a normal double (it underflows near |l3| = 900 at l1 = l2 = 0) raises
+    NonFiniteError before the table is built, whatever the pairs.
     """
     pairs = _mode_pairs(pairs)
     exponents(l1, l2, l3).require_convergent()
+    log_anchor = closed_form_log(l1, l2, l3)
+    if not _ANCHOR_LOG_RANGE[0] <= log_anchor.real <= _ANCHOR_LOG_RANGE[1]:
+        raise NonFiniteError(f"the closed form anchoring the mode rows has modulus "
+                             f"exp({log_anchor.real:.6g}) at {(l1, l2, l3)}, not a "
+                             f"normal double")
     if not pairs.size:
         return np.empty(0, dtype=complex)
     k = -pairs.sum(axis=1)
@@ -914,5 +926,5 @@ def recurrence_mode_values(pairs, l1, l2, l3) -> np.ndarray:
     if (K + 1) * (max(N, K) + N + 1) > _MAX_TABLE:
         raise PreconditionError(f"a mode table of {K + 1} rows and largest "
                                 f"|index| {N} exceeds {_MAX_TABLE} entries")
-    b = _mode_table(complex(l1), complex(l2), complex(l3), N, K)
+    b = _mode_table(complex(l1), complex(l2), complex(l3), N, K, np.exp(log_anchor))
     return b[pairs[:, 0] + max(N, K), np.abs(k)]

@@ -1,6 +1,7 @@
 """Group action, Lie generators, Sobolev forms, traces, bumps, pairings."""
 
 import itertools
+import time
 import tracemalloc
 
 import numpy as np
@@ -505,7 +506,10 @@ def test_cached_structures_are_read_only():
     ({"lam": complex(0.0, np.nan)}, NonFiniteError), ({"lam": np.inf}, NonFiniteError),
     ({"T": 1e100}, NonFiniteError), ({"l": -1}, PreconditionError),
     ({"N": -1}, PreconditionError), ({"K": -2}, PreconditionError),
-    ({"K": 3}, PreconditionError)])
+    ({"K": 3}, PreconditionError), ({"T": 1000.0, "lam": 1000j}, NonFiniteError),
+    ({"l": 2.5}, PreconditionError), ({"N": 4.5}, PreconditionError),
+    ({"N": 10 ** 5}, PreconditionError), ({"K": 4.5}, PreconditionError),
+    ({"tau": 1.5}, PreconditionError)])
 def test_bad_inputs_are_refused_before_a_cache_is_read(bad, error):
     # no lookup, hit or miss, and no entry: the cache statistics stay as
     # they were
@@ -552,6 +556,104 @@ def test_sobolev_trace_exchange_path_matches_dense_route(tau, N):
     assert abs(dense - fast) <= 1e-12 * dense
 
 
+def phase_residuals(N, K, tau, taup, lam):
+    """Per mode row k' = 0..min(K/2, 2N): the row turned by the conjugate
+    phase of its largest entry, and the largest imaginary part left over that
+    entry's modulus."""
+    rows = [np.stack([mps, -kp - mps], axis=1)
+            for kp in range(min(K // 2, 2 * N) + 1)
+            for mps in [np.arange(-N, N - kp + 1)]]
+    vals = recurrence_mode_values(np.concatenate(rows), tau, taup, lam)
+    turned, residuals = [], []
+    for v in np.split(vals, np.cumsum([len(p) for p in rows])[:-1]):
+        lead = v[np.argmax(np.abs(v))]
+        turned.append(v * np.exp(-1j * np.angle(lead)))
+        residuals.append(np.max(np.abs(turned[-1].imag)) / abs(lead))
+    return vals, np.concatenate(turned), np.array(residuals)
+
+
+# the four sobolev_floor rungs (T, N) at K = 32, lam = iT, tau = tau' = 0
+BENCH_RUNGS = [(2.0, 64), (4.0, 64), (8.0, 64), (8.0, 32)]
+
+
+@pytest.mark.parametrize("N, K, params", [
+    *[(N, 32, (0.0, 0.0, 1j * T)) for T, N in BENCH_RUNGS],
+    (16, 16, (0.3, -0.2, 5j)), (16, 16, (0.0, 0.0, 0.4))])
+def test_mode_rows_are_real_up_to_one_phase_at_real_parameters(N, K, params):
+    # at real tau, tau' and real lam^2 the conjugate of a row is the row at
+    # -lam, which uniqueness makes a multiple of the row: each row is one
+    # phase times a real vector, as sobolev_trace's conjugation symmetry
+    # uses; its rotated rows are the real parts of these
+    vals, turned, residuals = phase_residuals(N, K, *params)
+    assert np.max(residuals) <= 1e-13
+    got = specdecomp._real_rows(vals, N, min(K // 2, 2 * N) + 1)
+    assert np.array_equal(got, turned.real)
+
+
+@pytest.mark.slow
+def test_slow_pin_rows_are_real_up_to_one_phase():
+    # the rows of test_sobolev_trace_at_the_largest_joint_doubling
+    _vals, _turned, residuals = phase_residuals(256, 512, 0.0, 0.0, 32j)
+    assert np.max(residuals) <= 1e-13
+
+
+@pytest.mark.parametrize("params, rotated", [
+    ((0.0, 0.0, 0.4), True), ((0.3, -0.2, 5j), True),
+    ((0.3, -0.2, 0.2 + 2j), False), ((0.3, 0.5j, 2j), False)])
+def test_sobolev_trace_takes_real_rows_from_the_parameters_alone(
+        params, rotated, monkeypatch):
+    # real lam (0.4) and imaginary lam at real tau, tau' sweep one real
+    # column per row; (0.3, -0.2, 0.2 + 2i) has real blocks and rows that
+    # rotation would leave a quarter imaginary, swept as two columns, and
+    # (0.3, 0.5i, 2i) complex blocks
+    calls = []
+    real_rows = specdecomp._real_rows
+    monkeypatch.setattr(specdecomp, "_real_rows",
+                        lambda *a: calls.append(a) or real_rows(*a))
+    tau, taup, lam = params
+    l, T, N, K = 2, 2.0, 6, 6
+    dense = relative_trace(induced_form(lam, tau, taup, N, K),
+                           sobolev_matrix(l, T, tau, taup, N).toarray())
+    fast = sobolev_trace(l, T, lam, (tau, taup), N, K)
+    assert len(calls) == rotated
+    assert abs(dense - fast) <= 1e-12 * dense
+
+
+def test_mode_values_refuse_an_underflowing_anchor():
+    # the closed form anchoring every row underflows near |lam| = 900 at
+    # tau = tau' = 0: the rows and rho were exact zeros, with no error
+    start = time.perf_counter()
+    with pytest.raises(NonFiniteError, match="normal double"):
+        recurrence_mode_values([(0, 0), (1, -1)], 0, 0, 1000j)
+    with pytest.raises(NonFiniteError, match="normal double"):
+        sobolev_trace(2, 1000.0, 1000j, (0.0, 0.0), 8, 4)
+    assert time.perf_counter() - start < 0.1
+
+
+@pytest.mark.parametrize("call", [
+    lambda: sobolev_trace(2, 2.0, 2j, (0, 0), 4.5, 4),
+    lambda: sobolev_trace(2, 2.0, 2j, (0, 0), 10 ** 5, 4),
+    lambda: sobolev_trace(2, 2.0, 2j, (0, 0), 513, 4),
+    lambda: sobolev_trace_estimate(2, 2.0, 2j, (0, 0), 4.5, 4),
+    lambda: sobolev_trace_estimate(2, 2.0, 2j, (0, 0), 4, "4"),
+    lambda: sobolev_trace_estimate(2, 2.0, 2j, (0, 0), 257, 4),
+    lambda: sobolev_matrix(2, 2.0, 0, 0, 4.5),
+    lambda: sobolev_matrix(None, 2.0, 0, 0, 4),
+    lambda: sobolev_matrix(2, 2.0, 0, 0, 10 ** 5),
+    lambda: induced_form(2j, 0, 0, 4.5, 4),
+    lambda: induced_form(2j, 0, 0, 4, 2.0)],
+    ids=["trace_N", "trace_huge_N", "trace_N_513",
+         "estimate_N", "estimate_K", "estimate_N_257", "matrix_N", "matrix_l",
+         "matrix_huge_N", "induced_N", "induced_K"])
+def test_sobolev_entry_points_refuse_counts_at_once(call):
+    # N = 4.5 raised TypeError, N = 10**5 numpy's MemoryError; the fine
+    # call of sobolev_trace_estimate at N = 257 would pass N = 514
+    start = time.perf_counter()
+    with pytest.raises(PreconditionError):
+        call()
+    assert time.perf_counter() - start < 0.1
+
+
 # rho T^4 of sobolev_trace(2, 32, 32i, (0, 0), 256, 512)
 PIN_256_512 = 0.2179467678742834
 
@@ -559,9 +661,11 @@ PIN_256_512 = 0.2179467678742834
 @pytest.mark.slow
 def test_sobolev_trace_at_the_largest_joint_doubling():
     # the (N, K) = (256, 512) rung of the T = 32 joint doubling ladder
-    # (7-10 s as pytest reports it with one BLAS thread on two cores); the
-    # reference value is the one the recurrence's rows give, 5.4e-11 above
-    # the 0.2179467678624868 of the spectral rows with their earlier tail
+    # (3.1-3.2 s as pytest reports it with one BLAS thread on two cores,
+    # where each real row is one real tbtrs column; 5.4 s with two columns
+    # per row); the reference value is the one the recurrence's rows give,
+    # 5.4e-11 above the 0.2179467678624868 of the spectral rows with their
+    # earlier tail
     T = 32.0
     rho = sobolev_trace(2, T, 32j, (0.0, 0.0), 256, 512)
     assert abs(rho * T ** 4 / PIN_256_512 - 1.0) <= 1e-12

@@ -17,6 +17,7 @@ Gaussian Monte Carlo integrands take their phases from it, one SIMD tangent
 each, in place of a complex exp.
 """
 
+import operator
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
@@ -25,6 +26,9 @@ import numpy as np
 from .errors import PreconditionError
 
 __all__ = ["CircleFunction", "BiCircleFunction"]
+
+# largest max_mode of CircleFunction.from_modes (2^21 + 1 coefficients, 32 MiB)
+_MAX_MODE = 1 << 20
 
 
 def cis_half_angle(t, scale, out=None, q=None):
@@ -72,7 +76,15 @@ class CircleFunction:
 
     @classmethod
     def from_modes(cls, modes: dict, max_mode: int) -> "CircleFunction":
-        """modes maps even frequency 2p -> coefficient."""
+        """modes maps even frequency 2p -> coefficient.  A max_mode that is
+        not an integer in [0, 2^20] raises PreconditionError before any
+        array is made."""
+        try:
+            max_mode = operator.index(max_mode)
+        except TypeError:
+            raise PreconditionError(f"max_mode must be an integer, got {max_mode!r}") from None
+        if not 0 <= max_mode <= _MAX_MODE:
+            raise PreconditionError(f"need 0 <= max_mode <= {_MAX_MODE}, got {max_mode}")
         c = np.zeros(2 * max_mode + 1, dtype=complex)
         for freq, val in modes.items():
             if freq % 2 != 0:

@@ -49,9 +49,14 @@ class ExponentQuadruple:
 def exponents(l1, l2, l3) -> ExponentQuadruple:
     """Exponent quadruple of a complex parameter triple.
 
-    Raises NonFiniteError when a parameter is NaN or infinite.
+    Raises NonFiniteError when a parameter is NaN or infinite, and
+    PreconditionError when one is not a number (complex() refuses it).
     """
-    a, b, c = complex(l1), complex(l2), complex(l3)
+    try:
+        a, b, c = complex(l1), complex(l2), complex(l3)
+    except (TypeError, ValueError):
+        raise PreconditionError(f"spectral parameters must be numbers, got "
+                                f"({l1!r}, {l2!r}, {l3!r})") from None
     if not all(cmath.isfinite(z) for z in (a, b, c)):
         raise NonFiniteError(f"spectral parameters ({a}, {b}, {c}) must be finite")
     return ExponentQuadruple(

@@ -332,70 +332,119 @@ def relative_trace(H, Q) -> float:
 
 
 def _parity_classes(N: int):
-    """(basis, parity) of the four reflection-parity classes of one circle:
-    the even modes e_0, (e_q + e_{-q})/sqrt(2) and the odd modes
+    """(basis, parity) of the four reflection-parity classes A, B, C, D of
+    one circle: the even modes e_0, (e_q + e_{-q})/sqrt(2) and the odd modes
     (e_q - e_{-q})/sqrt(2) of (Rf)_q = f_{-q}, q = 1..N, each split by the
-    parity of |q|, as dense orthonormal (2N+1)-row column sets."""
+    parity p of |q| (A, C even |q|; B, D odd), as dense orthonormal
+    (2N+1)-row column sets by descending |q|.  Classes k and k + 2 are
+    reflection twins, the even and odd class of one |q| parity; C and D are
+    empty at N = 0, C also at N = 1, B at N = 0."""
     eye = np.eye(2 * N + 1)
-    plus, minus = eye[:, N + 1:], eye[:, N - 1::-1]     # e_q and e_{-q}, q >= 1
-    even = np.hstack([eye[:, N:N + 1], np.sqrt(0.5) * (plus + minus)])
+    plus, minus = eye[:, :N:-1], eye[:, :N]             # e_q, e_{-q}, q = N..1
+    even = np.hstack([np.sqrt(0.5) * (plus + minus), eye[:, N:N + 1]])
     odd = np.sqrt(0.5) * (plus - minus)
-    # even column c holds |q| = c, odd column c holds |q| = c + 1
-    return ([(even[:, p::2], p) for p in (0, 1)]
-            + [(odd[:, 1 - p::2], p) for p in (0, 1)])
+    # column c of either holds |q| = N - c
+    return [(B[:, (N - p) % 2::2], p) for B in (even, odd) for p in (0, 1)]
 
 
-def _band_block(grams: list) -> np.ndarray:
-    """Upper band storage ab[kd + r - c, c] = B[r, c] of B = sum_a G_a (x) H_a
-    for dense Hermitian G_a, H_a of sizes n_i, n_j, in their common dtype,
-    from the pairs ((G_a, b(G_a)), (H_a, b(H_a))), b the half bandwidth.
-    In Kronecker order (row i n_j + j) diagonal t of G_a times diagonal s of
-    H_a is B's diagonal t n_j + s, so kd = max_a (b(G_a) n_j + b(H_a)); band
-    row kd - t n_j - s, read as an (n_i, n_j) view, takes their outer
-    product G[i - t, i] H[j - s, j] at i >= t, s <= j < n_j + s."""
+def _band_block(grams: list, dtype) -> np.ndarray:
+    """Lower band storage ab[r - c, c] = B[r, c], r >= c, of B = sum_a G_a
+    (x) H_a in ``dtype`` for dense Hermitian G_a, H_a of sizes n_i, n_j, from
+    the pairs ((G_a, b(G_a)), (H_a, b(H_a))), b the half bandwidth.  In
+    Kronecker order (row i n_j + j) diagonal -t of G_a times diagonal -s of
+    H_a is B's diagonal -(t n_j + s), so kd = max_a (b(G_a) n_j + b(H_a));
+    band row t n_j + s, read as an (n_i, n_j) view, takes their outer
+    product G[i + t, i] H[j + s, j] at i < n_i - t, max(0, -s) <= j <
+    n_j - max(0, s)."""
     ni, nj = len(grams[0][0][0]), len(grams[0][1][0])
     kd = max(bg * nj + bh for (_, bg), (_, bh) in grams)
-    dtype = np.result_type(*(M.dtype for pair in grams for M, _ in pair))
     ab = np.zeros((kd + 1, ni * nj), dtype=dtype, order="F")
     for (G, bg), (H, bh) in grams:
         for t in range(bg + 1):
-            g = np.diagonal(G, t)
+            g = np.diagonal(G, -t)
             for s in range(max(-bh, -t * nj), bh + 1):
-                row = ab[kd - t * nj - s].reshape(ni, nj)      # a view
-                row[t:, max(s, 0):nj + min(s, 0)] += np.outer(g, np.diagonal(H, s))
+                row = ab[t * nj + s].reshape(ni, nj)        # a view
+                row[:ni - t, max(-s, 0):nj - max(s, 0)] += np.outer(g, np.diagonal(H, -s))
     return ab
 
 
-def _block_term(grams: list, vals: np.ndarray, weight: np.ndarray,
-                dest: np.ndarray, src: np.ndarray, coef: np.ndarray) -> float:
-    """sum_r weight_r w_r B^{-1} w_r^* over the rows w_r of W (W.flat[dest]
-    += coef vals[src], two entries meeting in one cell on row k = 0) for the
-    block B = U^H U of ``_band_block``, factored by LAPACK's ``pbtrf`` in B's
-    dtype: each term is ||U^{-H} w^*||^2, one ``tbtrs`` sweep per column.
-    A real U sweeps a real row (sobolev_trace's conjugation symmetry) as one
-    column and a complex row w^* = a + i b as the two columns a, b, as
-    ||U^{-T} (a + i b)||^2 = ||U^{-T} a||^2 + ||U^{-T} b||^2."""
-    from scipy.linalg import lapack
-
-    ab = _band_block(grams)
-    pbtrf, tbtrs = lapack.get_lapack_funcs(("pbtrf", "tbtrs"), (ab,))
-    U, info = pbtrf(ab, overwrite_ab=1)
-    if info > 0:
-        raise NotPositiveDefiniteError(f"Sobolev block of size {U.shape[1]} is "
-                                       f"not positive definite (minor {info})")
-    n = U.shape[1]
+def _row_columns(vals: np.ndarray, n: int, real: bool, weight: np.ndarray,
+                 dest: np.ndarray, src: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """The conjugated rows w^* of a block (W.flat[dest] += coef vals[src],
+    two entries meeting in one cell on row k = 0) as the columns of an
+    (n, r) array; for a real factor a complex row is the two real columns
+    Re w, Im w, as ||L^{-1} (a - i b)||^2 = ||L^{-1} a||^2 + ||L^{-1} b||^2."""
     size = len(weight) * n
     w = coef * vals[src]
-    real = U.dtype.kind == "f"
-    if real:
-        parts = (w,) if w.dtype.kind == "f" else (w.real, w.imag)
-        rhs = np.concatenate([np.bincount(dest, v, size) for v in parts])
+    if real and w.dtype.kind == "f":
+        rhs = np.bincount(dest, w, size)
+    elif real:
+        rhs = np.concatenate([np.bincount(dest, v, size) for v in (w.real, w.imag)])
     else:
-        rhs = np.zeros(size, dtype=U.dtype)
+        rhs = np.zeros(size, dtype=complex)
         np.add.at(rhs, dest, np.conj(w))
-    X, _info = tbtrs(U, rhs.reshape(-1, n).T, trans="C", overwrite_b=1)
-    energy = np.einsum("ij,ij->j", X, X) if real else np.sum(np.abs(X) ** 2, axis=0)
-    return float(energy.reshape(-1, len(weight)).sum(axis=0) @ weight)
+    return rhs.reshape(-1, n).T
+
+
+def _twin_term(vals: np.ndarray, H: list, twins: tuple) -> float:
+    """sum_r weight_r w_r B^{-1} w_r^* over the rows w_r of the blocks B =
+    sum_a G_a (x) H_a of one inner class (Grams H) and one outer class, or
+    two reflection twins ((class, (weight, dest, src, coef)) each, the even
+    twin first), for B = L L^H: each term is ||L^{-1} w^*||^2.
+
+    The first block is assembled by ``_band_block`` and factored by
+    LAPACK's ``pbtrf`` (lower).  The second twin's Grams equal the first's
+    outside the trailing corner [s:, s:] (s its ``shared`` count), so its
+    leading m = s n_j rows and columns, and its rows past m left of column
+    m, are the first block's: its factor is [[L11, 0], [L21, L22]] with L11,
+    L21 the first factor's and L22 the dense Cholesky factor of its trailing
+    Schur complement B22 - L21 L21^H.  Its rows are swept by ``tbtrs`` on
+    the leading m columns of the band (y1) and by ``trtrs`` on L22 (y2 =
+    L22^{-1} (w2^* - L21 y1)); its band is never built.  Everything is in
+    the dtype of all the Grams: real where they are."""
+    from scipy.linalg import lapack
+
+    (first, layout), *second = twins
+    dtype = np.result_type(*(M.dtype for c, _ in twins for M, _ in c[2]),
+                           *(M.dtype for M, _ in H))
+    pbtrf, tbtrs, potrf, trtrs = lapack.get_lapack_funcs(
+        ("pbtrf", "tbtrs", "potrf", "trtrs"), dtype=dtype)
+    L, info = pbtrf(_band_block(list(zip(first[2], H)), dtype), lower=1, overwrite_ab=1)
+    if info > 0:
+        raise NotPositiveDefiniteError(f"Sobolev block of size {L.shape[1]} is "
+                                       f"not positive definite (minor {info})")
+    kd, nj = len(L) - 1, len(H[0][0])
+    real = dtype.kind == "f"
+
+    def energy(X, weight):
+        e = np.einsum("ij,ij->j", X, X) if real else np.sum(np.abs(X) ** 2, axis=0)
+        return float(e.reshape(-1, len(weight)).sum(axis=0) @ weight)
+
+    rho = energy(tbtrs(L, _row_columns(vals, L.shape[1], real, *layout),
+                       uplo="L", overwrite_b=1)[0], layout[0])
+    for twin, layout in second:
+        s = twin[1]
+        m, n = s * nj, len(twin[2][0][0]) * nj
+        X = _row_columns(vals, n, real, *layout)
+        if m:       # scipy's tbtrs corrupts the heap on an empty system
+            # y1 = L11^{-1} w1 over the leading m rows; the rest stays w2
+            X, _info = tbtrs(L[:, :m], X, uplo="L", overwrite_b=1)
+        rho += energy(X[:m], layout[0])
+        if n > m:
+            lo = max(m - kd, 0)
+            band = np.arange(m, n)[:, None] - np.arange(lo, m)      # r - c
+            L21 = np.where(band <= kd, L[np.minimum(band, kd), np.arange(lo, m)], 0)
+            # Kronecker products G_a[s:, s:] (x) H_a
+            S = sum((G[s:, None, s:, None] * Hb[:, None, :]).reshape(n - m, n - m)
+                    for (G, _), (Hb, _) in zip(twin[2], H))
+            L22, info = potrf(S - L21 @ L21.conj().T, lower=1, overwrite_a=1)
+            if info > 0:
+                raise NotPositiveDefiniteError(
+                    f"Sobolev block of size {n} is not positive definite "
+                    f"(minor {m + info})")
+            Y2, _info = trtrs(L22, X[m:] - L21 @ X[lo:m], lower=1, overwrite_b=1)
+            rho += energy(Y2, layout[0])
+    return rho
 
 
 def _real_rows(vals: np.ndarray, N: int, rows: int) -> np.ndarray:
@@ -413,57 +462,86 @@ def _real_rows(vals: np.ndarray, N: int, rows: int) -> np.ndarray:
 
 @lru_cache(maxsize=4)
 def _class_grams(l: int, tau: complex, tau_prime: complex, N: int) -> tuple:
-    """(parity, (P^T G_a P)_a, (P^T H_b P)_b), a, b = 0..l, per nonempty class
+    """(parity, shared, (P^T G_a P)_a, (P^T H_b P)_b), a, b = 0..l, per class
     P of ``_parity_classes(N)`` (no H entry if tau = tau'), each Gram
     read-only, real where its imaginary part is 0, and paired with the half
-    bandwidth of its nonzero pattern."""
+    bandwidth of its nonzero pattern.  ``shared`` is the size of an even
+    class, and for an odd class the least s such that its G_a equal its
+    even twin's, exactly, everywhere outside [s:, s:] for every a."""
     def fold(B, M):
         C = B.T @ M.toarray() @ B
         C = C if np.any(C.imag) else C.real
         C.flags.writeable = False
         r, c = np.nonzero(C)
         return C, int(np.max(np.abs(r - c), initial=0))
+
+    def shared(first, second):
+        n = len(second[0][0])
+        r, c = np.nonzero(np.any([F[:n, :n] != S for (F, _), (S, _)
+                                  in zip(first, second)], axis=0))
+        return int(np.min(np.minimum(r, c), initial=n))
+
     grams = [_word_grams(t, N, l) for t in dict.fromkeys((tau, tau_prime))]
-    return tuple((p, *(tuple(fold(B, M) for M in G) for G in grams))
-                 for B, p in _parity_classes(N) if B.shape[1])
+    classes = [(p, [tuple(fold(B, M) for M in G) for G in grams])
+               for B, p in _parity_classes(N)]
+    return tuple((p, shared(classes[k % 2][1][0], folded[0]), *folded)
+                 for k, (p, folded) in enumerate(classes))
 
 
 @lru_cache(maxsize=4)
 def _block_maps(N: int, K_modes: int, exchange: bool) -> tuple:
     """The (m', n') pairs of the rows k >= 0 (``_antidiagonals``), whose
-    values sobolev_trace takes from recurrence_mode_values, and per block
-    (outer and inner class, row weights counting mirror rows and blocks, dest,
-    src, coef): W.flat[dest] += coef value[src] is its rows times P_o (x) P_i,
-    src indexing the pairs."""
+    values sobolev_trace takes from recurrence_mode_values, and the blocks
+    that meet a row, as groups (inner class j, per outer class i (i, row
+    weights counting mirror rows and blocks, dest, src, coef)) of one block
+    or of two reflection twins, the even first: W.flat[dest] += coef
+    value[src] is a block's rows times P_i (x) P_j, src indexing the pairs.
+    Over j = A..D, the twin blocks (A, j), (C, j) and (B, j), (D, j) are
+    grouped where both classes are nonempty and, at exchange (tau = tau'),
+    where neither block's transpose is taken yet; every block left is alone,
+    at exchange oriented with the smaller class inner."""
     pairs = np.concatenate(_antidiagonals(N, K_modes))
     m, n = pairs.T + N
     # per class, each mode's column (-1 if none: it has one at most) and entry
-    classes = [(B.shape[1], p, np.where(B.any(axis=1), abs(B).argmax(axis=1), -1),
-                B.sum(axis=1)) for B, p in _parity_classes(N) if B.shape[1]]
+    classes = [(B.shape[1], p, (B != 0) @ np.arange(1, B.shape[1] + 1) - 1,
+                B.sum(axis=1)) for B, p in _parity_classes(N)]
     kps = np.arange(min(K_modes // 2, 2 * N) + 1)
-    blocks = []
-    for i, j in (itertools.combinations_with_replacement(range(len(classes)), 2)
-                 if exchange else itertools.product(range(len(classes)), repeat=2)):
-        twice = exchange and i != j
-        if twice and classes[j][0] > classes[i][0]:
-            i, j = j, i
+
+    def block(i, j):
         (ni, pi, ci, vi), (nj, pj, cj, vj) = classes[i], classes[j]
         meets = (kps + pi + pj) % 2 == 0
-        if np.any(meets):
-            h = np.flatnonzero((ci[m] >= 0) & (cj[n] >= 0))
-            rank = np.cumsum(meets)[-pairs[h].sum(axis=1)] - 1
-            weight = np.where(kps == 0, 1.0, 2.0)[meets] * (2.0 if twice else 1.0)
-            blocks.append((i, j, weight, (rank * ni + ci[m[h]]) * nj + cj[n[h]],
-                           h, vi[m[h]] * vj[n[h]]))
-    for a in [pairs] + [a for b in blocks for a in b[2:]]:
+        h = np.flatnonzero((ci[m] >= 0) & (cj[n] >= 0))
+        rank = np.cumsum(meets)[-pairs[h].sum(axis=1)] - 1
+        weight = np.where(kps == 0, 1.0, 2.0)[meets] * (2.0 if exchange and i != j else 1.0)
+        return i, weight, (rank * ni + ci[m[h]]) * nj + cj[n[h]], h, vi[m[h]] * vj[n[h]]
+
+    def key(i, j):
+        return frozenset((i, j)) if exchange else (i, j)
+
+    full = [k for k, c in enumerate(classes) if c[0]]
+    grouped, taken = [], set()
+    for j in full:
+        for twins in ((0, 2), (1, 3)):
+            if all(i in full and key(i, j) not in taken for i in twins):
+                grouped.append((j, twins))
+                taken.update(key(i, j) for i in twins)
+    for i, j in itertools.product(full, repeat=2):
+        if key(i, j) not in taken:
+            if exchange and classes[j][0] > classes[i][0]:
+                i, j = j, i
+            grouped.append((j, (i,)))
+            taken.add(key(i, j))
+    groups = tuple((j, g) for j, outer in grouped
+                   for g in [tuple(block(i, j) for i in outer)] if len(g[0][1]))
+    for a in [pairs] + [a for _, g in groups for b in g for a in b[1:]]:
         a.flags.writeable = False
-    return pairs, tuple(blocks)
+    return pairs, groups
 
 
 def sobolev_trace(l: int, T: float, lam, params: Tuple, N: int,
                   K_modes: int) -> float:
     """tr(H_induced | Q_{l,T}) = sum_k row_k Q^{-1} row_k^*, without forming
-    the dense induced form, by five exact symmetries.
+    the dense induced form, by six exact symmetries.
 
     * Reflection.  With (Rf)_q = f_{-q}, R X_a R = X_a, R X_b R = -X_b and
       R X_r R = -X_r at every parameter, so each word Gram commutes with R,
@@ -473,9 +551,11 @@ def sobolev_trace(l: int, T: float, lam, params: Tuple, N: int,
       blocks sum_a (P_i^T G_a P_i) (x) (P_j^T H~_a P_j), one per pair of
       (reflection, |q| parity) classes.  The Grams couple modes within 2l,
       l columns of a class, so in Kronecker order a block is a band of half
-      bandwidth <= l n_j + l, factored by a Hermitian band Cholesky
-      (Q >= T^(2l); NotPositiveDefiniteError if it fails), real where its
-      class Grams are, as at real parameters (each word is i^k times real).
+      bandwidth <= l n_j + l, assembled from the Gram diagonals straight
+      into LAPACK's lower band storage and factored by a Hermitian band
+      Cholesky (Q >= T^(2l); NotPositiveDefiniteError if it fails), real
+      where its class Grams are, as at real parameters (each word is i^k
+      times real).
     * Mirrored rows.  Row -k is row k under R (x) R, which commutes with Q,
       so rho = term(k = 0) + 2 sum_{k > 0} term(k) and only k >= 0 is built.
       Row k = 2k' lies on m' + n' = -k' and meets only the blocks whose
@@ -484,9 +564,8 @@ def sobolev_trace(l: int, T: float, lam, params: Tuple, N: int,
       T^(2(l-a-b)) G_a (x) G_b commutes with the swap S(f (x) g) = g (x) f,
       and with l1 = l2 the element of (m', n', k) equals that of (n', m', k),
       so S fixes every row.  S maps block (i, j) and its rows onto block
-      (j, i), and the two terms are equal: only the ten blocks i <= j are
-      factored, each off-diagonal one twice counted and oriented with the
-      smaller class inner (narrower band).
+      (j, i), and the two terms are equal: only ten of the sixteen blocks
+      are computed, each off-diagonal one twice counted.
     * Conjugation.  At real tau, tau' and real lam^2 (lam real or purely
       imaginary, as at the CLI default lam = iT) the kernel's conjugate is
       the kernel at (tau, tau', -lam), and with |sin| even, conj a(m', n',
@@ -500,6 +579,27 @@ def sobolev_trace(l: int, T: float, lam, params: Tuple, N: int,
       would enter squared); the class Grams are real there, so each row is
       one real ``tbtrs`` column, not two.  The case is told from tau, tau'
       and lam alone; other parameters keep their complex rows.
+    * Reflection twins.  Each class lists its modes by descending |q|; the
+      even and odd class of one |q| parity (A and C for even |q|, B and D
+      for odd, A also holding |q| = 0, last) are twins with the same |q| >= 1
+      in the same order.  As G commutes with R, their Gram entries at
+      q, q' >= 1 are G_{q,q'} + G_{q,-q'} and G_{q,q'} - G_{q,-q'}, and
+      G_{q,-q'} couples modes q + q' apart.  A word of length a moves a mode
+      by at most a, so G_a couples modes within 2a; at odd a the full shift
+      cancels (X_a = (E+ + E-)/2, X_b = (E+ - E-)/(2i) with E+, E- pure
+      raising and lowering, so the full-shift parts of the words X_a^i
+      X_b^(a-i) add up with signs (-1)^(a-i)).  The twins' class Grams are
+      therefore equal except on the trailing corner of the class indices
+      with |q| + min |q| <= 4 floor(l/2) (none at l <= 1), whose extent
+      ``_class_grams`` records by exact comparison.  The twin blocks (A, j)
+      and (C, j), or (B, j) and (D, j), then differ only where both outer
+      indices lie in that corner, and a leading principal block's Cholesky
+      factor is the leading block of the whole factor: the first twin's band
+      factor serves the second, whose trailing Schur complement (about l
+      outer columns) is factored densely (``_twin_term``).  At tau = tau'
+      the ten blocks are AA+CA, BA+DA, BB+DB, BC+DC, CC and DD: 6 band
+      factorizations; at tau != tau' the sixteen are (A, j)+(C, j) and
+      (B, j)+(D, j): 8.
 
     The rows k >= 0 come from one recurrence_mode_values call.  What does
     not depend on T is cached read-only (_class_grams, _block_maps); every
@@ -518,7 +618,7 @@ def sobolev_trace(l: int, T: float, lam, params: Tuple, N: int,
     K_modes = _check_modes(K_modes)
     # the parameter checks of recurrence_mode_values, on no pairs
     recurrence_mode_values(np.empty((0, 2), dtype=int), tau, tau_prime, lam)
-    pairs, blocks = _block_maps(N, K_modes, tau == tau_prime)
+    pairs, groups = _block_maps(N, K_modes, tau == tau_prime)
     vals = recurrence_mode_values(pairs, tau, tau_prime, lam)
     z = complex(lam)
     if tau.imag == tau_prime.imag == 0.0 and (z.real == 0.0 or z.imag == 0.0):
@@ -529,8 +629,9 @@ def sobolev_trace(l: int, T: float, lam, params: Tuple, N: int,
            max(c[-1][b][1] for b in range(l - a + 1)))
           for a in range(l + 1)] for c in classes]
     rho = 0.0
-    for i, j, *layout in blocks:
-        rho += _block_term(list(zip(classes[i][1], H[j])), vals, *layout)
+    for j, blocks in groups:
+        rho += _twin_term(vals, H[j], tuple((classes[i], layout)
+                                            for i, *layout in blocks))
     return rho
 
 
@@ -603,13 +704,17 @@ def bump_vector(T: float) -> BiCircleFunction:
     integral u dx dy = 1  over [0, 2pi)^2 in plain measure and squared norm
     well below 1e5 T^2; both are exact integrals of the profile, not of a
     truncated series.  Requires a finite T >= 1 (NonFiniteError,
-    PreconditionError).
+    PreconditionError) whose r^2 = (100 T)^-2 is a normal double, T up to
+    about 6.7e151 (PreconditionError).
     """
     if not np.isfinite(T):
         raise NonFiniteError(f"T must be finite, got {T}")
     if T < 1.0:
         raise PreconditionError("bump vectors are defined for T >= 1")
     r = 1.0 / (100.0 * T)
+    if r * r < np.finfo(float).tiny:
+        raise PreconditionError(f"T = {T} is too large: the squared support radius "
+                                f"(100 T)^-2 = {r * r} is not a normal double")
     a = _BUMP_SHARPNESS
     i1, i2 = _profile_moments(a)
     amp = 0.25 / (r * r * i1)          # per-copy mass 1/4
@@ -621,10 +726,10 @@ def bump_vector(T: float) -> BiCircleFunction:
         rho2 = (dx * dx + dy * dy) / (r * r)
         return amp * _bump_profile(rho2, a)
 
-    # exact plain-measure squared norm of the constructed bump (all 4 copies)
+    # exact plain-measure squared norm of the constructed bump (all 4
+    # copies), 4 amp^2 r^2 i2 = amp i2 / i1, where amp^2 would overflow
     return BiCircleFunction(evaluator=evaluator, mass=1.0, support_radius=r,
-                            center=(x0, y0),
-                            norm_sq_plain=4.0 * amp ** 2 * r * r * i2)
+                            center=(x0, y0), norm_sq_plain=amp * i2 / i1)
 
 
 def transformed_kernel_values(g1, g2, z: float, params: Tuple, x, y):
@@ -713,7 +818,10 @@ def pairing_search(bump: BiCircleFunction, params: Tuple, n_random: int,
     quadrature grids once for all of them.
 
     Returns a list of (g1, g2, PairingResult); the identity pair comes first.
+    An n_random that is not a non-negative integer raises PreconditionError
+    before any work.
     """
+    n_random = _count(n_random, "n_random")
     rng = np.random.default_rng(seed)
     eye = np.eye(2)
     probes = [(eye, eye)]

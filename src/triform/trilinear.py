@@ -694,6 +694,11 @@ def triple_quadrature(f1: CircleFunction, f2: CircleFunction, f3: CircleFunction
 # spectral backend: exact Fourier series of |sin|^s plus accelerated tails
 # ---------------------------------------------------------------------------
 
+# largest kmax of sine_power_coeffs (16 MiB of coefficients); its caller
+# spectral_mode_values asks for at most J + 10,000 = 112,000
+_MAX_KMAX = 1 << 20
+
+
 def sine_power_coeffs(s, kmax: int) -> np.ndarray:
     """Coefficients c_0..c_kmax of |sin t|^s = sum_k c_k e^{2ikt} (c_-k = c_k).
 
@@ -708,13 +713,15 @@ def sine_power_coeffs(s, kmax: int) -> np.ndarray:
     polynomial (s an even nonnegative integer).  Up to that line, with
     a = 1+s/2, the right factor is 1/Gamma(a-k) = (a-1)...(a-k) / Gamma(a),
     exactly 0 at and past a pole.  A non-finite s raises NonFiniteError, a
-    kmax that is not a non-negative integer PreconditionError.
+    kmax that is not a non-negative integer or is above 2^20 = 1,048,576
+    PreconditionError, before any array is made.
     """
     s = complex(s)
     if not cmath.isfinite(s):
         raise NonFiniteError(f"need a finite s, got {s}")
-    if not isinstance(kmax, numbers.Integral) or kmax < 0:
-        raise PreconditionError(f"kmax must be a non-negative integer, got {kmax!r}")
+    if not isinstance(kmax, numbers.Integral) or not 0 <= kmax <= _MAX_KMAX:
+        raise PreconditionError(f"kmax must be an integer in [0, {_MAX_KMAX}], "
+                                f"got {kmax!r}")
     if s.real <= -1.0:
         raise PreconditionError(f"need Re s > -1, got {s}")
     kd = min(kmax, 2 + max(0, int(math.ceil(s.real / 2.0))))

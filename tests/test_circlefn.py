@@ -1,12 +1,15 @@
 """Truncated even Fourier series on the circle."""
 
+import time
+
 import mpmath
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from triform import CircleFunction
+from triform import CircleFunction, PreconditionError
 from triform.circlefn import cis_half_angle
 
 finite = st.floats(-1e6, 1e6, allow_nan=False)
@@ -75,3 +78,13 @@ def test_cis_half_angle_output_forms_agree_bit_for_bit():
     for a, b in ((out.real, fresh.real), (out.imag, fresh.imag), (re, fresh.real),
                  (im, fresh.imag), (table[:, 0], cis_half_angle(t, 1.0))):
         assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("max_mode, match", [(10 ** 10, "max_mode <="), (-1, "max_mode <="),
+                                             (2.5, "integer")])
+def test_from_modes_refuses_a_truncation_before_allocating(max_mode, match):
+    # 10**10 raised numpy's MemoryError, 2.5 a TypeError
+    start = time.perf_counter()
+    with pytest.raises(PreconditionError, match=match):
+        CircleFunction.from_modes({0: 1.0}, max_mode)
+    assert time.perf_counter() - start < 0.1

@@ -33,3 +33,10 @@ def test_require_convergent_refuses_the_divergent_corner():
     for triple in ((0.5, 0.5, 0.5), (1.0, 0.0, 2j), (0.4, 0.3, 0.3)):
         with pytest.raises(PreconditionError, match="delta have Re <= -1"):
             exponents(*triple).require_convergent()
+
+
+@pytest.mark.parametrize("bad", ["a", None, [1.0]])
+def test_exponents_refuse_what_is_not_a_number(bad):
+    # "a" raised ValueError, None and a list TypeError
+    with pytest.raises(PreconditionError, match="numbers"):
+        exponents(bad, 0, 0)

@@ -487,12 +487,14 @@ def test_sobolev_trace_reuses_the_class_grams_along_a_growing_window():
 
 def test_cached_structures_are_read_only():
     # at tau != tau' and N = 4: four classes with three word Grams of each
-    # factor, the computed pairs, and sixteen blocks of four arrays each
+    # factor, the computed pairs, and sixteen blocks of four arrays each, in
+    # eight groups of two reflection twins
     sobolev_trace(2, 2.0, 2j, (0.3, 0.5j), 4, 4)
     classes = specdecomp._class_grams(2, 0.3 + 0j, 0.5j, 4)
-    pairs, blocks = specdecomp._block_maps(4, 4, False)
-    arrays = [M for c in classes for grams in c[1:] for M, _band in grams]
-    arrays += [pairs] + [a for b in blocks for a in b[2:]]
+    pairs, groups = specdecomp._block_maps(4, 4, False)
+    assert [len(blocks) for _j, blocks in groups] == [2] * 8
+    arrays = [M for c in classes for grams in c[2:] for M, _band in grams]
+    arrays += [pairs] + [a for _j, blocks in groups for b in blocks for a in b[1:]]
     assert len(arrays) == 4 * 2 * 3 + 1 + 16 * 4
     for a in arrays:
         with pytest.raises(ValueError):
@@ -554,6 +556,100 @@ def test_sobolev_trace_exchange_path_matches_dense_route(tau, N):
     dense = relative_trace(induced_form(lam, tau, tau, N, K), Q)
     fast = sobolev_trace(l, T, lam, (tau, tau), N, K)
     assert abs(dense - fast) <= 1e-12 * dense
+
+
+def class_moduli(N):
+    """|q| of each column of the four classes A, B, C, D of sobolev_trace."""
+    return [np.abs(np.abs(B).argmax(axis=0) - N)
+            for B, _p in specdecomp._parity_classes(N)]
+
+
+@pytest.mark.parametrize("l", [0, 1, 2, 3])
+@pytest.mark.parametrize("N", [1, 2, 3, 8, 16])
+def test_reflection_twins_differ_only_on_their_trailing_corner(N, l):
+    # the even and odd class of one |q| parity list the same |q| >= 1 by
+    # descending |q|, and their Grams G_{q,q'} +- G_{q,-q'} differ only where
+    # |q| + |q'| <= 4 floor(l/2) (odd word lengths cancel the full shift):
+    # exactly outside the recorded trailing corner, on both factors; each
+    # parameter is taken on either factor, and once on both
+    taus = [0.0, 0.3, 1.5j, 0.3 + 1j]
+    moduli = class_moduli(N)
+    for tau, taup in [(0.0, 0.0), *zip(taus, taus[1:] + taus[:1])]:
+        classes = specdecomp._class_grams(l, complex(tau), complex(taup), N)
+        for k in (2, 3):
+            q = moduli[k]
+            assert np.array_equal(moduli[k - 2][:len(q)], q)
+            corner = int(np.sum(q + q[-1:] <= 4 * (l // 2)))     # q[-1] = min |q|
+            shared = classes[k][1]
+            assert shared == len(q) - corner
+            assert classes[k - 2][1] == len(moduli[k - 2])
+            outside = np.ones((len(q), len(q)), dtype=bool)
+            outside[shared:, shared:] = False
+            for side in range(2, len(classes[k])):
+                for (F, _), (S, _) in zip(classes[k - 2][side], classes[k][side]):
+                    dtype = np.result_type(F, S)
+                    assert (F[:len(q), :len(q)][outside].astype(dtype).tobytes()
+                            == S[outside].astype(dtype).tobytes())
+                if side == 2 and corner:
+                    assert any(np.any(F[:len(q), :len(q)] != S)
+                               for (F, _), (S, _) in zip(classes[k - 2][side],
+                                                         classes[k][side]))
+
+
+@pytest.mark.parametrize("params, banded, dense", [
+    ((0.0, 0.0), 6, 4), ((0.3 + 1j, 0.3 + 1j), 6, 4), ((0.3, -0.2), 8, 8),
+    ((0.3, 0.5j), 8, 8)])
+def test_sobolev_trace_factors_one_band_per_pair_of_twins(params, banded, dense,
+                                                          monkeypatch):
+    # ten blocks at tau = tau' in six band factorizations (AA+CA, BA+DA,
+    # BB+DB, BC+DC, CC, DD), sixteen at tau != tau' in eight; each second
+    # twin adds one dense factorization of its trailing corner
+    from scipy.linalg import lapack
+
+    calls = []
+    get = lapack.get_lapack_funcs
+
+    def counted(names, *args, **kwargs):
+        funcs = get(names, *args, **kwargs)
+        return [(lambda f, name: lambda *a, **k: calls.append(name) or f(*a, **k))(f, name)
+                for f, name in zip(funcs, names)]
+
+    monkeypatch.setattr(lapack, "get_lapack_funcs", counted)
+    for cache in CACHES:
+        cache.cache_clear()
+    for T in (2.0, 4.0):
+        calls.clear()
+        sobolev_trace(2, T, 1j * T, params, 8, 8)
+        assert (calls.count("pbtrf"), calls.count("potrf")) == (banded, dense)
+
+
+@pytest.mark.parametrize("l", [0, 1, 3])
+@pytest.mark.parametrize("N", [1, 2, 6])
+@pytest.mark.parametrize("tau, taup, lam", [
+    (0.3 + 1j, 0.3 + 1j, 0.2 + 2j), (0.3, -0.2, 0.2 + 2j), (0.3, 0.5j, -0.4 + 1j)])
+def test_shared_twin_factors_match_dense_route(tau, taup, lam, N, l):
+    # l = 0, 1 (identical twins) and 3 (l = 2 is the bench's, pinned
+    # below), the shared part of the twins empty (N = 1, 2 at l >= 2) or
+    # not (N = 6: one or two shared class columns and a dense tail), equal
+    # and unequal factor parameters, real blocks with complex rows, and
+    # complex lam: the twin factors agree with the dense Cholesky route
+    T, K = 2.5, 8
+    dense = relative_trace(induced_form(lam, tau, taup, N, K),
+                           sobolev_matrix(l, T, tau, taup, N).toarray())
+    fast = sobolev_trace(l, T, lam, (tau, taup), N, K)
+    assert abs(dense - fast) <= 1e-12 * dense
+
+
+# rho of the four sobolev_floor rungs, as computed before the twins shared a
+# band factor (one band Cholesky per block, in upper band storage)
+BENCH_RHO = {(2.0, 64): 0.015909174632257148, (4.0, 64): 0.0008207433670864607,
+             (8.0, 64): 5.2164067359181144e-05, (8.0, 32): 5.2156362202708845e-05}
+
+
+@pytest.mark.parametrize("T, N", list(BENCH_RHO))
+def test_sobolev_floor_rungs_are_pinned(T, N):
+    rho = sobolev_trace(2, T, 1j * T, (0.0, 0.0), N, 32)
+    assert abs(rho / BENCH_RHO[T, N] - 1.0) <= 1e-13
 
 
 def phase_residuals(N, K, tau, taup, lam):
@@ -816,6 +912,23 @@ def test_bump_refuses_nan_scale():
         bump_vector(float("nan"))
 
 
+@pytest.mark.parametrize("T", [1e152, 1e308])
+def test_bump_refuses_a_scale_whose_squared_radius_is_not_normal(T):
+    # r^2 = (100 T)^-2 underflowed: 1e308 raised ZeroDivisionError
+    start = time.perf_counter()
+    with pytest.raises(PreconditionError, match="normal double"):
+        bump_vector(T)
+    assert time.perf_counter() - start < 0.1
+
+
+def test_bump_norm_stays_finite_up_to_the_largest_scale():
+    # amp^2 overflowed from T near 1e76 on (OverflowError at 1e100); the
+    # norm amp i2 / i1 keeps its T^2 growth up to the last normal r^2
+    for T in (1e100, 6e151):
+        u = bump_vector(T)
+        assert np.isfinite(u.norm_sq_plain) and u.norm_sq_plain <= 1e5 * T * T
+
+
 # ---------------------------------------------------------------------------
 # kernel pairings
 # ---------------------------------------------------------------------------
@@ -840,6 +953,16 @@ def test_pairing_search_probes(rng):
     assert best >= 0.5
     for g1, g2, r in results:
         assert r.value <= r.sup_abs * (1.0 + 1e-6) + r.error
+
+
+@pytest.mark.parametrize("n_random", [-1, 2.5, "4"])
+def test_pairing_search_refuses_a_probe_count_that_is_no_count(n_random):
+    # -1 ran the identity probe alone, without a word
+    bump = bump_vector(4.0)
+    start = time.perf_counter()
+    with pytest.raises(PreconditionError, match="n_random"):
+        pairing_search(bump, (0.0, 0.0, 8j), n_random, 5)
+    assert time.perf_counter() - start < 0.1
 
 
 def test_pairing_search_equals_one_pairing_per_probe():

@@ -1430,3 +1430,14 @@ def test_sine_power_coeffs_refuses_a_kmax_that_is_no_count(kmax):
     # kmax = -1 gave an IndexError, 2.5 a TypeError
     with pytest.raises(PreconditionError, match="kmax"):
         sine_power_coeffs(0.5, kmax)
+
+
+def test_sine_power_coeffs_caps_kmax_above_what_its_caller_asks():
+    # 10**11 raised numpy's MemoryError; spectral_mode_values asks for up to
+    # J + 10,000 = 112,000 coefficients at its largest index
+    start = time.perf_counter()
+    for kmax in (10 ** 11, (1 << 20) + 1):
+        with pytest.raises(PreconditionError, match="kmax"):
+            sine_power_coeffs(-0.5, kmax)
+    assert time.perf_counter() - start < 0.1
+    assert len(sine_power_coeffs(-0.5, 112_000)) == 112_001

@@ -17,13 +17,13 @@ Gaussian Monte Carlo integrands take their phases from it, one SIMD tangent
 each, in place of a complex exp.
 """
 
-import operator
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 import numpy as np
 
 from .errors import PreconditionError
+from .params import as_count
 
 __all__ = ["CircleFunction", "BiCircleFunction"]
 
@@ -79,12 +79,7 @@ class CircleFunction:
         """modes maps even frequency 2p -> coefficient.  A max_mode that is
         not an integer in [0, 2^20] raises PreconditionError before any
         array is made."""
-        try:
-            max_mode = operator.index(max_mode)
-        except TypeError:
-            raise PreconditionError(f"max_mode must be an integer, got {max_mode!r}") from None
-        if not 0 <= max_mode <= _MAX_MODE:
-            raise PreconditionError(f"need 0 <= max_mode <= {_MAX_MODE}, got {max_mode}")
+        max_mode = as_count(max_mode, "max_mode", top=_MAX_MODE)
         c = np.zeros(2 * max_mode + 1, dtype=complex)
         for freq, val in modes.items():
             if freq % 2 != 0:

@@ -22,13 +22,14 @@ import io
 import json
 import sys
 import time
+from contextlib import suppress
 from functools import lru_cache
 
 import numpy as np
 
 from . import __version__
-from .errors import (NonConvergentError, PoleArgumentError, PreconditionError,
-                     TriformError)
+from .errors import (DomainTooSmallError, NonConvergentError, PoleArgumentError,
+                     PreconditionError, TriformError)
 from .circlefn import CircleFunction
 from .gaussian import identity_battery
 from .quadrature import QuadratureConfig
@@ -137,7 +138,8 @@ def cmd_closed_form(args) -> int:
             row["abs_value"] = float(np.exp(lg.real))
             row["arg_value"] = float(np.mod(lg.imag + np.pi, 2 * np.pi) - np.pi)
             row["square"] = spherical_square(a, b, c)
-            if abs(c.real) < 1e-12 and abs(c.imag) >= 1.0:
+            # empty outside the decay domain, which decay_envelope decides
+            with suppress(PreconditionError, DomainTooSmallError):
                 row["envelope"] = decay_envelope(c)
                 row["normalized"] = normalized_decay(a, b, c)
             row["error"] = ""

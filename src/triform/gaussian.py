@@ -45,7 +45,7 @@ from .circlefn import CircleFunction, cis_half_angle
 from .errors import NonConvergentError, NonFiniteError, PreconditionError
 from .estimate import Estimate
 from .kernel import kernel_value
-from .params import exponents
+from .params import as_count, exponents
 from .quadrature import half_line_nodes, refine_until
 from .specfun import gamma_product_log, log_gamma_array
 from .trilinear import closed_form_log, invariant_functional
@@ -69,13 +69,17 @@ _CHUNK = 1 << 16
 
 @dataclass(frozen=True)
 class GaussianSpec:
+    """A draw of ``samples`` points of the measure on R^dim from the Philox
+    stream ``seed``.  Integers dim >= 1, seed >= 0 and samples >= 2 (a bar
+    needs a sample variance), or PreconditionError."""
     dim: int
     seed: int
     samples: int
 
     def __post_init__(self):
-        if self.dim < 1 or self.samples < 1:
-            raise PreconditionError("dim and samples must be positive")
+        as_count(self.dim, "dim", 1)
+        as_count(self.seed, "seed")
+        as_count(self.samples, "samples", 2)
 
 
 def abs_powers(v: np.ndarray, svals) -> list:
@@ -172,7 +176,7 @@ def _expect_columns(spec: GaussianSpec, integrand: Callable) -> list:
         chunk_index += 1
     n = spec.samples
     return [Estimate(value=complex(total / n),
-                     error_bound=3.0 * math.sqrt(m2 / max(n - 1, 1) / n),
+                     error_bound=3.0 * math.sqrt(m2 / (n - 1) / n),
                      method=f"mc-philox/seed{spec.seed}", cost=n)
             for total, _, m2 in acc]
 
@@ -198,7 +202,9 @@ def gaussian_expect(spec: GaussianSpec, integrand: Callable) -> Estimate:
 # Each takes one s or an array of them, with one log-Gamma call for all.
 
 def radius_moment(n: int, s) -> complex:
-    """<r^s, G> on R^n = Gamma((s+n)/2) / Gamma(n/2); needs Re s > -n."""
+    """<r^s, G> on R^n = Gamma((s+n)/2) / Gamma(n/2); needs an integer n >= 1
+    and Re s > -n."""
+    n = as_count(n, "n", 1)
     s = np.asarray(s, dtype=complex)
     if np.any(s.real <= -n):
         raise PreconditionError(f"radius moment needs Re s > -{n}")

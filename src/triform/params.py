@@ -12,10 +12,15 @@ Three parameters (l1, l2, l3) determine the four linear combinations
     gamma = -l1 - l2 + l3,  delta = -l1 - l2 - l3,
 
 which drive both the invariant kernel and the Gamma closed form.
+
+``as_count`` is the package's one guard on integer arguments: truncations,
+sample counts, seeds and refinement levels.
 """
 
 import cmath
+import operator
 from dataclasses import dataclass
+from typing import Optional
 
 from .errors import NonFiniteError, PreconditionError
 
@@ -65,3 +70,16 @@ def exponents(l1, l2, l3) -> ExponentQuadruple:
         gamma=-a - b + c,
         delta=-a - b - c,
     )
+
+
+def as_count(value, name: str, low: int = 0, top: Optional[int] = None) -> int:
+    """``value`` as an int in [low, top]; PreconditionError for anything else
+    (a float such as 4.5 included), before any work."""
+    try:
+        n = operator.index(value)
+    except TypeError:
+        raise PreconditionError(f"{name} must be an integer, got {value!r}") from None
+    if n < low or (top is not None and n > top):
+        upper = "" if top is None else f" and {name} <= {top}"
+        raise PreconditionError(f"need {name} >= {low}{upper}, got {name} = {n}")
+    return n

@@ -27,6 +27,7 @@ import numpy as np
 
 from .errors import NonConvergentError, NonFiniteError, PreconditionError
 from .estimate import Estimate
+from .params import as_count
 
 __all__ = ["QuadratureConfig", "unit_nodes", "half_line_nodes", "refine_until"]
 
@@ -42,8 +43,7 @@ class QuadratureConfig:
     def __post_init__(self):
         if not self.target_rel_error > 0:
             raise PreconditionError("target_rel_error must be > 0")
-        if self.refinement_levels < 1:
-            raise PreconditionError("invalid quadrature budget")
+        as_count(self.refinement_levels, "refinement_levels", 1)
 
 
 @lru_cache(maxsize=64)

@@ -24,7 +24,6 @@ the sl2 basis {diag(1,-1), offdiag(1,1), rotation}; their normalization is the
 plain derivative of the action along exp(tX) at t = 0.
 """
 
-import itertools
 import operator
 from dataclasses import dataclass, replace
 from functools import lru_cache, reduce
@@ -38,7 +37,7 @@ from .errors import (NonConvergentError, NonFiniteError,
                      TruncationOverflowError)
 from .estimate import Estimate
 from .kernel import kernel_on_circle
-from .params import exponents
+from .params import as_count, exponents
 from .quadrature import unit_nodes
 from .trilinear import recurrence_mode_values
 
@@ -82,10 +81,12 @@ def _pull_back(g, lam, theta):
     With v = g^{-1} (cos theta, sin theta), returns the angle of v and the
     two factors the action multiplies by, |v|^{lam-1} and
     |det g|^{(lam-1)/2}; the first two have the shape of theta.  A
-    non-finite entry of g or lam raises NonFiniteError, a singular g
-    PreconditionError.
+    non-finite entry of g or lam raises NonFiniteError, a g that is not an
+    invertible 2x2 matrix PreconditionError.
     """
     g = np.asarray(g, dtype=float)
+    if g.shape != (2, 2):
+        raise PreconditionError(f"group element must be a 2x2 matrix, got shape {g.shape}")
     z = complex(lam)
     if not (np.all(np.isfinite(g)) and np.isfinite(z)):
         raise NonFiniteError(f"group element and parameter must be finite, "
@@ -181,27 +182,13 @@ def _word_grams(lam, N: int, l: int) -> list:
 _SPARSE_MAX_N = 512
 
 
-def _count(value, name: str, top: Optional[int] = None) -> int:
-    """``value`` as an int in [0, top]; PreconditionError for anything else
-    (a float such as 4.5 included), before any work."""
-    try:
-        n = operator.index(value)
-    except TypeError:
-        raise PreconditionError(f"{name} must be an integer, got {value!r}") from None
-    if n < 0:
-        raise PreconditionError(f"need {name} >= 0, got {name} = {n}")
-    if top is not None and n > top:
-        raise PreconditionError(f"need {name} <= {top}, got {name} = {n}")
-    return n
-
-
 def _check_form(l: int, T: float, N: int, *params) -> Tuple[int, int]:
     """The checks that sobolev_matrix's docstring lists; (l, N) as ints."""
     if not np.isfinite(T):
         raise NonFiniteError(f"T must be finite, got {T}")
     if not all(np.isfinite(complex(z)) for z in params):
         raise NonFiniteError(f"parameters must be finite, got {params}")
-    l, N = _count(l, "l"), _count(N, "N", _SPARSE_MAX_N)
+    l, N = as_count(l, "l"), as_count(N, "N", top=_SPARSE_MAX_N)
     if T <= 0:
         raise PreconditionError(f"need T > 0, got T = {T}")
     if 2 * l * np.log(T) > np.log(np.finfo(float).max):
@@ -244,23 +231,33 @@ _DENSE_MAX_N = 40
 def _check_modes(K_modes: int) -> int:
     """K_modes as an int; PreconditionError unless it is an even non-negative
     integer."""
-    K_modes = _count(K_modes, "K_modes")
+    K_modes = as_count(K_modes, "K_modes")
     if K_modes % 2 != 0:
         raise PreconditionError(f"K_modes must be even, got K_modes = {K_modes}")
     return K_modes
 
 
-def _antidiagonals(N: int, K_modes: int) -> list:
-    """The (m', n') pairs of the mode rows k = 2k' >= 0.  Row k holds the
-    element on e^{2 i m' x} (x) e^{2 i n' y} (x) e^{i k z} at the flattened
-    (m', n') position, nonzero only on m' + n' = -k', m' = -N..N-k': rows
-    past k' = 2N are empty, and one recurrence_mode_values call gives all
-    rows from one table.  The kernel depends only on |sin| of angle
-    differences, so (-m', -n', -k) has the element of (m', n', k): row -k
-    is row k moved from position i to (2N+1)^2 - 1 - i."""
-    return [np.stack([mps, -kp - mps], axis=1)
-            for kp in range(min(K_modes // 2, 2 * N) + 1)
-            for mps in [np.arange(-N, N - kp + 1)]]
+def _row_grid(N: int, K_modes: int) -> np.ndarray:
+    """The cells (m' + N, k') of the mode rows k = 2k' >= 0 in a boolean
+    (2N + 1, min(K_modes/2, 2N) + 1) table.  Row k holds the element on
+    e^{2 i m' x} (x) e^{2 i n' y} (x) e^{i k z}, nonzero only on m' + n' =
+    -k': cell (m' + N, k') stands for n' = N - k' - (m' + N) >= -N.  The
+    kernel depends only on |sin| of angle differences, so (-m', -n', -k) has
+    the element of (m', n', k): row -k is row k moved from flattened (m',
+    n') position i to (2N+1)^2 - 1 - i."""
+    rows = min(K_modes // 2, 2 * N) + 1
+    return np.add.outer(np.arange(2 * N + 1), np.arange(rows)) <= 2 * N
+
+
+def _mode_rows(lam, tau, tau_prime, N: int, K_modes: int) -> np.ndarray:
+    """The table b[m' + N, k'] of the mode rows on ``_row_grid(N, K_modes)``,
+    0 off it, from one recurrence_mode_values call."""
+    grid = _row_grid(N, K_modes)
+    r, kp = np.nonzero(grid)
+    b = np.zeros(grid.shape, dtype=complex)
+    b[r, kp] = recurrence_mode_values(np.stack([r - N, N - kp - r], axis=1),
+                                      tau, tau_prime, lam)
+    return b
 
 
 def induced_form(lam, tau, tau_prime, N: int, K_modes: int) -> np.ndarray:
@@ -269,25 +266,25 @@ def induced_form(lam, tau, tau_prime, N: int, K_modes: int) -> np.ndarray:
 
     Gram structure H = sum_k conj(row_k)^T row_k over output modes
     |k| <= K_modes; positive semidefinite by construction and monotone in
-    K_modes.  The rows come from recurrence_mode_values, and each row -k is
-    the mirror of row k (see ``_antidiagonals``); the dense Gram checks
-    sobolev_trace's block, mirror and exchange shortcuts.
+    K_modes.  The rows k >= 0 are the columns of the table of
+    ``_mode_rows``, and each row -k is the mirror of row k (see
+    ``_row_grid``); the dense Gram checks sobolev_trace's block, mirror and
+    exchange shortcuts.
     Dense assembly: an N or K_modes that is not a non-negative integer, an
     odd K_modes and N > 40 raise PreconditionError (use sobolev_trace for
     large truncations).
     """
-    N, K_modes = _count(N, "N"), _check_modes(K_modes)
+    N, K_modes = as_count(N, "N"), _check_modes(K_modes)
     if N > _DENSE_MAX_N:
         raise PreconditionError("dense induced form is limited to N <= 40; "
                                 "use sobolev_trace for large truncations")
-    rows = _antidiagonals(N, K_modes)
-    values = recurrence_mode_values(np.concatenate(rows), tau, tau_prime, lam)
+    b = _mode_rows(lam, tau, tau_prime, N, K_modes)
     dim = (2 * N + 1) ** 2
     H = np.zeros((dim, dim), dtype=complex)
-    for kp, (p, vals) in enumerate(zip(rows, np.split(
-            values, np.cumsum([len(p) for p in rows])[:-1]))):
-        idx = (p[:, 0] + N) * (2 * N + 1) + (p[:, 1] + N)
-        gram = np.outer(np.conj(vals), vals)
+    for kp in range(b.shape[1]):
+        r = np.arange(2 * N + 1 - kp)           # m' + N
+        idx = r * (2 * N + 1) + (2 * N - kp - r)
+        gram = np.outer(np.conj(b[r, kp]), b[r, kp])
         for ix in ([idx, dim - 1 - idx] if kp else [idx]):
             H[np.ix_(ix, ix)] += gram
     return H
@@ -447,19 +444,6 @@ def _twin_term(vals: np.ndarray, H: list, twins: tuple) -> float:
     return rho
 
 
-def _real_rows(vals: np.ndarray, N: int, rows: int) -> np.ndarray:
-    """Re(row_k conj(u_k)) on the rows k' = 0..rows-1 of ``_antidiagonals``,
-    concatenated in ``vals``, u_k the phase of row k''s largest entry (1
-    where that entry is 0)."""
-    lengths = 2 * N + 1 - np.arange(rows)
-    starts = np.cumsum(lengths) - lengths
-    j = np.arange(2 * N + 1)
-    idx = np.minimum(starts[:, None] + j, len(vals) - 1)
-    mag = np.where(j < lengths[:, None], np.abs(vals[idx]), -1.0)
-    lead = vals[idx[np.arange(rows), mag.argmax(axis=1)]]
-    return (vals * np.repeat(np.exp(-1j * np.angle(lead)), lengths)).real
-
-
 @lru_cache(maxsize=4)
 def _class_grams(l: int, tau: complex, tau_prime: complex, N: int) -> tuple:
     """(parity, shared, (P^T G_a P)_a, (P^T H_b P)_b), a, b = 0..l, per class
@@ -488,54 +472,46 @@ def _class_grams(l: int, tau: complex, tau_prime: complex, N: int) -> tuple:
                  for k, (p, folded) in enumerate(classes))
 
 
+# sobolev_trace's blocks as (inner class j, outer classes i, the even twin
+# first), classes A..D numbered 0..3, keyed on tau == tau' (see "Reflection
+# twins" in its docstring)
+_BLOCK_GROUPS = {
+    True: ((0, (0, 2)), (0, (1, 3)), (1, (1, 3)), (2, (1, 3)), (2, (2,)), (3, (3,))),
+    False: tuple((j, twins) for j in range(4) for twins in ((0, 2), (1, 3))),
+}
+
+
 @lru_cache(maxsize=4)
 def _block_maps(N: int, K_modes: int, exchange: bool) -> tuple:
-    """The (m', n') pairs of the rows k >= 0 (``_antidiagonals``), whose
-    values sobolev_trace takes from recurrence_mode_values, and the blocks
-    that meet a row, as groups (inner class j, per outer class i (i, row
-    weights counting mirror rows and blocks, dest, src, coef)) of one block
-    or of two reflection twins, the even first: W.flat[dest] += coef
-    value[src] is a block's rows times P_i (x) P_j, src indexing the pairs.
-    Over j = A..D, the twin blocks (A, j), (C, j) and (B, j), (D, j) are
-    grouped where both classes are nonempty and, at exchange (tau = tau'),
-    where neither block's transpose is taken yet; every block left is alone,
-    at exchange oriented with the smaller class inner."""
-    pairs = np.concatenate(_antidiagonals(N, K_modes))
-    m, n = pairs.T + N
+    """The groups of ``_BLOCK_GROUPS[exchange]`` in their fixed order, as
+    (inner class j, per outer class i (i, row weights counting mirror rows
+    and, at exchange, transposed blocks, dest, src, coef)): W.flat[dest] +=
+    coef b.flat[src] is a block's rows times P_i (x) P_j, b the mode-row
+    table of ``_mode_rows``.  Blocks of an empty class (only at N <= 1) and
+    groups that no row meets are dropped."""
+    grid = _row_grid(N, K_modes)
+    cells = np.flatnonzero(grid)
+    m, kp = np.divmod(cells, grid.shape[1])     # m' + N, k'
+    n = 2 * N - kp - m                          # n' + N
     # per class, each mode's column (-1 if none: it has one at most) and entry
     classes = [(B.shape[1], p, (B != 0) @ np.arange(1, B.shape[1] + 1) - 1,
                 B.sum(axis=1)) for B, p in _parity_classes(N)]
-    kps = np.arange(min(K_modes // 2, 2 * N) + 1)
+    kps = np.arange(grid.shape[1])
 
     def block(i, j):
         (ni, pi, ci, vi), (nj, pj, cj, vj) = classes[i], classes[j]
         meets = (kps + pi + pj) % 2 == 0
         h = np.flatnonzero((ci[m] >= 0) & (cj[n] >= 0))
-        rank = np.cumsum(meets)[-pairs[h].sum(axis=1)] - 1
+        rank = np.cumsum(meets)[kp[h]] - 1
         weight = np.where(kps == 0, 1.0, 2.0)[meets] * (2.0 if exchange and i != j else 1.0)
-        return i, weight, (rank * ni + ci[m[h]]) * nj + cj[n[h]], h, vi[m[h]] * vj[n[h]]
+        return i, weight, (rank * ni + ci[m[h]]) * nj + cj[n[h]], cells[h], vi[m[h]] * vj[n[h]]
 
-    def key(i, j):
-        return frozenset((i, j)) if exchange else (i, j)
-
-    full = [k for k, c in enumerate(classes) if c[0]]
-    grouped, taken = [], set()
-    for j in full:
-        for twins in ((0, 2), (1, 3)):
-            if all(i in full and key(i, j) not in taken for i in twins):
-                grouped.append((j, twins))
-                taken.update(key(i, j) for i in twins)
-    for i, j in itertools.product(full, repeat=2):
-        if key(i, j) not in taken:
-            if exchange and classes[j][0] > classes[i][0]:
-                i, j = j, i
-            grouped.append((j, (i,)))
-            taken.add(key(i, j))
-    groups = tuple((j, g) for j, outer in grouped
-                   for g in [tuple(block(i, j) for i in outer)] if len(g[0][1]))
-    for a in [pairs] + [a for _, g in groups for b in g for a in b[1:]]:
+    groups = tuple((j, g) for j, outer in _BLOCK_GROUPS[exchange] if classes[j][0]
+                   for g in [tuple(block(i, j) for i in outer if classes[i][0])]
+                   if g and len(g[0][1]))
+    for a in (a for _, g in groups for b in g for a in b[1:]):
         a.flags.writeable = False
-    return pairs, groups
+    return groups
 
 
 def sobolev_trace(l: int, T: float, lam, params: Tuple, N: int,
@@ -597,13 +573,17 @@ def sobolev_trace(l: int, T: float, lam, params: Tuple, N: int,
       factor is the leading block of the whole factor: the first twin's band
       factor serves the second, whose trailing Schur complement (about l
       outer columns) is factored densely (``_twin_term``).  At tau = tau'
-      the ten blocks are AA+CA, BA+DA, BB+DB, BC+DC, CC and DD: 6 band
-      factorizations; at tau != tau' the sixteen are (A, j)+(C, j) and
-      (B, j)+(D, j): 8.
+      the ten blocks are, in this order, AA+CA, BA+DA, BB+DB, BC+DC, CC
+      and DD: 6 band factorizations; at tau != tau' the sixteen are (A,
+      j)+(C, j) and (B, j)+(D, j) for j = A..D: 8.
 
-    The rows k >= 0 come from one recurrence_mode_values call.  What does
-    not depend on T is cached read-only (_class_grams, _block_maps); every
-    input is checked before a cache is read.
+    The rows k >= 0 are the columns of one table b[m' + N, k']
+    (``_mode_rows``), whose one recurrence_mode_values call also checks the
+    parameters, before any cache is read.  Each block reads its rows out of
+    b through fixed index maps, in the fixed block order of
+    ``_BLOCK_GROUPS`` (dropping the blocks of classes that are empty at N <=
+    1).  What does not depend on T is cached read-only (_class_grams,
+    _block_maps).
 
     Matches relative_trace(induced_form(...), sobolev_matrix(...).toarray())
     on small truncations.  Any l >= 0 is computed; the T^(-2l) floor
@@ -616,20 +596,20 @@ def sobolev_trace(l: int, T: float, lam, params: Tuple, N: int,
     tau, tau_prime = (complex(t) for t in params)
     l, N = _check_form(l, T, N, tau, tau_prime, lam)
     K_modes = _check_modes(K_modes)
-    # the parameter checks of recurrence_mode_values, on no pairs
-    recurrence_mode_values(np.empty((0, 2), dtype=int), tau, tau_prime, lam)
-    pairs, groups = _block_maps(N, K_modes, tau == tau_prime)
-    vals = recurrence_mode_values(pairs, tau, tau_prime, lam)
+    table = _mode_rows(lam, tau, tau_prime, N, K_modes)
     z = complex(lam)
     if tau.imag == tau_prime.imag == 0.0 and (z.real == 0.0 or z.imag == 0.0):
-        vals = _real_rows(vals, N, min(K_modes // 2, 2 * N) + 1)
+        # each row turned by the conjugate phase of its largest entry
+        lead = table[np.abs(table).argmax(axis=0), np.arange(table.shape[1])]
+        table = (table * np.exp(-1j * np.angle(lead))).real
     classes = _class_grams(l, tau, tau_prime, N)
     # a T-weighted sum of Grams has the widest band among its terms
     H = [[(sum(T ** (2 * (l - a - b)) * c[-1][b][0] for b in range(l - a + 1)),
            max(c[-1][b][1] for b in range(l - a + 1)))
           for a in range(l + 1)] for c in classes]
+    vals = table.ravel()
     rho = 0.0
-    for j, blocks in groups:
+    for j, blocks in _block_maps(N, K_modes, tau == tau_prime):
         rho += _twin_term(vals, H[j], tuple((classes[i], layout)
                                             for i, *layout in blocks))
     return rho
@@ -648,7 +628,7 @@ def sobolev_trace_estimate(l: int, T: float, lam, params: Tuple, N: int,
     above 10% raises NonConvergentError with that Estimate, and a value that
     is not finite NonFiniteError.  N > 256 (the fine call's 2N > 512) and
     what sobolev_trace refuses raise before either call's work."""
-    N, K_modes = _count(N, "N", _SPARSE_MAX_N // 2), _check_modes(K_modes)
+    N, K_modes = as_count(N, "N", top=_SPARSE_MAX_N // 2), _check_modes(K_modes)
     coarse, fine = (sobolev_trace(l, T, lam, params, m * N, m * K_modes)
                     for m in (1, 2))
     if not np.isfinite(fine - coarse):
@@ -821,7 +801,7 @@ def pairing_search(bump: BiCircleFunction, params: Tuple, n_random: int,
     An n_random that is not a non-negative integer raises PreconditionError
     before any work.
     """
-    n_random = _count(n_random, "n_random")
+    n_random = as_count(n_random, "n_random")
     rng = np.random.default_rng(seed)
     eye = np.eye(2)
     probes = [(eye, eye)]

@@ -34,7 +34,6 @@ for a plateau and extrapolated (in 1/|lam|^2 at imaginary tau and tau').
 
 import cmath
 import math
-import numbers
 import threading
 from typing import Callable, Optional, Sequence
 
@@ -44,7 +43,7 @@ from .circlefn import CircleFunction, cis_half_angle
 from .errors import (DomainTooSmallError, NonFiniteError, PoleArgumentError,
                      PreconditionError)
 from .estimate import Estimate
-from .params import exponents
+from .params import as_count, exponents
 from .quadrature import QuadratureConfig, refine_until, unit_nodes
 from .specfun import gamma_product_log, log_gamma_array
 
@@ -719,9 +718,7 @@ def sine_power_coeffs(s, kmax: int) -> np.ndarray:
     s = complex(s)
     if not cmath.isfinite(s):
         raise NonFiniteError(f"need a finite s, got {s}")
-    if not isinstance(kmax, numbers.Integral) or not 0 <= kmax <= _MAX_KMAX:
-        raise PreconditionError(f"kmax must be an integer in [0, {_MAX_KMAX}], "
-                                f"got {kmax!r}")
+    kmax = as_count(kmax, "kmax", top=_MAX_KMAX)
     if s.real <= -1.0:
         raise PreconditionError(f"need Re s > -1, got {s}")
     kd = min(kmax, 2 + max(0, int(math.ceil(s.real / 2.0))))

@@ -7,7 +7,8 @@ import json
 import numpy as np
 import pytest
 
-from triform import identity_battery, normalized_decay, spherical_square
+from triform import (decay_envelope, identity_battery, normalized_decay,
+                     spherical_square)
 from triform.cli import build_parser, main
 
 from test_public_api import CHEAP_RUNS
@@ -82,6 +83,19 @@ def test_closed_form_rows_equal_the_library_values(tmp_path):
             assert row["normalized"] == normalized_decay(*lam)
         else:
             assert "normalized" not in row
+
+
+def test_closed_form_envelope_columns_follow_the_library_domain(tmp_path):
+    # |Re lam3| = 1e-12 is inside decay_envelope's domain, so the row has
+    # both columns; just past it, or below |lam3| = 1, both stay empty
+    code, text = run_cli(["closed-form", "--triples",
+                          "0,0,1e-12+2j;0,0,2e-12+2j;0,0,0.5"], tmp_path)
+    assert code == 0
+    _, rows = parse_csv(text)
+    lam = 1e-12 + 2j
+    assert float(rows[0]["envelope"]) == decay_envelope(lam)
+    assert float(rows[0]["normalized"]) == normalized_decay(0, 0, lam)
+    assert all(row[k] == "" for row in rows[1:] for k in ("envelope", "normalized"))
 
 
 def test_reproducible_byte_determinism(tmp_path):
@@ -167,6 +181,13 @@ def test_gaussian_check_tiny_samples_well_formed(tmp_path):
     _, rows = parse_csv(text)
     assert len(rows) == 35
     assert all(r["mc_3sigma"] != "" for r in rows)
+
+
+def test_gaussian_check_refuses_one_sample(capsys):
+    # one sample per identity gave bars of 0 against errors of 0.03-0.22
+    assert main(["gaussian-check", "--samples", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "samples >= 2" in err
 
 
 def test_decay_scan_single_rung(tmp_path):

@@ -20,8 +20,9 @@ import pytest
 
 import triform
 from triform import (CircleFunction, GaussianSpec, PreconditionError,
-                     QuadratureConfig, cli, homogeneous_reduction_check,
-                     kernel_gaussian_check, minor_pullback_check)
+                     QuadratureConfig, cli, group_action,
+                     homogeneous_reduction_check, kernel_gaussian_check,
+                     minor_pullback_check, radius_moment)
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted([*(ROOT / "tests").glob("*.py"), *(ROOT / "demos").glob("*.py")])
@@ -338,8 +339,10 @@ ONE = CircleFunction.constant(1.0)
 PLANE, SPACE = (GaussianSpec(dim=n, seed=1, samples=10) for n in (2, 3))
 
 
-# one bad input per refusing site outside trilinear.py and specdecomp.py;
-# unit_nodes' scheme check is test_unit_nodes_refuses_other_schemes
+# one bad input per refusing site outside trilinear.py and specdecomp.py
+# (unit_nodes' scheme check is test_unit_nodes_refuses_other_schemes), then
+# counts that are no integers or too small, which raised builtin errors at
+# first use or returned a value, and a group element that is not 2x2
 @pytest.mark.parametrize("call", [
     lambda: QuadratureConfig(target_rel_error=0.0),
     lambda: QuadratureConfig(refinement_levels=0),
@@ -352,6 +355,15 @@ PLANE, SPACE = (GaussianSpec(dim=n, seed=1, samples=10) for n in (2, 3))
     lambda: CircleFunction(np.ones(2), 1),
     lambda: CircleFunction.from_modes({1: 1.0}, 1),
     lambda: CircleFunction.from_modes({4: 1.0}, 1),
+    lambda: GaussianSpec(dim=2.5, seed=1, samples=10),
+    lambda: GaussianSpec(dim=2, seed=1, samples=100.5),
+    lambda: GaussianSpec(dim=2, seed=-1, samples=10),
+    lambda: GaussianSpec(dim=2, seed=1.5, samples=10),
+    lambda: GaussianSpec(dim=2, seed=1, samples=1),
+    lambda: QuadratureConfig(refinement_levels=2.5),
+    lambda: radius_moment(-1, 3),
+    lambda: radius_moment(0, 1),
+    lambda: group_action(np.eye(3), 0, ONE),
 ])
 def test_bad_inputs_raise_precondition_error(call):
     with pytest.raises(PreconditionError):

@@ -487,15 +487,15 @@ def test_sobolev_trace_reuses_the_class_grams_along_a_growing_window():
 
 def test_cached_structures_are_read_only():
     # at tau != tau' and N = 4: four classes with three word Grams of each
-    # factor, the computed pairs, and sixteen blocks of four arrays each, in
-    # eight groups of two reflection twins
+    # factor, and sixteen blocks of four arrays each, in eight groups of two
+    # reflection twins
     sobolev_trace(2, 2.0, 2j, (0.3, 0.5j), 4, 4)
     classes = specdecomp._class_grams(2, 0.3 + 0j, 0.5j, 4)
-    pairs, groups = specdecomp._block_maps(4, 4, False)
+    groups = specdecomp._block_maps(4, 4, False)
     assert [len(blocks) for _j, blocks in groups] == [2] * 8
     arrays = [M for c in classes for grams in c[2:] for M, _band in grams]
-    arrays += [pairs] + [a for _j, blocks in groups for b in blocks for a in b[1:]]
-    assert len(arrays) == 4 * 2 * 3 + 1 + 16 * 4
+    arrays += [a for _j, blocks in groups for b in blocks for a in b[1:]]
+    assert len(arrays) == 4 * 2 * 3 + 16 * 4
     for a in arrays:
         with pytest.raises(ValueError):
             a.flat[0] = 1.0
@@ -547,10 +547,11 @@ def test_mode_rows_are_exchange_symmetric_at_equal_factor_parameters(tau):
 @pytest.mark.parametrize("N", [5, 6])
 @pytest.mark.parametrize("tau", [0.0, 1j, 0.3 + 1j])
 def test_sobolev_trace_exchange_path_matches_dense_route(tau, N):
-    # at tau = tau' sobolev_trace factors the ten blocks i <= j and computes
-    # half of each row; at N = 5 and 6 the classes have unequal sizes, so
-    # the smaller-class-inner orientation is taken; the induced form builds
-    # its rows in full
+    # at tau = tau' sobolev_trace factors ten of the sixteen blocks, each
+    # off-diagonal one standing for its transpose, in the fixed order of
+    # specdecomp._BLOCK_GROUPS whatever the class sizes (A, B, C, D hold 3,
+    # 3, 2, 3 columns at N = 5 and 4, 3, 3, 3 at N = 6); the induced form
+    # builds its rows in full
     lam, l, T, K = 2j, 2, 2.0, 6
     Q = sobolev_matrix(l, T, tau, tau, N).toarray()
     dense = relative_trace(induced_form(lam, tau, tau, N, K), Q)
@@ -646,10 +647,76 @@ BENCH_RHO = {(2.0, 64): 0.015909174632257148, (4.0, 64): 0.0008207433670864607,
              (8.0, 64): 5.2164067359181144e-05, (8.0, 32): 5.2156362202708845e-05}
 
 
+# the same rungs bit for bit (float.hex), as computed since the twins share
+# a band factor
+BENCH_RHO_BITS = {(2.0, 64): "0x1.04a7ea301f160p-6", (4.0, 64): "0x1.ae4e4f5c40b22p-11",
+                  (8.0, 64): "0x1.b5957b4e8780ap-15", (8.0, 32): "0x1.b584ef5a28f63p-15"}
+
+
 @pytest.mark.parametrize("T, N", list(BENCH_RHO))
 def test_sobolev_floor_rungs_are_pinned(T, N):
     rho = sobolev_trace(2, T, 1j * T, (0.0, 0.0), N, 32)
     assert abs(rho / BENCH_RHO[T, N] - 1.0) <= 1e-13
+    assert rho.hex() == BENCH_RHO_BITS[T, N]
+
+
+@pytest.mark.parametrize("exchange", [False, True])
+def test_block_table_covers_every_pair_of_classes_once(exchange):
+    # the fixed groups, blocks of empty classes dropped (B, C and D at
+    # N = 0, C at N = 1), hold every ordered pair (i, j) of nonempty classes
+    # once; at tau = tau' an off-diagonal block also stands for its
+    # transpose, and its rows weigh twice; a row k' > 0 weighs twice for
+    # its mirror -k'
+    for N in range(13):
+        classes = specdecomp._parity_classes(N)
+        full = [k for k, (B, _p) in enumerate(classes) if B.shape[1]]
+        kps = np.arange(min(2, 2 * N) + 1)
+        seen = []
+        for j, blocks in specdecomp._block_maps(N, 4, exchange):
+            for i, weight, *_maps in blocks:
+                twice = exchange and i != j
+                seen += [(i, j), (j, i)] if twice else [(i, j)]
+                meets = kps[(kps + classes[i][1] + classes[j][1]) % 2 == 0]
+                assert np.array_equal(weight, np.where(meets == 0, 1.0, 2.0)
+                                      * (2.0 if twice else 1.0))
+        assert sorted(seen) == list(itertools.product(full, repeat=2))
+
+
+def test_one_mode_row_call_feeds_sobolev_trace_and_induced_form(monkeypatch):
+    # sobolev_trace checks its parameters and reads its rows through one
+    # recurrence_mode_values call, from cold and from warm caches, on the
+    # same grid of modes as induced_form
+    calls = []
+    evaluate = specdecomp.recurrence_mode_values
+    monkeypatch.setattr(specdecomp, "recurrence_mode_values",
+                        lambda *a: calls.append(a[0]) or evaluate(*a))
+    for cache in CACHES:
+        cache.cache_clear()
+    for _ in range(2):
+        sobolev_trace(2, 2.0, 2j, (0.3, 0.5j), 6, 8)
+    induced_form(2j, 0.3, 0.5j, 6, 8)
+    assert len(calls) == 3
+    assert all(np.array_equal(pairs, calls[0]) for pairs in calls)
+
+
+def on_table(rows, N, K):
+    """Rows k' = 0..min(K/2, 2N), concatenated, laid into the (m' + N, k')
+    table of sobolev_trace, 0 off the rows."""
+    lengths = 2 * N + 1 - np.arange(min(K // 2, 2 * N) + 1)
+    table = np.zeros((2 * N + 1, len(lengths)), dtype=rows.dtype)
+    for kp, v in enumerate(np.split(rows, np.cumsum(lengths)[:-1])):
+        table[:len(v), kp] = v
+    return table
+
+
+def rows_reaching_twin_term(monkeypatch):
+    """The list that collects the mode rows each ``_twin_term`` call of
+    sobolev_trace receives."""
+    seen = []
+    twin_term = specdecomp._twin_term
+    monkeypatch.setattr(specdecomp, "_twin_term",
+                        lambda vals, *a: seen.append(vals) or twin_term(vals, *a))
+    return seen
 
 
 def phase_residuals(N, K, tau, taup, lam):
@@ -675,15 +742,21 @@ BENCH_RUNGS = [(2.0, 64), (4.0, 64), (8.0, 64), (8.0, 32)]
 @pytest.mark.parametrize("N, K, params", [
     *[(N, 32, (0.0, 0.0, 1j * T)) for T, N in BENCH_RUNGS],
     (16, 16, (0.3, -0.2, 5j)), (16, 16, (0.0, 0.0, 0.4))])
-def test_mode_rows_are_real_up_to_one_phase_at_real_parameters(N, K, params):
+def test_mode_rows_are_real_up_to_one_phase_at_real_parameters(N, K, params,
+                                                                monkeypatch):
     # at real tau, tau' and real lam^2 the conjugate of a row is the row at
     # -lam, which uniqueness makes a multiple of the row: each row is one
     # phase times a real vector, as sobolev_trace's conjugation symmetry
-    # uses; its rotated rows are the real parts of these
-    vals, turned, residuals = phase_residuals(N, K, *params)
+    # uses; the rotated rows its band sweeps receive are the real parts of
+    # these, one table for every block
+    _vals, turned, residuals = phase_residuals(N, K, *params)
     assert np.max(residuals) <= 1e-13
-    got = specdecomp._real_rows(vals, N, min(K // 2, 2 * N) + 1)
-    assert np.array_equal(got, turned.real)
+    seen = rows_reaching_twin_term(monkeypatch)
+    tau, taup, lam = params
+    sobolev_trace(2, 2.0, lam, (tau, taup), N, K)
+    assert seen and all(vals is seen[0] for vals in seen)
+    assert seen[0].dtype == float
+    assert np.array_equal(seen[0].reshape(2 * N + 1, -1), on_table(turned.real, N, K))
 
 
 @pytest.mark.slow
@@ -702,16 +775,14 @@ def test_sobolev_trace_takes_real_rows_from_the_parameters_alone(
     # column per row; (0.3, -0.2, 0.2 + 2i) has real blocks and rows that
     # rotation would leave a quarter imaginary, swept as two columns, and
     # (0.3, 0.5i, 2i) complex blocks
-    calls = []
-    real_rows = specdecomp._real_rows
-    monkeypatch.setattr(specdecomp, "_real_rows",
-                        lambda *a: calls.append(a) or real_rows(*a))
+    seen = rows_reaching_twin_term(monkeypatch)
     tau, taup, lam = params
     l, T, N, K = 2, 2.0, 6, 6
     dense = relative_trace(induced_form(lam, tau, taup, N, K),
                            sobolev_matrix(l, T, tau, taup, N).toarray())
     fast = sobolev_trace(l, T, lam, (tau, taup), N, K)
-    assert len(calls) == rotated
+    assert seen and {vals.dtype for vals in seen} == {
+        np.dtype(float if rotated else complex)}
     assert abs(dense - fast) <= 1e-12 * dense
 
 

@@ -133,7 +133,8 @@ def _expect_columns(spec: GaussianSpec, integrand: Callable) -> list:
 
     ``integrand`` receives an (n, dim) array of sample points, valid for the
     call only (the next chunk is drawn into it), and returns a sequence of
-    k arrays of n values, one per f_j.  Each chunk is drawn once;
+    k arrays of n values, one per f_j; a column of another shape raises
+    PreconditionError before any sum.  Each chunk is drawn once;
     each column keeps its own sum and (mean, M2) merge, so every Estimate is
     bit-identical to a separate ``gaussian_expect`` call with f_j.  A real
     column is summed and merged in real arithmetic (a float sum and a real
@@ -149,12 +150,15 @@ def _expect_columns(spec: GaussianSpec, integrand: Callable) -> list:
         pts = buf[:n]
         _chunk_generator(spec.seed, chunk_index).standard_normal(out=pts)
         pts *= math.sqrt(0.5)
-        cols = integrand(pts)
+        cols = [np.asarray(vals) for vals in integrand(pts)]
+        for vals in cols:
+            if vals.shape != (n,):
+                raise PreconditionError(f"integrand must return {n} values per "
+                                        f"column, got shape {vals.shape}")
         if acc is None:
             acc = [[0.0, 0.0, 0.0] for _ in cols]
         devs = {}               # the chunk's columns share deviation arrays
         for vals, a in zip(cols, acc):
-            vals = np.asarray(vals)
             kind = complex if np.iscomplexobj(vals) else float
             chunk_sum = kind(np.sum(vals))
             # a NaN or inf value makes the sum non-finite; only then scan
@@ -185,7 +189,8 @@ def gaussian_expect(spec: GaussianSpec, integrand: Callable) -> Estimate:
     """Monte Carlo <f, G> with error_bound = 3 x standard error of the mean.
 
     ``integrand`` receives an (n, dim) array of sample points, which the next
-    chunk overwrites, and must return n values (complex allowed).  The caller
+    chunk overwrites, and must return n values (complex allowed), an array
+    of shape (n,); any other shape raises PreconditionError.  The caller
     asserts that |f| has a finite second moment; with heavy-tailed
     integrands the reported standard error is the empirical one.  The value
     is the plain sum over n; the variance merges per-chunk (mean, sum of

@@ -12,8 +12,8 @@ Contents:
   (Gram matrix of its mode elements over a window of output modes),
 * relative traces tr(H | Q) computed two independent ways; the fast one
   keeps what does not depend on T in two least-recently-used caches of 4
-  entries, the class Grams keyed on (l, tau, tau', N) and the row-to-block
-  maps keyed on (N, K_modes, tau == tau'),
+  entries, the class Grams and half-band plans keyed on (l, tau, tau', N)
+  and the row-to-block maps keyed on (N, K_modes, tau == tau'),
 * the localized bump vector, an analytic evaluator with exact mass and norm
   (no Fourier series), and its pairing against the transformed kernel,
 * the elementary averaged-pairing lower bound used by the localization step.
@@ -358,11 +358,65 @@ def _band_block(grams: list, dtype) -> np.ndarray:
     ab = np.zeros((kd + 1, ni * nj), dtype=dtype, order="F")
     for (G, bg), (H, bh) in grams:
         for t in range(bg + 1):
-            g = np.diagonal(G, -t)
+            g = G.diagonal(-t)[:, None]
             for s in range(max(-bh, -t * nj), bh + 1):
                 row = ab[t * nj + s].reshape(ni, nj)        # a view
-                row[:ni - t, max(-s, 0):nj - max(s, 0)] += np.outer(g, np.diagonal(H, -s))
+                row[:ni - t, max(-s, 0):nj - max(s, 0)] += g * H.diagonal(-s)
     return ab
+
+
+def _half_index(p, q, n: int):
+    """Index of the cell {p, q} among the pairs p <= q < n in lexicographic
+    order: the column of the exchange-symmetric half of an n x n Kronecker
+    space that holds e_pq and e_qp."""
+    lo, hi = np.minimum(p, q), np.maximum(p, q)
+    return lo * (2 * n - lo - 1) // 2 + hi
+
+
+def _half_plan(grams: list) -> tuple:
+    """(kd, m, dst, coef, taps): how the lower band storage (kd + 1, m) of
+    P^T B P is read from the dense Grams of one class, for B = sum_a G_a (x)
+    H_a with H_a = sum_{b <= l-a} T^(2(l-a-b)) G_b, grams = ((G_a, b(G_a)))_a.
+    P's m = n(n+1)/2 columns are e_pp and (e_pq + e_qp)/sqrt(2), p < q, in
+    the order of ``_half_index``.  As B commutes with the swap, with c = 1
+    on a cell p = q and 1/sqrt(2) off it, (P^T B P)[R, C] = c_C / c_R sum_x
+    B[(p, q), x] over the one or two x = (u, v) of cell C, R = (p, q) with p
+    <= q; B[(p, q), (u, v)] = sum_a G_a[p, u] H_a[q, v], within the half
+    bandwidths of G_a and H_a.  So ab.flat[dst] (Fortran order) sums coef
+    times G_a.flat[g] H_a.flat[h], a = 0..l, over taps = ((g, h))_a."""
+    n, l = len(grams[0][0]), len(grams) - 1
+    p, q = np.triu_indices(n)
+    R = np.arange(len(p))[:, None]
+    rows, cols, taps = [], [], []
+    for a, (_, bg) in enumerate(grams):
+        bh = max(b for _, b in grams[:l - a + 1])
+        du, dv = (d.ravel() for d in np.meshgrid(np.arange(-bg, bg + 1),
+                                                  np.arange(-bh, bh + 1)))
+        u, v = p[:, None] + du, q[:, None] + dv
+        C = _half_index(u, v, n)
+        keep = (np.minimum(u, v) >= 0) & (np.maximum(u, v) < n) & (C <= R)
+        rows.append(np.nonzero(keep)[0])
+        cols.append(C[keep])
+        # 32-bit indices keep the cached plan small
+        taps.append(tuple(i[keep].astype(np.int32) for i in (p[:, None] * n + u,
+                                                             q[:, None] * n + v)))
+    r, c = np.concatenate(rows), np.concatenate(cols)
+    kd = int(np.max(r - c, initial=0))
+    scale = np.where(p == q, 1.0, np.sqrt(0.5))
+    return (kd, len(p), (c * (kd + 1) + r - c).astype(np.int32), scale[c] / scale[r],
+            taps)
+
+
+def _half_band(plan: tuple, grams: list, dtype) -> np.ndarray:
+    """The lower band storage of a block's exchange-symmetric half, from its
+    ``_half_plan`` and the pairs ((G_a, b(G_a)), (H_a, b(H_a)))."""
+    kd, m, dst, coef, taps = plan
+    v = coef * np.concatenate([G.ravel()[g] * H.ravel()[h]
+                               for ((G, _), (H, _)), (g, h) in zip(grams, taps)])
+    ab = np.bincount(dst, v.real, (kd + 1) * m)
+    if dtype.kind == "c":
+        ab = ab + 1j * np.bincount(dst, v.imag, (kd + 1) * m)
+    return ab.reshape(m, kd + 1).T
 
 
 def _row_columns(vals: np.ndarray, n: int, real: bool, weight: np.ndarray,
@@ -383,7 +437,7 @@ def _row_columns(vals: np.ndarray, n: int, real: bool, weight: np.ndarray,
     return rhs.reshape(-1, n).T
 
 
-def _twin_term(vals: np.ndarray, H: list, twins: tuple) -> float:
+def _twin_term(vals: np.ndarray, H: list, twins: tuple, half=None) -> float:
     """sum_r weight_r w_r B^{-1} w_r^* over the rows w_r of the blocks B =
     sum_a G_a (x) H_a of one inner class (Grams H) and one outer class, or
     two reflection twins ((class, (weight, dest, src, coef)) each, the even
@@ -398,7 +452,10 @@ def _twin_term(vals: np.ndarray, H: list, twins: tuple) -> float:
     Schur complement B22 - L21 L21^H.  Its rows are swept by ``tbtrs`` on
     the leading m columns of the band (y1) and by ``trtrs`` on L22 (y2 =
     L22^{-1} (w2^* - L21 y1)); its band is never built.  Everything is in
-    the dtype of all the Grams: real where they are."""
+    the dtype of all the Grams: real where they are.  Given ``half``, the
+    ``_half_plan`` of a stand-alone block, the band factored is that of its
+    exchange-symmetric half (``_half_band``), into which its block map
+    writes its rows."""
     from scipy.linalg import lapack
 
     (first, layout), *second = twins
@@ -406,7 +463,9 @@ def _twin_term(vals: np.ndarray, H: list, twins: tuple) -> float:
                            *(M.dtype for M, _ in H))
     pbtrf, tbtrs, potrf, trtrs = lapack.get_lapack_funcs(
         ("pbtrf", "tbtrs", "potrf", "trtrs"), dtype=dtype)
-    L, info = pbtrf(_band_block(list(zip(first[2], H)), dtype), lower=1, overwrite_ab=1)
+    grams = list(zip(first[2], H))
+    ab = _band_block(grams, dtype) if half is None else _half_band(half, grams, dtype)
+    L, info = pbtrf(ab, lower=1, overwrite_ab=1)
     if info > 0:
         raise NotPositiveDefiniteError(f"Sobolev block of size {L.shape[1]} is "
                                        f"not positive definite (minor {info})")
@@ -428,9 +487,16 @@ def _twin_term(vals: np.ndarray, H: list, twins: tuple) -> float:
             X, _info = tbtrs(L[:, :m], X, uplo="L", overwrite_b=1)
         rho += energy(X[:m], layout[0])
         if n > m:
+            # L21[r - m, c - lo] = L[r - c, c] lies at c (kd + 1) + r - c =
+            # c kd + r of L's memory, a strided view up to (m - 1) kd + n - 1
+            # < (kd + 1) n_1 (n <= n_1, the first twin's columns), cut to 0
+            # past the band (r - c > kd)
             lo = max(m - kd, 0)
-            band = np.arange(m, n)[:, None] - np.arange(lo, m)      # r - c
-            L21 = np.where(band <= kd, L[np.minimum(band, kd), np.arange(lo, m)], 0)
+            flat = L.T.ravel()[lo * kd + m:]
+            step = flat.strides[0]
+            cols = np.lib.stride_tricks.as_strided(flat, (m - lo, n - m), (kd * step, step),
+                                                   writeable=False)
+            L21 = np.tril(cols, kd + lo - m).T
             # Kronecker products G_a[s:, s:] (x) H_a
             S = sum((G[s:, None, s:, None] * Hb[:, None, :]).reshape(n - m, n - m)
                     for (G, _), (Hb, _) in zip(twin[2], H))
@@ -446,12 +512,15 @@ def _twin_term(vals: np.ndarray, H: list, twins: tuple) -> float:
 
 @lru_cache(maxsize=4)
 def _class_grams(l: int, tau: complex, tau_prime: complex, N: int) -> tuple:
-    """(parity, shared, (P^T G_a P)_a, (P^T H_b P)_b), a, b = 0..l, per class
-    P of ``_parity_classes(N)`` (no H entry if tau = tau'), each Gram
-    read-only, real where its imaginary part is 0, and paired with the half
-    bandwidth of its nonzero pattern.  ``shared`` is the size of an even
-    class, and for an odd class the least s such that its G_a equal its
-    even twin's, exactly, everywhere outside [s:, s:] for every a."""
+    """(classes, halves).  classes holds (parity, shared, (P^T G_a P)_a,
+    (P^T H_b P)_b), a, b = 0..l, per class P of ``_parity_classes(N)`` (no H
+    entry if tau = tau'), each Gram read-only, real where its imaginary part
+    is 0, and paired with the half bandwidth of its nonzero pattern.
+    ``shared`` is the size of an even class, and for an odd class the least
+    s such that its G_a equal its even twin's, exactly, everywhere outside
+    [s:, s:] for every a.  At tau = tau', halves maps each nonempty class of
+    ``_HALVES`` to the read-only ``_half_plan`` of its block; it is empty
+    otherwise."""
     def fold(B, M):
         C = B.T @ M.toarray() @ B
         C = C if np.any(C.imag) else C.real
@@ -468,8 +537,13 @@ def _class_grams(l: int, tau: complex, tau_prime: complex, N: int) -> tuple:
     grams = [_word_grams(t, N, l) for t in dict.fromkeys((tau, tau_prime))]
     classes = [(p, [tuple(fold(B, M) for M in G) for G in grams])
                for B, p in _parity_classes(N)]
-    return tuple((p, shared(classes[k % 2][1][0], folded[0]), *folded)
-                 for k, (p, folded) in enumerate(classes))
+    halves = {j: _half_plan(classes[j][1][0]) for j in _HALVES
+              if tau == tau_prime and len(classes[j][1][0][0][0])}
+    for a in (a for _, _, dst, coef, taps in halves.values()
+              for a in (dst, coef, *(i for tap in taps for i in tap))):
+        a.flags.writeable = False
+    return (tuple((p, shared(classes[k % 2][1][0], folded[0]), *folded)
+                  for k, (p, folded) in enumerate(classes)), halves)
 
 
 # sobolev_trace's blocks as (inner class j, outer classes i, the even twin
@@ -479,6 +553,10 @@ _BLOCK_GROUPS = {
     True: ((0, (0, 2)), (0, (1, 3)), (1, (1, 3)), (2, (1, 3)), (2, (2,)), (3, (3,))),
     False: tuple((j, twins) for j in range(4) for twins in ((0, 2), (1, 3))),
 }
+# the inner classes of the stand-alone diagonal blocks (j, j) at tau = tau',
+# C and D, each factored on its exchange-symmetric half (see "Exchange
+# halves" in sobolev_trace's docstring)
+_HALVES = tuple(j for j, outer in _BLOCK_GROUPS[True] if outer == (j,))
 
 
 @lru_cache(maxsize=4)
@@ -487,8 +565,11 @@ def _block_maps(N: int, K_modes: int, exchange: bool) -> tuple:
     (inner class j, per outer class i (i, row weights counting mirror rows
     and, at exchange, transposed blocks, dest, src, coef)): W.flat[dest] +=
     coef b.flat[src] is a block's rows times P_i (x) P_j, b the mode-row
-    table of ``_mode_rows``.  Blocks of an empty class (only at N <= 1) and
-    groups that no row meets are dropped."""
+    table of ``_mode_rows``.  A block of ``_HALVES`` at exchange writes its
+    rows into its exchange-symmetric half (``_half_plan``): cell (p, q)
+    goes to column ``_half_index(p, q)`` with weight 1 at p = q and
+    1/sqrt(2) off it.  Blocks of an empty class (only at N <= 1) and groups
+    that no row meets are dropped."""
     grid = _row_grid(N, K_modes)
     cells = np.flatnonzero(grid)
     m, kp = np.divmod(cells, grid.shape[1])     # m' + N, k'
@@ -498,16 +579,23 @@ def _block_maps(N: int, K_modes: int, exchange: bool) -> tuple:
                 B.sum(axis=1)) for B, p in _parity_classes(N)]
     kps = np.arange(grid.shape[1])
 
-    def block(i, j):
+    def block(i, j, half):
         (ni, pi, ci, vi), (nj, pj, cj, vj) = classes[i], classes[j]
         meets = (kps + pi + pj) % 2 == 0
         h = np.flatnonzero((ci[m] >= 0) & (cj[n] >= 0))
         rank = np.cumsum(meets)[kp[h]] - 1
         weight = np.where(kps == 0, 1.0, 2.0)[meets] * (2.0 if exchange and i != j else 1.0)
-        return i, weight, (rank * ni + ci[m[h]]) * nj + cj[n[h]], cells[h], vi[m[h]] * vj[n[h]]
+        p, q, coef = ci[m[h]], cj[n[h]], vi[m[h]] * vj[n[h]]
+        if half:
+            dest = rank * (ni * (ni + 1) // 2) + _half_index(p, q, ni)
+            coef = coef * np.where(p == q, 1.0, np.sqrt(0.5))
+        else:
+            dest = (rank * ni + p) * nj + q
+        return i, weight, dest, cells[h], coef
 
     groups = tuple((j, g) for j, outer in _BLOCK_GROUPS[exchange] if classes[j][0]
-                   for g in [tuple(block(i, j) for i in outer if classes[i][0])]
+                   for g in [tuple(block(i, j, exchange and outer == (j,))
+                                   for i in outer if classes[i][0])]
                    if g and len(g[0][1]))
     for a in (a for _, g in groups for b in g for a in b[1:]):
         a.flags.writeable = False
@@ -517,7 +605,7 @@ def _block_maps(N: int, K_modes: int, exchange: bool) -> tuple:
 def sobolev_trace(l: int, T: float, lam, params: Tuple, N: int,
                   K_modes: int) -> float:
     """tr(H_induced | Q_{l,T}) = sum_k row_k Q^{-1} row_k^*, without forming
-    the dense induced form, by six exact symmetries.
+    the dense induced form, by seven exact symmetries.
 
     * Reflection.  With (Rf)_q = f_{-q}, R X_a R = X_a, R X_b R = -X_b and
       R X_r R = -X_r at every parameter, so each word Gram commutes with R,
@@ -576,14 +664,27 @@ def sobolev_trace(l: int, T: float, lam, params: Tuple, N: int,
       the ten blocks are, in this order, AA+CA, BA+DA, BB+DB, BC+DC, CC
       and DD: 6 band factorizations; at tau != tau' the sixteen are (A,
       j)+(C, j) and (B, j)+(D, j) for j = A..D: 8.
+    * Exchange halves.  At tau = tau' a stand-alone diagonal block, CC or
+      DD (``_HALVES``), is Q_ii = sum_{a+b <= l} T^(2(l-a-b)) G_a (x) G_b
+      with G_a its class's Grams, which commutes with S, and S fixes every
+      row (factor exchange).  With P the orthonormal basis e_pp and (e_pq +
+      e_qp)/sqrt(2), p < q, of the symmetric square, w = P P^T w, so w^T
+      Q_ii^{-1} w = (P^T w)^T (P^T Q_ii P)^{-1} (P^T w): n(n+1)/2 unknowns
+      in place of n^2 (528 for 1,024 at N = 64).  The pairs p <= q are
+      taken in lexicographic order, so a coupling t class columns back in
+      the first factor spans about t (n - p) columns: kd = 2n - 3 at l = 2
+      (61 at n = 32, against 64 for the block).  The half's band is read
+      from the class Grams through a plan fixed by (l, N) (``_half_plan``),
+      the block maps write the rows straight into it, and it is factored
+      and swept by the same ``pbtrf`` and ``tbtrs``.
 
     The rows k >= 0 are the columns of one table b[m' + N, k']
     (``_mode_rows``), whose one recurrence_mode_values call also checks the
     parameters, before any cache is read.  Each block reads its rows out of
     b through fixed index maps, in the fixed block order of
     ``_BLOCK_GROUPS`` (dropping the blocks of classes that are empty at N <=
-    1).  What does not depend on T is cached read-only (_class_grams,
-    _block_maps).
+    1).  What does not depend on T is cached read-only (_class_grams with
+    the half plans, _block_maps).
 
     Matches relative_trace(induced_form(...), sobolev_matrix(...).toarray())
     on small truncations.  Any l >= 0 is computed; the T^(-2l) floor
@@ -602,7 +703,7 @@ def sobolev_trace(l: int, T: float, lam, params: Tuple, N: int,
         # each row turned by the conjugate phase of its largest entry
         lead = table[np.abs(table).argmax(axis=0), np.arange(table.shape[1])]
         table = (table * np.exp(-1j * np.angle(lead))).real
-    classes = _class_grams(l, tau, tau_prime, N)
+    classes, halves = _class_grams(l, tau, tau_prime, N)
     # a T-weighted sum of Grams has the widest band among its terms
     H = [[(sum(T ** (2 * (l - a - b)) * c[-1][b][0] for b in range(l - a + 1)),
            max(c[-1][b][1] for b in range(l - a + 1)))
@@ -610,8 +711,9 @@ def sobolev_trace(l: int, T: float, lam, params: Tuple, N: int,
     vals = table.ravel()
     rho = 0.0
     for j, blocks in _block_maps(N, K_modes, tau == tau_prime):
+        half = halves.get(j) if blocks[0][0] == j else None
         rho += _twin_term(vals, H[j], tuple((classes[i], layout)
-                                            for i, *layout in blocks))
+                                            for i, *layout in blocks), half)
     return rho
 
 

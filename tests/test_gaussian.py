@@ -96,6 +96,17 @@ def test_non_finite_detection():
         gaussian_expect(spec, bad)
 
 
+@pytest.mark.parametrize("integrand", [
+    lambda p: 1.0, lambda p: np.ones(3), lambda p: p],
+    ids=["scalar", "three_values", "points"])
+def test_integrand_of_another_shape_is_refused(integrand):
+    # each gave a silently wrong mean: 2e-05 (bar 3.0e-05) for the constant
+    # 1, 6e-05 and -9.6e-4; the shape is checked before any sum
+    spec = GaussianSpec(dim=2, seed=1, samples=200_000)
+    with pytest.raises(PreconditionError, match="shape"):
+        gaussian_expect(spec, integrand)
+
+
 # ---------------------------------------------------------------------------
 # closed moments
 # ---------------------------------------------------------------------------

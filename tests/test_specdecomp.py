@@ -486,19 +486,28 @@ def test_sobolev_trace_reuses_the_class_grams_along_a_growing_window():
 
 
 def test_cached_structures_are_read_only():
-    # at tau != tau' and N = 4: four classes with three word Grams of each
-    # factor, and sixteen blocks of four arrays each, in eight groups of two
-    # reflection twins
-    sobolev_trace(2, 2.0, 2j, (0.3, 0.5j), 4, 4)
-    classes = specdecomp._class_grams(2, 0.3 + 0j, 0.5j, 4)
-    groups = specdecomp._block_maps(4, 4, False)
-    assert [len(blocks) for _j, blocks in groups] == [2] * 8
-    arrays = [M for c in classes for grams in c[2:] for M, _band in grams]
-    arrays += [a for _j, blocks in groups for b in blocks for a in b[1:]]
-    assert len(arrays) == 4 * 2 * 3 + 16 * 4
-    for a in arrays:
-        with pytest.raises(ValueError):
-            a.flat[0] = 1.0
+    for tau, taup, sizes, n_arrays in [
+            # at tau != tau' and N = 4: four classes with three word Grams of
+            # each factor, and sixteen blocks of four arrays each, in eight
+            # groups of two reflection twins
+            (0.3, 0.5j, [2] * 8, 4 * 2 * 3 + 16 * 4),
+            # at tau = tau': one set of Grams, ten blocks in six groups, and
+            # the half plans of CC and DD (dst, coef and two taps per word
+            # length)
+            (0.3 + 1j, 0.3 + 1j, [2, 2, 2, 2, 1, 1], 4 * 3 + 10 * 4 + 2 * (2 + 2 * 3))]:
+        sobolev_trace(2, 2.0, 2j, (tau, taup), 4, 4)
+        classes, halves = specdecomp._class_grams(2, complex(tau), complex(taup), 4)
+        groups = specdecomp._block_maps(4, 4, tau == taup)
+        assert [len(blocks) for _j, blocks in groups] == sizes
+        assert sorted(halves) == ([2, 3] if tau == taup else [])
+        arrays = [M for c in classes for grams in c[2:] for M, _band in grams]
+        arrays += [a for _j, blocks in groups for b in blocks for a in b[1:]]
+        arrays += [a for _kd, _m, dst, coef, taps in halves.values()
+                   for a in (dst, coef, *itertools.chain(*taps))]
+        assert len(arrays) == n_arrays
+        for a in arrays:
+            with pytest.raises(ValueError):
+                a.flat[0] = 1.0
 
 
 @pytest.mark.parametrize("bad, error", [
@@ -559,6 +568,29 @@ def test_sobolev_trace_exchange_path_matches_dense_route(tau, N):
     assert abs(dense - fast) <= 1e-12 * dense
 
 
+# tau = tau' and lam with a convergent kernel: (0.3, 0.3, 0.7) and (0.3 + i,
+# 0.3 + i, 0.7) diverge (Re(tau + tau' + lam) >= 1)
+EXCHANGE_PARAMS = [(tau, lam) for tau in (0.0, 0.3, 1.5j, 0.3 + 1j)
+                   for lam in (2j, 0.7, 0.2 + 2j)
+                   if complex(2 * tau + lam).real < 1.0]
+
+
+@pytest.mark.parametrize("l", [0, 1, 2, 3])
+def test_exchange_halves_match_dense_route(l):
+    # CC and DD at tau = tau' are factored on their exchange-symmetric
+    # halves, n(n + 1)/2 unknowns each: D is one mode at N = 1, C empty at
+    # N = 0, 1 and its block absent; real and complex Grams, real and
+    # complex rows; over the four l each (tau, lam) is taken twice, once at
+    # N >= 2.  N = 9 only once: the dense route takes about 0.25 s there
+    T, K = 2.5, 8
+    for k, N in enumerate((0, 1, 2, 3, 6, 9) if l == 3 else (0, 1, 2, 3, 6)):
+        tau, lam = EXCHANGE_PARAMS[(l + 4 * k) % len(EXCHANGE_PARAMS)]
+        dense = relative_trace(induced_form(lam, tau, tau, N, K),
+                               sobolev_matrix(l, T, tau, tau, N).toarray())
+        fast = sobolev_trace(l, T, lam, (tau, tau), N, K)
+        assert abs(dense - fast) <= 1e-12 * dense
+
+
 def class_moduli(N):
     """|q| of each column of the four classes A, B, C, D of sobolev_trace."""
     return [np.abs(np.abs(B).argmax(axis=0) - N)
@@ -576,7 +608,7 @@ def test_reflection_twins_differ_only_on_their_trailing_corner(N, l):
     taus = [0.0, 0.3, 1.5j, 0.3 + 1j]
     moduli = class_moduli(N)
     for tau, taup in [(0.0, 0.0), *zip(taus, taus[1:] + taus[:1])]:
-        classes = specdecomp._class_grams(l, complex(tau), complex(taup), N)
+        classes, _halves = specdecomp._class_grams(l, complex(tau), complex(taup), N)
         for k in (2, 3):
             q = moduli[k]
             assert np.array_equal(moduli[k - 2][:len(q)], q)
@@ -604,7 +636,10 @@ def test_sobolev_trace_factors_one_band_per_pair_of_twins(params, banded, dense,
                                                           monkeypatch):
     # ten blocks at tau = tau' in six band factorizations (AA+CA, BA+DA,
     # BB+DB, BC+DC, CC, DD), sixteen at tau != tau' in eight; each second
-    # twin adds one dense factorization of its trailing corner
+    # twin adds one dense factorization of its trailing corner.  A band
+    # factor has n_i n_j columns, first twin i and inner class j, except CC
+    # and DD at tau = tau', which have n (n + 1) / 2: their
+    # exchange-symmetric halves
     from scipy.linalg import lapack
 
     calls = []
@@ -612,16 +647,22 @@ def test_sobolev_trace_factors_one_band_per_pair_of_twins(params, banded, dense,
 
     def counted(names, *args, **kwargs):
         funcs = get(names, *args, **kwargs)
-        return [(lambda f, name: lambda *a, **k: calls.append(name) or f(*a, **k))(f, name)
+        return [(lambda f, name: lambda *a, **k: calls.append((name, a[0].shape[-1]))
+                 or f(*a, **k))(f, name)
                 for f, name in zip(funcs, names)]
 
     monkeypatch.setattr(lapack, "get_lapack_funcs", counted)
+    n = [B.shape[1] for B, _p in specdecomp._parity_classes(8)]     # 5, 4, 4, 4
+    columns = [n[outer[0]] * n[j] if outer != (j,) else n[j] * (n[j] + 1) // 2
+               for j, outer in specdecomp._BLOCK_GROUPS[params[0] == params[1]]]
     for cache in CACHES:
         cache.cache_clear()
     for T in (2.0, 4.0):
         calls.clear()
         sobolev_trace(2, T, 1j * T, params, 8, 8)
-        assert (calls.count("pbtrf"), calls.count("potrf")) == (banded, dense)
+        names = [name for name, _cols in calls]
+        assert (names.count("pbtrf"), names.count("potrf")) == (banded, dense)
+        assert [cols for name, cols in calls if name == "pbtrf"] == columns
 
 
 @pytest.mark.parametrize("l", [0, 1, 3])
@@ -648,8 +689,9 @@ BENCH_RHO = {(2.0, 64): 0.015909174632257148, (4.0, 64): 0.0008207433670864607,
 
 
 # the same rungs bit for bit (float.hex), as computed since the twins share
-# a band factor
-BENCH_RHO_BITS = {(2.0, 64): "0x1.04a7ea301f160p-6", (4.0, 64): "0x1.ae4e4f5c40b22p-11",
+# a band factor and CC and DD are factored on their exchange-symmetric
+# halves (which moved (4, 64) by one unit in the last place)
+BENCH_RHO_BITS = {(2.0, 64): "0x1.04a7ea301f160p-6", (4.0, 64): "0x1.ae4e4f5c40b21p-11",
                   (8.0, 64): "0x1.b5957b4e8780ap-15", (8.0, 32): "0x1.b584ef5a28f63p-15"}
 
 
@@ -828,11 +870,11 @@ PIN_256_512 = 0.2179467678742834
 @pytest.mark.slow
 def test_sobolev_trace_at_the_largest_joint_doubling():
     # the (N, K) = (256, 512) rung of the T = 32 joint doubling ladder
-    # (3.1-3.2 s as pytest reports it with one BLAS thread on two cores,
-    # where each real row is one real tbtrs column; 5.4 s with two columns
-    # per row); the reference value is the one the recurrence's rows give,
-    # 5.4e-11 above the 0.2179467678624868 of the spectral rows with their
-    # earlier tail
+    # (3.5 s as pytest reports it with one BLAS thread on two shared, busy
+    # cores; 3.7-3.9 s there before CC and DD were factored on their
+    # exchange-symmetric halves); the reference value is the one the
+    # recurrence's rows give, 5.4e-11 above the 0.2179467678624868 of the
+    # spectral rows with their earlier tail
     T = 32.0
     rho = sobolev_trace(2, T, 32j, (0.0, 0.0), 256, 512)
     assert abs(rho * T ** 4 / PIN_256_512 - 1.0) <= 1e-12
